@@ -33,16 +33,12 @@
 //! * `--clients N --duration S [--batch B]` — load-generator mode;
 //! * `--listen ADDR` — bind the server on a fixed address instead of an
 //!   OS-assigned port (so an external `obstop` can find it);
-//! * `--backend {reactor,threadpool}` — select the server I/O plane in
-//!   load mode (default: the platform default, the epoll reactor on
-//!   Linux); the report records the choice in its `backend` field;
 //! * `--linger S` — keep the server alive `S` seconds after the report
 //!   is written, for live scraping.
 
 use offload_core::{Analysis, AnalysisOptions};
 use offload_net::{
-    ClientConfig, DispatchClient, OffloadEngine, OffloadServer, RetryPolicy, ServerBackend,
-    ServerConfig,
+    ClientConfig, DispatchClient, OffloadEngine, OffloadServer, RetryPolicy, ServerConfig,
 };
 use offload_runtime::DeviceModel;
 use std::sync::Arc;
@@ -79,7 +75,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut batch = 16usize;
     let mut listen: Option<String> = None;
     let mut linger = 0.0f64;
-    let mut backend = ServerBackend::default();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -102,12 +97,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "--linger" => {
                 linger = args.next().ok_or("--linger requires seconds")?.parse()?;
             }
-            "--backend" => {
-                backend = args
-                    .next()
-                    .ok_or("--backend requires reactor|threadpool")?
-                    .parse()?;
-            }
             other => return Err(format!("unknown flag {other}").into()),
         }
     }
@@ -119,7 +108,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             trace_path,
             listen,
             linger,
-            backend,
         });
     }
     if trace_path.is_some() {
@@ -276,7 +264,6 @@ struct LoadOptions {
     trace_path: Option<String>,
     listen: Option<String>,
     linger: f64,
-    backend: ServerBackend,
 }
 
 /// In load mode each client traces roughly one dispatch in a thousand:
@@ -295,7 +282,6 @@ fn run_load(opts: LoadOptions) -> Result<(), Box<dyn std::error::Error>> {
         trace_path,
         listen,
         linger,
-        backend,
     } = opts;
     // Metrics (histograms, the server's counters and gauges) are always
     // on; the recorder switch only gates span collection, which the
@@ -310,17 +296,12 @@ fn run_load(opts: LoadOptions) -> Result<(), Box<dyn std::error::Error>> {
         DeviceModel::ipaq_testbed(),
         ServerConfig::builder()
             .threads(4)
-            .batch_window(Duration::from_millis(1))
             .cache_shards(8)
             .max_connections(clients + 8)
-            .backend(backend)
             .build(),
     )?;
     let addr = server.addr().to_string();
-    eprintln!(
-        "load: {clients} clients x {duration}s, batches of {batch} against {addr} ({} backend)",
-        backend.name()
-    );
+    eprintln!("load: {clients} clients x {duration}s, batches of {batch} against {addr}");
 
     let start = Instant::now();
     let deadline = start + Duration::from_secs_f64(duration);
@@ -451,7 +432,6 @@ fn run_load(opts: LoadOptions) -> Result<(), Box<dyn std::error::Error>> {
         concat!(
             "{{\n",
             "  \"mode\": \"load\",\n",
-            "  \"backend\": \"{}\",\n",
             "  \"clients\": {},\n",
             "  \"duration_s\": {:.3},\n",
             "  \"batch\": {},\n",
@@ -468,7 +448,6 @@ fn run_load(opts: LoadOptions) -> Result<(), Box<dyn std::error::Error>> {
             "\"analyze_hit_rate\":{:.4},\"dispatch_hit_rate\":{:.4}}}\n",
             "}}\n"
         ),
-        backend.name(),
         clients,
         elapsed,
         batch,

@@ -45,7 +45,7 @@ pub use ast::{
 };
 pub use error::{LangError, Phase};
 pub use lexer::lex;
-pub use parser::parse;
+pub use parser::{parse, MAX_NESTING};
 pub use pretty::{expr as pretty_expr, pretty};
 pub use token::{Span, Token, TokenKind};
 pub use types::{check, CallTarget, CheckedProgram};

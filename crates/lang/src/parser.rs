@@ -5,6 +5,14 @@ use crate::error::LangError;
 use crate::lexer::lex;
 use crate::token::{Span, Token, TokenKind};
 
+/// The deepest statement-plus-expression nesting [`parse`] accepts. Each
+/// nested block, loop or `if` body, `else if`, parenthesised or unary
+/// operand, call argument list, index, `alloc` count and assignment
+/// right-hand side is one level; past the cap parsing stops with a parse
+/// error instead of recursing toward a stack overflow. C11 §5.2.4.1
+/// guarantees only 63 nested parenthesised expressions.
+pub const MAX_NESTING: usize = 64;
+
 /// Parses a whole translation unit.
 ///
 /// # Errors
@@ -27,6 +35,7 @@ pub fn parse(src: &str) -> Result<Program, LangError> {
         tokens,
         pos: 0,
         next_id: 0,
+        depth: 0,
     }
     .program()
 }
@@ -35,6 +44,8 @@ struct Parser {
     tokens: Vec<Token>,
     pos: usize,
     next_id: u32,
+    /// Current nesting depth, bounded by [`MAX_NESTING`].
+    depth: usize,
 }
 
 impl Parser {
@@ -78,6 +89,23 @@ impl Parser {
                 format!("expected {kind}, found {}", self.peek()),
             ))
         }
+    }
+
+    /// Parses one nested construct with `f`, one level deeper.
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, LangError>,
+    ) -> Result<T, LangError> {
+        if self.depth == MAX_NESTING {
+            return Err(LangError::parse(
+                self.span(),
+                format!("nesting deeper than {MAX_NESTING} levels"),
+            ));
+        }
+        self.depth += 1;
+        let parsed = f(self);
+        self.depth -= 1;
+        parsed
     }
 
     fn fresh_id(&mut self) -> NodeId {
@@ -294,14 +322,14 @@ impl Parser {
     fn stmt(&mut self) -> Result<Stmt, LangError> {
         let span = self.span();
         match self.peek() {
-            TokenKind::LBrace => Ok(Stmt::Block(self.block()?)),
+            TokenKind::LBrace => Ok(Stmt::Block(self.nested(Self::block)?)),
             TokenKind::KwIf => self.if_stmt(),
             TokenKind::KwWhile => {
                 self.bump();
                 self.expect(TokenKind::LParen)?;
                 let cond = self.expr()?;
                 self.expect(TokenKind::RParen)?;
-                let body = self.block_or_single()?;
+                let body = self.nested(Self::block_or_single)?;
                 Ok(Stmt::While { cond, body, span })
             }
             TokenKind::KwFor => self.for_stmt(),
@@ -363,15 +391,15 @@ impl Parser {
         self.expect(TokenKind::LParen)?;
         let cond = self.expr()?;
         self.expect(TokenKind::RParen)?;
-        let then = self.block_or_single()?;
+        let then = self.nested(Self::block_or_single)?;
         let otherwise = if self.eat(&TokenKind::KwElse) {
             if self.peek() == &TokenKind::KwIf {
-                let nested = self.if_stmt()?;
+                let nested = self.nested(Self::if_stmt)?;
                 Some(Block {
                     stmts: vec![nested],
                 })
             } else {
-                Some(self.block_or_single()?)
+                Some(self.nested(Self::block_or_single)?)
             }
         } else {
             None
@@ -412,7 +440,7 @@ impl Parser {
             Some(self.expr()?)
         };
         self.expect(TokenKind::RParen)?;
-        let body = self.block_or_single()?;
+        let body = self.nested(Self::block_or_single)?;
         Ok(Stmt::For {
             init,
             cond,
@@ -444,7 +472,7 @@ impl Parser {
         match self.peek() {
             TokenKind::Assign => {
                 self.bump();
-                let rhs = self.assignment()?;
+                let rhs = self.nested(Self::assignment)?;
                 Ok(self.mk(ExprKind::Assign(Box::new(lhs), Box::new(rhs)), span))
             }
             TokenKind::PlusAssign | TokenKind::MinusAssign => {
@@ -453,7 +481,7 @@ impl Parser {
                 } else {
                     BinOp::Sub
                 };
-                let rhs = self.assignment()?;
+                let rhs = self.nested(Self::assignment)?;
                 let lhs2 = self.renumber(&lhs);
                 let sum = self.mk(ExprKind::Binary(op, Box::new(lhs2), Box::new(rhs)), span);
                 Ok(self.mk(ExprKind::Assign(Box::new(lhs), Box::new(sum)), span))
@@ -558,22 +586,22 @@ impl Parser {
         match self.peek() {
             TokenKind::Minus => {
                 self.bump();
-                let e = self.unary()?;
+                let e = self.nested(Self::unary)?;
                 Ok(self.mk(ExprKind::Unary(UnOp::Neg, Box::new(e)), span))
             }
             TokenKind::Bang => {
                 self.bump();
-                let e = self.unary()?;
+                let e = self.nested(Self::unary)?;
                 Ok(self.mk(ExprKind::Unary(UnOp::Not, Box::new(e)), span))
             }
             TokenKind::Star => {
                 self.bump();
-                let e = self.unary()?;
+                let e = self.nested(Self::unary)?;
                 Ok(self.mk(ExprKind::Deref(Box::new(e)), span))
             }
             TokenKind::Amp => {
                 self.bump();
-                let e = self.unary()?;
+                let e = self.nested(Self::unary)?;
                 Ok(self.mk(ExprKind::AddrOf(Box::new(e)), span))
             }
             TokenKind::PlusPlus | TokenKind::MinusMinus => {
@@ -582,7 +610,7 @@ impl Parser {
                 } else {
                     BinOp::Sub
                 };
-                let e = self.unary()?;
+                let e = self.nested(Self::unary)?;
                 self.incr_decr(e, op, span)
             }
             _ => self.postfix(),
@@ -608,7 +636,7 @@ impl Parser {
             match self.peek() {
                 TokenKind::LParen => {
                     self.bump();
-                    let args = self.call_args()?;
+                    let args = self.nested(Self::call_args)?;
                     e = match e.kind {
                         ExprKind::Var(name) => self.mk(ExprKind::Call(name, args), e.span),
                         _ => self.mk(ExprKind::CallPtr(Box::new(e), args), span),
@@ -616,7 +644,7 @@ impl Parser {
                 }
                 TokenKind::LBracket => {
                     self.bump();
-                    let idx = self.expr()?;
+                    let idx = self.nested(Self::expr)?;
                     self.expect(TokenKind::RBracket)?;
                     e = self.mk(ExprKind::Index(Box::new(e), Box::new(idx)), span);
                 }
@@ -674,13 +702,13 @@ impl Parser {
                 let base = self.base_type()?;
                 let ty = self.pointer_suffix(base);
                 self.expect(TokenKind::Comma)?;
-                let count = self.expr()?;
+                let count = self.nested(Self::expr)?;
                 self.expect(TokenKind::RParen)?;
                 Ok(self.mk(ExprKind::Alloc(ty, Box::new(count)), span))
             }
             TokenKind::LParen => {
                 self.bump();
-                let e = self.expr()?;
+                let e = self.nested(Self::expr)?;
                 self.expect(TokenKind::RParen)?;
                 Ok(e)
             }
@@ -896,6 +924,27 @@ mod tests {
     fn error_reports_location() {
         let err = parse("void main() { int ; }").unwrap_err();
         assert!(err.to_string().contains("expected identifier"));
+    }
+
+    #[test]
+    fn nesting_past_the_cap_stops_at_the_cap() {
+        let src = format!(
+            "int f(int n) {{ return {}n{}; }}",
+            "(".repeat(100_000),
+            ")".repeat(100_000)
+        );
+        let err = parse(&src).unwrap_err();
+        assert_eq!(err.phase(), crate::Phase::Parse);
+        assert!(err.message().contains("nesting deeper than 64"), "{err}");
+        // Mixed constructs share the one counter.
+        let mixed = format!(
+            "void main(int n) {{ {}output({}n{}); {} }}",
+            "{".repeat(40),
+            "(".repeat(40),
+            ")".repeat(40),
+            "}".repeat(40)
+        );
+        assert_eq!(parse(&mixed).unwrap_err().phase(), crate::Phase::Parse);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! retransmitting the program).
 //!
 //! Sharding keeps the dispatch hot path contention-free under the
-//! thread-pool server: a lookup locks one shard for a [`HashMap`] probe
+//! multi-threaded server: a lookup locks one shard for a [`HashMap`] probe
 //! and clones an [`Arc`]. The *analyze* path intentionally holds its
 //! source shard's lock across [`Analysis::from_source`] — concurrent
 //! requests for the same new program then collapse into one analysis

@@ -185,8 +185,8 @@ pub struct DispatchClient {
 
 impl DispatchClient {
     /// Connects to the dispatch service (no handshake frame: the
-    /// connection stays in the server's worker pool until a `Hello`
-    /// would promote it).
+    /// connection stays a dispatch connection until a `Hello` would
+    /// promote it to a session).
     ///
     /// # Errors
     ///

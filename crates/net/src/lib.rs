@@ -23,17 +23,17 @@
 //!   so both sides can check they compiled the same program.
 //! * [`OffloadServer`] — the daemon: binds a listener, and for each
 //!   session builds the server half of the executor from the client's
-//!   `Hello` (choice index + parameter values) and serves turns. Pooled
-//!   dispatch connections ride one of two I/O planes ([`ServerBackend`]):
-//!   a zero-dependency Linux `epoll` reactor (the default on Linux) or
-//!   the portable polling thread pool — wire behavior is identical.
+//!   `Hello` (choice index + parameter values) and serves turns. On
+//!   Linux, dispatch connections ride a zero-dependency `epoll` reactor;
+//!   elsewhere each connection gets one blocking thread. Both planes
+//!   share one frame handler and one session runner, so wire behavior is
+//!   identical.
 //! * [`OffloadEngine`] — the client: runs the paper's dispatcher on the
 //!   parameter values, executes all-local choices in process, and for
 //!   partitioned choices drives the turn-taking loop over TCP.
 //! * [`DispatchClient`] — the dispatch service: persistent connections
-//!   multiplexed over the server's worker pool, carrying
-//!   `AnalyzeProgram` requests (answered from a sharded [`PlanCache`]
-//!   keyed by program source and analysis fingerprint) and
+//!   carrying `AnalyzeProgram` requests (answered from a sharded
+//!   [`PlanCache`] keyed by program source and analysis fingerprint) and
 //!   `DispatchBatch` frames that select choices for many parameter
 //!   points per round trip, with pipelining via
 //!   [`DispatchClient::send_dispatch`] / [`DispatchClient::recv_choices`].
@@ -111,5 +111,5 @@ pub use client::{
 pub use error::NetError;
 pub use link::{serve, Conn, Served, TcpPeer};
 pub use protocol::{fingerprint, TraceContext, WireFrame, WireMsg, PROTOCOL_VERSION};
-pub use server::{OffloadServer, ServerBackend, ServerConfig, ServerConfigBuilder, ServerHandle};
+pub use server::{OffloadServer, ServerConfig, ServerConfigBuilder, ServerHandle};
 pub use stats::{SlowRequest, SlowRing};

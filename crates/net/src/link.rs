@@ -3,13 +3,14 @@
 //! machine answers with.
 //!
 //! `Conn` owns a read buffer and parses frames out of it, so a frame
-//! split across TCP segments is resumable: a poll that sees half a frame
-//! returns `Ok(None)` and the next poll continues where it left off —
-//! no worker ever blocks waiting for a slow peer to finish a frame.
-//! Socket mode (`O_NONBLOCK`) and the read timeout are cached and only
-//! written through on transitions, so steady-state polling costs zero
-//! mode syscalls. In reactor mode replies are queued and flushed with a
-//! single vectored write per drain instead of one `write` per frame.
+//! split across TCP segments is resumable: in reactor mode a poll that
+//! sees half a frame returns `Ok(None)` and the next poll continues where
+//! it left off — no worker ever blocks waiting for a slow peer to finish
+//! a frame. A connection changes socket mode at most twice: the reactor
+//! makes it nonblocking at accept, and a `Hello` makes it blocking again
+//! for its session thread. In reactor mode replies are queued and
+//! flushed with a single vectored write per drain instead of one `write`
+//! per frame.
 
 use crate::error::NetError;
 use crate::protocol::{decode_frame, encode_frame, WireFrame, WireMsg, MAX_FRAME_LEN};
@@ -28,9 +29,6 @@ const READ_CHUNK: usize = 16 * 1024;
 pub struct Conn {
     stream: TcpStream,
     next_id: u64,
-    /// The per-request deadline [`Conn::new`] armed; blocking receives
-    /// re-arm it if a poll window changed the socket timeout.
-    deadline: Option<Duration>,
     /// Fault injection: abort the connection after this many more frames
     /// (sent + received). Used by tests to kill a server mid-run.
     frame_budget: Option<u64>,
@@ -40,10 +38,6 @@ pub struct Conn {
     /// On-wire bytes read (frame length prefixes included); buffered
     /// bytes count as soon as they arrive, parsed or not.
     bytes_received: u64,
-    /// Cached `O_NONBLOCK` state, written through only on transitions.
-    nonblocking: bool,
-    /// Cached `SO_RCVTIMEO` value, written through only on transitions.
-    read_timeout: Option<Duration>,
     /// Unparsed inbound bytes; `rpos` marks how much is already consumed.
     rbuf: Vec<u8>,
     rpos: usize,
@@ -75,12 +69,9 @@ impl Conn {
         Ok(Conn {
             stream,
             next_id: 0,
-            deadline,
             frame_budget: None,
             bytes_sent: 0,
             bytes_received: 0,
-            nonblocking: false,
-            read_timeout: deadline,
             rbuf: Vec::new(),
             rpos: 0,
             coalesce: false,
@@ -117,28 +108,6 @@ impl Conn {
                 ));
             }
             *budget -= 1;
-        }
-        Ok(())
-    }
-
-    /// Writes the cached `O_NONBLOCK` state through iff it changed.
-    fn set_nonblocking_cached(&mut self, on: bool) -> Result<(), NetError> {
-        if self.nonblocking != on {
-            self.stream
-                .set_nonblocking(on)
-                .map_err(|e| NetError::io("toggling socket mode", e))?;
-            self.nonblocking = on;
-        }
-        Ok(())
-    }
-
-    /// Writes the cached `SO_RCVTIMEO` value through iff it changed.
-    fn set_read_timeout_cached(&mut self, timeout: Option<Duration>) -> Result<(), NetError> {
-        if self.read_timeout != timeout {
-            self.stream
-                .set_read_timeout(timeout)
-                .map_err(|e| NetError::io("setting read deadline", e))?;
-            self.read_timeout = timeout;
         }
         Ok(())
     }
@@ -208,11 +177,6 @@ impl Conn {
         }
     }
 
-    fn deliver(&mut self, frame: WireFrame) -> Result<Option<WireFrame>, NetError> {
-        self.spend_frame()?;
-        Ok(Some(frame))
-    }
-
     /// Encodes and sends (or, in reactor mode, queues) one frame.
     fn write_msg(&mut self, frame: &WireFrame) -> Result<(), NetError> {
         let kind = frame.msg.kind();
@@ -221,10 +185,6 @@ impl Conn {
         if self.coalesce {
             self.wqueue.push_back(bytes);
             return Ok(());
-        }
-        self.set_nonblocking_cached(false)?;
-        if !self.wqueue.is_empty() {
-            self.flush_writes_blocking()?;
         }
         self.stream
             .write_all(&bytes)
@@ -268,8 +228,6 @@ impl Conn {
             if let Some(frame) = self.try_parse_frame()? {
                 return Ok(frame);
             }
-            self.set_nonblocking_cached(false)?;
-            self.set_read_timeout_cached(self.deadline)?;
             match self.fill_read_buf() {
                 Ok(0) => {
                     return Err(NetError::io(
@@ -284,37 +242,28 @@ impl Conn {
         }
     }
 
-    /// Waits up to `window` for a complete frame; `Ok(None)` means the
-    /// window elapsed without one. `window: None` is a pure poll — it
-    /// never blocks at all.
+    /// Polls a reactor-mode connection for one complete frame without
+    /// ever blocking; `Ok(None)` means the socket ran dry first.
     ///
-    /// Bytes are accumulated in the connection's read buffer, so an
-    /// elapsed window loses nothing: a frame that arrives byte-by-byte
-    /// is picked up where it left off by the next poll (or `recv`).
-    /// Unlike the pre-reactor implementation this never blocks into a
-    /// full receive once a first byte shows up — a peer that stalls
-    /// mid-frame costs the caller nothing beyond the poll window.
+    /// Bytes are accumulated in the connection's read buffer, so a dry
+    /// poll loses nothing: a frame that arrives byte-by-byte is picked up
+    /// where it left off by the next poll, and a peer that stalls
+    /// mid-frame costs the caller nothing.
     ///
     /// # Errors
     ///
     /// Transport failures (including the peer closing the socket, which
     /// surfaces as an unexpected-EOF I/O error) and malformed frames.
-    pub fn poll_frame(&mut self, window: Option<Duration>) -> Result<Option<WireFrame>, NetError> {
-        if let Some(frame) = self.try_parse_frame()? {
-            return self.deliver(frame);
-        }
-        let mut first = true;
+    #[cfg(target_os = "linux")]
+    pub(crate) fn poll_frame(&mut self) -> Result<Option<WireFrame>, NetError> {
+        let mut dry = false;
         loop {
-            match window {
-                None => self.set_nonblocking_cached(true)?,
-                Some(w) if first => {
-                    self.set_nonblocking_cached(false)?;
-                    // A zero read timeout is invalid on std sockets.
-                    self.set_read_timeout_cached(Some(w.max(Duration::from_millis(1))))?;
-                }
-                // After the window's one blocking read, finish the frame
-                // only from what is already in flight.
-                Some(_) => self.set_nonblocking_cached(true)?,
+            if let Some(frame) = self.try_parse_frame()? {
+                self.spend_frame()?;
+                return Ok(Some(frame));
+            }
+            if dry {
+                return Ok(None);
             }
             match self.fill_read_buf() {
                 Ok(0) => {
@@ -323,53 +272,49 @@ impl Conn {
                         io::Error::new(io::ErrorKind::UnexpectedEof, "peer closed the connection"),
                     ))
                 }
-                Ok(n) => {
-                    if let Some(frame) = self.try_parse_frame()? {
-                        return self.deliver(frame);
-                    }
-                    if n < READ_CHUNK {
-                        // A short read emptied the kernel buffer: no
-                        // complete frame can appear until more bytes
-                        // arrive, and the arrival itself re-announces
-                        // the socket (an edge event in reactor mode, the
-                        // next sweep visit in thread-pool mode) — skip
-                        // the confirming would-block read.
-                        return Ok(None);
-                    }
-                    first = false;
-                }
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    return Ok(None)
-                }
+                // A short read emptied the kernel buffer: no frame beyond
+                // what is now buffered can appear until more bytes
+                // arrive, and the arrival itself re-announces the socket
+                // as an edge event — skip the confirming would-block read.
+                Ok(n) => dry = n < READ_CHUNK,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(None),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(NetError::io("polling frame", e)),
             }
         }
     }
 
-    /// Switches into reactor mode: the socket goes (and stays)
-    /// nonblocking and replies queue for vectored flushes.
+    /// Switches into reactor mode: the socket goes nonblocking and
+    /// replies queue for vectored flushes.
+    #[cfg(target_os = "linux")]
     pub(crate) fn enter_reactor_mode(&mut self) -> Result<(), NetError> {
-        self.set_nonblocking_cached(true)?;
+        self.stream
+            .set_nonblocking(true)
+            .map_err(|e| NetError::io("entering reactor mode", e))?;
         self.coalesce = true;
         Ok(())
     }
 
-    /// Leaves reactor mode for a dedicated blocking session thread:
-    /// flushes any queued replies and restores deadline discipline.
+    /// Switches into session mode for a dedicated blocking thread: the
+    /// socket goes blocking under the deadlines [`Conn::new`] armed, and
+    /// any replies still queued are flushed.
     pub(crate) fn enter_session_mode(&mut self) -> Result<(), NetError> {
         self.coalesce = false;
-        self.set_nonblocking_cached(false)?;
-        if !self.wqueue.is_empty() {
-            self.flush_writes_blocking()?;
+        self.stream
+            .set_nonblocking(false)
+            .map_err(|e| NetError::io("entering session mode", e))?;
+        if self.flush_writes()? {
+            Ok(())
+        } else {
+            Err(NetError::io(
+                "flushing replies",
+                io::Error::new(io::ErrorKind::TimedOut, "write deadline expired mid-flush"),
+            ))
         }
-        self.set_read_timeout_cached(self.deadline)
     }
 
     /// Encoded frames queued but not yet fully flushed.
+    #[cfg(target_os = "linux")]
     pub(crate) fn pending_frames(&self) -> usize {
         self.wqueue.len()
     }
@@ -421,21 +366,8 @@ impl Conn {
         Ok(true)
     }
 
-    /// Blocking-mode flush; an elapsed write deadline is an error rather
-    /// than a retry signal.
-    fn flush_writes_blocking(&mut self) -> Result<(), NetError> {
-        if self.flush_writes()? {
-            Ok(())
-        } else {
-            Err(NetError::io(
-                "flushing replies",
-                io::Error::new(io::ErrorKind::TimedOut, "write deadline expired mid-flush"),
-            ))
-        }
-    }
-
     /// The raw fd, for reactor registration.
-    #[cfg(unix)]
+    #[cfg(target_os = "linux")]
     pub(crate) fn raw_fd(&self) -> i32 {
         use std::os::unix::io::AsRawFd;
         self.stream.as_raw_fd()

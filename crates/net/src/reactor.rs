@@ -1,5 +1,4 @@
-//! The Linux readiness reactor: the default I/O plane behind
-//! [`ServerBackend::Reactor`](crate::ServerBackend::Reactor).
+//! The Linux readiness reactor: the server's I/O plane on Linux.
 //!
 //! There is no dedicated event-loop thread and no userspace work queue:
 //! every dispatch worker blocks in `epoll_wait` on one shared epoll
@@ -36,16 +35,15 @@
 //! client stalled mid-frame is collected at the request timeout without
 //! any worker having blocked on it.
 //!
-//! Everything here funnels into the same frame handler and session
-//! promotion path as the portable thread-pool backend, which keeps wire
-//! behavior bit-identical across backends.
+//! Every frame funnels into the same frame handler as the off-Linux
+//! thread-per-connection plane, and a `Hello` hands the connection to
+//! the same session runner, which keeps wire behavior identical across
+//! platforms.
 
 use crate::error::NetError;
 use crate::link::Conn;
-use crate::protocol::WireFrame;
-use crate::server::{
-    frame_trace, handle_dispatch_frame, run_session, Disposition, PooledConn, Service,
-};
+use crate::protocol::{TraceContext, WireFrame, WireMsg};
+use crate::server::{handle_dispatch_frame, serve_session, Disposition, Service};
 use offload_obs::{Counter, FieldValue, Histogram, SpanGuard};
 use std::collections::HashMap;
 use std::io;
@@ -112,8 +110,7 @@ const FIRST_CONN_TOKEN: u64 = 2;
 /// connections other workers could be serving.
 const EVENT_BATCH: usize = 64;
 /// Frames one drain (including `ready_again` re-drains) handles before
-/// the connection is parked so other ready connections get a turn (the
-/// same bound the thread-pool visit uses).
+/// the connection is parked so other ready connections get a turn.
 const MAX_DRAIN_FRAMES: u64 = 64;
 
 /// The interest set every pooled connection is armed with, once, at
@@ -151,6 +148,17 @@ impl ReactorMetrics {
             frames_per_wakeup: offload_obs::histogram("net.reactor.frames_per_wakeup"),
         }
     }
+}
+
+/// A connection checked out of the token table, mid-drain on a worker.
+struct PooledConn {
+    conn: Conn,
+    last_activity: Instant,
+    /// When the connection was checked out; the elapsed time at the
+    /// drain's first frame is that frame's queue wait.
+    enqueued_at: Instant,
+    /// The connection's registration token.
+    token: u64,
 }
 
 /// Who currently holds a registered connection.
@@ -469,32 +477,21 @@ fn accept_ready(shared: &Arc<ReactorShared>, listener: &TcpListener, svc: &Arc<S
             }
             // Anything else (fd exhaustion, most likely) would fail
             // again immediately, and the oneshot re-arm's MOD re-polls —
-            // back off first so the plane doesn't hot-loop at 100% CPU
-            // (mirrors the thread-pool accept loop).
+            // back off first so the plane doesn't hot-loop at 100% CPU.
             Err(_) => {
                 std::thread::sleep(Duration::from_millis(5));
                 break;
             }
         };
-        if svc.conns.load(Ordering::SeqCst) >= svc.config.max_connections {
-            // Refuse by dropping: the client sees EOF and heals with its
-            // local fallback.
-            drop(stream);
-            continue;
-        }
-        let Ok(mut conn) = Conn::new(stream, svc.config.request_timeout) else {
+        let Some(mut conn) = svc.admit(stream) else {
             continue;
         };
-        if let Some(n) = svc.config.fail_after_frames {
-            conn.fail_after_frames(n);
-        }
         if conn.enter_reactor_mode().is_err() {
+            svc.release_conn();
             continue;
         }
         let token = shared.next_token.fetch_add(1, Ordering::Relaxed);
         let fd = conn.raw_fd();
-        svc.conns.fetch_add(1, Ordering::SeqCst);
-        svc.metrics.active_connections.add(1);
         let now = Instant::now();
         // Park before arming: the fd may become ready the moment it is
         // registered and the token must already resolve.
@@ -592,7 +589,7 @@ fn drain_once(
             shared.metrics.frames_per_wakeup.record(frames);
             return flush_then(pooled, armed_out, true, svc, shared);
         }
-        match pooled.conn.poll_frame(None) {
+        match pooled.conn.poll_frame() {
             Ok(Some(frame)) => {
                 frames += 1;
                 pooled.last_activity = Instant::now();
@@ -719,7 +716,7 @@ fn close_conn(mut pooled: PooledConn, svc: &Arc<Service>, shared: &Arc<ReactorSh
 }
 
 /// Promotes a `Hello` connection out of the reactor onto a dedicated
-/// blocking session thread, exactly like the thread-pool backend.
+/// blocking session thread.
 fn promote(
     mut pooled: PooledConn,
     hello: WireFrame,
@@ -733,14 +730,17 @@ fn promote(
         return;
     }
     let svc = Arc::clone(svc);
-    svc.metrics.session_threads.add(1);
-    std::thread::spawn(move || {
-        // A failed session must not take the daemon down; the client
-        // heals by falling back.
-        let _ = run_session(pooled.conn, hello, &svc);
-        svc.metrics.session_threads.add(-1);
-        svc.release_conn();
-    });
+    std::thread::spawn(move || serve_session(pooled.conn, hello, &svc));
+}
+
+/// Returns the trace context a dispatch-service frame carries, if any.
+fn frame_trace(frame: &WireFrame) -> Option<TraceContext> {
+    match &frame.msg {
+        WireMsg::AnalyzeProgram { trace, .. } | WireMsg::DispatchBatch { trace, .. } => {
+            Some(*trace)
+        }
+        _ => None,
+    }
 }
 
 /// A single-level timer wheel for idle reaping, ticked by whichever

@@ -5,24 +5,20 @@
 //! * **the dispatch service** — [`WireMsg::AnalyzeProgram`] (analyze a
 //!   program, or find it in the sharded [`PlanCache`]) and
 //!   [`WireMsg::DispatchBatch`] (select a partitioning choice for many
-//!   parameter points in one round trip). Connections are multiplexed
-//!   over a small worker pool behind one of two I/O planes selected by
-//!   [`ServerConfig::backend`]: the Linux `epoll` reactor (see
-//!   [`crate::reactor`]) wakes a worker only when a connection has bytes
-//!   ready, while the portable [`ServerBackend::ThreadPool`] loop has
-//!   each worker visit a connection, wait up to
-//!   [`ServerConfig::batch_window`] for a frame, drain whatever else is
-//!   already buffered (pipelining), and requeue the connection. Both
-//!   planes speak bit-identical protocol.
-//! * **offloaded execution** — a [`WireMsg::Hello`] promotes the
-//!   connection out of the pool onto a dedicated session thread that
-//!   runs the server half of the partitioned executor, exactly as
-//!   before.
+//!   parameter points in one round trip). On Linux, connections are
+//!   multiplexed over a small worker pool by the `epoll` reactor (see
+//!   [`crate::reactor`]), which wakes a worker only when a connection has
+//!   bytes ready. Elsewhere each connection gets one blocking thread.
+//!   Both planes answer every frame with [`handle_dispatch_frame`], so
+//!   they speak bit-identical protocol.
+//! * **offloaded execution** — a [`WireMsg::Hello`] moves the connection
+//!   onto a dedicated session thread ([`serve_session`]) that runs the
+//!   server half of the partitioned executor.
 //!
-//! The pool is also the server's observability plane: every dispatch
-//! frame updates always-on `net.server.*` counters, gauges and per-stage
-//! histograms (cached [`Arc`] handles, so the hot path never touches the
-//! registry mutex), frames carrying a sampled
+//! The frame handler is also the server's observability plane: every
+//! dispatch frame updates always-on `net.server.*` counters, gauges and
+//! per-stage histograms (cached [`Arc`] handles, so the hot path never
+//! touches the registry mutex), frames carrying a sampled
 //! [`TraceContext`](crate::protocol::TraceContext) get trace-tagged
 //! server spans, the N slowest batches land in a [`SlowRing`], and a
 //! [`WireMsg::StatsRequest`] answers with the full
@@ -37,72 +33,19 @@ use offload_core::{Analysis, AnalysisOptions, Plan};
 use offload_obs::{Counter, FieldValue, Gauge, Histogram, MetricsSnapshot, SpanGuard};
 use offload_pta::AbsLocId;
 use offload_runtime::{DeviceModel, Host, Machine, Outcome, Runner};
-use std::collections::VecDeque;
-use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Which I/O plane drives the pooled dispatch connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServerBackend {
-    /// Kernel readiness (Linux `epoll`): there is no reactor thread —
-    /// every dispatch worker blocks in `epoll_wait` on one shared epoll
-    /// instance watching the listener and all pooled connections as
-    /// edge-triggered nonblocking fds. The kernel wakes one worker per
-    /// readiness event, and that worker accepts or drains without ever
-    /// sleeping in a batch window (see [`crate::reactor`]). Falls back
-    /// to [`ServerBackend::ThreadPool`] on non-Linux targets.
-    Reactor,
-    /// The portable visit loop: workers poll each pooled connection
-    /// under [`ServerConfig::batch_window`] and requeue it.
-    ThreadPool,
-}
-
-impl Default for ServerBackend {
-    fn default() -> Self {
-        if cfg!(target_os = "linux") {
-            ServerBackend::Reactor
-        } else {
-            ServerBackend::ThreadPool
-        }
-    }
-}
-
-impl ServerBackend {
-    /// The name used in CLI flags and benchmark reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            ServerBackend::Reactor => "reactor",
-            ServerBackend::ThreadPool => "threadpool",
-        }
-    }
-}
-
-impl std::str::FromStr for ServerBackend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "reactor" => Ok(ServerBackend::Reactor),
-            "threadpool" => Ok(ServerBackend::ThreadPool),
-            other => Err(format!(
-                "unknown backend {other:?} (expected \"reactor\" or \"threadpool\")"
-            )),
-        }
-    }
-}
 
 /// Server tuning knobs. Construct with [`ServerConfig::builder`]:
 ///
 /// ```
 /// use offload_net::ServerConfig;
-/// use std::time::Duration;
 ///
 /// let config = ServerConfig::builder()
 ///     .threads(2)
-///     .batch_window(Duration::from_millis(2))
 ///     .cache_shards(4)
 ///     .max_connections(256)
 ///     .build();
@@ -112,16 +55,14 @@ impl std::str::FromStr for ServerBackend {
 pub struct ServerConfig {
     /// Per-request socket deadline; `None` blocks indefinitely (the
     /// server legitimately idles while the client computes). Also bounds
-    /// how long an idle pooled connection is kept before being dropped.
+    /// how long an idle connection is kept before being dropped.
     pub request_timeout: Option<Duration>,
     /// Fault injection for tests: each session's connection dies abruptly
     /// after this many frames.
     pub fail_after_frames: Option<u64>,
-    /// Worker threads multiplexing the pooled dispatch connections.
+    /// Reactor worker threads multiplexing the dispatch connections. Has
+    /// no effect off Linux, where each connection gets its own thread.
     pub dispatch_threads: usize,
-    /// How long a worker visit waits for a connection's next frame
-    /// before requeueing it (the batching/pipelining window).
-    pub batch_window: Duration,
     /// Lock shards in the [`PlanCache`].
     pub cache_shards: usize,
     /// Connections beyond this are refused at accept.
@@ -129,9 +70,6 @@ pub struct ServerConfig {
     /// Slowest dispatch batches retained for `StatsReport` forensics
     /// (0 disables retention).
     pub slow_ring: usize,
-    /// The I/O plane serving pooled connections; [`ServerBackend::Reactor`]
-    /// silently resolves to the portable loop off Linux.
-    pub backend: ServerBackend,
 }
 
 impl Default for ServerConfig {
@@ -140,11 +78,9 @@ impl Default for ServerConfig {
             request_timeout: Some(Duration::from_secs(60)),
             fail_after_frames: None,
             dispatch_threads: 4,
-            batch_window: Duration::from_millis(1),
             cache_shards: 8,
             max_connections: 1024,
             slow_ring: 16,
-            backend: ServerBackend::default(),
         }
     }
 }
@@ -157,18 +93,6 @@ impl ServerConfig {
             config: ServerConfig::default(),
         }
     }
-
-    /// The backend that will actually run on this target.
-    pub fn resolved_backend(&self) -> ServerBackend {
-        #[cfg(not(target_os = "linux"))]
-        {
-            ServerBackend::ThreadPool
-        }
-        #[cfg(target_os = "linux")]
-        {
-            self.backend
-        }
-    }
 }
 
 /// Fluent constructor for [`ServerConfig`].
@@ -178,15 +102,9 @@ pub struct ServerConfigBuilder {
 }
 
 impl ServerConfigBuilder {
-    /// Sets the dispatch worker-pool size (clamped to at least 1).
+    /// Sets the reactor worker-pool size (clamped to at least 1).
     pub fn threads(mut self, n: usize) -> Self {
         self.config.dispatch_threads = n.max(1);
-        self
-    }
-
-    /// Sets the per-visit batching window.
-    pub fn batch_window(mut self, window: Duration) -> Self {
-        self.config.batch_window = window;
         self
     }
 
@@ -220,12 +138,6 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Selects the I/O backend serving pooled connections.
-    pub fn backend(mut self, backend: ServerBackend) -> Self {
-        self.config.backend = backend;
-        self
-    }
-
     /// Finishes the build.
     pub fn build(self) -> ServerConfig {
         self.config
@@ -247,8 +159,7 @@ pub(crate) struct ServerMetrics {
     protocol_errors: Arc<Counter>,
     pub(crate) idle_reaped: Arc<Counter>,
     pub(crate) active_connections: Arc<Gauge>,
-    pub(crate) session_threads: Arc<Gauge>,
-    queue_depth: Arc<Gauge>,
+    session_threads: Arc<Gauge>,
     batch_points: Arc<Histogram>,
     queue_us: Arc<Histogram>,
     select_us: Arc<Histogram>,
@@ -269,7 +180,6 @@ impl ServerMetrics {
             idle_reaped: offload_obs::counter("net.server.idle_reaped"),
             active_connections: offload_obs::gauge("net.server.active_connections"),
             session_threads: offload_obs::gauge("net.server.session_threads"),
-            queue_depth: offload_obs::gauge("net.server.queue_depth"),
             batch_points: offload_obs::histogram("net.server.batch_points"),
             queue_us: offload_obs::histogram("net.server.queue_us"),
             select_us: offload_obs::histogram("net.server.select_us"),
@@ -279,63 +189,36 @@ impl ServerMetrics {
     }
 }
 
-/// Everything the accept loop (or reactor), workers, and session threads
-/// share.
+/// Everything the I/O plane and the session threads share.
 pub(crate) struct Service {
     analysis: Arc<Analysis>,
     device: DeviceModel,
     pub(crate) config: ServerConfig,
     cache: PlanCache,
-    queue: Mutex<VecDeque<PooledConn>>,
-    ready: Condvar,
     pub(crate) stop: AtomicBool,
     pub(crate) conns: AtomicUsize,
     pub(crate) metrics: ServerMetrics,
     slow: SlowRing,
 }
 
-/// A pooled connection plus its idle clock and queue-wait clock.
-pub(crate) struct PooledConn {
-    pub(crate) conn: Conn,
-    pub(crate) last_activity: Instant,
-    /// When the connection last entered the worker queue; the elapsed
-    /// time at the next visit is the frame's worker-pool queue wait.
-    pub(crate) enqueued_at: Instant,
-    /// The reactor's registration token (unused by the thread pool).
-    pub(crate) token: u64,
-}
-
 impl Service {
-    pub(crate) fn enqueue(&self, mut pooled: PooledConn) {
-        pooled.enqueued_at = Instant::now();
-        let mut q = self.queue.lock().unwrap();
-        q.push_back(pooled);
-        self.metrics.queue_depth.set(q.len() as i64);
-        drop(q);
-        self.ready.notify_one();
-    }
-
-    /// Pops the next pooled connection, waiting until one arrives or the
-    /// service stops.
-    pub(crate) fn dequeue(&self) -> Option<PooledConn> {
-        let mut q = self.queue.lock().unwrap();
-        loop {
-            if self.stop.load(Ordering::SeqCst) {
-                return None;
-            }
-            if let Some(c) = q.pop_front() {
-                self.metrics.queue_depth.set(q.len() as i64);
-                return Some(c);
-            }
-            let (guard, _) = self
-                .ready
-                .wait_timeout(q, Duration::from_millis(50))
-                .unwrap();
-            q = guard;
+    /// Admits an accepted stream under the connection cap and takes a
+    /// connection slot for it. `None` refuses the stream by dropping it:
+    /// the client sees EOF and heals with its local fallback.
+    pub(crate) fn admit(&self, stream: TcpStream) -> Option<Conn> {
+        if self.conns.load(Ordering::SeqCst) >= self.config.max_connections {
+            return None;
         }
+        let mut conn = Conn::new(stream, self.config.request_timeout).ok()?;
+        if let Some(n) = self.config.fail_after_frames {
+            conn.fail_after_frames(n);
+        }
+        self.conns.fetch_add(1, Ordering::SeqCst);
+        self.metrics.active_connections.add(1);
+        Some(conn)
     }
 
-    /// Releases one connection slot (pooled drop or session end).
+    /// Releases one connection slot.
     pub(crate) fn release_conn(&self) {
         self.conns.fetch_sub(1, Ordering::SeqCst);
         self.metrics.active_connections.add(-1);
@@ -346,11 +229,13 @@ impl Service {
 pub struct OffloadServer;
 
 impl OffloadServer {
-    /// Binds a listener (use port 0 for an OS-assigned port), spawns the
-    /// accept loop and the dispatch worker pool, and returns a handle for
-    /// address discovery, cache stats, and shutdown. The primary
-    /// `analysis` is pre-registered in the plan cache, so clients that
-    /// share the build can send [`WireMsg::DispatchBatch`] (or
+    /// Binds a listener (use port 0 for an OS-assigned port), starts the
+    /// I/O plane, and returns a handle for address discovery, cache
+    /// stats, and shutdown. On Linux the plane is the `epoll` reactor and
+    /// its [`ServerConfig::dispatch_threads`] workers; elsewhere it is an
+    /// accept thread that gives each connection one blocking thread. The
+    /// primary `analysis` is pre-registered in the plan cache, so clients
+    /// that share the build can send [`WireMsg::DispatchBatch`] (or
     /// [`WireMsg::Hello`]) against its fingerprint without an
     /// [`WireMsg::AnalyzeProgram`] first.
     ///
@@ -363,14 +248,47 @@ impl OffloadServer {
         device: DeviceModel,
         config: ServerConfig,
     ) -> Result<ServerHandle, NetError> {
+        let (listener, mut server) = ServerHandle::listen(addr, analysis, device, config)?;
+        #[cfg(target_os = "linux")]
+        {
+            let (reactor, workers) = crate::reactor::spawn(listener, Arc::clone(&server.service))?;
+            server.reactor = Some(reactor);
+            server.threads = workers;
+        }
+        #[cfg(not(target_os = "linux"))]
+        server
+            .threads
+            .push(spawn_acceptor(listener, Arc::clone(&server.service)));
+        Ok(server)
+    }
+}
+
+/// A running server: its address, cache stats, and a shutdown switch.
+pub struct ServerHandle {
+    addr: SocketAddr,
+    service: Arc<Service>,
+    /// The plane's own threads: reactor workers, or the accept thread.
+    threads: Vec<JoinHandle<()>>,
+    #[cfg(target_os = "linux")]
+    reactor: Option<Arc<crate::reactor::ReactorShared>>,
+}
+
+impl ServerHandle {
+    /// Binds a nonblocking listener and builds the shared service, with
+    /// no plane running yet.
+    fn listen(
+        addr: impl ToSocketAddrs,
+        analysis: Arc<Analysis>,
+        device: DeviceModel,
+        config: ServerConfig,
+    ) -> Result<(TcpListener, ServerHandle), NetError> {
         let listener = TcpListener::bind(addr).map_err(|e| NetError::io("binding listener", e))?;
-        let local = listener
+        let addr = listener
             .local_addr()
             .map_err(|e| NetError::io("reading bound address", e))?;
         listener
             .set_nonblocking(true)
             .map_err(|e| NetError::io("setting listener nonblocking", e))?;
-
         let cache = PlanCache::new(config.cache_shards);
         cache.register(Arc::clone(&analysis));
         let slow = SlowRing::new(config.slow_ring);
@@ -379,96 +297,23 @@ impl OffloadServer {
             device,
             config,
             cache,
-            queue: Mutex::new(VecDeque::new()),
-            ready: Condvar::new(),
             stop: AtomicBool::new(false),
             conns: AtomicUsize::new(0),
             metrics: ServerMetrics::new(),
             slow,
         });
-
-        #[cfg(target_os = "linux")]
-        if service.config.resolved_backend() == ServerBackend::Reactor {
-            // No accept thread: every reactor worker waits on the epoll
-            // instance directly and accepts when the listener fires.
-            let (shared, workers) = crate::reactor::spawn(listener, Arc::clone(&service))?;
-            return Ok(ServerHandle {
-                addr: local,
+        Ok((
+            listener,
+            ServerHandle {
+                addr,
                 service,
-                accept: None,
-                workers,
-                reactor: Some(shared),
-            });
-        }
-
-        let svc = Arc::clone(&service);
-        let accept = std::thread::spawn(move || {
-            while !svc.stop.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        if svc.conns.load(Ordering::SeqCst) >= svc.config.max_connections {
-                            // Refuse by dropping: the client sees EOF and
-                            // heals with its local fallback.
-                            drop(stream);
-                            continue;
-                        }
-                        if let Ok(mut conn) = Conn::new(stream, svc.config.request_timeout) {
-                            if let Some(n) = svc.config.fail_after_frames {
-                                conn.fail_after_frames(n);
-                            }
-                            svc.conns.fetch_add(1, Ordering::SeqCst);
-                            svc.metrics.active_connections.add(1);
-                            svc.enqueue(PooledConn {
-                                conn,
-                                last_activity: Instant::now(),
-                                enqueued_at: Instant::now(),
-                                token: 0,
-                            });
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(_) => std::thread::sleep(Duration::from_millis(5)),
-                }
-            }
-        });
-
-        let workers = (0..service.config.dispatch_threads.max(1))
-            .map(|_| {
-                let svc = Arc::clone(&service);
-                std::thread::spawn(move || {
-                    while let Some(pooled) = svc.dequeue() {
-                        visit(pooled, &svc);
-                    }
-                })
-            })
-            .collect();
-
-        Ok(ServerHandle {
-            addr: local,
-            service,
-            accept: Some(accept),
-            workers,
-            #[cfg(target_os = "linux")]
-            reactor: None,
-        })
+                threads: Vec::new(),
+                #[cfg(target_os = "linux")]
+                reactor: None,
+            },
+        ))
     }
-}
 
-/// A running server: its address, cache stats, and a shutdown switch.
-pub struct ServerHandle {
-    addr: SocketAddr,
-    service: Arc<Service>,
-    /// The accept-loop thread (thread pool only; the reactor backend
-    /// has no dedicated threads — its workers accept themselves).
-    accept: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
-    #[cfg(target_os = "linux")]
-    reactor: Option<Arc<crate::reactor::ReactorShared>>,
-}
-
-impl ServerHandle {
     /// The bound address (resolves port 0 to the real port).
     pub fn addr(&self) -> SocketAddr {
         self.addr
@@ -479,20 +324,16 @@ impl ServerHandle {
         self.service.cache.stats()
     }
 
-    /// Stops accepting connections, joins the accept loop and the
-    /// dispatch workers (dropping any still-pooled connections). Sessions
-    /// already promoted run to completion on their own threads.
+    /// Stops accepting connections and joins the plane's threads. The
+    /// reactor drops every connection it still holds; sessions, and off
+    /// Linux the connection threads, finish on their own threads.
     pub fn shutdown(&mut self) {
         self.service.stop.store(true, Ordering::SeqCst);
-        self.service.ready.notify_all();
         #[cfg(target_os = "linux")]
         if let Some(reactor) = &self.reactor {
             reactor.wake();
         }
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        for h in self.workers.drain(..) {
+        for h in self.threads.drain(..) {
             let _ = h.join();
         }
     }
@@ -504,101 +345,68 @@ impl Drop for ServerHandle {
     }
 }
 
+/// The off-Linux plane: accepts until shutdown, giving each admitted
+/// connection one blocking thread. The listener is nonblocking so the
+/// stop flag is polled between accepts. Connection threads are detached,
+/// like session threads, so shutdown never waits on a client.
+#[cfg(any(test, not(target_os = "linux")))]
+fn spawn_acceptor(listener: TcpListener, svc: Arc<Service>) -> JoinHandle<()> {
+    std::thread::spawn(move || {
+        while !svc.stop.load(Ordering::SeqCst) {
+            match listener.accept() {
+                Ok((stream, _)) => {
+                    if let Some(conn) = svc.admit(stream) {
+                        let svc = Arc::clone(&svc);
+                        std::thread::spawn(move || serve_connection(conn, &svc));
+                    }
+                }
+                // Nothing to accept yet, or an accept error that would
+                // repeat at once (fd exhaustion): back off.
+                Err(_) => std::thread::sleep(Duration::from_millis(5)),
+            }
+        }
+    })
+}
+
+/// One connection's thread on the off-Linux plane: answers dispatch
+/// frames until a `Hello` (whose session then runs on this same thread),
+/// a `Bye`, an error, or a request deadline passing with no frame.
+#[cfg(any(test, not(target_os = "linux")))]
+fn serve_connection(mut conn: Conn, svc: &Service) {
+    use std::io::ErrorKind;
+    // Session mode is blocking mode; on some platforms an accepted
+    // socket inherits the listener's `O_NONBLOCK`.
+    if conn.enter_session_mode().is_ok() {
+        while !svc.stop.load(Ordering::SeqCst) {
+            match conn.recv() {
+                Ok(frame) => match handle_dispatch_frame(&mut conn, frame, svc, 0) {
+                    Ok(Disposition::Pooled) => continue,
+                    Ok(Disposition::Promote(hello)) => return serve_session(conn, *hello, svc),
+                    Ok(Disposition::Close) | Err(_) => {}
+                },
+                Err(NetError::Io { source, .. })
+                    if matches!(source.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) =>
+                {
+                    svc.metrics.idle_reaped.inc();
+                }
+                Err(_) => {}
+            }
+            break;
+        }
+    }
+    svc.release_conn();
+}
+
 /// What a handled frame means for the connection's future.
 pub(crate) enum Disposition {
-    /// Keep the connection pooled.
+    /// Keep serving the connection on its plane.
     Pooled,
-    /// A `Hello` arrived: promote to a dedicated session thread.
+    /// A `Hello` arrived: hand the connection to [`serve_session`].
     /// Boxed: a `WireFrame` (now carrying full stats reports) dwarfs the
     /// other variants.
     Promote(Box<WireFrame>),
     /// Orderly or errored end: drop the connection.
     Close,
-}
-
-/// Returns the trace context a pooled frame carries, if any.
-pub(crate) fn frame_trace(frame: &WireFrame) -> Option<crate::protocol::TraceContext> {
-    match &frame.msg {
-        WireMsg::AnalyzeProgram { trace, .. } | WireMsg::DispatchBatch { trace, .. } => {
-            Some(*trace)
-        }
-        _ => None,
-    }
-}
-
-/// One worker visit: wait up to the batch window for a frame, then drain
-/// whatever the client already pipelined (without blocking), then
-/// requeue.
-fn visit(mut pooled: PooledConn, svc: &Arc<Service>) {
-    // The connection's wait in the worker queue is charged to the first
-    // frame of the visit (pipelined drains waited on the wire, not in
-    // the queue).
-    let mut queue_us = pooled.enqueued_at.elapsed().as_micros() as u64;
-    // Partial-frame bytes count as liveness: only a peer making *no*
-    // progress toward a frame is idle (and eventually reaped).
-    let rx_at_start = pooled.conn.bytes_received();
-    // A span for the whole drain, opened lazily on the visit's first
-    // *traced* frame so untraced traffic records nothing.
-    let mut drain_span: Option<SpanGuard> = None;
-    // First poll opens the batch window; drains after a handled frame
-    // are pure polls so a visit never blocks twice.
-    let mut window = Some(svc.config.batch_window);
-    // Bound the drain so one chatty client cannot pin a worker.
-    for _ in 0..64 {
-        match pooled.conn.poll_frame(window) {
-            Ok(None) => {
-                if pooled.conn.bytes_received() > rx_at_start {
-                    pooled.last_activity = Instant::now();
-                }
-                let idle_limit = svc.config.request_timeout;
-                if idle_limit.is_some_and(|limit| pooled.last_activity.elapsed() > limit) {
-                    svc.metrics.idle_reaped.inc();
-                    svc.release_conn();
-                    return;
-                }
-                svc.enqueue(pooled);
-                return;
-            }
-            Ok(Some(frame)) => {
-                pooled.last_activity = Instant::now();
-                window = None;
-                if drain_span.is_none() && offload_obs::enabled() {
-                    if let Some(trace) = frame_trace(&frame).filter(|t| t.is_sampled()) {
-                        drain_span = Some(offload_obs::begin_span(
-                            "net",
-                            "server_drain",
-                            vec![("trace_id", FieldValue::from(trace.trace_id))],
-                        ));
-                    }
-                }
-                match handle_dispatch_frame(&mut pooled.conn, frame, svc, queue_us) {
-                    Ok(Disposition::Pooled) => {}
-                    Ok(Disposition::Promote(hello)) => {
-                        let svc = Arc::clone(svc);
-                        svc.metrics.session_threads.add(1);
-                        std::thread::spawn(move || {
-                            // A failed session must not take the daemon
-                            // down; the client heals by falling back.
-                            let _ = run_session(pooled.conn, *hello, &svc);
-                            svc.metrics.session_threads.add(-1);
-                            svc.release_conn();
-                        });
-                        return;
-                    }
-                    Ok(Disposition::Close) | Err(_) => {
-                        svc.release_conn();
-                        return;
-                    }
-                }
-                queue_us = 0;
-            }
-            Err(_) => {
-                svc.release_conn();
-                return;
-            }
-        }
-    }
-    svc.enqueue(pooled);
 }
 
 /// Opens a trace-tagged server span when the frame asks for one (and
@@ -625,10 +433,11 @@ fn trace_span(
     }
 }
 
-/// Answers one dispatch-service frame on a pooled connection.
+/// Answers one dispatch-service frame, on either plane.
 ///
-/// `queue_us` is the worker-pool wait the frame experienced before this
-/// call (nonzero only for the first frame of a visit).
+/// `queue_us` is the wait between the connection's readiness and the
+/// reactor drain that reads this frame (nonzero only for a drain's first
+/// frame; always 0 off Linux, where no worker queue exists).
 pub(crate) fn handle_dispatch_frame(
     conn: &mut Conn,
     frame: WireFrame,
@@ -731,10 +540,6 @@ pub(crate) fn handle_dispatch_frame(
         WireMsg::StatsRequest { client_time_us: _ } => {
             let recv_time_us = offload_obs::now_us();
             svc.metrics.stats_requests.inc();
-            // Gauges that are cheaper to sample than to maintain.
-            svc.metrics
-                .queue_depth
-                .set(svc.queue.lock().unwrap().len() as i64);
             let snapshot = MetricsSnapshot::capture();
             let slow = svc.slow.snapshot();
             let send_time_us = offload_obs::now_us();
@@ -758,10 +563,30 @@ pub(crate) fn handle_dispatch_frame(
     }
 }
 
-/// One promoted client session: finish the handshake (the `Hello` frame
-/// was already read by the pool), then alternate between serving the
-/// active client and running our own turns.
-pub(crate) fn run_session(mut conn: Conn, hello: WireFrame, svc: &Service) -> Result<(), NetError> {
+/// Runs one promoted session to its end on the calling thread, then
+/// releases the connection slot — also when the session panics, so a
+/// hostile session cannot leak its slot under the connection cap.
+pub(crate) fn serve_session(mut conn: Conn, hello: WireFrame, svc: &Service) {
+    struct SessionSlot<'a>(&'a Service);
+    impl Drop for SessionSlot<'_> {
+        fn drop(&mut self) {
+            self.0.metrics.session_threads.add(-1);
+            self.0.release_conn();
+        }
+    }
+    svc.metrics.session_threads.add(1);
+    // Dropped before `conn`: the slot is free by the time the peer sees
+    // the socket close.
+    let _slot = SessionSlot(svc);
+    // A failed session must not take the daemon down; the client heals
+    // by falling back.
+    let _ = run_session(&mut conn, hello, svc);
+}
+
+/// One client session: finish the handshake (the `Hello` frame was
+/// already read by the plane), then alternate between serving the active
+/// client and running our own turns.
+fn run_session(conn: &mut Conn, hello: WireFrame, svc: &Service) -> Result<(), NetError> {
     let (analysis, choice, params, max_steps) = match hello.msg {
         WireMsg::Hello {
             fingerprint: fp,
@@ -824,23 +649,23 @@ pub(crate) fn run_session(mut conn: Conn, hello: WireFrame, svc: &Service) -> Re
     };
     loop {
         let rx_before = conn.bytes_received();
-        let served = match serve(&mut machine, &mut conn) {
+        let served = match serve(&mut machine, conn) {
             Ok(s) => s,
             Err(e) => {
-                finish(&mut session_span, &conn, turns);
+                finish(&mut session_span, conn, turns);
                 return Err(e);
             }
         };
         match served {
             Served::Bye => {
-                finish(&mut session_span, &conn, turns);
+                finish(&mut session_span, conn, turns);
                 return Ok(());
             }
             Served::Control(msg) => {
                 turns += 1;
                 let mut turn_span = offload_obs::span!("net", "server_turn", turn = turns,);
                 let tx0 = conn.bytes_sent();
-                let mut peer = TcpPeer::new(&mut conn);
+                let mut peer = TcpPeer::new(conn);
                 let outcome = machine.run_turn(msg, &mut peer);
                 // The request frame was already read by `serve`, so the
                 // inbound window opens before it (and picks up any
@@ -859,18 +684,115 @@ pub(crate) fn run_session(mut conn: Conn, hello: WireFrame, svc: &Service) -> Re
                     Ok(Outcome::Done) => {
                         turn_span.record("response_bytes", conn.bytes_sent() - tx0);
                         drop(turn_span);
-                        finish(&mut session_span, &conn, turns);
+                        finish(&mut session_span, conn, turns);
                         return Ok(());
                     }
                     Err(e) => {
                         let _ = conn.send(WireMsg::Error(e.to_string()));
                         turn_span.record("response_bytes", conn.bytes_sent() - tx0);
                         drop(turn_span);
-                        finish(&mut session_span, &conn, turns);
+                        finish(&mut session_span, conn, turns);
                         return Err(e.into());
                     }
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The off-Linux thread-per-connection plane, bound directly so Linux
+    //! builds run it too.
+
+    use super::*;
+    use crate::protocol::encode_frame;
+    use crate::{ClientConfig, DispatchClient, OffloadEngine};
+    use offload_runtime::Simulator;
+    use std::io::{Read, Write};
+
+    const PROGRAM: &str = "
+        int work(int k) { int j; int acc; acc = 0;
+            for (j = 0; j < k; j++) { acc = acc + j * j % 1000; }
+            return acc; }
+        void main(int n) { output(work(n)); }";
+
+    #[test]
+    fn thread_per_connection_plane_serves_reaps_and_shuts_down() {
+        let timeout = Duration::from_millis(1500);
+        let analysis =
+            Arc::new(Analysis::from_source(PROGRAM, AnalysisOptions::default()).expect("analysis"));
+        let device = DeviceModel::ipaq_testbed();
+        let config = ServerConfig::builder()
+            .request_timeout(Some(timeout))
+            .build();
+        let (listener, mut server) =
+            ServerHandle::listen("127.0.0.1:0", analysis.clone(), device.clone(), config)
+                .expect("listen");
+        server
+            .threads
+            .push(spawn_acceptor(listener, Arc::clone(&server.service)));
+        let addr = server.addr().to_string();
+
+        // Dispatch batches answer exactly like the local dispatcher.
+        let points = vec![vec![0i64], vec![40], vec![1_000], vec![100_000], vec![-7]];
+        let mut client = DispatchClient::connect(&ClientConfig::new(&addr)).expect("connect");
+        let choices = client
+            .dispatch(fingerprint(&analysis), &points)
+            .expect("dispatch");
+        for (p, &got) in points.iter().zip(&choices) {
+            assert_eq!(
+                got,
+                analysis.select(p).expect("select") as u32,
+                "point {p:?}"
+            );
+        }
+        client.close();
+
+        // A `Hello` runs the session on the connection's own thread.
+        let engine = OffloadEngine::new(&analysis, device.clone(), ClientConfig::new(&addr));
+        let report = engine.run(&[1_000], &[]).expect("offloaded run");
+        assert!(
+            report.offloaded && !report.fell_back,
+            "{:?}",
+            report.fallback_reason
+        );
+        let local = Simulator::new(&analysis, device).run_local(&[1_000], &[]);
+        assert_eq!(report.result.outputs, local.expect("local run").outputs);
+
+        // Half a frame, then silence: closed at the request deadline.
+        let reaped = offload_obs::counter("net.server.idle_reaped");
+        let reaped_before = reaped.get();
+        let frame = encode_frame(&WireFrame {
+            request_id: 1,
+            msg: WireMsg::Error("stalled".into()),
+        });
+        let mut staller = TcpStream::connect(&addr).expect("staller connect");
+        staller
+            .write_all(&frame[..frame.len() / 2])
+            .expect("half frame");
+        let stalled_at = Instant::now();
+        staller
+            .set_read_timeout(Some(timeout * 10))
+            .expect("timeout");
+        let read = staller.read(&mut [0u8; 16]);
+        let closed_after = stalled_at.elapsed();
+        assert!(
+            matches!(read, Ok(0) | Err(_)),
+            "staller got a reply: {read:?}"
+        );
+        assert!(
+            closed_after >= timeout - Duration::from_millis(50) && closed_after < timeout * 5,
+            "staller closed after {closed_after:?}, deadline {timeout:?}"
+        );
+        assert_eq!(reaped.get() - reaped_before, 1);
+
+        // Shutdown joins the acceptor, whose exit closes the listener.
+        server.shutdown();
+        assert!(server.threads.is_empty());
+        assert!(
+            TcpStream::connect(&addr).is_err(),
+            "listener outlived shutdown"
+        );
     }
 }

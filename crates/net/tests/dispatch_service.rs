@@ -2,14 +2,10 @@
 //! through the sharded plan cache, batch dispatch agreement with the
 //! local compiled dispatcher, request pipelining, and error recovery on
 //! a persistent connection.
-//!
-//! Every test runs against both server I/O planes ([`ServerBackend`]):
-//! wire behavior must be backend-invariant.
 
 use offload_core::{Analysis, AnalysisOptions};
 use offload_net::{
-    fingerprint, ClientConfig, DispatchClient, OffloadServer, ServerBackend, ServerConfig,
-    ServerHandle,
+    fingerprint, ClientConfig, DispatchClient, OffloadServer, ServerConfig, ServerHandle,
 };
 use offload_runtime::DeviceModel;
 use std::sync::Arc;
@@ -46,23 +42,14 @@ const OTHER: &str = "
     }
     void main(int n, int m) { output(mix(n, m)); }";
 
-/// Both I/O planes; off Linux `Reactor` resolves to the portable loop,
-/// so the suite still runs (twice) everywhere.
-const BACKENDS: [ServerBackend; 2] = [ServerBackend::Reactor, ServerBackend::ThreadPool];
-
-fn start_server(backend: ServerBackend) -> (Arc<Analysis>, ServerHandle) {
+fn start_server() -> (Arc<Analysis>, ServerHandle) {
     let analysis =
         Arc::new(Analysis::from_source(PROGRAM, AnalysisOptions::default()).expect("analysis"));
     let server = OffloadServer::bind(
         "127.0.0.1:0",
         analysis.clone(),
         DeviceModel::ipaq_testbed(),
-        ServerConfig::builder()
-            .threads(2)
-            .batch_window(Duration::from_millis(1))
-            .cache_shards(4)
-            .backend(backend)
-            .build(),
+        ServerConfig::builder().threads(2).cache_shards(4).build(),
     )
     .expect("server");
     (analysis, server)
@@ -76,13 +63,7 @@ fn client(server: &ServerHandle) -> DispatchClient {
 
 #[test]
 fn batch_dispatch_matches_local_select() {
-    for backend in BACKENDS {
-        run_batch_dispatch_matches_local_select(backend);
-    }
-}
-
-fn run_batch_dispatch_matches_local_select(backend: ServerBackend) {
-    let (analysis, server) = start_server(backend);
+    let (analysis, server) = start_server();
     let mut c = client(&server);
 
     // The primary analysis is pre-registered: its fingerprint dispatches
@@ -107,13 +88,7 @@ fn run_batch_dispatch_matches_local_select(backend: ServerBackend) {
 
 #[test]
 fn analyze_is_cached_by_source() {
-    for backend in BACKENDS {
-        run_analyze_is_cached_by_source(backend);
-    }
-}
-
-fn run_analyze_is_cached_by_source(backend: ServerBackend) {
-    let (_analysis, server) = start_server(backend);
+    let (_analysis, server) = start_server();
     let mut c1 = client(&server);
 
     let first = c1.analyze(OTHER).expect("first analyze");
@@ -149,13 +124,7 @@ fn run_analyze_is_cached_by_source(backend: ServerBackend) {
 
 #[test]
 fn pipelined_batches_come_back_in_order() {
-    for backend in BACKENDS {
-        run_pipelined_batches_come_back_in_order(backend);
-    }
-}
-
-fn run_pipelined_batches_come_back_in_order(backend: ServerBackend) {
-    let (analysis, server) = start_server(backend);
+    let (analysis, server) = start_server();
     let mut c = client(&server);
     let fp = fingerprint(&analysis);
 
@@ -185,13 +154,7 @@ fn run_pipelined_batches_come_back_in_order(backend: ServerBackend) {
 
 #[test]
 fn errors_do_not_poison_the_connection() {
-    for backend in BACKENDS {
-        run_errors_do_not_poison_the_connection(backend);
-    }
-}
-
-fn run_errors_do_not_poison_the_connection(backend: ServerBackend) {
-    let (analysis, server) = start_server(backend);
+    let (analysis, server) = start_server();
     let mut c = client(&server);
     let fp = fingerprint(&analysis);
 

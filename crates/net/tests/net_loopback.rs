@@ -1,14 +1,9 @@
 //! End-to-end tests of the TCP engine on loopback: behavioural (and
 //! virtual-cost) equivalence with the in-process simulator, and graceful
 //! degradation under every transport failure we can inject.
-//!
-//! Server-binding tests run against both I/O planes ([`ServerBackend`]);
-//! session promotion and crash handling must be backend-invariant.
 
 use offload_core::{Analysis, AnalysisOptions};
-use offload_net::{
-    ClientConfig, OffloadEngine, OffloadServer, RetryPolicy, ServerBackend, ServerConfig,
-};
+use offload_net::{ClientConfig, OffloadEngine, OffloadServer, RetryPolicy, ServerConfig};
 use offload_runtime::{DeviceModel, Simulator};
 use std::net::TcpListener;
 use std::sync::Arc;
@@ -30,10 +25,6 @@ const PROGRAM: &str = "
     void main(int n) {
         output(work(n));
     }";
-
-/// Both I/O planes; off Linux `Reactor` resolves to the portable loop,
-/// so iterating both is safe everywhere.
-const BACKENDS: [ServerBackend; 2] = [ServerBackend::Reactor, ServerBackend::ThreadPool];
 
 fn analysis() -> Arc<Analysis> {
     Arc::new(Analysis::from_source(PROGRAM, AnalysisOptions::default()).expect("analysis"))
@@ -58,19 +49,13 @@ fn dead_addr() -> String {
 
 #[test]
 fn tcp_run_matches_local_and_simulated() {
-    for backend in BACKENDS {
-        run_tcp_run_matches_local_and_simulated(backend);
-    }
-}
-
-fn run_tcp_run_matches_local_and_simulated(backend: ServerBackend) {
     let a = analysis();
     let device = DeviceModel::ipaq_testbed();
     let server = OffloadServer::bind(
         "127.0.0.1:0",
         a.clone(),
         device.clone(),
-        ServerConfig::builder().backend(backend).build(),
+        ServerConfig::default(),
     )
     .expect("server");
     let engine = OffloadEngine::new(&a, device.clone(), client_config(server.addr().to_string()));
@@ -157,12 +142,6 @@ fn absent_server_falls_back_to_all_local() {
 
 #[test]
 fn server_killed_mid_run_falls_back() {
-    for backend in BACKENDS {
-        run_server_killed_mid_run_falls_back(backend);
-    }
-}
-
-fn run_server_killed_mid_run_falls_back(backend: ServerBackend) {
     let a = analysis();
     let device = DeviceModel::ipaq_testbed();
     // Crash points that kill the session before the server's half of the
@@ -176,7 +155,6 @@ fn run_server_killed_mid_run_falls_back(backend: ServerBackend) {
             device.clone(),
             ServerConfig::builder()
                 .fail_after_frames(Some(frames))
-                .backend(backend)
                 .build(),
         )
         .expect("server");
@@ -206,10 +184,7 @@ fn run_server_killed_mid_run_falls_back(backend: ServerBackend) {
         "127.0.0.1:0",
         a.clone(),
         device.clone(),
-        ServerConfig::builder()
-            .fail_after_frames(Some(4))
-            .backend(backend)
-            .build(),
+        ServerConfig::builder().fail_after_frames(Some(4)).build(),
     )
     .expect("server");
     let mut config = client_config(server.addr().to_string());
@@ -228,12 +203,6 @@ fn run_server_killed_mid_run_falls_back(backend: ServerBackend) {
 
 #[test]
 fn mismatched_program_falls_back() {
-    for backend in BACKENDS {
-        run_mismatched_program_falls_back(backend);
-    }
-}
-
-fn run_mismatched_program_falls_back(backend: ServerBackend) {
     let a = analysis();
     // The server loaded a *different* program (same shape, different
     // constant): the fingerprint handshake must catch it before any state
@@ -250,7 +219,7 @@ fn run_mismatched_program_falls_back(backend: ServerBackend) {
         "127.0.0.1:0",
         other,
         device.clone(),
-        ServerConfig::builder().backend(backend).build(),
+        ServerConfig::default(),
     )
     .expect("server");
     let mut config = client_config(server.addr().to_string());

@@ -1,29 +1,31 @@
-//! Slow- and hostile-client robustness on both server I/O planes.
+//! Slow- and hostile-client robustness.
 //!
 //! These tests exist because the original thread-pool server could be
 //! pinned by a client that sent a frame slowly: a worker that had peeked
 //! a length prefix would block inside `recv` under the full request
 //! deadline. The buffered nonblocking `Conn` contract (partial frames
-//! park with `Ok(None)` and resume later) must hold on the reactor *and*
-//! on the portable fallback:
+//! park with `Ok(None)` and resume later) must hold:
 //!
 //! * a byte-dribbling client's frame is reassembled correctly while a
 //!   single-worker server keeps serving a well-behaved client;
 //! * a client that stalls mid-frame makes no liveness progress and is
 //!   idle-reaped at the request timeout, without wedging a worker;
 //! * 200 connections that churn without a `Bye` leave no protocol or
-//!   dispatch errors behind.
+//!   dispatch errors behind;
+//! * a session that panics gives its connection slot back;
+//! * a program nested past the parser's cap is refused with an `Error`
+//!   reply instead of overflowing a worker's stack.
 //!
 //! The metrics registry is process-global, so every test serializes on
 //! one mutex and reasons in counter deltas.
 
 use offload_core::{Analysis, AnalysisOptions};
+use offload_ir::{FuncId, LocalId};
 use offload_net::protocol::{decode_frame, encode_frame, TraceContext, WireFrame, WireMsg};
 use offload_net::{
-    fingerprint, ClientConfig, DispatchClient, OffloadServer, ServerBackend, ServerConfig,
-    ServerHandle,
+    fingerprint, ClientConfig, DispatchClient, NetError, OffloadServer, ServerConfig, ServerHandle,
 };
-use offload_runtime::DeviceModel;
+use offload_runtime::{DeviceModel, ItemPayload, Value};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -45,10 +47,6 @@ const PROGRAM: &str = "
         output(work(n));
     }";
 
-/// Both I/O planes; off Linux `Reactor` resolves to the portable loop,
-/// so iterating both is safe everywhere.
-const BACKENDS: [ServerBackend; 2] = [ServerBackend::Reactor, ServerBackend::ThreadPool];
-
 /// Counter-delta assertions share the process-global registry; one test
 /// at a time.
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -57,11 +55,7 @@ fn serialized() -> MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn start_server(
-    backend: ServerBackend,
-    threads: usize,
-    request_timeout: Duration,
-) -> (Arc<Analysis>, ServerHandle) {
+fn start_server(threads: usize, request_timeout: Duration) -> (Arc<Analysis>, ServerHandle) {
     let analysis =
         Arc::new(Analysis::from_source(PROGRAM, AnalysisOptions::default()).expect("analysis"));
     let server = OffloadServer::bind(
@@ -70,9 +64,7 @@ fn start_server(
         DeviceModel::ipaq_testbed(),
         ServerConfig::builder()
             .threads(threads)
-            .batch_window(Duration::from_millis(1))
             .request_timeout(Some(request_timeout))
-            .backend(backend)
             .build(),
     )
     .expect("server");
@@ -125,87 +117,75 @@ fn read_raw_frame(stream: &mut TcpStream) -> WireFrame {
 #[test]
 fn byte_dribbling_client_does_not_pin_a_worker() {
     let _guard = serialized();
-    for backend in BACKENDS {
-        let (analysis, mut server) = start_server(backend, 1, Duration::from_secs(60));
-        let fp = fingerprint(&analysis);
-        let points = vec![vec![5i64], vec![100_000]];
+    let (analysis, mut server) = start_server(1, Duration::from_secs(60));
+    let fp = fingerprint(&analysis);
+    let points = vec![vec![5i64], vec![100_000]];
 
-        let frame = raw_dispatch_frame(fp, 1, &points);
-        let split = frame.len() / 2;
-        let mut dribbler = TcpStream::connect(server.addr()).expect("dribbler connect");
-        dribbler.set_nodelay(true).ok();
+    let frame = raw_dispatch_frame(fp, 1, &points);
+    let split = frame.len() / 2;
+    let mut dribbler = TcpStream::connect(server.addr()).expect("dribbler connect");
+    dribbler.set_nodelay(true).ok();
 
-        // First half, one byte at a time: the server now holds a partial
-        // frame for this connection.
-        for b in &frame[..split] {
-            dribbler.write_all(&[*b]).expect("dribble byte");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-
-        // Hold the dribbler mid-frame while a finisher thread waits for
-        // our signal; meanwhile the well-behaved client must be served.
-        let mid_frame = Arc::new(AtomicBool::new(true));
-        let (release_tx, release_rx) = mpsc::channel::<()>();
-        let finisher = {
-            let mid_frame = Arc::clone(&mid_frame);
-            let tail = frame[split..].to_vec();
-            let mut stream = dribbler.try_clone().expect("clone dribbler");
-            std::thread::spawn(move || {
-                release_rx.recv().ok();
-                mid_frame.store(false, Ordering::SeqCst);
-                for b in &tail {
-                    stream.write_all(&[*b]).expect("dribble tail byte");
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-            })
-        };
-
-        let mut well_behaved = client(&server);
-        let started = Instant::now();
-        for _ in 0..3 {
-            let choices = well_behaved.dispatch(fp, &points).expect("dispatch");
-            assert_eq!(choices.len(), points.len());
-        }
-        assert!(
-            mid_frame.load(Ordering::SeqCst),
-            "{}: normal client was served while the dribbler held a partial frame",
-            backend.name()
-        );
-        assert!(
-            started.elapsed() < Duration::from_secs(30),
-            "{}: dispatches next to a dribbler took {:?} — a worker was pinned",
-            backend.name(),
-            started.elapsed()
-        );
-        let expected = well_behaved
-            .dispatch(fp, &points)
-            .expect("reference dispatch");
-
-        // Release the tail; the dribbled frame must decode and answer
-        // exactly like the reference dispatch of the same points.
-        release_tx.send(()).expect("release finisher");
-        finisher.join().expect("finisher join");
-        let reply = read_raw_frame(&mut dribbler);
-        assert_eq!(reply.request_id, 1, "{}: reply echoes id", backend.name());
-        match reply.msg {
-            WireMsg::DispatchChoices { choices } => {
-                assert_eq!(
-                    choices,
-                    expected,
-                    "{}: dribbled batch answer",
-                    backend.name()
-                );
-            }
-            other => panic!(
-                "{}: expected DispatchChoices, got {other:?}",
-                backend.name()
-            ),
-        }
-
-        well_behaved.close();
-        drop(dribbler);
-        server.shutdown();
+    // First half, one byte at a time: the server now holds a partial
+    // frame for this connection.
+    for b in &frame[..split] {
+        dribbler.write_all(&[*b]).expect("dribble byte");
+        std::thread::sleep(Duration::from_millis(1));
     }
+
+    // Hold the dribbler mid-frame while a finisher thread waits for
+    // our signal; meanwhile the well-behaved client must be served.
+    let mid_frame = Arc::new(AtomicBool::new(true));
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let finisher = {
+        let mid_frame = Arc::clone(&mid_frame);
+        let tail = frame[split..].to_vec();
+        let mut stream = dribbler.try_clone().expect("clone dribbler");
+        std::thread::spawn(move || {
+            release_rx.recv().ok();
+            mid_frame.store(false, Ordering::SeqCst);
+            for b in &tail {
+                stream.write_all(&[*b]).expect("dribble tail byte");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        })
+    };
+
+    let mut well_behaved = client(&server);
+    let started = Instant::now();
+    for _ in 0..3 {
+        let choices = well_behaved.dispatch(fp, &points).expect("dispatch");
+        assert_eq!(choices.len(), points.len());
+    }
+    assert!(
+        mid_frame.load(Ordering::SeqCst),
+        "normal client was served while the dribbler held a partial frame"
+    );
+    assert!(
+        started.elapsed() < Duration::from_secs(30),
+        "dispatches next to a dribbler took {:?} — a worker was pinned",
+        started.elapsed()
+    );
+    let expected = well_behaved
+        .dispatch(fp, &points)
+        .expect("reference dispatch");
+
+    // Release the tail; the dribbled frame must decode and answer
+    // exactly like the reference dispatch of the same points.
+    release_tx.send(()).expect("release finisher");
+    finisher.join().expect("finisher join");
+    let reply = read_raw_frame(&mut dribbler);
+    assert_eq!(reply.request_id, 1, "reply echoes id");
+    match reply.msg {
+        WireMsg::DispatchChoices { choices } => {
+            assert_eq!(choices, expected, "dribbled batch answer");
+        }
+        other => panic!("expected DispatchChoices, got {other:?}"),
+    }
+
+    well_behaved.close();
+    drop(dribbler);
+    server.shutdown();
 }
 
 /// A client that stalls mid-frame makes no liveness progress, so the
@@ -215,53 +195,47 @@ fn byte_dribbling_client_does_not_pin_a_worker() {
 fn mid_frame_staller_is_reaped_at_request_timeout() {
     let _guard = serialized();
     let idle_reaped = offload_obs::counter("net.server.idle_reaped");
-    for backend in BACKENDS {
-        let (analysis, mut server) = start_server(backend, 1, Duration::from_millis(300));
-        let fp = fingerprint(&analysis);
-        let reaped_before = idle_reaped.get();
+    let (analysis, mut server) = start_server(1, Duration::from_millis(300));
+    let fp = fingerprint(&analysis);
+    let reaped_before = idle_reaped.get();
 
-        // Half a frame, then silence.
-        let frame = raw_dispatch_frame(fp, 7, &[vec![42i64]]);
-        let mut staller = TcpStream::connect(server.addr()).expect("staller connect");
-        staller.set_nodelay(true).ok();
-        staller
-            .write_all(&frame[..frame.len() / 2])
-            .expect("send half frame");
+    // Half a frame, then silence.
+    let frame = raw_dispatch_frame(fp, 7, &[vec![42i64]]);
+    let mut staller = TcpStream::connect(server.addr()).expect("staller connect");
+    staller.set_nodelay(true).ok();
+    staller
+        .write_all(&frame[..frame.len() / 2])
+        .expect("send half frame");
 
-        // Served during the stall: the staller never blocks the worker.
-        let mut live = client(&server);
-        let choices = live.dispatch(fp, &[vec![42i64]]).expect("dispatch");
-        assert_eq!(choices.len(), 1);
-        live.close();
+    // Served during the stall: the staller never blocks the worker.
+    let mut live = client(&server);
+    let choices = live.dispatch(fp, &[vec![42i64]]).expect("dispatch");
+    assert_eq!(choices.len(), 1);
+    live.close();
 
-        // The reaper fires once the stalled connection exceeds the
-        // timeout with no progress toward a complete frame.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while idle_reaped.get() == reaped_before && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(25));
-        }
-        assert!(
-            idle_reaped.get() > reaped_before,
-            "{}: mid-frame staller was never reaped",
-            backend.name()
-        );
-
-        // The server actually dropped the socket: the staller reads EOF
-        // (or a reset), never a reply.
-        staller
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .expect("read timeout");
-        let mut buf = [0u8; 16];
-        match staller.read(&mut buf) {
-            Ok(0) | Err(_) => {}
-            Ok(n) => panic!(
-                "{}: reaped staller received {n} bytes instead of EOF",
-                backend.name()
-            ),
-        }
-
-        server.shutdown();
+    // The reaper fires once the stalled connection exceeds the
+    // timeout with no progress toward a complete frame.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while idle_reaped.get() == reaped_before && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(25));
     }
+    assert!(
+        idle_reaped.get() > reaped_before,
+        "mid-frame staller was never reaped"
+    );
+
+    // The server actually dropped the socket: the staller reads EOF
+    // (or a reset), never a reply.
+    staller
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let mut buf = [0u8; 16];
+    match staller.read(&mut buf) {
+        Ok(0) | Err(_) => {}
+        Ok(n) => panic!("reaped staller received {n} bytes instead of EOF"),
+    }
+
+    server.shutdown();
 }
 
 /// A client that pipelines far more frames than one fairness-capped
@@ -272,37 +246,33 @@ fn mid_frame_staller_is_reaped_at_request_timeout() {
 #[test]
 fn deep_pipelining_past_the_fairness_cap_drains_fully() {
     let _guard = serialized();
-    for backend in BACKENDS {
-        let (analysis, mut server) = start_server(backend, 1, Duration::from_secs(60));
-        let fp = fingerprint(&analysis);
-        let mut c = client(&server);
+    let (analysis, mut server) = start_server(1, Duration::from_secs(60));
+    let fp = fingerprint(&analysis);
+    let mut c = client(&server);
 
-        // Several fairness-cap windows' worth of frames go on the wire
-        // before any reply is read.
-        const FRAMES: usize = 300;
-        let ids: Vec<u64> = (0..FRAMES)
-            .map(|i| c.send_dispatch(fp, &[vec![i as i64]]).expect("send"))
-            .collect();
-        let started = Instant::now();
-        for (i, id) in ids.into_iter().enumerate() {
-            let choices = c.recv_choices(id).expect("recv");
-            assert_eq!(choices.len(), 1);
-            assert_eq!(
-                choices[0],
-                analysis.select(&[i as i64]).expect("select") as u32,
-                "{}: pipelined frame {i}",
-                backend.name()
-            );
-        }
-        assert!(
-            started.elapsed() < Duration::from_secs(30),
-            "{}: draining {FRAMES} pipelined frames took {:?} — frames were stranded",
-            backend.name(),
-            started.elapsed()
+    // Several fairness-cap windows' worth of frames go on the wire
+    // before any reply is read.
+    const FRAMES: usize = 300;
+    let ids: Vec<u64> = (0..FRAMES)
+        .map(|i| c.send_dispatch(fp, &[vec![i as i64]]).expect("send"))
+        .collect();
+    let started = Instant::now();
+    for (i, id) in ids.into_iter().enumerate() {
+        let choices = c.recv_choices(id).expect("recv");
+        assert_eq!(choices.len(), 1);
+        assert_eq!(
+            choices[0],
+            analysis.select(&[i as i64]).expect("select") as u32,
+            "pipelined frame {i}"
         );
-        c.close();
-        server.shutdown();
     }
+    assert!(
+        started.elapsed() < Duration::from_secs(30),
+        "draining {FRAMES} pipelined frames took {:?} — frames were stranded",
+        started.elapsed()
+    );
+    c.close();
+    server.shutdown();
 }
 
 /// Shutting down while clients are mid-dispatch must never hang: the
@@ -312,53 +282,50 @@ fn deep_pipelining_past_the_fairness_cap_drains_fully() {
 #[test]
 fn shutdown_under_load_returns_promptly() {
     let _guard = serialized();
-    for backend in BACKENDS {
-        let (analysis, mut server) = start_server(backend, 4, Duration::from_secs(60));
-        let fp = fingerprint(&analysis);
-        let addr = server.addr();
+    let (analysis, mut server) = start_server(4, Duration::from_secs(60));
+    let fp = fingerprint(&analysis);
+    let addr = server.addr();
 
-        let stop = Arc::new(AtomicBool::new(false));
-        let clients: Vec<_> = (0..4)
-            .map(|i| {
-                let stop = Arc::clone(&stop);
-                std::thread::spawn(move || {
-                    let mut config = ClientConfig::new(addr.to_string());
-                    config.request_timeout = Duration::from_secs(5);
-                    let Ok(mut c) = DispatchClient::connect(&config) else {
+    let stop = Arc::new(AtomicBool::new(false));
+    let clients: Vec<_> = (0..4)
+        .map(|i| {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let mut config = ClientConfig::new(addr.to_string());
+                config.request_timeout = Duration::from_secs(5);
+                let Ok(mut c) = DispatchClient::connect(&config) else {
+                    return;
+                };
+                let mut k = i as i64;
+                while !stop.load(Ordering::SeqCst) {
+                    // The server vanishing mid-flight is the point.
+                    if c.dispatch(fp, &[vec![k]]).is_err() {
                         return;
-                    };
-                    let mut k = i as i64;
-                    while !stop.load(Ordering::SeqCst) {
-                        // The server vanishing mid-flight is the point.
-                        if c.dispatch(fp, &[vec![k]]).is_err() {
-                            return;
-                        }
-                        k = (k + 1) % 100_000;
                     }
-                })
+                    k = (k + 1) % 100_000;
+                }
             })
-            .collect();
+        })
+        .collect();
 
-        // Let the load reach a steady state, then pull the plug while
-        // dispatches are in flight.
-        std::thread::sleep(Duration::from_millis(100));
-        let (done_tx, done_rx) = mpsc::channel::<()>();
-        let shutter = std::thread::spawn(move || {
-            server.shutdown();
-            done_tx.send(()).ok();
-            drop(server);
-        });
-        assert!(
-            done_rx.recv_timeout(Duration::from_secs(30)).is_ok(),
-            "{}: shutdown hung with clients mid-dispatch",
-            backend.name()
-        );
-        stop.store(true, Ordering::SeqCst);
-        for c in clients {
-            c.join().expect("client join");
-        }
-        shutter.join().expect("shutter join");
+    // Let the load reach a steady state, then pull the plug while
+    // dispatches are in flight.
+    std::thread::sleep(Duration::from_millis(100));
+    let (done_tx, done_rx) = mpsc::channel::<()>();
+    let shutter = std::thread::spawn(move || {
+        server.shutdown();
+        done_tx.send(()).ok();
+        drop(server);
+    });
+    assert!(
+        done_rx.recv_timeout(Duration::from_secs(30)).is_ok(),
+        "shutdown hung with clients mid-dispatch"
+    );
+    stop.store(true, Ordering::SeqCst);
+    for c in clients {
+        c.join().expect("client join");
     }
+    shutter.join().expect("shutter join");
 }
 
 /// 200 connections that each dispatch once and vanish without a `Bye`
@@ -370,40 +337,129 @@ fn connection_churn_without_bye_leaves_no_errors() {
     let dispatch_points = offload_obs::counter("net.server.dispatch_points");
     let protocol_errors = offload_obs::counter("net.server.protocol_errors");
     let dispatch_errors = offload_obs::counter("net.server.dispatch_errors");
-    for backend in BACKENDS {
-        let (analysis, mut server) = start_server(backend, 2, Duration::from_secs(60));
-        let fp = fingerprint(&analysis);
-        let points_before = dispatch_points.get();
-        let proto_before = protocol_errors.get();
-        let derr_before = dispatch_errors.get();
+    let (analysis, mut server) = start_server(2, Duration::from_secs(60));
+    let fp = fingerprint(&analysis);
+    let points_before = dispatch_points.get();
+    let proto_before = protocol_errors.get();
+    let derr_before = dispatch_errors.get();
 
-        const CHURN: usize = 200;
-        for i in 0..CHURN {
-            let mut c = client(&server);
-            let choices = c.dispatch(fp, &[vec![i as i64 * 977]]).expect("dispatch");
-            assert_eq!(choices.len(), 1);
-            drop(c); // no Bye, no close(): the socket just disappears
-        }
-
-        assert_eq!(
-            dispatch_points.get() - points_before,
-            CHURN as u64,
-            "{}: every churned dispatch was counted",
-            backend.name()
-        );
-        assert_eq!(
-            protocol_errors.get() - proto_before,
-            0,
-            "{}: abrupt disconnects are not protocol errors",
-            backend.name()
-        );
-        assert_eq!(
-            dispatch_errors.get() - derr_before,
-            0,
-            "{}: no dispatch errors under churn",
-            backend.name()
-        );
-
-        server.shutdown();
+    const CHURN: usize = 200;
+    for i in 0..CHURN {
+        let mut c = client(&server);
+        let choices = c.dispatch(fp, &[vec![i as i64 * 977]]).expect("dispatch");
+        assert_eq!(choices.len(), 1);
+        drop(c); // no Bye, no close(): the socket just disappears
     }
+
+    assert_eq!(
+        dispatch_points.get() - points_before,
+        CHURN as u64,
+        "every churned dispatch was counted"
+    );
+    assert_eq!(
+        protocol_errors.get() - proto_before,
+        0,
+        "abrupt disconnects are not protocol errors"
+    );
+    assert_eq!(
+        dispatch_errors.get() - derr_before,
+        0,
+        "no dispatch errors under churn"
+    );
+
+    server.shutdown();
+}
+
+/// A session whose server half panics must still give its connection
+/// slot back. The hostile client pushes a register of a function that
+/// does not exist, which panics the session thread while it installs
+/// the item; with a cap of one connection, every later client would be
+/// refused if the slot leaked.
+#[test]
+fn panicking_session_releases_its_connection_slot() {
+    let _guard = serialized();
+    let analysis =
+        Arc::new(Analysis::from_source(PROGRAM, AnalysisOptions::default()).expect("analysis"));
+    let mut server = OffloadServer::bind(
+        "127.0.0.1:0",
+        analysis.clone(),
+        DeviceModel::ipaq_testbed(),
+        ServerConfig::builder()
+            .threads(1)
+            .max_connections(1)
+            .build(),
+    )
+    .expect("server");
+    let fp = fingerprint(&analysis);
+    let choice = analysis
+        .partition
+        .choices
+        .iter()
+        .position(|c| !c.is_all_local())
+        .expect("a partitioned choice");
+
+    let mut hostile = TcpStream::connect(server.addr()).expect("hostile connect");
+    hostile
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let hello = WireMsg::Hello {
+        fingerprint: fp,
+        choice: choice as u32,
+        params: vec![1_000],
+        max_steps: 0,
+        client_time_us: 0,
+    };
+    let push = WireMsg::PushItem {
+        item: 0,
+        payload: ItemPayload::Reg {
+            func: FuncId(9999),
+            local: LocalId(0),
+            value: Value::Int(1),
+        },
+    };
+    let frame = |request_id, msg| encode_frame(&WireFrame { request_id, msg });
+    hostile.write_all(&frame(1, hello)).expect("send Hello");
+    let ack = read_raw_frame(&mut hostile);
+    assert!(matches!(ack.msg, WireMsg::HelloAck { .. }), "{:?}", ack.msg);
+    hostile.write_all(&frame(2, push)).expect("send PushItem");
+    // The panic unwinds the session thread, which closes the socket
+    // after giving the slot back.
+    assert!(matches!(hostile.read(&mut [0u8; 16]), Ok(0) | Err(_)));
+
+    let mut c = client(&server);
+    let choices = c.dispatch(fp, &[vec![5]]).expect("the slot was released");
+    assert_eq!(choices, vec![analysis.select(&[5]).expect("select") as u32]);
+    c.close();
+    server.shutdown();
+}
+
+/// A source nested a thousand parentheses deep would overflow a reactor
+/// worker's stack inside the parser and abort the whole server. The
+/// parser's nesting cap turns it into an `Error` reply, and the same
+/// connection keeps serving.
+#[test]
+fn deeply_nested_program_is_refused_and_the_connection_survives() {
+    let _guard = serialized();
+    let (analysis, mut server) = start_server(1, Duration::from_secs(60));
+    let mut c = client(&server);
+    let source = format!(
+        "void main(int n) {{ output({}n{}); }}",
+        "(".repeat(1000),
+        ")".repeat(1000)
+    );
+    match c.analyze(&source) {
+        Err(NetError::Remote(msg)) => assert!(msg.contains("parse error"), "{msg}"),
+        Err(e) => panic!("expected a remote parse error, got {e}"),
+        Ok(info) => panic!("a 1000-deep program was analyzed: {info:?}"),
+    }
+    let fp = fingerprint(&analysis);
+    let choices = c
+        .dispatch(fp, &[vec![42]])
+        .expect("dispatch after the refusal");
+    assert_eq!(
+        choices,
+        vec![analysis.select(&[42]).expect("select") as u32]
+    );
+    c.close();
+    server.shutdown();
 }

@@ -4,7 +4,7 @@
 //! protocol the dispatch clients use and renders a refreshing dashboard:
 //! dispatch QPS (computed from counter deltas between successive
 //! snapshots), per-stage latency percentiles, plan-cache hit rates,
-//! connection/session/queue gauges, and the server's slow-request ring.
+//! connection/session gauges, and the server's slow-request ring.
 //!
 //! ```text
 //! obstop --addr 127.0.0.1:7070                # live view, 1s refresh
@@ -213,10 +213,9 @@ fn render_human(addr: &str, view: &StatsView, prev: Option<&StatsView>) -> Strin
     );
     let _ = writeln!(
         out,
-        "server     {} conns · {} sessions · queue {} · reaped {} · scrapes {}",
+        "server     {} conns · {} sessions · reaped {} · scrapes {}",
         g("net.server.active_connections"),
         g("net.server.session_threads"),
-        g("net.server.queue_depth"),
         c("net.server.idle_reaped"),
         c("net.server.stats_requests"),
     );
