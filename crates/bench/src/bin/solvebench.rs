@@ -66,47 +66,11 @@ fn analyze_timed(
     Ok((analysis, start.elapsed().as_secs_f64() * 1e3))
 }
 
+/// One record as a JSON object, every declared counter in declaration
+/// order.
 fn json_pipeline(p: &PipelineStats) -> String {
-    format!(
-        concat!(
-            "{{\"flow_solves\":{},\"flow_phases\":{},\"flow_augmenting_paths\":{},",
-            "\"lp_solves\":{},\"lp_pivots\":{},\"fm_vars_eliminated\":{},",
-            "\"fm_constraints\":{},\"lp_cache_hits\":{},\"small_int_promotions\":{},",
-            "\"prefilter_hits\":{},\"lp_warm_starts\":{},\"dual_pivots\":{},",
-            "\"regions_explored\":{},\"rounds\":{},",
-            "\"cache_hits\":{},\"cache_misses\":{},\"threads_used\":{},",
-            "\"simplify_micros\":{},\"solve_micros\":{},",
-            "\"prune_micros\":{},\"region_lp_micros\":{},",
-            "\"shadow_proposals\":{},\"shadow_certified\":{},\"shadow_fallbacks\":{},",
-            "\"certify_micros\":{},\"sequential_strategy\":{}}}"
-        ),
-        p.flow_solves,
-        p.flow_phases,
-        p.flow_augmenting_paths,
-        p.lp_solves,
-        p.lp_pivots,
-        p.fm_vars_eliminated,
-        p.fm_constraints,
-        p.lp_cache_hits,
-        p.small_int_promotions,
-        p.prefilter_hits,
-        p.lp_warm_starts,
-        p.dual_pivots,
-        p.regions_explored,
-        p.rounds,
-        p.cache_hits,
-        p.cache_misses,
-        p.threads_used,
-        p.simplify_micros,
-        p.solve_micros,
-        p.prune_micros,
-        p.region_lp_micros,
-        p.shadow_proposals,
-        p.shadow_certified,
-        p.shadow_fallbacks,
-        p.certify_micros,
-        p.sequential_strategy,
-    )
+    let fields: Vec<String> = p.entries().map(|(k, v)| format!("\"{k}\":{v}")).collect();
+    format!("{{{}}}", fields.join(","))
 }
 
 fn json_escape(s: &str) -> String {
@@ -379,6 +343,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ),
         disabled_ns, spans_recorded, disabled_overhead_pct,
     ));
+    // The counters the determinism contract covers, so consumers compare
+    // exactly the declared set without keeping their own list.
+    let work: Vec<String> = PipelineStats::COUNTERS
+        .iter()
+        .filter(|c| c.kind.deterministic())
+        .map(|c| format!("\"{}\"", c.name))
+        .collect();
+    json.push_str(&format!(",\n  \"work_counters\": [{}]", work.join(",")));
     json.push_str(",\n  \"benchmarks\": [\n");
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(

@@ -56,8 +56,8 @@ pub use dispatch::{dummies_in_solution, AnnotationRule, Annotations, DispatchErr
 pub use items::{ItemTable, TrackedItem};
 pub use netbuild::{NetBuilder, ParamBounds, PartitionNetwork, Term, ValidityModel};
 pub use parametric::{
-    cut_cost_at, solve, Direction, LogFn, LogLevel, ParametricPartition, Partition, PipelineStats,
-    Plan, RegionStrategy, SolveError, SolveOptions, SolveStats,
+    cut_cost_at, solve, Direction, ParametricPartition, Partition, PipelineStats, Plan,
+    RegionStrategy, SolveError, SolveOptions, SolveStats,
 };
 pub use passes::{Pass, PassContext, PassError, PassManager, PassReport};
 

@@ -25,11 +25,13 @@
 
 use crate::netbuild::{PartitionNetwork, Term};
 use offload_flow::{Capacity, FlowStats, MaxFlow, ParamNetwork, ParamSolver, UnboundedFlow};
-use offload_poly::{PolyStats, Polyhedron, ProjectionBudgetExceeded, Rational, Region};
+use offload_obs::Level;
+use offload_poly::{
+    fan_out, hardware_threads, Polyhedron, ProjectionBudgetExceeded, Rational, Region,
+};
 use offload_tcfg::{TaskId, Tcfg};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -204,30 +206,6 @@ pub enum RegionStrategy {
     Dominance,
 }
 
-/// Verbosity of a [`SolveOptions::log`] message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum LogLevel {
-    /// Per-round / per-iteration progress detail.
-    Debug,
-    /// Milestones (simplification done, solve done).
-    Info,
-    /// Unexpected-but-recoverable situations.
-    Warn,
-}
-
-impl fmt::Display for LogLevel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            LogLevel::Debug => write!(f, "debug"),
-            LogLevel::Info => write!(f, "info"),
-            LogLevel::Warn => write!(f, "warn"),
-        }
-    }
-}
-
-/// A leveled progress sink for the solver (see [`SolveOptions::log`]).
-pub type LogFn = dyn Fn(LogLevel, &str) + Send + Sync;
-
 /// Default [`SolveOptions::projection_budget`], calibrated empirically:
 /// the checked-in benchmarks' projections stay under an admission
 /// estimate of ~115 k and the seeded-fuzz corpus' largest completing
@@ -238,7 +216,7 @@ pub type LogFn = dyn Fn(LogLevel, &str) + Send + Sync;
 pub const DEFAULT_PROJECTION_BUDGET: u64 = 4_000_000;
 
 /// Options controlling the solver.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct SolveOptions {
     /// Apply the §5.4 network simplification before solving.
     pub simplify: bool,
@@ -269,26 +247,6 @@ pub struct SolveOptions {
     /// checked-in benchmark or seeded-fuzz program reaches, and an order
     /// of magnitude below the smallest known-pathological one.
     pub projection_budget: u64,
-    /// Leveled progress callback. When unset, progress is emitted to
-    /// stderr only if the `OFFLOAD_CORE_DEBUG` environment variable is
-    /// set (the legacy behaviour); embedders such as the server daemon
-    /// set this to capture progress without stderr scraping.
-    pub log: Option<Arc<LogFn>>,
-}
-
-impl fmt::Debug for SolveOptions {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SolveOptions")
-            .field("simplify", &self.simplify)
-            .field("reduce_degeneracy", &self.reduce_degeneracy)
-            .field("max_iterations", &self.max_iterations)
-            .field("region_strategy", &self.region_strategy)
-            .field("threads", &self.threads)
-            .field("cut_cache", &self.cut_cache)
-            .field("projection_budget", &self.projection_budget)
-            .field("log", &self.log.as_ref().map(|_| "closure"))
-            .finish()
-    }
 }
 
 impl Default for SolveOptions {
@@ -301,54 +259,15 @@ impl Default for SolveOptions {
             threads: 0,
             cut_cache: true,
             projection_budget: DEFAULT_PROJECTION_BUDGET,
-            log: None,
         }
     }
 }
 
-/// Internal logging shim: every message becomes a leveled structured
-/// event in the `offload-obs` recorder (when tracing is enabled), and is
-/// additionally delivered to the legacy [`SolveOptions::log`] callback
-/// and/or the `OFFLOAD_CORE_DEBUG` stderr fallback so existing embedders
-/// keep working unchanged.
-struct Logger {
-    sink: Option<Arc<LogFn>>,
-    env_debug: bool,
-}
-
-impl Logger {
-    fn new(options: &SolveOptions) -> Logger {
-        Logger {
-            sink: options.log.clone(),
-            env_debug: std::env::var_os("OFFLOAD_CORE_DEBUG").is_some(),
-        }
-    }
-
-    fn enabled(&self) -> bool {
-        self.sink.is_some() || self.env_debug || offload_obs::enabled()
-    }
-
-    fn log(&self, level: LogLevel, msg: impl FnOnce() -> String) {
-        if !self.enabled() {
-            return;
-        }
-        let text = msg();
-        offload_obs::log_event(level.into(), "core", &text);
-        match &self.sink {
-            Some(f) => f(level, &text),
-            None if self.env_debug => eprintln!("[core:{level}] {}", text),
-            None => {}
-        }
-    }
-}
-
-impl From<LogLevel> for offload_obs::Level {
-    fn from(l: LogLevel) -> offload_obs::Level {
-        match l {
-            LogLevel::Debug => offload_obs::Level::Debug,
-            LogLevel::Info => offload_obs::Level::Info,
-            LogLevel::Warn => offload_obs::Level::Warn,
-        }
+/// Emits a leveled progress message as a structured `offload-obs`
+/// event; the message is only formatted while recording is enabled.
+fn log(level: Level, msg: impl FnOnce() -> String) {
+    if offload_obs::enabled() {
+        offload_obs::log_event(level, "core", msg());
     }
 }
 
@@ -383,29 +302,23 @@ pub fn solve_with_probes(
     options: &SolveOptions,
     probes: &[Vec<Rational>],
 ) -> Result<ParametricPartition, SolveError> {
-    let logger = Logger::new(options);
     // Start from a cold LP result cache so per-run cache-hit counts and
     // timings are reproducible regardless of what ran earlier on this
     // thread. (Worker threads are spawned fresh each round, so their
     // caches always start empty.)
     offload_poly::lp_cache_clear();
-    let poly_before = PolyStats::snapshot();
     let mut stats = SolveStats {
         nodes_before: pnet.net.node_count(),
         ..Default::default()
     };
     // Resolve the configured worker count once, up front, so every
-    // strategy reports the same number (`threads_used` used to be
-    // hard-wired to 1 on the dominance path even when the caller asked
-    // for more workers). A strategy that cannot use the workers says so
-    // via `sequential_strategy` instead of under-reporting the config.
+    // strategy reports the same number.
     let threads = match options.threads {
         0 => std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1),
         n => n,
     };
-    stats.pipeline.threads_used = threads as u32;
     let mut solve_span = offload_obs::span!(
         "parametric",
         "solve",
@@ -414,71 +327,58 @@ pub fn solve_with_probes(
         threads = threads,
     );
 
-    let t_simplify = Instant::now();
-    let simplify_span = offload_obs::span!(
-        "parametric",
-        "simplify",
-        enabled = options.simplify,
-        nodes_in = pnet.net.node_count(),
-    );
-    let (snet, mapping): (ParamNetwork, Vec<usize>) = if options.simplify {
-        pnet.net.simplify(&pnet.param_space)
-    } else {
-        (pnet.net.clone(), (0..pnet.net.node_count()).collect())
-    };
-    drop(simplify_span);
-    stats.nodes_after = snet.node_count();
-    stats.pipeline.simplify_micros = t_simplify.elapsed().as_micros() as u64;
-    logger.log(LogLevel::Info, || {
-        format!(
-            "simplify {:?}: {} -> {} nodes, {} arcs, {} dims",
-            t_simplify.elapsed(),
-            stats.nodes_before,
-            stats.nodes_after,
-            snet.arcs().len(),
-            pnet.dims.len(),
-        )
-    });
+    // This solve's own record: the engine counts rounds and timings into
+    // `stats.pipeline` directly, the flow and poly layers tally into this
+    // thread's record, and every fan-out hands its workers' records back
+    // at join, so concurrent solves never mix counts.
+    let (result, counted) = offload_obs::tallied(|| {
+        let t_simplify = Instant::now();
+        let simplify_span = offload_obs::span!(
+            "parametric",
+            "simplify",
+            enabled = options.simplify,
+            nodes_in = pnet.net.node_count(),
+        );
+        let (snet, mapping): (ParamNetwork, Vec<usize>) = if options.simplify {
+            pnet.net.simplify(&pnet.param_space)
+        } else {
+            (pnet.net.clone(), (0..pnet.net.node_count()).collect())
+        };
+        drop(simplify_span);
+        stats.nodes_after = snet.node_count();
+        stats.pipeline.simplify_micros = t_simplify.elapsed().as_micros() as u64;
+        log(Level::Info, || {
+            format!(
+                "simplify {:?}: {} -> {} nodes, {} arcs, {} dims",
+                t_simplify.elapsed(),
+                stats.nodes_before,
+                stats.nodes_after,
+                snet.arcs().len(),
+                pnet.dims.len(),
+            )
+        });
 
-    let t_solve = Instant::now();
-    let result = if options.region_strategy == RegionStrategy::Dominance {
-        solve_dominance(
-            pnet, tcfg, n_items, &snet, &mapping, probes, threads, &mut stats,
-        )
-    } else {
-        explore_regions(
-            pnet, tcfg, n_items, options, threads, &logger, &snet, &mapping, &mut stats,
-        )
-    };
-    stats.pipeline.solve_micros = t_solve.elapsed().as_micros() as u64;
-    let poly = PolyStats::snapshot().since(&poly_before);
-    stats.pipeline.absorb_poly_counts(
-        poly.lp_solves,
-        poly.lp_pivots,
-        poly.fm_vars_eliminated,
-        poly.fm_constraints,
-        poly.lp_cache_hits,
-        poly.small_int_promotions,
-    );
-    stats.pipeline.absorb_poly_extras(
-        poly.prefilter_hits(),
-        poly.lp_warm_starts,
-        poly.dual_pivots,
-        poly.prune_micros,
-        poly.region_lp_micros,
-    );
-    stats.pipeline.absorb_shadow_counts(
-        poly.shadow_proposals,
-        poly.shadow_certified,
-        poly.shadow_fallbacks,
-        poly.certify_micros,
-    );
+        let t_solve = Instant::now();
+        let result = if options.region_strategy == RegionStrategy::Dominance {
+            solve_dominance(
+                pnet, tcfg, n_items, &snet, &mapping, probes, threads, &mut stats,
+            )
+        } else {
+            explore_regions(
+                pnet, tcfg, n_items, options, threads, &snet, &mapping, &mut stats,
+            )
+        };
+        stats.pipeline.solve_micros = t_solve.elapsed().as_micros() as u64;
+        result
+    });
+    stats.pipeline += counted;
+    stats.pipeline.threads_used = threads as u32;
 
     let mut choices = result?;
     if options.region_strategy == RegionStrategy::Exact && options.reduce_degeneracy {
         stats.merged_choices = reduce_degeneracy(&mut choices);
     }
-    logger.log(LogLevel::Info, || {
+    log(Level::Info, || {
         format!(
             "solved: {} choices ({} merged) in {} us\n{}",
             choices.len(),
@@ -538,7 +438,6 @@ fn explore_regions(
     n_items: usize,
     options: &SolveOptions,
     threads: usize,
-    logger: &Logger,
     snet: &ParamNetwork,
     mapping: &[usize],
     stats: &mut SolveStats,
@@ -569,7 +468,6 @@ fn explore_regions(
             threads,
             cache.as_ref(),
             options.projection_budget,
-            stats,
         );
 
         // Sequential merge in piece order. Parallelism above only decided
@@ -621,29 +519,24 @@ fn explore_regions(
         stats.pipeline.regions_explored += accepted.len() as u64;
         round_span.record("accepted", accepted.len());
         drop(round_span);
-        if logger.enabled() {
-            logger.log(LogLevel::Debug, || {
-                format!(
-                    "round {}: {} pieces -> {} accepted cuts ({} total) in {:?}, {} pieces left",
-                    stats.pipeline.rounds,
-                    n_pieces,
-                    accepted.len(),
-                    choices.len(),
-                    t_round.elapsed(),
-                    x.pieces().len(),
-                )
-            });
-        }
+        log(Level::Debug, || {
+            format!(
+                "round {}: {} pieces -> {} accepted cuts ({} total) in {:?}, {} pieces left",
+                stats.pipeline.rounds,
+                n_pieces,
+                accepted.len(),
+                choices.len(),
+                t_round.elapsed(),
+                x.pieces().len(),
+            )
+        });
     }
     Ok(choices)
 }
 
 /// Explores every piece of the current round, returning results in piece
 /// order. With one thread (or one piece) the work runs inline; otherwise
-/// `threads` scoped workers drain an atomic index over the piece list,
-/// each owning a [`ParamSolver`] so repeated min-cuts share scratch
-/// buffers. Result slots are indexed by piece, so assembly order is
-/// independent of scheduling.
+/// the pieces fan out across scoped workers (see [`fan_out_solves`]).
 fn explore_round(
     snet: &ParamNetwork,
     param_space: &Polyhedron,
@@ -651,7 +544,6 @@ fn explore_round(
     threads: usize,
     cache: Option<&CutCache>,
     projection_budget: u64,
-    stats: &mut SolveStats,
 ) -> Vec<Option<Result<PieceResult, PieceError>>> {
     let n = pieces.len();
     // Spawn scoped workers only when the round has ≥2 pieces to
@@ -668,98 +560,47 @@ fn explore_round(
     } else {
         1
     };
-    let mut flow = FlowStats::default();
-    // (cache hits, cache misses).
-    let mut tally = (0u64, 0u64);
-    let mut results: Vec<Option<Result<PieceResult, PieceError>>> = Vec::with_capacity(n);
-    if workers <= 1 {
-        // All granted threads go to intra-piece projection work — this is
-        // the exact-strategy hot path, where rounds have a single piece
-        // and region-level parallelism has nothing to distribute.
-        let mut solver = snet.solver();
-        for piece in pieces {
-            results.push(explore_piece(
-                snet,
-                param_space,
-                piece,
-                &mut solver,
-                cache,
-                threads,
-                projection_budget,
-                &mut tally,
-            ));
-        }
-        flow = flow.add(&solver.stats());
-    } else {
-        results.resize_with(n, || None);
-        let slots: Vec<Mutex<Option<Result<PieceResult, PieceError>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        // Piece-level workers claim the thread budget first; whatever is
-        // left over parallelizes each worker's own projections.
-        let intra = (threads / workers).max(1);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut solver = snet.solver();
-                        let mut t = (0u64, 0u64);
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            let r = explore_piece(
-                                snet,
-                                param_space,
-                                &pieces[i],
-                                &mut solver,
-                                cache,
-                                intra,
-                                projection_budget,
-                                &mut t,
-                            );
-                            *lock_ignore_poison(&slots[i]) = r;
-                        }
-                        (solver.stats(), t)
-                    })
-                })
-                .collect();
-            for handle in handles {
-                match handle.join() {
-                    Ok((f, t)) => {
-                        flow = flow.add(&f);
-                        tally.0 += t.0;
-                        tally.1 += t.1;
-                    }
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-        });
-        for (slot, result) in slots.into_iter().zip(results.iter_mut()) {
-            *result = slot.into_inner().unwrap_or_else(|e| e.into_inner());
-        }
-    }
-    stats
-        .pipeline
-        .absorb_flow_counts(flow.solves, flow.phases, flow.augmenting_paths);
-    stats.pipeline.cache_hits += tally.0;
-    stats.pipeline.cache_misses += tally.1;
-    results
+    // Piece-level workers claim the thread budget first; whatever is
+    // left over parallelizes each worker's own projections. Inline, all
+    // of it does: that is the exact strategy's hot path, where rounds
+    // have a single piece.
+    let intra = (threads / workers).max(1);
+    fan_out_solves(snet, n, workers, |solver, i| {
+        explore_piece(
+            snet,
+            param_space,
+            &pieces[i],
+            solver,
+            cache,
+            intra,
+            projection_budget,
+        )
+    })
 }
 
-/// Worker threads the machine can actually run at once. Spawning more
-/// scoped workers than cores never helps — they time-slice one another
-/// and pay spawn/teardown plus cold thread-local caches for nothing —
-/// so every fan-out site caps its worker count here. Parallelism only
-/// decides who computes each slot, so the cap never changes results.
-fn hardware_threads() -> usize {
-    static HW: OnceLock<usize> = OnceLock::new();
-    *HW.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    })
+/// Runs `n` jobs through [`fan_out`], each worker owning a
+/// [`ParamSolver`] so repeated min-cuts share scratch buffers, and
+/// tallies every solver's min-cut work on the calling thread.
+fn fan_out_solves<T: Send>(
+    snet: &ParamNetwork,
+    n: usize,
+    workers: usize,
+    job: impl Fn(&mut ParamSolver, usize) -> T + Sync,
+) -> Vec<T> {
+    let (out, solvers) = fan_out(n, workers, || snet.solver(), job);
+    for solver in &solvers {
+        tally_flow(solver.stats());
+    }
+    out
+}
+
+/// Adds a min-cut solver's work to the calling thread's record.
+fn tally_flow(f: FlowStats) {
+    offload_obs::tally(|t| {
+        t.flow_solves += f.solves;
+        t.flow_phases += f.phases;
+        t.flow_augmenting_paths += f.augmenting_paths;
+    });
 }
 
 /// Minimum [`round_work_estimate`] before `explore_round` spawns
@@ -780,7 +621,6 @@ fn round_work_estimate(pieces: &[Polyhedron]) -> usize {
 /// solve the concrete min-cut there, and obtain the cut's optimality
 /// region (from the signature cache when enabled). Returns `None` for an
 /// empty piece.
-#[allow(clippy::too_many_arguments)]
 fn explore_piece(
     snet: &ParamNetwork,
     param_space: &Polyhedron,
@@ -789,7 +629,6 @@ fn explore_piece(
     cache: Option<&CutCache>,
     intra_threads: usize,
     projection_budget: u64,
-    cache_tally: &mut (u64, u64),
 ) -> Option<Result<PieceResult, PieceError>> {
     let mut span = offload_obs::span!("parametric", "piece");
     let point = piece.sample()?;
@@ -825,11 +664,13 @@ fn explore_piece(
                     project(intra_threads)
                 })
                 .clone();
-            if computed {
-                cache_tally.1 += 1;
-            } else {
-                cache_tally.0 += 1;
-            }
+            offload_obs::tally(|t| {
+                if computed {
+                    t.cache_misses += 1;
+                } else {
+                    t.cache_hits += 1;
+                }
+            });
             span.record("cache_hit", !computed);
             match region {
                 Ok(r) => r,
@@ -856,8 +697,8 @@ enum PieceError {
 }
 
 /// Locks a mutex, recovering the guard from a poisoned lock (the data is
-/// plain counters / memo entries — a worker panic cannot leave them in a
-/// harmful state, and the panic itself is re-raised by the scope join).
+/// memo entries — a worker panic cannot leave them in a harmful state,
+/// and the panic itself is re-raised by the fan-out's join).
 fn lock_ignore_poison<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
@@ -922,7 +763,6 @@ fn solve_dominance(
     use offload_poly::Rational;
     let space = &pnet.param_space;
     let mut cuts: Vec<(Vec<bool>, offload_poly::LinExpr)> = Vec::new();
-    let mut flow = FlowStats::default();
 
     // Ordered-merge step: adopt the concrete min-cut `mf` found at
     // `point` if its signature is new and it strictly beats every
@@ -966,7 +806,7 @@ fn solve_dominance(
                 absorb(snet, mf, p, &mut cuts);
             }
         }
-        flow = flow.add(&solver.stats());
+        tally_flow(solver.stats());
     }
 
     // Refinement rounds: probe each dominance region (its interior sample
@@ -1009,7 +849,9 @@ fn solve_dominance(
         } else {
             1
         };
-        let solved = solve_probe_batch(snet, &points, workers, &mut flow);
+        let solved = fan_out_solves(snet, points.len(), workers, |solver, i| {
+            solver.solve_at(&points[i])
+        });
         let mut improved = false;
         for (q, r) in points.iter().zip(solved) {
             let mf = r.map_err(SolveError::Unbounded)?;
@@ -1036,13 +878,18 @@ fn solve_dominance(
     } else {
         1
     };
-    let disjoint: Vec<Region> = par_map_indexed(regions.len(), workers, |i| {
-        let mut region = Region::from(regions[i].clone());
-        for earlier in &regions[..i] {
-            region = region.subtract(earlier);
-        }
-        region
-    });
+    let (disjoint, _) = fan_out(
+        regions.len(),
+        workers,
+        || (),
+        |(), i| {
+            let mut region = Region::from(regions[i].clone());
+            for earlier in &regions[..i] {
+                region = region.subtract(earlier);
+            }
+            region
+        },
+    );
     let mut out = Vec::new();
     for (((side, _), region_poly), region) in cuts.iter().zip(regions).zip(disjoint) {
         let cut = expand_cut(mapping, side, pnet.net.node_count());
@@ -1059,9 +906,6 @@ fn solve_dominance(
     // (Degeneracy reduction is unnecessary here — dominance regions are
     // already one-per-cut.)
     out.retain(|p| !p.region.is_empty());
-    stats
-        .pipeline
-        .absorb_flow_counts(flow.solves, flow.phases, flow.augmenting_paths);
     stats.pipeline.regions_explored += out.len() as u64;
     return Ok(out);
 
@@ -1076,119 +920,25 @@ fn solve_dominance(
         } else {
             1
         };
-        par_map_indexed(cuts.len(), workers, |i| {
-            let ei = &cuts[i].1;
-            let mut r = space.clone();
-            for (j, (_, ej)) in cuts.iter().enumerate() {
-                if i == j {
-                    continue;
+        fan_out(
+            cuts.len(),
+            workers,
+            || (),
+            |(), i| {
+                let ei = &cuts[i].1;
+                let mut r = space.clone();
+                for (j, (_, ej)) in cuts.iter().enumerate() {
+                    if i == j {
+                        continue;
+                    }
+                    // val_i <= val_j  <=>  ej - ei >= 0.
+                    r.add(offload_poly::Constraint::ge0(ej.sub(ei)));
                 }
-                // val_i <= val_j  <=>  ej - ei >= 0.
-                r.add(offload_poly::Constraint::ge0(ej.sub(ei)));
-            }
-            r.reduce_redundancy()
-        })
+                r.reduce_redundancy()
+            },
+        )
+        .0
     }
-}
-
-/// Solves the concrete min-cut at every probe point. With `workers >= 2`
-/// the points fan out across scoped threads (each owning a
-/// [`ParamSolver`] so repeated solves share scratch buffers) into
-/// point-indexed slots; otherwise the batch runs inline on one solver.
-/// Results come back in point order and the per-worker flow counters are
-/// summed into `flow`, so answers and counters alike are independent of
-/// scheduling.
-fn solve_probe_batch(
-    snet: &ParamNetwork,
-    points: &[Vec<Rational>],
-    workers: usize,
-    flow: &mut FlowStats,
-) -> Vec<Result<MaxFlow, UnboundedFlow>> {
-    let n = points.len();
-    if workers <= 1 || n <= 1 {
-        let mut solver = snet.solver();
-        let out = points.iter().map(|q| solver.solve_at(q)).collect();
-        *flow = flow.add(&solver.stats());
-        return out;
-    }
-    let slots: Vec<Mutex<Option<Result<MaxFlow, UnboundedFlow>>>> =
-        (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let workers = workers.min(n);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut solver = snet.solver();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        *lock_ignore_poison(&slots[i]) = Some(solver.solve_at(&points[i]));
-                    }
-                    solver.stats()
-                })
-            })
-            .collect();
-        for h in handles {
-            match h.join() {
-                Ok(f) => *flow = flow.add(&f),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| lock_into_inner(m).expect("every probe slot is filled before the scope joins"))
-        .collect()
-}
-
-/// Runs `n` independent jobs and collects their results in job order.
-/// With fewer than two workers (or jobs) everything runs inline;
-/// otherwise `workers` scoped threads drain an atomic index into
-/// job-indexed slots. Each job must be a pure function of its index, so
-/// which thread computes which slot never affects the output —
-/// parallelism here is an execution detail, not part of the algorithm.
-fn par_map_indexed<T, F>(n: usize, workers: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    if workers <= 1 || n <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let workers = workers.min(n);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    *lock_ignore_poison(&slots[i]) = Some(f(i));
-                })
-            })
-            .collect();
-        for h in handles {
-            if let Err(payload) = h.join() {
-                std::panic::resume_unwind(payload);
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| lock_into_inner(m).expect("every job slot is filled before the scope joins"))
-        .collect()
-}
-
-/// Consumes a mutex, recovering the value from a poisoned lock (see
-/// [`lock_ignore_poison`]).
-fn lock_into_inner<T>(m: Mutex<T>) -> T {
-    m.into_inner().unwrap_or_else(|e| e.into_inner())
 }
 
 /// §5.2: drop choice `i` when another choice's full optimality region

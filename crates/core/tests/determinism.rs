@@ -119,8 +119,7 @@ fn parallel_work_counters_are_scheduling_independent() {
 #[test]
 fn threads_used_reports_the_configured_worker_count() {
     // `threads_used` records the resolved configuration on every
-    // strategy, and no built-in strategy is sequential-by-design any
-    // more: dominance fans its probe storm across the same pool.
+    // strategy: dominance fans its probe storm across the same pool.
     for threads in [1usize, 2, 3] {
         let a = analyze_with(
             PROGRAMS[0],
@@ -131,7 +130,6 @@ fn threads_used_reports_the_configured_worker_count() {
         );
         let p = a.pipeline_stats();
         assert_eq!(p.threads_used as usize, threads);
-        assert!(!p.sequential_strategy, "the exact engine is parallel");
     }
     let dom = analyze_with(
         PROGRAMS[0],
@@ -145,10 +143,6 @@ fn threads_used_reports_the_configured_worker_count() {
     assert_eq!(
         p.threads_used, 2,
         "dominance still reports the configured count"
-    );
-    assert!(
-        !p.sequential_strategy,
-        "dominance now fans its LP storm across the pool"
     );
 }
 
@@ -219,14 +213,18 @@ fn incremental_prune_counters_fire_and_are_thread_count_independent() {
         runs.push((threads, a.pipeline_stats(), a.partition.choices.clone()));
     }
     let (_, first, choices) = &runs[0];
-    assert!(first.prefilter_hits > 0, "pre-filter ladder never fired");
+    assert!(first.prefilter_hits() > 0, "pre-filter ladder never fired");
     assert!(first.lp_warm_starts > 0, "incremental LP never consulted");
     assert!(first.dual_pivots > 0, "dual-simplex restore never ran");
     assert!(first.prune_micros > 0, "prune time must be accounted");
     for (threads, stats, ch) in &runs[1..] {
         assert_eq!(choices, ch, "threads={threads}: partition diverged");
         for (name, a, b) in [
-            ("prefilter_hits", first.prefilter_hits, stats.prefilter_hits),
+            (
+                "prefilter_hits",
+                first.prefilter_hits(),
+                stats.prefilter_hits(),
+            ),
             ("lp_warm_starts", first.lp_warm_starts, stats.lp_warm_starts),
             ("dual_pivots", first.dual_pivots, stats.dual_pivots),
             ("lp_pivots", first.lp_pivots, stats.lp_pivots),
@@ -253,4 +251,47 @@ fn pipeline_stats_are_populated_on_the_exact_path() {
     assert!(p.rounds > 0, "worklist rounds must be counted");
     assert!(p.regions_explored as usize >= a.partition.choices.len());
     assert_eq!(p.threads_used, 2);
+}
+
+#[test]
+fn concurrent_analyses_report_their_own_counters() {
+    // Each solve counts into its own record, so two analyses running at
+    // once in one process must each report exactly what they report when
+    // run alone: every work counter, and the LP cache hits (the solver
+    // clears its thread's cache on entry, so at one solver thread those
+    // repeat exactly too).
+    let benches: Vec<_> = offload_benchmarks::all()
+        .into_iter()
+        .filter(|b| b.name == "rawcaudio" || b.name == "fft")
+        .collect();
+    assert_eq!(benches.len(), 2);
+    let run = |b: &offload_benchmarks::Benchmark| {
+        let p = b
+            .analyze_with(SolveOptions {
+                threads: 1,
+                ..Default::default()
+            })
+            .expect("analysis succeeds")
+            .pipeline_stats();
+        (p.work_counters(), p.lp_cache_hits)
+    };
+    let alone: Vec<_> = benches.iter().map(run).collect();
+    // Both analyses leave the barrier together, so their solves overlap.
+    let start = std::sync::Barrier::new(benches.len());
+    let together: Vec<_> = std::thread::scope(|s| {
+        let handles: Vec<_> = benches
+            .iter()
+            .map(|b| {
+                let start = &start;
+                s.spawn(move || {
+                    start.wait();
+                    run(b)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    for ((b, a), t) in benches.iter().zip(&alone).zip(&together) {
+        assert_eq!(a, t, "{}: concurrent analysis saw foreign counts", b.name);
+    }
 }

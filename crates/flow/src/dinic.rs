@@ -61,8 +61,8 @@ impl fmt::Display for Capacity {
 
 /// Work counters of a [`DinicSolver`], accumulated across solves.
 ///
-/// These feed the pipeline-wide statistics (`offload-core`'s
-/// `PipelineStats`): they measure how much min-cut work a parametric
+/// The parametric solver adds them to its per-solve record
+/// (`offload_obs::PipelineStats`): they measure how much min-cut work a
 /// solve performed, independent of wall-clock noise.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FlowStats {
@@ -72,17 +72,6 @@ pub struct FlowStats {
     pub phases: u64,
     /// Augmenting paths pushed across all solves.
     pub augmenting_paths: u64,
-}
-
-impl FlowStats {
-    /// Field-wise sum (for merging per-worker counters).
-    pub fn add(&self, other: &FlowStats) -> FlowStats {
-        FlowStats {
-            solves: self.solves + other.solves,
-            phases: self.phases + other.phases,
-            augmenting_paths: self.augmenting_paths + other.augmenting_paths,
-        }
-    }
 }
 
 /// A directed flow network with a single source and sink.

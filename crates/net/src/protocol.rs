@@ -56,8 +56,13 @@ use std::io::{Read, Write};
 /// timing `certify_micros`;
 /// v9: histogram summaries inside [`WireMsg::StatsReport`] snapshots
 /// gain a `p999` estimate, surfacing the tail the readiness reactor
-/// targets.)
-pub const PROTOCOL_VERSION: u8 = 9;
+/// targets;
+/// v10: [`PipelineStats`] travels as `(name, value)` pairs and a decoder
+/// skips names it does not know, so adding a counter no longer changes
+/// the protocol;
+/// `sequential_strategy` is gone and `prefilter_hits` is split into its
+/// four pre-filter stage counts.)
+pub const PROTOCOL_VERSION: u8 = 10;
 
 /// Upper bound on a single frame's payload (a corruption guard, not a
 /// tight limit).
@@ -364,32 +369,11 @@ fn put_payload(buf: &mut Vec<u8>, p: &ItemPayload) {
 }
 
 fn put_pipeline(buf: &mut Vec<u8>, s: &PipelineStats) {
-    put_uv(buf, s.flow_solves);
-    put_uv(buf, s.flow_phases);
-    put_uv(buf, s.flow_augmenting_paths);
-    put_uv(buf, s.lp_solves);
-    put_uv(buf, s.lp_pivots);
-    put_uv(buf, s.fm_vars_eliminated);
-    put_uv(buf, s.fm_constraints);
-    put_uv(buf, s.lp_cache_hits);
-    put_uv(buf, s.small_int_promotions);
-    put_uv(buf, s.regions_explored);
-    put_uv(buf, s.rounds);
-    put_uv(buf, s.cache_hits);
-    put_uv(buf, s.cache_misses);
-    put_uv(buf, s.threads_used as u64);
-    put_uv(buf, s.simplify_micros);
-    put_uv(buf, s.solve_micros);
-    put_uv(buf, s.prefilter_hits);
-    put_uv(buf, s.lp_warm_starts);
-    put_uv(buf, s.dual_pivots);
-    put_uv(buf, s.prune_micros);
-    put_uv(buf, s.region_lp_micros);
-    put_uv(buf, s.shadow_proposals);
-    put_uv(buf, s.shadow_certified);
-    put_uv(buf, s.shadow_fallbacks);
-    put_uv(buf, s.certify_micros);
-    buf.push(s.sequential_strategy as u8);
+    put_uv(buf, PipelineStats::COUNTERS.len() as u64);
+    for (name, value) in s.entries() {
+        put_str(buf, name);
+        put_uv(buf, value);
+    }
 }
 
 fn put_span_summary(buf: &mut Vec<u8>, s: &SpanSummary) {
@@ -676,38 +660,14 @@ impl<'a> Cursor<'a> {
     }
 
     fn pipeline(&mut self) -> Result<PipelineStats, NetError> {
-        Ok(PipelineStats {
-            flow_solves: self.uv()?,
-            flow_phases: self.uv()?,
-            flow_augmenting_paths: self.uv()?,
-            lp_solves: self.uv()?,
-            lp_pivots: self.uv()?,
-            fm_vars_eliminated: self.uv()?,
-            fm_constraints: self.uv()?,
-            lp_cache_hits: self.uv()?,
-            small_int_promotions: self.uv()?,
-            regions_explored: self.uv()?,
-            rounds: self.uv()?,
-            cache_hits: self.uv()?,
-            cache_misses: self.uv()?,
-            threads_used: self.u32v()?,
-            simplify_micros: self.uv()?,
-            solve_micros: self.uv()?,
-            prefilter_hits: self.uv()?,
-            lp_warm_starts: self.uv()?,
-            dual_pivots: self.uv()?,
-            prune_micros: self.uv()?,
-            region_lp_micros: self.uv()?,
-            shadow_proposals: self.uv()?,
-            shadow_certified: self.uv()?,
-            shadow_fallbacks: self.uv()?,
-            certify_micros: self.uv()?,
-            sequential_strategy: match self.byte()? {
-                0 => false,
-                1 => true,
-                t => return Err(NetError::protocol(format!("bad strategy flag {t}"))),
-            },
-        })
+        let mut s = PipelineStats::default();
+        for _ in 0..self.uv()? {
+            let name = self.str()?;
+            // A counter this build does not declare is skipped, so a peer
+            // may carry more counters than we know about.
+            s.set(&name, self.uv()?);
+        }
+        Ok(s)
     }
 
     fn span_summary(&mut self) -> Result<SpanSummary, NetError> {

@@ -157,34 +157,11 @@ fn arb_control(rng: &mut Rng) -> ControlMsg {
 }
 
 fn arb_pipeline(rng: &mut Rng) -> PipelineStats {
-    PipelineStats {
-        flow_solves: rng.next() % 100_000,
-        flow_phases: rng.next() % 100_000,
-        flow_augmenting_paths: rng.next() % 1_000_000,
-        lp_solves: rng.next() % 1_000_000,
-        lp_pivots: rng.next() % 10_000_000,
-        fm_vars_eliminated: rng.next() % 100_000,
-        fm_constraints: rng.next() % 1_000_000,
-        lp_cache_hits: rng.next() % 1_000_000,
-        small_int_promotions: rng.next() % 1_000_000,
-        regions_explored: rng.next() % 10_000,
-        rounds: rng.next() % 1_000,
-        cache_hits: rng.next() % 10_000,
-        cache_misses: rng.next() % 10_000,
-        threads_used: 1 + rng.u32(63),
-        simplify_micros: rng.next() % 100_000_000,
-        solve_micros: rng.next() % 100_000_000,
-        prefilter_hits: rng.next() % 1_000_000,
-        lp_warm_starts: rng.next() % 1_000_000,
-        dual_pivots: rng.next() % 10_000_000,
-        prune_micros: rng.next() % 100_000_000,
-        region_lp_micros: rng.next() % 100_000_000,
-        shadow_proposals: rng.next() % 10_000_000,
-        shadow_certified: rng.next() % 10_000_000,
-        shadow_fallbacks: rng.next() % 1_000_000,
-        certify_micros: rng.next() % 100_000_000,
-        sequential_strategy: rng.bool(),
+    let mut s = PipelineStats::default();
+    for c in PipelineStats::COUNTERS {
+        s.set(c.name, rng.next() % 100_000_000);
     }
+    s
 }
 
 fn arb_span_summary(rng: &mut Rng) -> offload_obs::SpanSummary {
@@ -425,6 +402,67 @@ fn previous_protocol_version_is_rejected() {
     match decode_frame(&payload) {
         Err(NetError::VersionMismatch { theirs, .. }) => {
             assert_eq!(theirs, offload_net::PROTOCOL_VERSION - 1);
+        }
+        other => panic!("expected VersionMismatch, got {other:?}"),
+    }
+}
+
+/// Writes a length-prefixed UTF-8 string the way the codec does.
+fn put_name(buf: &mut Vec<u8>, name: &str) {
+    put_uv(buf, name.len() as u64);
+    buf.extend_from_slice(name.as_bytes());
+}
+
+fn hello_ack(server_stats: PipelineStats) -> WireFrame {
+    WireFrame {
+        request_id: 5,
+        msg: WireMsg::HelloAck {
+            server_stats,
+            server_spans: offload_obs::SpanSummary::default(),
+            server_time_us: 9,
+        },
+    }
+}
+
+#[test]
+fn unknown_pipeline_counter_is_skipped() {
+    // A peer that declares a counter this build does not know sends it as
+    // one more (name, value) pair; the decoder skips it and keeps the rest.
+    let stats = arb_pipeline(&mut Rng::new(0x5EED));
+    let frame = hello_ack(stats);
+    let encoded = encode_frame(&frame);
+    // Version, tag and the one-byte request id, then the counter block.
+    let mut payload = strip_len_prefix(&encoded)[..3].to_vec();
+    put_uv(&mut payload, PipelineStats::COUNTERS.len() as u64 + 1);
+    put_name(&mut payload, "from_a_newer_peer");
+    put_uv(&mut payload, 77);
+    for (name, value) in stats.entries() {
+        put_name(&mut payload, name);
+        put_uv(&mut payload, value);
+    }
+    put_uv(&mut payload, 0); // empty span summary
+    put_uv(&mut payload, 9); // server_time_us
+    assert_eq!(decode_frame(&payload).unwrap(), frame);
+}
+
+#[test]
+fn v9_hello_ack_gets_version_mismatch() {
+    // v9 sent the counters as 25 fixed-position varints plus a strategy
+    // flag byte; read as v10 pairs they would misparse, so the version
+    // byte must turn the frame away before any body parsing.
+    let encoded = encode_frame(&hello_ack(PipelineStats::default()));
+    let header = &strip_len_prefix(&encoded)[..3];
+    let mut payload = vec![9];
+    payload.extend_from_slice(&header[1..]);
+    for v in 0..25u64 {
+        put_uv(&mut payload, v);
+    }
+    payload.push(0); // the v9 strategy flag
+    put_uv(&mut payload, 0); // empty span summary
+    put_uv(&mut payload, 9); // server_time_us
+    match decode_frame(&payload) {
+        Err(NetError::VersionMismatch { ours, theirs }) => {
+            assert_eq!((ours, theirs), (10, 9));
         }
         other => panic!("expected VersionMismatch, got {other:?}"),
     }

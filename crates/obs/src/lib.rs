@@ -18,9 +18,10 @@
 //!   loops stay within their < 3 % overhead budget.
 //! * **Metrics** ([`counter`], [`gauge`], [`histogram`]) — a process-wide
 //!   registry of named counters, gauges, and log-scale latency histograms
-//!   with p50/p90/p99 summaries. The registry subsumes the pipeline's
-//!   flat [`PipelineStats`] record, which lives here and is re-exported
-//!   by `offload-core` so every existing field keeps working.
+//!   with p50/p90/p99 summaries. The per-solve [`PipelineStats`] record
+//!   lives here too: each thread counts into its own ([`tally`]), a
+//!   solve measures its work with [`tallied`], and the record publishes
+//!   itself into the registry.
 //! * **Exporters** ([`export`]) — Chrome trace-event JSON (open it in
 //!   `chrome://tracing` or <https://ui.perfetto.dev>, one track per
 //!   worker thread), a JSON-lines event stream, and a human-readable
@@ -50,7 +51,7 @@ pub use metrics::{
     counter, gauge, histogram, metrics_snapshot, reset_metrics, Counter, Gauge, Histogram,
     HistogramSummary, MetricValue, MetricsSnapshot,
 };
-pub use pipeline::PipelineStats;
+pub use pipeline::{take_tally, tallied, tally, CounterKind, CounterSpec, PipelineStats};
 pub use recorder::{
     begin_span, enabled, instant_event, log_event, now_us, reset, set_enabled, snapshot,
     span_summary, Event, EventKind, FieldValue, Level, SpanGuard, SpanStat, SpanSummary,

@@ -1,171 +1,210 @@
-//! The unified pipeline work-counter record.
+//! The per-solve work record.
 //!
-//! [`PipelineStats`] used to live in `offload-core`; it moved here so the
-//! observability layer owns the one flat record every layer reports into,
-//! and `offload-core` re-exports it unchanged (every existing field and
-//! accessor keeps working). The producing layers fold their own counter
-//! blocks in through the plain-integer `absorb_*` methods, keeping this
-//! crate dependency-free.
+//! [`PipelineStats`] is the one record a parametric solve counts into:
+//! Dinic effort in `offload-flow`, LP / projection effort in
+//! `offload-poly`, and engine-level counters (rounds, cache behaviour,
+//! timings) in `offload-core`. `offload-core` re-exports it unchanged.
+//!
+//! Each counter is declared once, in the `counters!` list below, with
+//! its kind: a deterministic work counter, a scheduling-dependent count,
+//! the configured thread count, or a wall-clock timing. The struct, the
+//! [`PipelineStats::COUNTERS`] table, name/value access and field-wise
+//! addition are generated from that list; [`PipelineStats::work_counters`],
+//! [`PipelineStats::publish_metrics`], the net protocol's codec and the
+//! bench JSON iterate the table. A new counter therefore touches this
+//! file only.
+//!
+//! Counting is per thread, with no shared state: a layer adds into the
+//! calling thread's record with [`tally`], a solve measures its own
+//! work with [`tallied`], and a scoped fan-out hands each worker's record
+//! ([`take_tally`]) back to the joining thread. Two solves running at
+//! once in one process therefore never see each other's counts.
 
+use std::cell::RefCell;
 use std::fmt;
+use std::ops::AddAssign;
 
-/// Unified work counters across every layer of the parametric solve
-/// pipeline: Dinic effort in `offload-flow`, LP / projection effort in
-/// `offload-poly`, and engine-level counters (rounds, cache behaviour,
-/// timings) in `offload-core`.
-///
-/// All fields are plain integers so the struct travels unchanged through
-/// bench reports and the net protocol's varint wire format. The poly
-/// counters are process-wide deltas taken around the solve — exact totals
-/// for a single solve, approximate attribution when several solves run in
-/// one process concurrently. Counter values may legitimately differ
-/// between runs with different thread counts or cache settings; the
-/// *partitioning output* never does.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PipelineStats {
+/// What a [`PipelineStats`] counter measures, which decides whether it
+/// belongs to [`PipelineStats::work_counters`] and how
+/// [`PipelineStats::publish_metrics`] exports it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CounterKind {
+    /// A pure work counter: identical for every thread count (the
+    /// engine's determinism contract). Published as a counter.
+    Work,
+    /// A count that legitimately varies with thread scheduling, such as
+    /// hits in a per-thread cache. Published as a counter.
+    Scheduling,
+    /// The configured worker count. Published as a gauge.
+    Config,
+    /// Wall-clock microseconds. Published as a histogram.
+    Micros,
+}
+
+impl CounterKind {
+    /// `true` for counters the determinism contract covers.
+    pub fn deterministic(self) -> bool {
+        self == CounterKind::Work
+    }
+}
+
+/// One declared counter of [`PipelineStats`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CounterSpec {
+    /// The field name, also the counter's wire and JSON key.
+    pub name: &'static str,
+    /// The metric it publishes into (`pipeline.<name>`).
+    pub metric: &'static str,
+    /// What it measures.
+    pub kind: CounterKind,
+}
+
+macro_rules! counters {
+    ($($(#[doc = $doc:literal])* $field:ident: $ty:ty = $kind:ident,)*) => {
+        /// Work counters across every layer of one parametric solve.
+        ///
+        /// Every field is a plain integer. Counter values may
+        /// legitimately differ between runs with different thread counts
+        /// or cache settings (see [`CounterKind`]); the partitioning
+        /// output never does.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct PipelineStats {
+            $($(#[doc = $doc])* pub $field: $ty,)*
+        }
+
+        /// Number of declared counters.
+        const COUNT: usize = [$(stringify!($field)),*].len();
+
+        impl PipelineStats {
+            /// Every counter, in declaration order (which is also the
+            /// order of [`Self::entries`], the wire and the bench JSON).
+            pub const COUNTERS: &'static [CounterSpec] = &[$(CounterSpec {
+                name: stringify!($field),
+                metric: concat!("pipeline.", stringify!($field)),
+                kind: CounterKind::$kind,
+            },)*];
+
+            const ZERO: PipelineStats = PipelineStats { $($field: 0,)* };
+
+            /// Every counter's value, parallel to [`Self::COUNTERS`].
+            fn values(&self) -> [u64; COUNT] {
+                [$(u64::from(self.$field)),*]
+            }
+
+            /// Sets the counter called `name`, saturating a value its
+            /// field cannot hold. Returns `false` (and changes nothing)
+            /// for a name that is not declared.
+            pub fn set(&mut self, name: &str, value: u64) -> bool {
+                match name {
+                    $(stringify!($field) => {
+                        self.$field = <$ty>::try_from(value).unwrap_or(<$ty>::MAX)
+                    })*
+                    _ => return false,
+                }
+                true
+            }
+        }
+
+        impl AddAssign for PipelineStats {
+            fn add_assign(&mut self, other: PipelineStats) {
+                $(self.$field += other.$field;)*
+            }
+        }
+    };
+}
+
+counters! {
     /// Max-flow solves performed (concrete min-cuts at sample points).
-    pub flow_solves: u64,
+    flow_solves: u64 = Work,
     /// Dinic BFS level phases.
-    pub flow_phases: u64,
+    flow_phases: u64 = Work,
     /// Dinic augmenting paths pushed.
-    pub flow_augmenting_paths: u64,
-    /// Simplex LP solves.
-    pub lp_solves: u64,
-    /// Simplex pivots.
-    pub lp_pivots: u64,
-    /// Variables eliminated by polyhedral projection.
-    pub fm_vars_eliminated: u64,
-    /// Constraints generated by Fourier–Motzkin combination.
-    pub fm_constraints: u64,
+    flow_augmenting_paths: u64 = Work,
+    /// Simplex LP solves (`lp_maximize` entries, including the internal
+    /// ones behind emptiness tests and redundancy reduction).
+    lp_solves: u64 = Work,
+    /// Simplex pivots. A cached LP solve adds its stored pivot count, so
+    /// this stays scheduling-independent.
+    lp_pivots: u64 = Work,
+    /// Variables eliminated by polyhedral projection (equality
+    /// substitution or Fourier–Motzkin).
+    fm_vars_eliminated: u64 = Work,
+    /// Constraints generated by Fourier–Motzkin combination (before
+    /// pruning).
+    fm_constraints: u64 = Work,
     /// LP solves answered from the poly layer's thread-local result cache
-    /// without re-running the simplex. Cached solves still contribute
-    /// their stored pivot counts to `lp_solves`/`lp_pivots`, so those stay
-    /// scheduling-independent; the hit count itself depends on thread
-    /// scheduling and is excluded from [`Self::work_counters`].
-    pub lp_cache_hits: u64,
+    /// without re-running the simplex.
+    lp_cache_hits: u64 = Scheduling,
     /// `BigInt` results that outgrew the inline `i64` representation and
-    /// allocated heap limbs. Scheduling-dependent for the same reason as
-    /// `lp_cache_hits` (cached LP solves skip the arithmetic entirely).
-    pub small_int_promotions: u64,
+    /// allocated heap limbs (cached LP solves skip the arithmetic).
+    small_int_promotions: u64 = Scheduling,
     /// Cuts accepted by the region-exploration engine.
-    pub regions_explored: u64,
+    regions_explored: u64 = Work,
     /// Worklist rounds of the parallel engine.
-    pub rounds: u64,
+    rounds: u64 = Work,
     /// Cut-signature cache hits.
-    pub cache_hits: u64,
+    cache_hits: u64 = Work,
     /// Cut-signature cache misses (projections actually performed).
-    pub cache_misses: u64,
-    /// Worker threads the engine was configured with (the resolved
-    /// count, uniform across strategies — see `sequential_strategy` for
-    /// whether the strategy could actually use them).
-    pub threads_used: u32,
-    /// Implication checks discharged by the poly layer's syntactic
-    /// pre-filter ladder (canonical-form dedup + dominance sweep +
-    /// interval propagation) without any LP work. Deterministic across
-    /// thread counts.
-    pub prefilter_hits: u64,
+    cache_misses: u64 = Work,
+    /// Worker threads the engine was configured with.
+    threads_used: u32 = Config,
+    /// Exact syntactic duplicates dropped by the canonical-form dedup
+    /// pre-filter.
+    prefilter_dedup: u64 = Work,
+    /// Parallel half-spaces dropped by the syntactic dominance sweep
+    /// (same canonical direction, provably weaker bound).
+    prefilter_dominance: u64 = Work,
+    /// Implication checks discharged by interval/bound propagation
+    /// without touching the LP.
+    prefilter_interval: u64 = Work,
+    /// Implication checks answered "not implied" by a cached vertex of
+    /// the kept set, without an LP.
+    prefilter_witness: u64 = Work,
     /// Implication checks answered by the warm-started incremental LP
-    /// (primal phase-2 re-solved from the previous feasible basis instead
-    /// of a from-scratch two-phase solve). Deterministic across thread
-    /// counts.
-    pub lp_warm_starts: u64,
+    /// (primal phase-2 from the previous feasible basis).
+    lp_warm_starts: u64 = Work,
     /// Dual-simplex pivots spent restoring feasibility after pushing a
-    /// kept constraint into the incremental LP. Deterministic across
-    /// thread counts.
-    pub dual_pivots: u64,
+    /// kept constraint into the incremental LP.
+    dual_pivots: u64 = Work,
     /// Wall-clock microseconds inside redundancy elimination (pre-filters
     /// + warm-started implication checks), summed across worker threads.
-    pub prune_micros: u64,
+    prune_micros: u64 = Micros,
     /// Wall-clock microseconds inside polyhedron emptiness LPs (the
     /// region-subtraction hot path), summed across worker threads.
-    pub region_lp_micros: u64,
-    /// `true` when the selected region strategy runs sequentially by
-    /// design, so `threads_used` reflects the configuration rather than
-    /// actual parallel execution. No built-in strategy sets this any
-    /// more (dominance probing now fans out too); external engines may.
-    pub sequential_strategy: bool,
-    /// Entering-column proposals made by the f64 shadow simplex (one per
-    /// shadow-guided pivot search). Deterministic across thread counts:
-    /// the shadow is a pure function of the exact tableau, and cached LP
-    /// solves replay their stored shadow counts.
-    pub shadow_proposals: u64,
-    /// Shadow proposals the exact engine certified (the proposed column
-    /// really had a positive exact reduced cost, or the shadow's
-    /// optimality claim was confirmed). Deterministic across thread
-    /// counts.
-    pub shadow_certified: u64,
+    region_lp_micros: u64 = Micros,
+    /// Entering-column (or optimality) proposals made by the f64 shadow
+    /// simplex. A cached LP solve replays its stored shadow counts.
+    shadow_proposals: u64 = Work,
+    /// Shadow proposals the exact engine certified.
+    shadow_certified: u64 = Work,
     /// Shadow proposals that failed exact certification, forcing a
-    /// Bland's-rule fallback and a shadow resync. Deterministic across
-    /// thread counts.
-    pub shadow_fallbacks: u64,
+    /// Bland's-rule fallback and a shadow resync.
+    /// `shadow_proposals = shadow_certified + shadow_fallbacks`.
+    shadow_fallbacks: u64 = Work,
     /// Wall-clock microseconds inside shadow-enabled simplex runs,
-    /// summed across worker threads. A timing, not a work counter:
-    /// masked from determinism comparisons.
-    pub certify_micros: u64,
+    /// summed across worker threads.
+    certify_micros: u64 = Micros,
     /// Wall-clock microseconds of the §5.4 simplification.
-    pub simplify_micros: u64,
+    simplify_micros: u64 = Micros,
     /// Wall-clock microseconds of the region exploration (everything
     /// after simplification).
-    pub solve_micros: u64,
+    solve_micros: u64 = Micros,
 }
 
 impl PipelineStats {
-    /// Folds flow-layer counters into this record.
-    pub fn absorb_flow_counts(&mut self, solves: u64, phases: u64, augmenting_paths: u64) {
-        self.flow_solves += solves;
-        self.flow_phases += phases;
-        self.flow_augmenting_paths += augmenting_paths;
+    /// `(name, value)` for every counter, in declaration order: what the
+    /// wire codec and the bench JSON write.
+    pub fn entries(&self) -> impl Iterator<Item = (&'static str, u64)> {
+        Self::COUNTERS.iter().map(|c| c.name).zip(self.values())
     }
 
-    /// Folds poly-layer counters into this record.
-    #[allow(clippy::too_many_arguments)]
-    pub fn absorb_poly_counts(
-        &mut self,
-        lp_solves: u64,
-        lp_pivots: u64,
-        fm_vars_eliminated: u64,
-        fm_constraints: u64,
-        lp_cache_hits: u64,
-        small_int_promotions: u64,
-    ) {
-        self.lp_solves += lp_solves;
-        self.lp_pivots += lp_pivots;
-        self.fm_vars_eliminated += fm_vars_eliminated;
-        self.fm_constraints += fm_constraints;
-        self.lp_cache_hits += lp_cache_hits;
-        self.small_int_promotions += small_int_promotions;
-    }
-
-    /// Folds the poly layer's incremental-projection counters (added with
-    /// the warm-started redundancy pipeline) into this record.
-    pub fn absorb_poly_extras(
-        &mut self,
-        prefilter_hits: u64,
-        lp_warm_starts: u64,
-        dual_pivots: u64,
-        prune_micros: u64,
-        region_lp_micros: u64,
-    ) {
-        self.prefilter_hits += prefilter_hits;
-        self.lp_warm_starts += lp_warm_starts;
-        self.dual_pivots += dual_pivots;
-        self.prune_micros += prune_micros;
-        self.region_lp_micros += region_lp_micros;
-    }
-
-    /// Folds the poly layer's float-shadow certification counters into
-    /// this record.
-    pub fn absorb_shadow_counts(
-        &mut self,
-        proposals: u64,
-        certified: u64,
-        fallbacks: u64,
-        certify_micros: u64,
-    ) {
-        self.shadow_proposals += proposals;
-        self.shadow_certified += certified;
-        self.shadow_fallbacks += fallbacks;
-        self.certify_micros += certify_micros;
+    /// Implication checks the pre-filter ladder discharged without an LP
+    /// solve (dedup + dominance + interval + witness points).
+    pub fn prefilter_hits(&self) -> u64 {
+        self.prefilter_dedup
+            + self.prefilter_dominance
+            + self.prefilter_interval
+            + self.prefilter_witness
     }
 
     /// Cache hit rate in `[0, 1]` (zero when the cache was never
@@ -179,56 +218,56 @@ impl PipelineStats {
         }
     }
 
-    /// This record with every non-deterministic field zeroed: wall-clock
-    /// times, the configured thread count, and the cache/representation
-    /// counters that legitimately vary with thread scheduling
-    /// (`lp_cache_hits`, `small_int_promotions`). What remains are pure
-    /// work counters, which the engine's determinism contract requires to
-    /// be identical for every thread count.
+    /// This record with every counter that is not
+    /// [`CounterKind::Work`] zeroed. What remains are pure work
+    /// counters, which the engine's determinism contract requires to be
+    /// identical for every thread count.
     pub fn work_counters(&self) -> PipelineStats {
-        PipelineStats {
-            threads_used: 0,
-            simplify_micros: 0,
-            solve_micros: 0,
-            prune_micros: 0,
-            region_lp_micros: 0,
-            certify_micros: 0,
-            lp_cache_hits: 0,
-            small_int_promotions: 0,
-            ..*self
+        let mut out = *self;
+        for c in Self::COUNTERS.iter().filter(|c| !c.kind.deterministic()) {
+            out.set(c.name, 0);
         }
+        out
     }
 
-    /// Publishes every field into the process-wide metrics registry
-    /// under `pipeline.*` counters/gauges, so metric consumers see the
-    /// same numbers as [`PipelineStats`] readers.
+    /// Publishes every counter into the process-wide metrics registry
+    /// as `pipeline.<name>`, so metric consumers see the same numbers as
+    /// [`PipelineStats`] readers.
     pub fn publish_metrics(&self) {
-        crate::counter("pipeline.flow_solves").add(self.flow_solves);
-        crate::counter("pipeline.flow_phases").add(self.flow_phases);
-        crate::counter("pipeline.flow_augmenting_paths").add(self.flow_augmenting_paths);
-        crate::counter("pipeline.lp_solves").add(self.lp_solves);
-        crate::counter("pipeline.lp_pivots").add(self.lp_pivots);
-        crate::counter("pipeline.fm_vars_eliminated").add(self.fm_vars_eliminated);
-        crate::counter("pipeline.fm_constraints").add(self.fm_constraints);
-        crate::counter("pipeline.lp_cache_hits").add(self.lp_cache_hits);
-        crate::counter("pipeline.small_int_promotions").add(self.small_int_promotions);
-        crate::counter("pipeline.prefilter_hits").add(self.prefilter_hits);
-        crate::counter("pipeline.lp_warm_starts").add(self.lp_warm_starts);
-        crate::counter("pipeline.dual_pivots").add(self.dual_pivots);
-        crate::counter("pipeline.shadow_proposals").add(self.shadow_proposals);
-        crate::counter("pipeline.shadow_certified").add(self.shadow_certified);
-        crate::counter("pipeline.shadow_fallbacks").add(self.shadow_fallbacks);
-        crate::counter("pipeline.regions_explored").add(self.regions_explored);
-        crate::counter("pipeline.rounds").add(self.rounds);
-        crate::counter("pipeline.cache_hits").add(self.cache_hits);
-        crate::counter("pipeline.cache_misses").add(self.cache_misses);
-        crate::gauge("pipeline.threads_used").set(self.threads_used as i64);
-        crate::histogram("pipeline.simplify_us").record(self.simplify_micros);
-        crate::histogram("pipeline.solve_us").record(self.solve_micros);
-        crate::histogram("pipeline.prune_us").record(self.prune_micros);
-        crate::histogram("pipeline.region_lp_us").record(self.region_lp_micros);
-        crate::histogram("pipeline.certify_us").record(self.certify_micros);
+        for (c, value) in Self::COUNTERS.iter().zip(self.values()) {
+            match c.kind {
+                CounterKind::Work | CounterKind::Scheduling => crate::counter(c.metric).add(value),
+                CounterKind::Config => crate::gauge(c.metric).set(value as i64),
+                CounterKind::Micros => crate::histogram(c.metric).record(value),
+            }
+        }
     }
+}
+
+thread_local! {
+    static CURRENT: RefCell<PipelineStats> = const { RefCell::new(PipelineStats::ZERO) };
+}
+
+/// Adds work into the calling thread's record.
+pub fn tally(f: impl FnOnce(&mut PipelineStats)) {
+    CURRENT.with(|r| f(&mut r.borrow_mut()));
+}
+
+/// Runs `f` and returns its output with everything counted on this
+/// thread while it ran, including what scoped workers handed back. The
+/// counts are also added to the enclosing record, so measurements nest.
+pub fn tallied<R>(f: impl FnOnce() -> R) -> (R, PipelineStats) {
+    let outer = take_tally();
+    let out = f();
+    let inner = CURRENT.with(|r| r.replace(outer));
+    tally(|t| *t += inner);
+    (out, inner)
+}
+
+/// Takes the calling thread's record, leaving it zeroed. A scoped
+/// worker returns this to the thread that joins it.
+pub fn take_tally() -> PipelineStats {
+    CURRENT.with(RefCell::take)
 }
 
 impl fmt::Display for PipelineStats {
@@ -251,7 +290,9 @@ impl fmt::Display for PipelineStats {
         writeln!(
             f,
             "prune: {} prefilter hits, {} warm starts, {} dual pivots",
-            self.prefilter_hits, self.lp_warm_starts, self.dual_pivots
+            self.prefilter_hits(),
+            self.lp_warm_starts,
+            self.dual_pivots
         )?;
         writeln!(
             f,
@@ -263,15 +304,10 @@ impl fmt::Display for PipelineStats {
         )?;
         writeln!(
             f,
-            "core: {} regions in {} rounds on {} thread(s){}, cache {}/{} ({:.0}% hit)",
+            "core: {} regions in {} rounds on {} thread(s), cache {}/{} ({:.0}% hit)",
             self.regions_explored,
             self.rounds,
             self.threads_used,
-            if self.sequential_strategy {
-                " (sequential strategy)"
-            } else {
-                ""
-            },
             self.cache_hits,
             self.cache_hits + self.cache_misses,
             self.cache_hit_rate() * 100.0
@@ -281,5 +317,55 @@ impl fmt::Display for PipelineStats {
             "time: simplify {} us, solve {} us (prune {} us, region LPs {} us)",
             self.simplify_micros, self.solve_micros, self.prune_micros, self.region_lp_micros
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn names_round_trip_and_unknown_names_are_rejected() {
+        let mut s = PipelineStats::default();
+        for (i, c) in PipelineStats::COUNTERS.iter().enumerate() {
+            assert!(s.set(c.name, i as u64 + 1));
+        }
+        let again: Vec<u64> = s.entries().map(|(_, v)| v).collect();
+        assert_eq!(again, (1..=COUNT as u64).collect::<Vec<_>>());
+        assert!(!s.set("no_such_counter", 5));
+        s.set("threads_used", u64::MAX);
+        assert_eq!(s.threads_used, u32::MAX, "out-of-range values saturate");
+    }
+
+    #[test]
+    fn work_counters_keep_exactly_the_work_kind() {
+        let mut s = PipelineStats::default();
+        for c in PipelineStats::COUNTERS {
+            s.set(c.name, 7);
+        }
+        let w = s.work_counters();
+        for (c, v) in PipelineStats::COUNTERS.iter().zip(w.values()) {
+            assert_eq!(v, if c.kind.deterministic() { 7 } else { 0 }, "{}", c.name);
+        }
+    }
+
+    #[test]
+    fn tallied_isolates_threads_and_nests() {
+        let (_, outer) = tallied(|| {
+            tally(|t| t.lp_solves += 1);
+            let (_, inner) = tallied(|| tally(|t| t.lp_pivots += 3));
+            assert_eq!(inner.lp_pivots, 3);
+            assert_eq!(inner.lp_solves, 0);
+            let handed = std::thread::scope(|s| {
+                s.spawn(|| {
+                    tally(|t| t.lp_solves += 10);
+                    take_tally()
+                })
+                .join()
+                .unwrap()
+            });
+            tally(|t| *t += handed);
+        });
+        assert_eq!((outer.lp_solves, outer.lp_pivots), (11, 3));
     }
 }

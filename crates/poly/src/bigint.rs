@@ -15,13 +15,12 @@
 //! equality and derived `Eq`/`Hash` are correct. Every arithmetic result
 //! is re-canonicalized, demoting back to the inline arm whenever it fits;
 //! promotions (small operands whose result needs limbs) are counted in
-//! [`crate::PolyStats::small_int_promotions`].
+//! `offload_obs::PipelineStats::small_int_promotions`.
 
 use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Rem, Sub, SubAssign};
 use std::str::FromStr;
-use std::sync::atomic::Ordering::Relaxed;
 
 /// Sign of a heap-allocated [`BigInt`] (the heap arm is never zero).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -141,7 +140,7 @@ impl BigInt {
         if let Ok(s) = i64::try_from(v) {
             return BigInt(Repr::Small(s));
         }
-        crate::counters::SMALL_INT_PROMOTIONS.fetch_add(1, Relaxed);
+        offload_obs::tally(|t| t.small_int_promotions += 1);
         Self::big_from_u128(v < 0, v.unsigned_abs())
     }
 
@@ -984,10 +983,8 @@ mod tests {
 
     #[test]
     fn promotions_are_counted() {
-        let before = crate::PolyStats::snapshot().small_int_promotions;
-        let _ = &BigInt::from(i64::MAX) * &BigInt::from(2i64);
-        let after = crate::PolyStats::snapshot().small_int_promotions;
-        assert!(after > before);
+        let (_, counted) = offload_obs::tallied(|| &BigInt::from(i64::MAX) * &BigInt::from(2i64));
+        assert!(counted.small_int_promotions > 0);
     }
 
     #[test]

@@ -43,7 +43,7 @@
 #![forbid(unsafe_code)]
 
 mod bigint;
-mod counters;
+mod fanout;
 mod linear;
 mod lp;
 mod polyhedron;
@@ -53,7 +53,7 @@ mod region;
 pub mod shadow;
 
 pub use bigint::{BigInt, ParseBigIntError};
-pub use counters::PolyStats;
+pub use fanout::{fan_out, hardware_threads};
 pub use linear::{Cmp, Constraint, LinExpr};
 pub use lp::{
     cache_clear as lp_cache_clear, closure_feasible, maximize as lp_maximize,

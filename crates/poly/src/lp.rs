@@ -43,7 +43,6 @@ use std::cell::RefCell;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::Ordering::Relaxed;
 use std::time::Instant;
 
 /// Outcome of an LP solve.
@@ -109,7 +108,7 @@ fn key_hash(objective: &LinExpr, constraints: &[Constraint]) -> u64 {
 /// Variables are free (unbounded in both directions); internally each is
 /// split into a difference of two non-negatives.
 pub fn maximize(objective: &LinExpr, constraints: &[Constraint]) -> LpResult {
-    crate::counters::LP_SOLVES.fetch_add(1, Relaxed);
+    offload_obs::tally(|t| t.lp_solves += 1);
     let _span = offload_obs::span!(
         "poly",
         "lp_maximize",
@@ -130,8 +129,10 @@ pub fn maximize(objective: &LinExpr, constraints: &[Constraint]) -> LpResult {
                     // same pivots and shadow proposals, so account for
                     // them: lp_solves/lp_pivots and the shadow counters
                     // stay independent of cache (and thread) scheduling.
-                    crate::counters::LP_PIVOTS.fetch_add(e.pivots, Relaxed);
-                    crate::counters::LP_CACHE_HITS.fetch_add(1, Relaxed);
+                    offload_obs::tally(|t| {
+                        t.lp_pivots += e.pivots;
+                        t.lp_cache_hits += 1;
+                    });
                     e.shadow.flush();
                     return e.result.clone();
                 }
@@ -146,7 +147,7 @@ pub fn maximize(objective: &LinExpr, constraints: &[Constraint]) -> LpResult {
             &mut pivots,
             &mut sc,
         );
-        crate::counters::LP_PIVOTS.fetch_add(pivots, Relaxed);
+        offload_obs::tally(|t| t.lp_pivots += pivots);
         sc.flush();
 
         let cells = (objective.nvars() + 1) * (constraints.len() + 1);
@@ -438,7 +439,7 @@ fn run_simplex(
         z += &(&rj * &scr.b[i]);
     };
     if let Some(t0) = t0 {
-        crate::counters::CERTIFY_MICROS.fetch_add(t0.elapsed().as_micros() as u64, Relaxed);
+        offload_obs::tally(|t| t.certify_micros += t0.elapsed().as_micros() as u64);
     }
     res
 }
@@ -629,14 +630,9 @@ mod tests {
             ge(2, &[(0, -3), (1, -2)], 7),
         ];
         let obj = LinExpr::zero(2).plus_term(0, r(1)).plus_term(1, r(1));
-        let before = crate::PolyStats::snapshot();
-        let first = maximize(&obj, &cs);
-        let mid = crate::PolyStats::snapshot();
-        let second = maximize(&obj, &cs);
-        let after = crate::PolyStats::snapshot();
+        let (first, fresh) = offload_obs::tallied(|| maximize(&obj, &cs));
+        let (second, hit) = offload_obs::tallied(|| maximize(&obj, &cs));
         assert_eq!(first, second);
-        let fresh = mid.since(&before);
-        let hit = after.since(&mid);
         assert_eq!(hit.lp_cache_hits, fresh.lp_cache_hits + 1);
         // Stored-pivot accounting: a hit reports the same solve/pivot and
         // shadow work as the original solve did.
@@ -659,15 +655,22 @@ mod tests {
     }
 
     #[test]
+    fn lp_work_is_counted() {
+        cache_clear();
+        let cs = vec![ge(1, &[(0, 1)], 0), ge(1, &[(0, -1)], 5)];
+        let (_, delta) = offload_obs::tallied(|| maximize(&LinExpr::var(1, 0), &cs));
+        assert!(delta.lp_solves >= 1);
+        assert!(delta.lp_pivots >= 1);
+    }
+
+    #[test]
     fn cache_clear_resets_hits() {
         cache_clear();
         let cs = vec![ge(1, &[(0, 1)], 0), ge(1, &[(0, -1)], 5)];
         let obj = LinExpr::var(1, 0);
         let _ = maximize(&obj, &cs);
         cache_clear();
-        let before = crate::PolyStats::snapshot();
-        let _ = maximize(&obj, &cs);
-        let delta = crate::PolyStats::snapshot().since(&before);
+        let (_, delta) = offload_obs::tallied(|| maximize(&obj, &cs));
         assert_eq!(delta.lp_cache_hits, 0);
     }
 }

@@ -194,13 +194,12 @@ impl Polyhedron {
                 }
                 Some((c0, m0)) => {
                     if count {
-                        use std::sync::atomic::Ordering::Relaxed;
                         if constant == *c0 && cmp == *m0 {
                             // Syntactically identical rows collapse to one.
-                            crate::counters::PREFILTER_DEDUP.fetch_add(1, Relaxed);
+                            offload_obs::tally(|t| t.prefilter_dedup += 1);
                         } else {
                             // Parallel half-spaces: one bound dominates.
-                            crate::counters::PREFILTER_DOMINANCE.fetch_add(1, Relaxed);
+                            offload_obs::tally(|t| t.prefilter_dominance += 1);
                         }
                     }
                     // expr >= -constant: larger -constant (smaller constant) is tighter.
@@ -346,8 +345,6 @@ impl Polyhedron {
             None => return Ok(Polyhedron::empty(self.nvars)),
         };
 
-        use std::sync::atomic::Ordering::Relaxed;
-
         // Compact the variable space before any per-iteration work.
         // `LinExpr` coefficient vectors are dense over the *full* space,
         // but most variables never appear in this system — their columns
@@ -441,7 +438,7 @@ impl Polyhedron {
             };
             remaining.swap_remove(idx);
             eliminated += 1;
-            crate::counters::FM_VARS_ELIMINATED.fetch_add(1, Relaxed);
+            offload_obs::tally(|t| t.fm_vars_eliminated += 1);
 
             let mut lowers = Vec::new();
             let mut uppers = Vec::new();
@@ -466,7 +463,7 @@ impl Polyhedron {
                     }
                     used += 1;
                     if used > *budget {
-                        crate::counters::FM_CONSTRAINTS.fetch_add(generated, Relaxed);
+                        offload_obs::tally(|t| t.fm_constraints += generated);
                         return Err(ProjectionBudgetExceeded { generated: used });
                     }
                     let b = up.expr.coeff(v).abs();
@@ -486,7 +483,7 @@ impl Polyhedron {
                     generated += 1;
                 }
             }
-            crate::counters::FM_CONSTRAINTS.fetch_add(generated, Relaxed);
+            offload_obs::tally(|t| t.fm_constraints += generated);
 
             // Prune: drop trivially-true rows, detect contradictions,
             // and keep only the tightest constraint per direction. The
@@ -665,10 +662,7 @@ impl Polyhedron {
     pub fn is_empty(&self) -> bool {
         let t0 = std::time::Instant::now();
         let out = self.is_empty_inner();
-        crate::counters::REGION_LP_MICROS.fetch_add(
-            t0.elapsed().as_micros() as u64,
-            std::sync::atomic::Ordering::Relaxed,
-        );
+        offload_obs::tally(|t| t.region_lp_micros += t0.elapsed().as_micros() as u64);
         out
     }
 
@@ -895,7 +889,6 @@ fn sign_canon(c: &Constraint) -> Option<SignCanon> {
 /// `remaining`), or `Err(())` when a substitution exposes a trivially
 /// false row (the polyhedron is empty).
 fn substitute_equalities(cur: &mut Polyhedron, remaining: &mut Vec<usize>) -> Result<usize, ()> {
-    use std::sync::atomic::Ordering::Relaxed;
     let mut count = 0usize;
     let mut normalized: Vec<Constraint> = cur.constraints.iter().map(|c| c.normalize()).collect();
     let mut cache: Vec<Option<SignCanon>> = normalized.iter().map(sign_canon).collect();
@@ -974,7 +967,7 @@ fn substitute_equalities(cur: &mut Polyhedron, remaining: &mut Vec<usize>) -> Re
         }
         remaining.remove(pos);
         count += 1;
-        crate::counters::FM_VARS_ELIMINATED.fetch_add(1, Relaxed);
+        offload_obs::tally(|t| t.fm_vars_eliminated += 1);
     }
     Ok(count)
 }

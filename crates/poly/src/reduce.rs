@@ -37,11 +37,10 @@
 //!    the candidate is accepted. The survivor set — and every counter —
 //!    is therefore identical for every thread count, including 1.
 
+use crate::fanout::{fan_out, hardware_threads};
 use crate::linear::{Cmp, Constraint};
 use crate::rational::Rational;
 use crate::shadow::{self, ShadowCounts, ShadowRed, STALL_LIMIT};
-use std::sync::atomic::Ordering::Relaxed;
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// Upper bound on a block of candidate checks that run against one
@@ -52,19 +51,6 @@ const MAX_BLOCK: usize = 64;
 
 /// Minimum block length worth spawning scoped worker threads for.
 const PAR_THRESHOLD: usize = 4;
-
-/// Worker threads the machine can actually run at once: spawning more
-/// scoped workers than cores only adds context-switch and cold-cache
-/// overhead, so [`filter_implied`] caps its grant here. Which thread
-/// computes a verdict never changes it, so the cap is output-invisible.
-fn hardware_threads() -> usize {
-    static HW: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *HW.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    })
-}
 
 /// Minimum estimated block work — block length × live basis rows — worth
 /// spawning scoped worker threads for. Each verdict solves an LP over
@@ -324,10 +310,10 @@ impl IncLp {
             return true;
         }
         if self.witness_rejects(c) {
-            crate::counters::PREFILTER_WITNESS.fetch_add(1, Relaxed);
+            offload_obs::tally(|t| t.prefilter_witness += 1);
             return false;
         }
-        crate::counters::LP_WARM_STARTS.fetch_add(1, Relaxed);
+        offload_obs::tally(|t| t.lp_warm_starts += 1);
         match self.phase2(c, work).0 {
             Phase::Unbounded => false,
             Phase::Optimal(z) => {
@@ -354,11 +340,11 @@ impl IncLp {
             return true;
         }
         if self.witness_rejects(c) {
-            crate::counters::PREFILTER_WITNESS.fetch_add(1, Relaxed);
+            offload_obs::tally(|t| t.prefilter_witness += 1);
             self.push(c, work);
             return false;
         }
-        crate::counters::LP_WARM_STARTS.fetch_add(1, Relaxed);
+        offload_obs::tally(|t| t.lp_warm_starts += 1);
         let implied = match self.phase2_mut(c, work) {
             Phase::Unbounded => false,
             Phase::Optimal(z) => {
@@ -439,7 +425,7 @@ impl IncLp {
                 stall = 0;
             }
             let rj = work.red[j].clone();
-            crate::counters::LP_PIVOTS.fetch_add(1, Relaxed);
+            offload_obs::tally(|t| t.lp_pivots += 1);
             pivot(
                 &mut work.tab,
                 &mut work.b,
@@ -548,7 +534,7 @@ impl IncLp {
                 stall = 0;
             }
             let rj = red[j].clone();
-            crate::counters::LP_PIVOTS.fetch_add(1, Relaxed);
+            offload_obs::tally(|t| t.lp_pivots += 1);
             pivot(
                 &mut self.tab,
                 &mut self.b,
@@ -654,7 +640,7 @@ impl IncLp {
                 self.infeasible = true;
                 return;
             };
-            crate::counters::DUAL_PIVOTS.fetch_add(1, Relaxed);
+            offload_obs::tally(|t| t.dual_pivots += 1);
             pivot(
                 &mut self.tab,
                 &mut self.b,
@@ -795,7 +781,7 @@ fn check_one(lp: &IncLp, bounds: &IntervalBox, c: &Constraint, work: &mut Work) 
         return true;
     }
     if bounds.implies(c) {
-        crate::counters::PREFILTER_INTERVAL.fetch_add(1, Relaxed);
+        offload_obs::tally(|t| t.prefilter_interval += 1);
         return true;
     }
     lp.check(c, work)
@@ -830,7 +816,14 @@ pub(crate) fn filter_implied(ordered: &[Constraint], threads: usize) -> Vec<usiz
             && bs >= PAR_THRESHOLD
             && bs * (kept.len() + 1) >= PAR_MIN_WORK;
         let verdicts: Vec<bool> = if spawn {
-            parallel_verdicts(&lp, &bounds, ordered, block.clone(), threads)
+            // Each check is a pure function of the frozen `(lp, bounds)`
+            // state and its candidate, so which worker computes it never
+            // matters.
+            let workers = threads.min(bs).min(hardware_threads());
+            fan_out(bs, workers, Work::default, |work, k| {
+                check_one(&lp, &bounds, &ordered[block.start + k], work)
+            })
+            .0
         } else {
             block
                 .clone()
@@ -844,7 +837,7 @@ pub(crate) fn filter_implied(ordered: &[Constraint], threads: usize) -> Vec<usiz
             // Confirm against the live basis (the kept set may have grown
             // within this block) and, on survival, adopt + push.
             if bounds.implies(&ordered[i]) {
-                crate::counters::PREFILTER_INTERVAL.fetch_add(1, Relaxed);
+                offload_obs::tally(|t| t.prefilter_interval += 1);
                 continue;
             }
             if lp.check_and_push(&ordered[i], &mut work) {
@@ -854,51 +847,8 @@ pub(crate) fn filter_implied(ordered: &[Constraint], threads: usize) -> Vec<usiz
             kept.push(i);
         }
     }
-    crate::counters::PRUNE_MICROS.fetch_add(t0.elapsed().as_micros() as u64, Relaxed);
+    offload_obs::tally(|t| t.prune_micros += t0.elapsed().as_micros() as u64);
     kept
-}
-
-/// Computes the block's verdicts across scoped worker threads. Each
-/// check is a pure function of the frozen `(lp, bounds)` state and its
-/// candidate, so which thread computes which slot never matters.
-fn parallel_verdicts(
-    lp: &IncLp,
-    bounds: &IntervalBox,
-    ordered: &[Constraint],
-    block: std::ops::Range<usize>,
-    threads: usize,
-) -> Vec<bool> {
-    let base = block.start;
-    let len = block.len();
-    let slots: Vec<Mutex<bool>> = (0..len).map(|_| Mutex::new(false)).collect();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let workers = threads.min(len).min(hardware_threads());
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut work = Work::default();
-                    loop {
-                        let k = next.fetch_add(1, Relaxed);
-                        if k >= len {
-                            break;
-                        }
-                        let v = check_one(lp, bounds, &ordered[base + k], &mut work);
-                        *slots[k].lock().unwrap_or_else(|e| e.into_inner()) = v;
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            if let Err(payload) = h.join() {
-                std::panic::resume_unwind(payload);
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| m.into_inner().unwrap_or_else(|e| e.into_inner()))
-        .collect()
 }
 
 #[cfg(test)]
@@ -975,7 +925,6 @@ mod tests {
 
     #[test]
     fn interval_filter_skips_lp_for_box_implied_rows() {
-        let before = crate::PolyStats::snapshot();
         // Bounds 0 <= x <= 4, 0 <= y <= 4 (support 1, establish the box),
         // then box-implied two-variable rows: x + y >= -k.
         let mut cs = vec![
@@ -987,10 +936,9 @@ mod tests {
         for k in 1..10 {
             cs.push(ge(2, &[(0, 1), (1, 1)], k));
         }
-        let got = filter_implied(&cs, 1);
+        let (got, delta) = offload_obs::tallied(|| filter_implied(&cs, 1));
         assert_eq!(got, reference_filter(&cs));
         assert_eq!(got, vec![0, 1, 2, 3]);
-        let delta = crate::PolyStats::snapshot().since(&before);
         assert!(delta.prefilter_interval > 0, "interval filter must fire");
     }
 
@@ -1006,14 +954,9 @@ mod tests {
             cs.push(ge(3, &[(0, k % 5 + 1), (1, 1)], 10 * k));
             cs.push(ge(3, &[(1, -1), (2, -(k % 3) - 1)], 90 + k));
         }
-        let before = crate::PolyStats::snapshot();
-        let seq = filter_implied(&cs, 1);
-        let mid = crate::PolyStats::snapshot();
-        let par = filter_implied(&cs, 4);
-        let after = crate::PolyStats::snapshot();
+        let (seq, d_seq) = offload_obs::tallied(|| filter_implied(&cs, 1));
+        let (par, d_par) = offload_obs::tallied(|| filter_implied(&cs, 4));
         assert_eq!(seq, par);
-        let d_seq = mid.since(&before);
-        let d_par = after.since(&mid);
         assert_eq!(d_seq.lp_warm_starts, d_par.lp_warm_starts);
         assert_eq!(d_seq.dual_pivots, d_par.dual_pivots);
         assert_eq!(d_seq.lp_pivots, d_par.lp_pivots);

@@ -62,8 +62,8 @@ pub fn enabled() -> bool {
     SHADOW_ENABLED.load(Ordering::Relaxed)
 }
 
-/// Per-solve tally of shadow activity, flushed to the process-wide
-/// counters (and, in `lp.rs`, into the result cache so a cache hit
+/// Per-solve tally of shadow activity, flushed to the calling thread's
+/// counter record (and, in `lp.rs`, into the result cache so a cache hit
 /// replays the original solve's shadow work and the counters stay
 /// scheduling-independent).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -79,14 +79,16 @@ pub(crate) struct ShadowCounts {
 }
 
 impl ShadowCounts {
-    /// Adds the tally to the process-wide counters.
+    /// Adds the tally to the calling thread's counter record.
     pub fn flush(&self) {
         if self.proposals == 0 {
             return;
         }
-        crate::counters::SHADOW_PROPOSALS.fetch_add(self.proposals, Ordering::Relaxed);
-        crate::counters::SHADOW_CERTIFIED.fetch_add(self.certified, Ordering::Relaxed);
-        crate::counters::SHADOW_FALLBACKS.fetch_add(self.fallbacks, Ordering::Relaxed);
+        offload_obs::tally(|t| {
+            t.shadow_proposals += self.proposals;
+            t.shadow_certified += self.certified;
+            t.shadow_fallbacks += self.fallbacks;
+        });
     }
 }
 

@@ -19,8 +19,7 @@
 //! same deterministic case set.
 
 use offload_poly::{
-    lp_cache_clear, lp_maximize, lp_minimize, shadow, Constraint, LinExpr, LpResult, PolyStats,
-    Rational,
+    lp_cache_clear, lp_maximize, lp_minimize, shadow, Constraint, LinExpr, LpResult, Rational,
 };
 use std::sync::Mutex;
 
@@ -268,9 +267,7 @@ fn shadow_counters_are_run_to_run_identical_and_balanced() {
     let run = || {
         with_shadow(true, || {
             lp_cache_clear();
-            let before = PolyStats::snapshot();
-            let r = lp_maximize(&obj, &cs);
-            (r, PolyStats::snapshot().since(&before))
+            offload_obs::tallied(|| lp_maximize(&obj, &cs))
         })
     };
     let (r1, d1) = run();
@@ -294,12 +291,8 @@ fn cached_solves_replay_shadow_counters() {
     let (obj, cs) = arb_lp(&mut rng, 3, 4);
     with_shadow(true, || {
         lp_cache_clear();
-        let before = PolyStats::snapshot();
-        let fresh = lp_maximize(&obj, &cs);
-        let fresh_delta = PolyStats::snapshot().since(&before);
-        let before_hit = PolyStats::snapshot();
-        let hit = lp_maximize(&obj, &cs);
-        let hit_delta = PolyStats::snapshot().since(&before_hit);
+        let (fresh, fresh_delta) = offload_obs::tallied(|| lp_maximize(&obj, &cs));
+        let (hit, hit_delta) = offload_obs::tallied(|| lp_maximize(&obj, &cs));
         assert_eq!(fresh, hit);
         assert_eq!(hit_delta.lp_cache_hits, 1);
         // The hit replays the stored shadow counts, so totals stay
