@@ -237,6 +237,41 @@ fn incremental_prune_counters_fire_and_are_thread_count_independent() {
 }
 
 #[test]
+fn dominance_strategy_is_thread_count_independent_on_fft() {
+    // fft takes the dominance strategy, whose probe storm fans out across
+    // the solver threads. Its partition and every work counter must be
+    // the same at every thread count, and the f64 shadow must actually
+    // propose the pivots: a shadow that never engages would leave the
+    // same counts at every thread count and pass the comparison anyway.
+    let fft = offload_benchmarks::all()
+        .into_iter()
+        .find(|b| b.name == "fft")
+        .expect("fft is a stock benchmark");
+    let runs: Vec<_> = [1usize, 2, 4]
+        .into_iter()
+        .map(|threads| {
+            let a = fft
+                .analyze_with(SolveOptions {
+                    threads,
+                    ..Default::default()
+                })
+                .expect("analysis succeeds");
+            (threads, a.partition.choices.clone(), a.pipeline_stats())
+        })
+        .collect();
+    let (_, choices, stats) = &runs[0];
+    assert!(stats.shadow_certified > 0, "the shadow certified nothing");
+    for (threads, ch, st) in &runs[1..] {
+        assert_eq!(choices, ch, "threads={threads}: partition diverged");
+        assert_eq!(
+            stats.work_counters(),
+            st.work_counters(),
+            "threads={threads}: work counters diverged"
+        );
+    }
+}
+
+#[test]
 fn pipeline_stats_are_populated_on_the_exact_path() {
     let a = analyze_with(
         PROGRAMS[0],

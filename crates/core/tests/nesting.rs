@@ -1,6 +1,7 @@
 //! The parser's nesting cap keeps the whole pipeline inside a default
-//! thread stack: every nesting construct analyzes at the cap, and one
-//! level past it is a parse error rather than a stack overflow.
+//! thread stack: every nesting construct, operator chains included,
+//! analyzes at the cap, and one level past it is a parse error rather
+//! than a stack overflow.
 
 use offload_core::{Analysis, AnalysisOptions, AnalyzeError};
 use offload_lang::{Phase, MAX_NESTING};
@@ -47,12 +48,22 @@ fn call_args(depth: usize) -> String {
     )
 }
 
-const SHAPES: [(&str, Shape); 5] = [
+/// A flat chain `n + n + … + n` of `depth` links, which parses to a
+/// left-deep tree `depth` levels deep.
+fn operator_chain(depth: usize) -> String {
+    format!(
+        "int f(int n) {{ return n{}; }} void main(int n) {{ output(f(n)); }}",
+        " + n".repeat(depth)
+    )
+}
+
+const SHAPES: [(&str, Shape); 6] = [
     ("parentheses", parens),
     ("unary minus", unary_minus),
     ("blocks", blocks),
     ("if", ifs),
     ("call arguments", call_args),
+    ("operator chain", operator_chain),
 ];
 
 /// Runs the full pipeline on a freshly spawned thread, which gets the

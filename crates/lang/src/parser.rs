@@ -8,8 +8,10 @@ use crate::token::{Span, Token, TokenKind};
 /// The deepest statement-plus-expression nesting [`parse`] accepts. Each
 /// nested block, loop or `if` body, `else if`, parenthesised or unary
 /// operand, call argument list, index, `alloc` count and assignment
-/// right-hand side is one level; past the cap parsing stops with a parse
-/// error instead of recursing toward a stack overflow. C11 §5.2.4.1
+/// right-hand side is one level, and so is each link of a binary-operator
+/// chain such as `n + n + n`; past the cap parsing stops with a parse
+/// error instead of recursing toward a stack overflow, so the syntax
+/// tree's depth stays bounded for every later pass. C11 §5.2.4.1
 /// guarantees only 63 nested parenthesised expressions.
 pub const MAX_NESTING: usize = 64;
 
@@ -91,11 +93,8 @@ impl Parser {
         }
     }
 
-    /// Parses one nested construct with `f`, one level deeper.
-    fn nested<T>(
-        &mut self,
-        f: impl FnOnce(&mut Self) -> Result<T, LangError>,
-    ) -> Result<T, LangError> {
+    /// Spends one level of the nesting budget.
+    fn deeper(&mut self) -> Result<(), LangError> {
         if self.depth == MAX_NESTING {
             return Err(LangError::parse(
                 self.span(),
@@ -103,6 +102,15 @@ impl Parser {
             ));
         }
         self.depth += 1;
+        Ok(())
+    }
+
+    /// Parses one nested construct with `f`, one level deeper.
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, LangError>,
+    ) -> Result<T, LangError> {
+        self.deeper()?;
         let parsed = f(self);
         self.depth -= 1;
         parsed
@@ -491,94 +499,76 @@ impl Parser {
     }
 
     fn logic_or(&mut self) -> Result<Expr, LangError> {
-        let mut lhs = self.logic_and()?;
-        while self.peek() == &TokenKind::OrOr {
-            let span = self.span();
-            self.bump();
-            let rhs = self.logic_and()?;
-            lhs = self.mk(
-                ExprKind::Binary(BinOp::Or, Box::new(lhs), Box::new(rhs)),
-                span,
-            );
-        }
-        Ok(lhs)
+        self.chain(Self::logic_and, |t| {
+            (t == &TokenKind::OrOr).then_some(BinOp::Or)
+        })
     }
 
     fn logic_and(&mut self) -> Result<Expr, LangError> {
-        let mut lhs = self.equality()?;
-        while self.peek() == &TokenKind::AndAnd {
-            let span = self.span();
-            self.bump();
-            let rhs = self.equality()?;
-            lhs = self.mk(
-                ExprKind::Binary(BinOp::And, Box::new(lhs), Box::new(rhs)),
-                span,
-            );
-        }
-        Ok(lhs)
+        self.chain(Self::equality, |t| {
+            (t == &TokenKind::AndAnd).then_some(BinOp::And)
+        })
     }
 
     fn equality(&mut self) -> Result<Expr, LangError> {
-        let mut lhs = self.relational()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::Eq => BinOp::Eq,
-                TokenKind::Ne => BinOp::Ne,
-                _ => return Ok(lhs),
-            };
-            let span = self.span();
-            self.bump();
-            let rhs = self.relational()?;
-            lhs = self.mk(ExprKind::Binary(op, Box::new(lhs), Box::new(rhs)), span);
-        }
+        self.chain(Self::relational, |t| match t {
+            TokenKind::Eq => Some(BinOp::Eq),
+            TokenKind::Ne => Some(BinOp::Ne),
+            _ => None,
+        })
     }
 
     fn relational(&mut self) -> Result<Expr, LangError> {
-        let mut lhs = self.additive()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::Lt => BinOp::Lt,
-                TokenKind::Le => BinOp::Le,
-                TokenKind::Gt => BinOp::Gt,
-                TokenKind::Ge => BinOp::Ge,
-                _ => return Ok(lhs),
-            };
-            let span = self.span();
-            self.bump();
-            let rhs = self.additive()?;
-            lhs = self.mk(ExprKind::Binary(op, Box::new(lhs), Box::new(rhs)), span);
-        }
+        self.chain(Self::additive, |t| match t {
+            TokenKind::Lt => Some(BinOp::Lt),
+            TokenKind::Le => Some(BinOp::Le),
+            TokenKind::Gt => Some(BinOp::Gt),
+            TokenKind::Ge => Some(BinOp::Ge),
+            _ => None,
+        })
     }
 
     fn additive(&mut self) -> Result<Expr, LangError> {
-        let mut lhs = self.multiplicative()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::Plus => BinOp::Add,
-                TokenKind::Minus => BinOp::Sub,
-                _ => return Ok(lhs),
-            };
-            let span = self.span();
-            self.bump();
-            let rhs = self.multiplicative()?;
-            lhs = self.mk(ExprKind::Binary(op, Box::new(lhs), Box::new(rhs)), span);
-        }
+        self.chain(Self::multiplicative, |t| match t {
+            TokenKind::Plus => Some(BinOp::Add),
+            TokenKind::Minus => Some(BinOp::Sub),
+            _ => None,
+        })
     }
 
     fn multiplicative(&mut self) -> Result<Expr, LangError> {
-        let mut lhs = self.unary()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::Star => BinOp::Mul,
-                TokenKind::Slash => BinOp::Div,
-                TokenKind::Percent => BinOp::Rem,
-                _ => return Ok(lhs),
-            };
-            let span = self.span();
-            self.bump();
-            let rhs = self.unary()?;
-            lhs = self.mk(ExprKind::Binary(op, Box::new(lhs), Box::new(rhs)), span);
-        }
+        self.chain(Self::unary, |t| match t {
+            TokenKind::Star => Some(BinOp::Mul),
+            TokenKind::Slash => Some(BinOp::Div),
+            TokenKind::Percent => Some(BinOp::Rem),
+            _ => None,
+        })
+    }
+
+    /// Parses a left-associative chain `operand (op operand)*`, where
+    /// `op_of` recognizes the chain's operators. Each link puts the tree
+    /// one level deeper, so it spends one level of the nesting budget
+    /// until the chain ends.
+    fn chain(
+        &mut self,
+        operand: fn(&mut Self) -> Result<Expr, LangError>,
+        op_of: fn(&TokenKind) -> Option<BinOp>,
+    ) -> Result<Expr, LangError> {
+        let outer = self.depth;
+        let mut links = || {
+            let mut lhs = operand(self)?;
+            while let Some(op) = op_of(self.peek()) {
+                self.deeper()?;
+                let span = self.span();
+                self.bump();
+                let rhs = operand(self)?;
+                lhs = self.mk(ExprKind::Binary(op, Box::new(lhs), Box::new(rhs)), span);
+            }
+            Ok(lhs)
+        };
+        let parsed = links();
+        self.depth = outer;
+        parsed
     }
 
     fn unary(&mut self) -> Result<Expr, LangError> {

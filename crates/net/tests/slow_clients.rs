@@ -434,23 +434,27 @@ fn panicking_session_releases_its_connection_slot() {
 }
 
 /// A source nested a thousand parentheses deep would overflow a reactor
-/// worker's stack inside the parser and abort the whole server. The
-/// parser's nesting cap turns it into an `Error` reply, and the same
-/// connection keeps serving.
+/// worker's stack inside the parser and abort the whole server, and a
+/// flat 5000-term chain `n + n + … + n` would overflow it in the passes
+/// that walk the left-deep tree. The parser's nesting cap turns both into
+/// an `Error` reply, and the same connection keeps serving.
 #[test]
 fn deeply_nested_program_is_refused_and_the_connection_survives() {
     let _guard = serialized();
     let (analysis, mut server) = start_server(1, Duration::from_secs(60));
     let mut c = client(&server);
-    let source = format!(
+    let parens = format!(
         "void main(int n) {{ output({}n{}); }}",
         "(".repeat(1000),
         ")".repeat(1000)
     );
-    match c.analyze(&source) {
-        Err(NetError::Remote(msg)) => assert!(msg.contains("parse error"), "{msg}"),
-        Err(e) => panic!("expected a remote parse error, got {e}"),
-        Ok(info) => panic!("a 1000-deep program was analyzed: {info:?}"),
+    let chain = format!("void main(int n) {{ output(n{}); }}", " + n".repeat(5000));
+    for source in [parens, chain] {
+        match c.analyze(&source) {
+            Err(NetError::Remote(msg)) => assert!(msg.contains("parse error"), "{msg}"),
+            Err(e) => panic!("expected a remote parse error, got {e}"),
+            Ok(info) => panic!("a program past the nesting cap was analyzed: {info:?}"),
+        }
     }
     let fp = fingerprint(&analysis);
     let choices = c

@@ -177,13 +177,10 @@ counters! {
     shadow_proposals: u64 = Work,
     /// Shadow proposals the exact engine certified.
     shadow_certified: u64 = Work,
-    /// Shadow proposals that failed exact certification, forcing a
-    /// Bland's-rule fallback and a shadow resync.
+    /// Shadow proposals that failed exact certification, forcing an
+    /// exact-rule fallback and a shadow resync.
     /// `shadow_proposals = shadow_certified + shadow_fallbacks`.
     shadow_fallbacks: u64 = Work,
-    /// Wall-clock microseconds inside shadow-enabled simplex runs,
-    /// summed across worker threads.
-    certify_micros: u64 = Micros,
     /// Wall-clock microseconds of the §5.4 simplification.
     simplify_micros: u64 = Micros,
     /// Wall-clock microseconds of the region exploration (everything
@@ -296,11 +293,8 @@ impl fmt::Display for PipelineStats {
         )?;
         writeln!(
             f,
-            "shadow: {} proposals ({} certified, {} fallbacks), {} us certifying",
-            self.shadow_proposals,
-            self.shadow_certified,
-            self.shadow_fallbacks,
-            self.certify_micros
+            "shadow: {} proposals ({} certified, {} fallbacks)",
+            self.shadow_proposals, self.shadow_certified, self.shadow_fallbacks
         )?;
         writeln!(
             f,

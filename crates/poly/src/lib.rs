@@ -50,14 +50,15 @@ mod polyhedron;
 mod rational;
 mod reduce;
 mod region;
-pub mod shadow;
+mod shadow;
+mod simplex;
 
 pub use bigint::{BigInt, ParseBigIntError};
 pub use fanout::{fan_out, hardware_threads};
 pub use linear::{Cmp, Constraint, LinExpr};
 pub use lp::{
     cache_clear as lp_cache_clear, closure_feasible, maximize as lp_maximize,
-    minimize as lp_minimize, LpResult,
+    maximize_bland as lp_maximize_bland, minimize as lp_minimize, LpResult,
 };
 pub use polyhedron::{Polyhedron, ProjectionBudgetExceeded};
 pub use rational::{ParseRationalError, Rational};

@@ -1,5 +1,5 @@
-//! Exact rational linear programming (two-phase primal simplex with
-//! Bland's rule).
+//! Exact rational linear programming: a cold two-phase primal simplex
+//! on the shared kernel in `simplex.rs`.
 //!
 //! Used for fast *sound* redundancy elimination on projection outputs:
 //! a constraint is dropped only when the LP proves the rest of the system
@@ -9,24 +9,14 @@
 //!
 //! # Performance
 //!
-//! The solver works on a single flat row-major tableau held in
-//! thread-local scratch (mirroring the `DinicSolver` re-solve pattern in
-//! the flow crate), so repeated solves reuse one allocation. Reduced costs
-//! are maintained incrementally across pivots instead of being recomputed
-//! from the basis each iteration — in exact arithmetic the maintained row
-//! equals the recomputed one, so the pivot rule sees the identical row
-//! either way and results are bit-for-bit unchanged. Pivots touch only
-//! the nonzero columns of the pivot row.
+//! The tableau and the kernel's scratch live in thread-local storage
+//! (mirroring the `DinicSolver` re-solve pattern in the flow crate), so
+//! repeated solves reuse one allocation. Pivot search runs on the `f64`
+//! shadow of the reduced-cost row; when the exact row rejects a
+//! proposal, Bland's rule picks the pivot. The shadow shortens the pivot
+//! path; it never changes an answer.
 //!
-//! Pivot *search* runs on the `f64` shadow of the reduced-cost row
-//! ([`crate::shadow`]): the shadow proposes a Dantzig entering column,
-//! the exact row certifies it (falling back to Bland's rule when
-//! certification fails, and unconditionally during long degenerate
-//! stalls so the anti-cycling termination proof still applies), and the
-//! pivot itself is replayed in exact rationals. The shadow shortens the
-//! pivot path; it never changes an answer.
-//!
-//! On top of the scratch solver sits a thread-local *exact* result cache:
+//! On top of the solver sits a thread-local *exact* result cache:
 //! the region-subtraction and redundancy-reduction loops in `polyhedron.rs`
 //! re-issue many identical `(objective, constraints)` systems, which are
 //! answered from the cache without re-solving. Keys are compared by full
@@ -38,12 +28,12 @@
 
 use crate::linear::{Constraint, LinExpr};
 use crate::rational::Rational;
-use crate::shadow::{self, ShadowCounts, ShadowRed, STALL_LIMIT};
+use crate::shadow::{ShadowCounts, ShadowRed};
+use crate::simplex::{primal, Phase, Rule, Scratch, Tableau, Target};
 use std::cell::RefCell;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::time::Instant;
 
 /// Outcome of an LP solve.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,7 +62,9 @@ struct CacheEntry {
 
 #[derive(Default)]
 struct LpTls {
+    tableau: Tableau,
     scratch: Scratch,
+    fred: ShadowRed,
     cache: HashMap<u64, Vec<CacheEntry>>,
     cache_cells: usize,
 }
@@ -139,14 +131,15 @@ pub fn maximize(objective: &LinExpr, constraints: &[Constraint]) -> LpResult {
             }
         }
         let mut pivots = 0u64;
-        let mut sc = ShadowCounts::default();
         let result = solve(
+            &mut tls.tableau,
             &mut tls.scratch,
+            Some(&mut tls.fred),
             objective,
             constraints,
             &mut pivots,
-            &mut sc,
         );
+        let sc = std::mem::take(&mut tls.fred.counts);
         offload_obs::tally(|t| t.lp_pivots += pivots);
         sc.flush();
 
@@ -167,40 +160,23 @@ pub fn maximize(objective: &LinExpr, constraints: &[Constraint]) -> LpResult {
     })
 }
 
-/// Reusable solver state: one flat row-major tableau plus the vectors the
-/// simplex needs, all retained across solves so steady-state solving does
-/// not allocate tableau storage.
-#[derive(Default)]
-struct Scratch {
-    /// `rows × stride` tableau, row-major.
-    tab: Vec<Rational>,
-    /// Right-hand sides, one per row.
-    b: Vec<Rational>,
-    /// Maintained reduced-cost row (length = active column count).
-    red: Vec<Rational>,
-    /// Basic column per row.
-    basis: Vec<usize>,
-    /// Nonzero column indices of the normalized pivot row.
-    nz: Vec<usize>,
-    /// Cloned values of the normalized pivot row at `nz` positions.
-    prow: Vec<Rational>,
-    /// Rows whose initial basic variable is artificial.
-    art_rows: Vec<usize>,
-    /// `f64` shadow of the reduced-cost row (pivot-search front-end).
-    fred: ShadowRed,
+/// [`maximize`] by the pure exact simplex: Bland's rule throughout, no
+/// `f64` shadow and no result cache. The reference the shadowed solver is
+/// tested against; its work is not counted.
+pub fn maximize_bland(objective: &LinExpr, constraints: &[Constraint]) -> LpResult {
+    let (mut t, mut sx) = (Tableau::default(), Scratch::default());
+    solve(&mut t, &mut sx, None, objective, constraints, &mut 0)
 }
 
-enum Phase {
-    Optimal(Rational),
-    Unbounded,
-}
-
+/// The two-phase solve. Every pivot, including those that drive
+/// artificials out of the basis, is added to `pivots`.
 fn solve(
-    scr: &mut Scratch,
+    t: &mut Tableau,
+    sx: &mut Scratch,
+    mut shadow: Option<&mut ShadowRed>,
     objective: &LinExpr,
     constraints: &[Constraint],
     pivots: &mut u64,
-    sc: &mut ShadowCounts,
 ) -> LpResult {
     let n = objective.nvars();
     let m = constraints.len();
@@ -209,93 +185,78 @@ fn solve(
     // whose right-hand side had to be negated for phase 1. Rows are
     //   sum(-a_ij)(x+_j - x-_j) + s_i = c_i.
     let cols = 2 * n + m;
-    scr.art_rows.clear();
+    let negated = |c: &Constraint| c.expr.constant_term().is_negative();
+    let stride = cols + constraints.iter().filter(|c| negated(c)).count();
+    t.stride = stride;
+    t.tab.clear();
+    t.tab.resize(m * stride, Rational::zero());
+    t.b.clear();
+    t.basis.clear();
+    let mut art = cols;
     for (i, c) in constraints.iter().enumerate() {
-        if c.expr.constant_term().is_negative() {
-            scr.art_rows.push(i);
-        }
-    }
-    let na = scr.art_rows.len();
-    let stride = cols + na;
-
-    scr.tab.clear();
-    scr.tab.resize(m * stride, Rational::zero());
-    scr.b.clear();
-    scr.basis.clear();
-    {
-        let mut art = 0usize;
-        for (i, c) in constraints.iter().enumerate() {
-            let negate = c.expr.constant_term().is_negative();
-            let row = &mut scr.tab[i * stride..(i + 1) * stride];
-            for j in 0..n {
-                let aij = c.expr.coeff(j);
-                if !aij.is_zero() {
-                    if negate {
-                        row[j] = aij.clone();
-                        row[n + j] = -aij;
-                    } else {
-                        row[j] = -aij;
-                        row[n + j] = aij.clone();
-                    }
+        let negate = negated(c);
+        let row = &mut t.tab[i * stride..(i + 1) * stride];
+        for j in 0..n {
+            let aij = c.expr.coeff(j);
+            if !aij.is_zero() {
+                if negate {
+                    row[j] = aij.clone();
+                    row[n + j] = -aij;
+                } else {
+                    row[j] = -aij;
+                    row[n + j] = aij.clone();
                 }
             }
-            row[2 * n + i] = if negate {
-                -Rational::one()
-            } else {
-                Rational::one()
-            };
-            if negate {
-                row[cols + art] = Rational::one();
-                scr.basis.push(cols + art);
-                scr.b.push(-c.expr.constant_term());
-                art += 1;
-            } else {
-                scr.basis.push(2 * n + i);
-                scr.b.push(c.expr.constant_term().clone());
-            }
+        }
+        if negate {
+            row[2 * n + i] = -Rational::one();
+            row[art] = Rational::one();
+            t.basis.push(art);
+            t.b.push(-c.expr.constant_term());
+            art += 1;
+        } else {
+            row[2 * n + i] = Rational::one();
+            t.basis.push(2 * n + i);
+            t.b.push(c.expr.constant_term().clone());
         }
     }
 
     // Phase 1: minimize the sum of artificials (maximize its negation).
-    if na > 0 {
-        // Initial reduced costs for c = -1 on artificial columns with the
-        // artificials basic: red_j = c_j + Σ_{artificial rows} a_ij, and
-        // the objective value starts at -Σ b_i over those rows.
-        scr.red.clear();
-        scr.red.resize(stride, Rational::zero());
-        let mut z = Rational::zero();
-        for k in 0..na {
-            scr.red[cols + k] = Rational::from(-1);
-        }
-        for &i in &scr.art_rows {
-            for j in 0..stride {
-                let a = &scr.tab[i * stride + j];
-                if !a.is_zero() {
-                    scr.red[j] += a;
-                }
+    if stride > cols {
+        let cost = |col: usize| {
+            if col >= cols {
+                Rational::from(-1)
+            } else {
+                Rational::zero()
             }
-            z -= &scr.b[i];
-        }
-        match run_simplex(scr, m, stride, stride, z, pivots, sc) {
+        };
+        let target = Target { base: None, tab: t };
+        match primal(
+            target,
+            stride,
+            cost,
+            sx,
+            shadow.as_deref_mut(),
+            Rule::Bland,
+            pivots,
+        ) {
             // The phase-1 objective (-Σ artificials) is bounded above by
             // zero, so this arm is unreachable in a correct tableau; if it
             // ever fires, `Unbounded` is the sound conservative answer for
             // every caller (redundancy checks keep their constraint, merge
             // checks skip their optional merge) — prefer that to a panic.
             Phase::Unbounded => return LpResult::Unbounded,
-            Phase::Optimal(v) => {
-                if v.is_negative() {
-                    return LpResult::Infeasible;
-                }
-            }
+            Phase::Optimal(v) if v.is_negative() => return LpResult::Infeasible,
+            Phase::Optimal(_) => {}
         }
         // Pivot any remaining artificial variables out of the basis (or
         // their rows are redundant); artificial columns are simply never
         // scanned again afterwards.
         for i in 0..m {
-            if scr.basis[i] >= cols {
-                if let Some(j) = (0..cols).find(|&j| !scr.tab[i * stride + j].is_zero()) {
-                    pivot(scr, m, stride, cols, i, j, pivots);
+            if t.basis[i] >= cols {
+                if let Some(j) = (0..cols).find(|&j| !t.tab[i * stride + j].is_zero()) {
+                    t.pivot(sx, cols, i, j);
+                    *pivots += 1;
                 }
             }
         }
@@ -304,7 +265,7 @@ fn solve(
     // Phase 2 objective: maximize objective(x+ - x-). Columns >= cols
     // (artificials) have objective coefficient zero, including any
     // leftover artificial basis rows (redundant zero rows).
-    let obj_of = |col: usize| -> Rational {
+    let cost = |col: usize| -> Rational {
         if col < n {
             objective.coeff(col).clone()
         } else if col < 2 * n {
@@ -313,183 +274,11 @@ fn solve(
             Rational::zero()
         }
     };
-    scr.red.clear();
-    scr.red.resize(cols, Rational::zero());
-    for (j, r) in scr.red.iter_mut().enumerate() {
-        *r = obj_of(j);
-    }
-    let mut z = Rational::zero();
-    for i in 0..m {
-        let cb = obj_of(scr.basis[i]);
-        if cb.is_zero() {
-            continue;
-        }
-        for j in 0..cols {
-            let a = &scr.tab[i * stride + j];
-            if !a.is_zero() {
-                scr.red[j] -= &(&cb * a);
-            }
-        }
-        z += &(&cb * &scr.b[i]);
-    }
-    match run_simplex(scr, m, stride, cols, z, pivots, sc) {
+    let target = Target { base: None, tab: t };
+    match primal(target, cols, cost, sx, shadow, Rule::Bland, pivots) {
         Phase::Unbounded => LpResult::Unbounded,
         Phase::Optimal(v) => LpResult::Optimal(&v + objective.constant_term()),
     }
-}
-
-/// Primal simplex on the scratch tableau; `width` is the number of
-/// active (scannable) columns and `z` the current objective value, both
-/// kept in lockstep with the maintained reduced-cost row.
-///
-/// Entering columns come from the `f64` shadow (Dantzig proposal,
-/// certified against the exact row) when the shadow is enabled, from
-/// Bland's rule otherwise — and always from Bland's rule once a long
-/// degenerate stall demands the anti-cycling guarantee. Every applied
-/// pivot has an exactly-positive reduced cost either way, so the optimum
-/// (and the Infeasible/Unbounded verdicts) never depend on the rule.
-fn run_simplex(
-    scr: &mut Scratch,
-    m: usize,
-    stride: usize,
-    width: usize,
-    mut z: Rational,
-    pivots: &mut u64,
-    sc: &mut ShadowCounts,
-) -> Phase {
-    let shadowed = shadow::enabled();
-    let t0 = shadowed.then(Instant::now);
-    if shadowed {
-        scr.fred.sync(&scr.red[..width]);
-    }
-    let mut stall = 0usize;
-    let res = loop {
-        let entering = if shadowed && stall < STALL_LIMIT {
-            // Shadow proposes; the exact row certifies. A rejected pivot
-            // proposal *or* a premature optimality claim falls back to
-            // Bland's rule on the exact row and resynchronizes the
-            // drifted shadow.
-            sc.proposals += 1;
-            let prop = scr.fred.propose(width);
-            match prop {
-                Some(p) if scr.red[p].is_positive() => {
-                    sc.certified += 1;
-                    Some(p)
-                }
-                _ => {
-                    let bland = (0..width).find(|&j| scr.red[j].is_positive());
-                    if prop.is_none() && bland.is_none() {
-                        sc.certified += 1; // optimality claim confirmed
-                    } else {
-                        sc.fallbacks += 1;
-                        scr.fred.sync(&scr.red[..width]);
-                    }
-                    bland
-                }
-            }
-        } else {
-            // Bland: smallest index with positive reduced cost. Basic
-            // columns have an exactly-zero reduced cost, so they are
-            // skipped naturally.
-            (0..width).find(|&j| scr.red[j].is_positive())
-        };
-        let Some(j) = entering else {
-            break Phase::Optimal(z);
-        };
-        // Ratio test (Bland: smallest basis index on ties). Ratios are
-        // compared by cross-multiplication to avoid forming quotients.
-        let mut leave: Option<usize> = None;
-        for i in 0..m {
-            if !scr.tab[i * stride + j].is_positive() {
-                continue;
-            }
-            match leave {
-                None => leave = Some(i),
-                Some(li) => {
-                    // b_i / a_ij ? b_li / a_lij  <=>  b_i·a_lij ? b_li·a_ij
-                    let lhs = &scr.b[i] * &scr.tab[li * stride + j];
-                    let rhs = &scr.b[li] * &scr.tab[i * stride + j];
-                    if lhs < rhs || (lhs == rhs && scr.basis[i] < scr.basis[li]) {
-                        leave = Some(i);
-                    }
-                }
-            }
-        }
-        let Some(i) = leave else {
-            break Phase::Unbounded;
-        };
-        if scr.b[i].is_zero() {
-            stall += 1;
-        } else {
-            stall = 0;
-        }
-        let rj = scr.red[j].clone();
-        pivot(scr, m, stride, width, i, j, pivots);
-        // Reduced-cost and objective update: the pivot row (normalized) is
-        // in scr.nz/scr.prow. red -= red_j_old · row_i sets red[j] to an
-        // exact zero; z grows by red_j_old · (new basic value).
-        for (&k, v) in scr.nz.iter().zip(&scr.prow) {
-            if k < width {
-                scr.red[k] -= &(&rj * v);
-            }
-        }
-        if shadowed {
-            scr.fred.pivot_update(rj.to_f64(), &scr.nz, &scr.prow, j);
-        }
-        z += &(&rj * &scr.b[i]);
-    };
-    if let Some(t0) = t0 {
-        offload_obs::tally(|t| t.certify_micros += t0.elapsed().as_micros() as u64);
-    }
-    res
-}
-
-/// Pivots on `(i, j)`: normalizes the pivot row, eliminates column `j`
-/// from every other row touching only the pivot row's nonzero columns,
-/// and leaves the normalized pivot row in `scr.nz`/`scr.prow`. Columns at
-/// `width` and beyond are dead (dropped artificials) and skipped.
-fn pivot(
-    scr: &mut Scratch,
-    m: usize,
-    stride: usize,
-    width: usize,
-    i: usize,
-    j: usize,
-    pivots: &mut u64,
-) {
-    *pivots += 1;
-    let piv = scr.tab[i * stride + j].clone();
-    debug_assert!(!piv.is_zero());
-    let inv = piv.recip();
-    scr.nz.clear();
-    scr.prow.clear();
-    for k in 0..width {
-        let v = &mut scr.tab[i * stride + k];
-        if !v.is_zero() {
-            *v *= &inv;
-            scr.nz.push(k);
-            scr.prow.push(v.clone());
-        }
-    }
-    scr.b[i] *= &inv;
-    for r in 0..m {
-        if r == i {
-            continue;
-        }
-        let factor = scr.tab[r * stride + j].clone();
-        if factor.is_zero() {
-            continue;
-        }
-        for (&k, v) in scr.nz.iter().zip(&scr.prow) {
-            let t = &factor * v;
-            scr.tab[r * stride + k] -= &t;
-        }
-        if !scr.b[i].is_zero() {
-            let t = &factor * &scr.b[i];
-            scr.b[r] -= &t;
-        }
-    }
-    scr.basis[i] = j;
 }
 
 /// Minimum of `objective` over the closure of `constraints`.

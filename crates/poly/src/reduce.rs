@@ -23,8 +23,9 @@
 //!    new row enters with its own slack basic, and a handful of
 //!    dual-simplex pivots (Bland's rule, provably terminating) restore
 //!    primal feasibility from the previous basis. An implication check
-//!    clones the current basis and runs primal phase-2 only; there is no
-//!    phase-1 and no tableau rebuilt from scratch.
+//!    runs the shared primal kernel (`simplex.rs`) from the current
+//!    basis: phase 2 only, with no phase 1 and no tableau rebuilt from
+//!    scratch.
 //!
 //! 3. **Deterministic intra-call parallelism.** Candidates are walked in
 //!    a *fixed* block schedule (independent of the thread count). Each
@@ -40,7 +41,8 @@
 use crate::fanout::{fan_out, hardware_threads};
 use crate::linear::{Cmp, Constraint};
 use crate::rational::Rational;
-use crate::shadow::{self, ShadowCounts, ShadowRed, STALL_LIMIT};
+use crate::shadow::ShadowRed;
+use crate::simplex::{primal, Phase, Rule, Scratch, Tableau, Target};
 use std::time::Instant;
 
 /// Upper bound on a block of candidate checks that run against one
@@ -175,23 +177,19 @@ impl IntervalBox {
 
 /// The warm-started incremental LP over the kept constraint set.
 ///
-/// Standard-form tableau in the same column convention as `lp.rs`: each
-/// free variable splits into `x⁺ − x⁻` (columns `0..n` and `n..2n`), and
-/// the `i`-th pushed constraint `expr ≥ 0` becomes the row
+/// The `i`-th pushed constraint `expr ≥ 0` becomes the tableau row
 /// `Σ(−a_j)(x⁺_j − x⁻_j) + s_i = c_i` with slack column `2n + i`. The
 /// basis is kept primal-feasible at all times, so implication checks are
-/// phase-2 only.
+/// phase 2 only. Each check enters by the `f64` shadow's proposal, or by
+/// exact Dantzig when the exact row rejects it; a push restores
+/// feasibility by the dual simplex.
 struct IncLp {
     n: usize,
-    /// Reserved slack columns (row stride = `2n + slack_cap`); doubled on
+    /// Row stride is `2n` plus the reserved slack columns, doubled on
     /// demand as constraints are pushed. Kept close to the *kept* row
     /// count — not the candidate count — because every implication check
-    /// that pivots copies the tableau, and clone cost is `rows × stride`.
-    slack_cap: usize,
-    rows: usize,
-    tab: Vec<Rational>,
-    b: Vec<Rational>,
-    basis: Vec<usize>,
+    /// that pivots copies the tableau, and copy cost is `rows × stride`.
+    t: Tableau,
     /// The closure of the kept set is empty; every candidate is implied.
     infeasible: bool,
     /// Recently visited vertices of the kept region (original variable
@@ -199,69 +197,52 @@ struct IncLp {
     points: Vec<Vec<Rational>>,
 }
 
-/// Per-check scratch: a disposable copy of the basis state plus the
-/// reduced-cost row. `clone_from` keeps the allocations alive across
-/// checks, so steady-state checking does not allocate.
-#[derive(Default, Clone)]
+/// Per-check scratch, reused across checks so steady-state checking does
+/// not allocate.
+#[derive(Default)]
 struct Work {
-    tab: Vec<Rational>,
-    b: Vec<Rational>,
-    basis: Vec<usize>,
-    red: Vec<Rational>,
-    nz: Vec<usize>,
-    prow: Vec<Rational>,
-    /// `f64` shadow of `red` (pivot-search front-end, see `shadow.rs`).
+    /// The copy of the kept tableau a read-only check pivots.
+    copy: Tableau,
+    sx: Scratch,
+    /// `f64` shadow of the reduced-cost row (pivot-search front-end).
     fred: ShadowRed,
-}
-
-/// Outcome of one phase-2 run.
-enum Phase {
-    Optimal(Rational),
-    Unbounded,
 }
 
 impl IncLp {
     fn new(nvars: usize, capacity_hint: usize) -> IncLp {
         IncLp {
             n: nvars,
-            slack_cap: capacity_hint.clamp(1, 32),
-            rows: 0,
-            tab: Vec::new(),
-            b: Vec::new(),
-            basis: Vec::new(),
+            t: Tableau {
+                stride: 2 * nvars + capacity_hint.clamp(1, 32),
+                ..Tableau::default()
+            },
             infeasible: false,
             points: Vec::new(),
         }
     }
 
-    /// Row stride (dead columns beyond `2n + rows` are reserved slack
-    /// slots for future pushes).
-    fn stride(&self) -> usize {
-        2 * self.n + self.slack_cap
-    }
-
     /// Active column count.
     fn width(&self) -> usize {
-        2 * self.n + self.rows
+        2 * self.n + self.t.rows()
     }
 
     /// Doubles the reserved slack capacity, re-laying the tableau out at
     /// the wider stride. Slack column *indices* (`2n + row`) are below
     /// the old capacity bound, so basis entries stay valid verbatim.
     fn grow(&mut self) {
-        let old_stride = self.stride();
-        self.slack_cap *= 2;
-        let new_stride = self.stride();
-        let mut tab = vec![Rational::zero(); self.rows * new_stride];
-        for i in 0..self.rows {
+        let old_stride = self.t.stride;
+        let new_stride = 2 * old_stride - 2 * self.n;
+        let mut tab = vec![Rational::zero(); self.t.rows() * new_stride];
+        for i in 0..self.t.rows() {
             for j in 0..old_stride {
-                let v = &mut self.tab[i * old_stride + j];
+                let v = &mut self.t.tab[i * old_stride + j];
                 if !v.is_zero() {
                     tab[i * new_stride + j] = std::mem::take(v);
                 }
             }
         }
-        self.tab = tab;
+        self.t.tab = tab;
+        self.t.stride = new_stride;
     }
 
     /// The basic solution of the current tableau as a point in the
@@ -269,12 +250,11 @@ impl IncLp {
     /// zero). Always a feasible point of the kept closure.
     fn basic_point(&self) -> Vec<Rational> {
         let mut p = vec![Rational::zero(); self.n];
-        for i in 0..self.rows {
-            let col = self.basis[i];
+        for (&col, b) in self.t.basis.iter().zip(&self.t.b) {
             if col < self.n {
-                p[col] += &self.b[i];
+                p[col] += b;
             } else if col < 2 * self.n {
-                p[col - self.n] -= &self.b[i];
+                p[col - self.n] -= b;
             }
         }
         p
@@ -301,10 +281,9 @@ impl IncLp {
         })
     }
 
-    /// Checks whether the kept set implies `c` (minimum of `c.expr` over
-    /// the kept closure is non-negative / positive): witness points
-    /// first, then warm-started primal phase-2 from the current feasible
-    /// basis on a scratch copy.
+    /// Checks whether the kept set implies `c`: witness points first,
+    /// then the primal kernel from the current feasible basis, pivoting a
+    /// copy of the tableau.
     fn check(&self, c: &Constraint, work: &mut Work) -> bool {
         if self.infeasible {
             return true;
@@ -313,251 +292,45 @@ impl IncLp {
             offload_obs::tally(|t| t.prefilter_witness += 1);
             return false;
         }
-        offload_obs::tally(|t| t.lp_warm_starts += 1);
-        match self.phase2(c, work).0 {
-            Phase::Unbounded => false,
-            Phase::Optimal(z) => {
-                // Objective was `maximize −(expr − c₀)`, so the exact
-                // minimum of `expr` over the kept closure is `c₀ − z`.
-                let min = c.expr.constant_term() - &z;
-                match c.cmp {
-                    Cmp::Ge => !min.is_negative(),
-                    Cmp::Gt => min.is_positive(),
-                }
-            }
-        }
+        let target = Target {
+            base: Some(&self.t),
+            tab: &mut work.copy,
+        };
+        implies(
+            self.n,
+            self.width(),
+            target,
+            c,
+            &mut work.sx,
+            &mut work.fred,
+        )
     }
 
-    /// Like [`IncLp::check`], but runs phase-2 *in place* on the base
-    /// state (any primal-feasible basis is a valid base, so the
-    /// candidate's minimizing basis is simply kept) and, on a non-implied
-    /// verdict, pushes `c`. From the minimizer the new row enters with a
-    /// negative right-hand side, so the dual simplex restores feasibility
-    /// along the textbook warm-start cycle. Only the sequential
-    /// integration pass calls this, so the mutation is deterministic.
+    /// Like [`IncLp::check`], but pivots the kept tableau *in place* (any
+    /// primal-feasible basis is a valid base, so the candidate's
+    /// minimizing basis is simply kept) and, on a non-implied verdict,
+    /// pushes `c`. From the minimizer the new row enters with a negative
+    /// right-hand side, so the dual simplex restores feasibility along the
+    /// textbook warm-start cycle. Only the sequential integration pass
+    /// calls this, so the mutation is deterministic.
     fn check_and_push(&mut self, c: &Constraint, work: &mut Work) -> bool {
         if self.infeasible {
             return true;
         }
         if self.witness_rejects(c) {
             offload_obs::tally(|t| t.prefilter_witness += 1);
-            self.push(c, work);
-            return false;
-        }
-        offload_obs::tally(|t| t.lp_warm_starts += 1);
-        let implied = match self.phase2_mut(c, work) {
-            Phase::Unbounded => false,
-            Phase::Optimal(z) => {
-                let min = c.expr.constant_term() - &z;
-                match c.cmp {
-                    Cmp::Ge => !min.is_negative(),
-                    Cmp::Gt => min.is_positive(),
-                }
+        } else {
+            let (n, width) = (self.n, self.width());
+            let target = Target {
+                base: None,
+                tab: &mut self.t,
+            };
+            if implies(n, width, target, c, &mut work.sx, &mut work.fred) {
+                return true;
             }
-        };
-        if implied {
-            return true;
         }
         self.push(c, work);
         false
-    }
-
-    /// Primal phase-2: maximize `−(c.expr − c₀)`, entering by Dantzig's
-    /// rule (largest reduced cost, smallest index on ties) and falling
-    /// back to Bland's rule after a long degenerate stall so termination
-    /// stays guaranteed. Both rules are deterministic, and the optimum is
-    /// exact either way, so the verdict never depends on the rule.
-    ///
-    /// Runs *read-only* against the base state for as long as possible:
-    /// the reduced-cost row is computed straight off the base tableau
-    /// (touching only the ≤ 2·support basis rows with a non-zero
-    /// objective coefficient), and the tableau is copied into `work` only
-    /// when a pivot is actually required. Checks that are optimal at the
-    /// current vertex — the common case for redundant candidates — cost
-    /// no allocation and no copy at all. The returned flag says whether
-    /// `work` now holds the (pivoted) final state.
-    fn phase2(&self, c: &Constraint, work: &mut Work) -> (Phase, bool) {
-        let width = self.width();
-        let stride = self.stride();
-        let mut red = std::mem::take(&mut work.red);
-        let mut z = self.reduced_costs(c, &mut red);
-        work.red = red;
-        let shadowed = shadow::enabled();
-        let mut sc = ShadowCounts::default();
-        if shadowed {
-            work.fred.sync(&work.red);
-        }
-        let mut pivoted = false;
-        let mut stall = 0usize;
-        let res = loop {
-            let Some(j) = entering_shadowed(&mut work.fred, &work.red, stall, shadowed, &mut sc)
-            else {
-                break (Phase::Optimal(z), pivoted);
-            };
-            if !pivoted {
-                work.tab.clone_from(&self.tab);
-                work.b.clone_from(&self.b);
-                work.basis.clone_from(&self.basis);
-                pivoted = true;
-            }
-            let mut leave: Option<usize> = None;
-            for i in 0..self.rows {
-                if !work.tab[i * stride + j].is_positive() {
-                    continue;
-                }
-                match leave {
-                    None => leave = Some(i),
-                    Some(li) => {
-                        let lhs = &work.b[i] * &work.tab[li * stride + j];
-                        let rhs = &work.b[li] * &work.tab[i * stride + j];
-                        if lhs < rhs || (lhs == rhs && work.basis[i] < work.basis[li]) {
-                            leave = Some(i);
-                        }
-                    }
-                }
-            }
-            let Some(i) = leave else {
-                break (Phase::Unbounded, pivoted);
-            };
-            if work.b[i].is_zero() {
-                stall += 1;
-            } else {
-                stall = 0;
-            }
-            let rj = work.red[j].clone();
-            offload_obs::tally(|t| t.lp_pivots += 1);
-            pivot(
-                &mut work.tab,
-                &mut work.b,
-                &mut work.basis,
-                &mut work.nz,
-                &mut work.prow,
-                self.rows,
-                stride,
-                width,
-                i,
-                j,
-            );
-            for (&k, v) in work.nz.iter().zip(&work.prow) {
-                work.red[k] -= &(&rj * v);
-            }
-            if shadowed {
-                work.fred.pivot_update(rj.to_f64(), &work.nz, &work.prow, j);
-            }
-            z += &(&rj * &work.b[i]);
-        };
-        sc.flush();
-        res
-    }
-
-    /// Seeds `red` with the reduced costs of `maximize −(c.expr − c₀)`
-    /// at the current basis (touching only the basis rows with a
-    /// non-zero objective coefficient — at most 2·support of them) and
-    /// returns the objective value there.
-    fn reduced_costs(&self, c: &Constraint, red: &mut Vec<Rational>) -> Rational {
-        let n = self.n;
-        let width = self.width();
-        let stride = self.stride();
-        let obj = |col: usize| -> Rational {
-            if col < n {
-                -c.expr.coeff(col)
-            } else if col < 2 * n {
-                c.expr.coeff(col - n).clone()
-            } else {
-                Rational::zero()
-            }
-        };
-        red.clear();
-        red.resize(width, Rational::zero());
-        for (j, r) in red.iter_mut().enumerate() {
-            *r = obj(j);
-        }
-        let mut z = Rational::zero();
-        for i in 0..self.rows {
-            let cb = obj(self.basis[i]);
-            if cb.is_zero() {
-                continue;
-            }
-            for (j, r) in red.iter_mut().enumerate().take(width) {
-                let a = &self.tab[i * stride + j];
-                if !a.is_zero() {
-                    *r -= &(&cb * a);
-                }
-            }
-            z += &(&cb * &self.b[i]);
-        }
-        z
-    }
-
-    /// In-place primal phase-2 for the integration path: identical pivot
-    /// selection to [`IncLp::phase2`], but pivots the base tableau
-    /// directly instead of a scratch copy — every basis it can reach is
-    /// primal-feasible for the same pushed set, so no state is lost and
-    /// no clone is paid.
-    fn phase2_mut(&mut self, c: &Constraint, work: &mut Work) -> Phase {
-        let width = self.width();
-        let stride = self.stride();
-        let mut red = std::mem::take(&mut work.red);
-        let mut z = self.reduced_costs(c, &mut red);
-        let shadowed = shadow::enabled();
-        let mut sc = ShadowCounts::default();
-        if shadowed {
-            work.fred.sync(&red);
-        }
-        let mut stall = 0usize;
-        let res = loop {
-            let Some(j) = entering_shadowed(&mut work.fred, &red, stall, shadowed, &mut sc) else {
-                break Phase::Optimal(z);
-            };
-            let mut leave: Option<usize> = None;
-            for i in 0..self.rows {
-                if !self.tab[i * stride + j].is_positive() {
-                    continue;
-                }
-                match leave {
-                    None => leave = Some(i),
-                    Some(li) => {
-                        let lhs = &self.b[i] * &self.tab[li * stride + j];
-                        let rhs = &self.b[li] * &self.tab[i * stride + j];
-                        if lhs < rhs || (lhs == rhs && self.basis[i] < self.basis[li]) {
-                            leave = Some(i);
-                        }
-                    }
-                }
-            }
-            let Some(i) = leave else {
-                break Phase::Unbounded;
-            };
-            if self.b[i].is_zero() {
-                stall += 1;
-            } else {
-                stall = 0;
-            }
-            let rj = red[j].clone();
-            offload_obs::tally(|t| t.lp_pivots += 1);
-            pivot(
-                &mut self.tab,
-                &mut self.b,
-                &mut self.basis,
-                &mut work.nz,
-                &mut work.prow,
-                self.rows,
-                stride,
-                width,
-                i,
-                j,
-            );
-            for (&k, v) in work.nz.iter().zip(&work.prow) {
-                red[k] -= &(&rj * v);
-            }
-            if shadowed {
-                work.fred.pivot_update(rj.to_f64(), &work.nz, &work.prow, j);
-            }
-            z += &(&rj * &self.b[i]);
-        };
-        sc.flush();
-        work.red = red;
-        res
     }
 
     /// Pushes `expr ≥ 0` into the base: appends the row with its own
@@ -568,15 +341,16 @@ impl IncLp {
         if self.infeasible {
             return;
         }
-        if self.rows == self.slack_cap {
+        if self.width() == self.t.stride {
             self.grow();
         }
         let n = self.n;
-        let stride = self.stride();
-        let r = self.rows;
-        self.tab.resize((r + 1) * stride, Rational::zero());
+        let t = &mut self.t;
+        let stride = t.stride;
+        let r = t.rows();
+        t.tab.resize((r + 1) * stride, Rational::zero());
         {
-            let row = &mut self.tab[r * stride..(r + 1) * stride];
+            let row = &mut t.tab[r * stride..(r + 1) * stride];
             for j in 0..n {
                 let aj = c.expr.coeff(j);
                 if !aj.is_zero() {
@@ -586,30 +360,26 @@ impl IncLp {
             }
             row[2 * n + r] = Rational::one();
         }
-        self.b.push(c.expr.constant_term().clone());
+        t.b.push(c.expr.constant_term().clone());
         // Express the new row in the current basis: subtract
         // `factor × row_i` for each basic column with a non-zero entry
         // (row_i has 1 in its basic column and 0 in every other, so one
         // sweep suffices).
         for i in 0..r {
-            let bi = self.basis[i];
-            let factor = self.tab[r * stride + bi].clone();
+            let factor = t.tab[r * stride + t.basis[i]].clone();
             if factor.is_zero() {
                 continue;
             }
-            let width = 2 * n + r;
-            for k in 0..width {
-                let v = self.tab[i * stride + k].clone();
+            for k in 0..2 * n + r {
+                let v = t.tab[i * stride + k].clone();
                 if !v.is_zero() {
-                    let t = &factor * &v;
-                    self.tab[r * stride + k] -= &t;
+                    t.tab[r * stride + k] -= &(&factor * &v);
                 }
             }
-            let t = &factor * &self.b[i];
-            self.b[r] -= &t;
+            let fb = &factor * &t.b[i];
+            t.b[r] -= &fb;
         }
-        self.basis.push(2 * n + r);
-        self.rows = r + 1;
+        t.basis.push(2 * n + r);
         self.dual_restore(work);
         // Witness points must stay feasible for the *whole* kept set:
         // evict any recorded vertex the new constraint's closure cuts
@@ -625,91 +395,71 @@ impl IncLp {
     /// objective row stays zero under pivoting, so dual feasibility is
     /// trivial and Bland's anti-cycling argument gives termination.
     fn dual_restore(&mut self, work: &mut Work) {
-        let stride = self.stride();
+        let width = self.width();
+        let t = &mut self.t;
         loop {
-            let width = self.width();
-            let leave = (0..self.rows)
-                .filter(|&i| self.b[i].is_negative())
-                .min_by_key(|&i| self.basis[i]);
+            let leave = (0..t.rows())
+                .filter(|&i| t.b[i].is_negative())
+                .min_by_key(|&i| t.basis[i]);
             let Some(i) = leave else {
                 return;
             };
-            let Some(j) = (0..width).find(|&j| self.tab[i * stride + j].is_negative()) else {
+            let row = &t.tab[i * t.stride..i * t.stride + width];
+            let Some(j) = row.iter().position(Rational::is_negative) else {
                 // A row asserting (non-negative combination) = negative:
                 // the kept closure is empty.
                 self.infeasible = true;
                 return;
             };
             offload_obs::tally(|t| t.dual_pivots += 1);
-            pivot(
-                &mut self.tab,
-                &mut self.b,
-                &mut self.basis,
-                &mut work.nz,
-                &mut work.prow,
-                self.rows,
-                stride,
-                width,
-                i,
-                j,
-            );
+            t.pivot(&mut work.sx, width, i, j);
         }
     }
 }
 
-/// Shadow-certified entering-column choice: the `f64` shadow proposes a
-/// Dantzig column at float cost and the exact row certifies it (strictly
-/// positive reduced cost, or a confirmed optimality claim). On a failed
-/// certification the choice falls back to the exact [`entering`] rule
-/// and the shadow is resynchronized; with the shadow disabled, or once a
-/// degenerate stall demands Bland's anti-cycling rule, the exact rule
-/// runs directly. Every path is a pure function of the exact row (plus
-/// the deterministically-maintained shadow), so the column choice never
-/// depends on thread scheduling.
-fn entering_shadowed(
+/// Whether the rows of `target` imply `c`: primal phase 2 maximizes
+/// `−(c.expr − c₀)` from the target's feasible basis, so the exact
+/// minimum of `c.expr` over their closure is `c₀` minus that maximum.
+fn implies(
+    n: usize,
+    width: usize,
+    target: Target<'_>,
+    c: &Constraint,
+    sx: &mut Scratch,
     fred: &mut ShadowRed,
-    red: &[Rational],
-    stall: usize,
-    shadowed: bool,
-    sc: &mut ShadowCounts,
-) -> Option<usize> {
-    if !shadowed || stall >= STALL_LIMIT {
-        return entering(red, stall >= STALL_LIMIT);
-    }
-    sc.proposals += 1;
-    let prop = fred.propose(red.len());
-    match prop {
-        Some(p) if red[p].is_positive() => {
-            sc.certified += 1;
-            Some(p)
+) -> bool {
+    offload_obs::tally(|t| t.lp_warm_starts += 1);
+    let cost = |col: usize| -> Rational {
+        if col < n {
+            -c.expr.coeff(col)
+        } else if col < 2 * n {
+            c.expr.coeff(col - n).clone()
+        } else {
+            Rational::zero()
         }
-        _ => {
-            let exact = entering(red, false);
-            if prop.is_none() && exact.is_none() {
-                sc.certified += 1; // optimality claim confirmed
-            } else {
-                sc.fallbacks += 1;
-                fred.sync(red);
+    };
+    let mut pivots = 0;
+    let phase = primal(
+        target,
+        width,
+        cost,
+        sx,
+        Some(&mut *fred),
+        Rule::Dantzig,
+        &mut pivots,
+    );
+    offload_obs::tally(|t| t.lp_pivots += pivots);
+    std::mem::take(&mut fred.counts).flush();
+    match phase {
+        Phase::Unbounded => false,
+        Phase::Optimal(z) => {
+            let min = c.expr.constant_term() - &z;
+            match c.cmp {
+                Cmp::Ge => !min.is_negative(),
+                Cmp::Gt => min.is_positive(),
             }
-            exact
         }
     }
-}
-
-/// Entering-column choice for primal phase-2: Dantzig's rule (largest
-/// positive reduced cost, smallest index on ties) normally; Bland's rule
-/// (first positive) once a degenerate stall demands anti-cycling.
-fn entering(red: &[Rational], bland: bool) -> Option<usize> {
-    if bland {
-        return red.iter().position(|r| r.is_positive());
-    }
-    let mut best: Option<usize> = None;
-    for (j, r) in red.iter().enumerate() {
-        if r.is_positive() && best.is_none_or(|b| *r > red[b]) {
-            best = Some(j);
-        }
-    }
-    best
 }
 
 /// The value of `c.expr` at point `p`.
@@ -721,57 +471,6 @@ fn eval_at(c: &Constraint, p: &[Rational]) -> Rational {
         }
     }
     v
-}
-
-/// Pivot on `(i, j)`: normalize the pivot row, eliminate column `j` from
-/// every other row touching only the pivot row's non-zero columns, and
-/// leave the normalized pivot row in `nz`/`prow` (for the caller's
-/// reduced-cost update). Identical arithmetic to `lp::pivot`.
-#[allow(clippy::too_many_arguments)]
-fn pivot(
-    tab: &mut [Rational],
-    b: &mut [Rational],
-    basis: &mut [usize],
-    nz: &mut Vec<usize>,
-    prow: &mut Vec<Rational>,
-    rows: usize,
-    stride: usize,
-    width: usize,
-    i: usize,
-    j: usize,
-) {
-    let piv = tab[i * stride + j].clone();
-    debug_assert!(!piv.is_zero());
-    let inv = piv.recip();
-    nz.clear();
-    prow.clear();
-    for k in 0..width {
-        let v = &mut tab[i * stride + k];
-        if !v.is_zero() {
-            *v *= &inv;
-            nz.push(k);
-            prow.push(v.clone());
-        }
-    }
-    b[i] *= &inv;
-    for r in 0..rows {
-        if r == i {
-            continue;
-        }
-        let factor = tab[r * stride + j].clone();
-        if factor.is_zero() {
-            continue;
-        }
-        for (&k, v) in nz.iter().zip(prow.iter()) {
-            let t = &factor * v;
-            tab[r * stride + k] -= &t;
-        }
-        if !b[i].is_zero() {
-            let t = &factor * &b[i];
-            b[r] -= &t;
-        }
-    }
-    basis[i] = j;
 }
 
 /// One candidate's implication check against a frozen state: the

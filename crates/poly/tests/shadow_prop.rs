@@ -1,43 +1,31 @@
 //! Differential property tests for the float-shadowed simplex.
 //!
-//! The shadow (`offload_poly::shadow`) lets an f64 mirror of the reduced-
-//! cost row propose Dantzig entering columns that the exact engine then
-//! certifies pivot by pivot; a bug in the proposal, certification, or
-//! fallback path would silently change which basis the simplex walks —
-//! and with it optima, pivot counts, or termination. These tests pit the
-//! shadow-guided solver against the pure-exact Bland path on the same
-//! random LPs and require identical [`LpResult`]s, and they pin the
-//! shadow's own counters as deterministic (run-to-run equal and
+//! The shadow lets an f64 mirror of the reduced-cost row propose Dantzig
+//! entering columns that the exact kernel then certifies pivot by pivot;
+//! a bug in the proposal, certification, or fallback path would silently
+//! change which basis the simplex walks — and with it optima, pivot
+//! counts, or termination. These tests pit the shadow-guided solver
+//! (`lp_maximize` / `lp_minimize`) against the pure-exact Bland solve
+//! (`lp_maximize_bland`) on the same random LPs and require identical
+//! [`LpResult`]s, and they pin the shadow's own counters as
+//! deterministic (run-to-run equal and
 //! `proposals = certified + fallbacks`).
-//!
-//! `set_enabled` is a process-wide switch and Rust runs tests in this
-//! file on a thread pool, so every test that toggles it holds [`GATE`]
-//! for its whole body and restores the flag before releasing.
 //!
 //! Randomized with a local xorshift generator instead of `proptest` (the
 //! offline build environment cannot fetch crates), so every run draws the
 //! same deterministic case set.
 
 use offload_poly::{
-    lp_cache_clear, lp_maximize, lp_minimize, shadow, Constraint, LinExpr, LpResult, Rational,
+    lp_cache_clear, lp_maximize, lp_maximize_bland, lp_minimize, Constraint, LinExpr, LpResult,
+    Rational,
 };
-use std::sync::Mutex;
 
-/// Serializes tests that flip the process-wide shadow switch.
-static GATE: Mutex<()> = Mutex::new(());
-
-/// Runs `body` with the shadow forced to `on`, restoring the previous
-/// state afterwards even on panic.
-fn with_shadow<T>(on: bool, body: impl FnOnce() -> T) -> T {
-    struct Restore(bool);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            shadow::set_enabled(self.0);
-        }
+/// The pure-exact reference minimum: the Bland maximum of `−obj`, negated.
+fn minimize_bland(obj: &LinExpr, cs: &[Constraint]) -> LpResult {
+    match lp_maximize_bland(&obj.scale(&Rational::from(-1)), cs) {
+        LpResult::Optimal(v) => LpResult::Optimal(-v),
+        other => other,
     }
-    let _restore = Restore(shadow::enabled());
-    shadow::set_enabled(on);
-    body()
 }
 
 /// Deterministic xorshift64* generator for the property loops.
@@ -114,32 +102,23 @@ fn assert_same(shadowed: &LpResult, pure: &LpResult, what: &str) {
 
 #[test]
 fn shadow_matches_pure_exact_on_random_lps() {
-    let _gate = GATE.lock().unwrap();
     let mut rng = Rng::new(0x5AD0_11E5);
     for case in 0..120 {
         let nvars = 1 + rng.usize(4);
         let rows = rng.usize(7);
         let (obj, cs) = arb_lp(&mut rng, nvars, rows);
-        // Fresh solves on both sides: the result cache would otherwise
-        // hand the second run the first run's answer.
-        let on_max = with_shadow(true, || {
-            lp_cache_clear();
-            lp_maximize(&obj, &cs)
-        });
-        let off_max = with_shadow(false, || {
-            lp_cache_clear();
-            lp_maximize(&obj, &cs)
-        });
-        assert_same(&on_max, &off_max, &format!("case {case} max"));
-        let on_min = with_shadow(true, || {
-            lp_cache_clear();
-            lp_minimize(&obj, &cs)
-        });
-        let off_min = with_shadow(false, || {
-            lp_cache_clear();
-            lp_minimize(&obj, &cs)
-        });
-        assert_same(&on_min, &off_min, &format!("case {case} min"));
+        let max = lp_maximize(&obj, &cs);
+        assert_same(
+            &max,
+            &lp_maximize_bland(&obj, &cs),
+            &format!("case {case} max"),
+        );
+        let min = lp_minimize(&obj, &cs);
+        assert_same(
+            &min,
+            &minimize_bland(&obj, &cs),
+            &format!("case {case} min"),
+        );
     }
 }
 
@@ -148,7 +127,6 @@ fn shadow_matches_pure_exact_on_degenerate_lps() {
     // Highly degenerate vertices (many tight constraints through the
     // origin) force ties in the ratio test and zero-progress pivots —
     // the regime where the stall ladder hands control back to Bland.
-    let _gate = GATE.lock().unwrap();
     let mut rng = Rng::new(0xDE6E_0001);
     for case in 0..60 {
         let nvars = 2 + rng.usize(3);
@@ -174,21 +152,14 @@ fn shadow_matches_pure_exact_on_degenerate_lps() {
         for v in 0..nvars {
             obj.set_coeff(v, Rational::from(rng.i64_in(0, 3)));
         }
-        let on = with_shadow(true, || {
-            lp_cache_clear();
-            lp_maximize(&obj, &cs)
-        });
-        let off = with_shadow(false, || {
-            lp_cache_clear();
-            lp_maximize(&obj, &cs)
-        });
+        let on = lp_maximize(&obj, &cs);
+        let off = lp_maximize_bland(&obj, &cs);
         assert_same(&on, &off, &format!("degenerate case {case}"));
     }
 }
 
 #[test]
 fn shadow_agrees_on_unbounded_and_infeasible_lps() {
-    let _gate = GATE.lock().unwrap();
     // Unbounded: maximize x with only x >= 0.
     let nv = 2;
     let obj = LinExpr::var(nv, 0);
@@ -196,14 +167,8 @@ fn shadow_agrees_on_unbounded_and_infeasible_lps() {
         Constraint::ge0(LinExpr::var(nv, 0)),
         Constraint::ge0(LinExpr::var(nv, 1)),
     ];
-    let on = with_shadow(true, || {
-        lp_cache_clear();
-        lp_maximize(&obj, &open)
-    });
-    let off = with_shadow(false, || {
-        lp_cache_clear();
-        lp_maximize(&obj, &open)
-    });
+    let on = lp_maximize(&obj, &open);
+    let off = lp_maximize_bland(&obj, &open);
     assert_same(&on, &off, "unbounded");
     assert!(matches!(on, LpResult::Unbounded));
 
@@ -212,14 +177,8 @@ fn shadow_agrees_on_unbounded_and_infeasible_lps() {
         Constraint::ge0(LinExpr::var(nv, 0).plus_constant(Rational::from(-1))),
         Constraint::ge0(LinExpr::zero(nv).sub(&LinExpr::var(nv, 0))),
     ];
-    let on = with_shadow(true, || {
-        lp_cache_clear();
-        lp_maximize(&obj, &contradiction)
-    });
-    let off = with_shadow(false, || {
-        lp_cache_clear();
-        lp_maximize(&obj, &contradiction)
-    });
+    let on = lp_maximize(&obj, &contradiction);
+    let off = lp_maximize_bland(&obj, &contradiction);
     assert_same(&on, &off, "infeasible");
     assert!(matches!(on, LpResult::Infeasible));
 }
@@ -229,7 +188,6 @@ fn shadow_survives_coefficients_beyond_f64_precision() {
     // Coefficients near ±2^63 collapse to the same f64, so the shadow's
     // proposals are low-information at best and wrong at worst — exact
     // certification has to carry the solve regardless.
-    let _gate = GATE.lock().unwrap();
     let huge: Rational = "9223372036854775808".parse().unwrap(); // 2^63
     let huge_m1: Rational = "9223372036854775807".parse().unwrap(); // 2^63 - 1
     let neg_huge: Rational = "-9223372036854775808".parse().unwrap();
@@ -246,14 +204,8 @@ fn shadow_survives_coefficients_beyond_f64_precision() {
     let mut obj = LinExpr::zero(nv);
     obj.set_coeff(0, huge.clone());
     obj.set_coeff(1, neg_huge.clone());
-    let on = with_shadow(true, || {
-        lp_cache_clear();
-        lp_maximize(&obj, &cs)
-    });
-    let off = with_shadow(false, || {
-        lp_cache_clear();
-        lp_maximize(&obj, &cs)
-    });
+    let on = lp_maximize(&obj, &cs);
+    let off = lp_maximize_bland(&obj, &cs);
     assert_same(&on, &off, "2^63 coefficients");
     // x = 1, y = 0 is the maximum: objective value 2^63.
     assert_eq!(on, LpResult::Optimal(huge));
@@ -261,14 +213,12 @@ fn shadow_survives_coefficients_beyond_f64_precision() {
 
 #[test]
 fn shadow_counters_are_run_to_run_identical_and_balanced() {
-    let _gate = GATE.lock().unwrap();
     let mut rng = Rng::new(0xC0FF_EE00);
     let (obj, cs) = arb_lp(&mut rng, 3, 5);
+    // Two fresh solves: the second must not be answered from the cache.
     let run = || {
-        with_shadow(true, || {
-            lp_cache_clear();
-            offload_obs::tallied(|| lp_maximize(&obj, &cs))
-        })
+        lp_cache_clear();
+        offload_obs::tallied(|| lp_maximize(&obj, &cs))
     };
     let (r1, d1) = run();
     let (r2, d2) = run();
@@ -286,19 +236,16 @@ fn shadow_counters_are_run_to_run_identical_and_balanced() {
 
 #[test]
 fn cached_solves_replay_shadow_counters() {
-    let _gate = GATE.lock().unwrap();
     let mut rng = Rng::new(0xCAC4_ED00);
     let (obj, cs) = arb_lp(&mut rng, 3, 4);
-    with_shadow(true, || {
-        lp_cache_clear();
-        let (fresh, fresh_delta) = offload_obs::tallied(|| lp_maximize(&obj, &cs));
-        let (hit, hit_delta) = offload_obs::tallied(|| lp_maximize(&obj, &cs));
-        assert_eq!(fresh, hit);
-        assert_eq!(hit_delta.lp_cache_hits, 1);
-        // The hit replays the stored shadow counts, so totals stay
-        // scheduling-independent even when caches are warm.
-        assert_eq!(fresh_delta.shadow_proposals, hit_delta.shadow_proposals);
-        assert_eq!(fresh_delta.shadow_certified, hit_delta.shadow_certified);
-        assert_eq!(fresh_delta.shadow_fallbacks, hit_delta.shadow_fallbacks);
-    });
+    lp_cache_clear();
+    let (fresh, fresh_delta) = offload_obs::tallied(|| lp_maximize(&obj, &cs));
+    let (hit, hit_delta) = offload_obs::tallied(|| lp_maximize(&obj, &cs));
+    assert_eq!(fresh, hit);
+    assert_eq!(hit_delta.lp_cache_hits, 1);
+    // The hit replays the stored shadow counts, so totals stay
+    // scheduling-independent even when caches are warm.
+    assert_eq!(fresh_delta.shadow_proposals, hit_delta.shadow_proposals);
+    assert_eq!(fresh_delta.shadow_certified, hit_delta.shadow_certified);
+    assert_eq!(fresh_delta.shadow_fallbacks, hit_delta.shadow_fallbacks);
 }
