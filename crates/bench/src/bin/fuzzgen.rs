@@ -7,7 +7,7 @@
 //! Generates `--count` deterministic mini-C programs from the root
 //! `--seed` (default `0x0FF10AD5`, the documented CI seed) and runs the
 //! differential harness over them: typed pipeline completion,
-//! thread-count bit-identity of the partition, exact dispatch optimality
+//! repeat determinism of the partition, exact dispatch optimality
 //! against exhaustive plan enumeration, and behaviour preservation under
 //! every plan at `--points` sampled parameter settings per program.
 //!

@@ -1,10 +1,7 @@
-//! Sequential-vs-parallel benchmark of the region-exploration engine.
+//! Solve-time benchmark of the region-exploration engine.
 //!
-//! Runs the full parametric analysis of each selected benchmark twice —
-//! once with `threads = 1` (the sequential engine) and once with the
-//! requested worker count — asserts that both produce bit-identical
-//! partitioning choices (the engine's determinism contract), prints a
-//! comparison table with the unified [`PipelineStats`] counters, and
+//! Runs the full parametric analysis of each selected benchmark, prints a
+//! table of solve times with the unified [`PipelineStats`] counters, and
 //! writes a machine-readable `BENCH_solve.json`.
 //!
 //! ```text
@@ -16,53 +13,45 @@
 //! * `--json` — print the machine-readable report (the same document
 //!   written to `BENCH_solve.json`) to stdout and nothing else, so
 //!   scripts can consume stdout directly instead of scraping tables;
-//! * `--trace <path>` — enable the `offload-obs` recorder for the
-//!   parallel runs and write a Chrome trace-event JSON file to `path`
-//!   (open it in `chrome://tracing` or <https://ui.perfetto.dev>);
-//! * `--repeat <n>` — solve each configuration `n` times and report the
+//! * `--trace <path>` — enable the `offload-obs` recorder and write a
+//!   Chrome trace-event JSON file to `path` (open it in
+//!   `chrome://tracing` or <https://ui.perfetto.dev>);
+//! * `--repeat <n>` — solve each benchmark `n` times and report the
 //!   fastest wall time (best-of-`n` suppresses scheduler and cache-state
-//!   noise when recording checked-in numbers; determinism is asserted on
-//!   every run, default 1).
+//!   noise when recording checked-in numbers; every re-run must
+//!   reproduce the first run's choices, default 1).
 //!
 //! Defaults to the lighter benchmarks (`rawcaudio`, `rawdaudio`, `fft`);
 //! pass names to override. Environment:
 //!
-//! * `SOLVEBENCH_THREADS` — parallel worker count (default: available
-//!   parallelism);
 //! * `SOLVEBENCH_OUT` — output path (default `BENCH_solve.json`).
 
 use offload_benchmarks::all;
-use offload_core::{Analysis, PassReport, PipelineStats, SolveOptions};
+use offload_core::{Analysis, PassReport, PipelineStats};
 use offload_runtime::{DeviceModel, Simulator};
 use std::time::Instant;
 
 struct Row {
     name: &'static str,
     strategy: &'static str,
+    /// Best-of-`--repeat` solve time, under the key CI's floor gate and
+    /// `BENCH_baseline.json` read.
     seq_ms: f64,
-    par_ms: f64,
     choices: usize,
-    identical: bool,
     /// Sequential time of the checked-in `BENCH_baseline.json` divided by
     /// this run's sequential time; `None` when the baseline file is
     /// missing or does not cover this benchmark.
     speedup_vs_baseline: Option<f64>,
     seq_pipeline: PipelineStats,
-    par_pipeline: PipelineStats,
-    /// Per-pass structured reports of the parallel run.
+    /// Per-pass structured reports of the first run.
     passes: Vec<PassReport>,
 }
 
 fn analyze_timed(
     bench: &offload_benchmarks::Benchmark,
-    threads: usize,
 ) -> Result<(Analysis, f64), Box<dyn std::error::Error>> {
-    let opts = SolveOptions {
-        threads,
-        ..SolveOptions::default()
-    };
     let start = Instant::now();
-    let analysis = bench.analyze_with(opts)?;
+    let analysis = bench.analyze()?;
     Ok((analysis, start.elapsed().as_secs_f64() * 1e3))
 }
 
@@ -163,15 +152,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     let default_set = ["rawcaudio", "rawdaudio", "fft"];
-    let threads: usize = std::env::var("SOLVEBENCH_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
-        .max(2);
     let out_path = std::env::var("SOLVEBENCH_OUT").unwrap_or_else(|_| "BENCH_solve.json".into());
     let baseline_path =
         std::env::var("SOLVEBENCH_BASELINE").unwrap_or_else(|_| "BENCH_baseline.json".into());
@@ -196,56 +176,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         if !wanted {
             continue;
         }
-        eprintln!("solving {} sequentially (threads=1) ...", b.name);
-        let (seq, mut seq_ms) = analyze_timed(&b, 1)?;
-        eprintln!("solving {} in parallel (threads={threads}) ...", b.name);
-        let (par, mut par_ms) = analyze_timed(&b, threads)?;
-        for i in 1..repeat {
-            // Alternate which configuration runs first so neither side
-            // systematically pays for allocator growth or frequency
-            // drift accumulated by the earlier run of the pair.
-            let measure_seq = |seq_ms: &mut f64| -> Result<(), Box<dyn std::error::Error>> {
-                let (seq2, t) = analyze_timed(&b, 1)?;
-                assert!(
-                    seq2.partition.choices == seq.partition.choices,
-                    "{}: sequential re-run diverged",
-                    b.name
-                );
-                *seq_ms = seq_ms.min(t);
-                Ok(())
-            };
-            let measure_par = |par_ms: &mut f64| -> Result<(), Box<dyn std::error::Error>> {
-                let (par2, t) = analyze_timed(&b, threads)?;
-                assert!(
-                    par2.partition.choices == par.partition.choices,
-                    "{}: parallel re-run diverged",
-                    b.name
-                );
-                *par_ms = par_ms.min(t);
-                Ok(())
-            };
-            if i % 2 == 0 {
-                measure_seq(&mut seq_ms)?;
-                measure_par(&mut par_ms)?;
-            } else {
-                measure_par(&mut par_ms)?;
-                measure_seq(&mut seq_ms)?;
-            }
+        eprintln!("solving {} ...", b.name);
+        let (seq, mut seq_ms) = analyze_timed(&b)?;
+        for _ in 1..repeat {
+            let (again, t) = analyze_timed(&b)?;
+            assert!(
+                again.partition.choices == seq.partition.choices,
+                "{}: re-run diverged",
+                b.name
+            );
+            seq_ms = seq_ms.min(t);
         }
-        // The determinism contract: the partitioning output is
-        // bit-identical for every thread count.
-        let identical = seq.partition.choices == par.partition.choices;
-        assert!(
-            identical,
-            "{}: parallel output diverged from sequential",
-            b.name
-        );
         if trace_path.is_some() {
             // Exercise the dispatcher and executor too, so the trace
             // carries the runtime category next to flow/poly/parametric.
-            let idx = par.select(&b.default_params)?;
+            let idx = seq.select(&b.default_params)?;
             let input = (b.make_input)(&b.default_params);
-            let sim = Simulator::new(&par, DeviceModel::ipaq_testbed());
+            let sim = Simulator::new(&seq, DeviceModel::ipaq_testbed());
             sim.run_choice(idx, &b.default_params, &input)
                 .map_err(|e| format!("{}: traced run failed: {e}", b.name))?;
         }
@@ -257,16 +204,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             name: b.name,
             strategy,
             seq_ms,
-            par_ms,
             choices: seq.partition.choices.len(),
-            identical,
             speedup_vs_baseline: baseline
                 .as_deref()
                 .and_then(|base| baseline_seq_ms(base, b.name))
                 .map(|base_ms| base_ms / seq_ms),
             seq_pipeline: seq.pipeline_stats(),
-            par_pipeline: par.pipeline_stats(),
-            passes: par.pass_reports().to_vec(),
+            passes: seq.pass_reports().to_vec(),
         });
     }
 
@@ -282,7 +226,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .count() as u64;
         }
     }
-    let solve_wall_ms: f64 = rows.iter().map(|r| r.seq_ms + r.par_ms).sum();
+    let solve_wall_ms: f64 = rows.iter().map(|r| r.seq_ms).sum();
     let disabled_overhead_pct = if solve_wall_ms > 0.0 {
         (spans_recorded as f64 * disabled_ns) / (solve_wall_ms * 1e6) * 100.0
     } else {
@@ -291,36 +235,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     if !json_mode {
         println!(
-            "{:<10} {:<9} {:>8} {:>10} {:>10} {:>8} {:>8} {:>9}",
-            "benchmark",
-            "strategy",
-            "choices",
-            "seq (ms)",
-            "par (ms)",
-            "speedup",
-            "vs-base",
-            "identical"
+            "{:<10} {:<9} {:>8} {:>10} {:>8}",
+            "benchmark", "strategy", "choices", "solve (ms)", "vs-base"
         );
         for r in &rows {
             println!(
-                "{:<10} {:<9} {:>8} {:>10.1} {:>10.1} {:>7.2}x {:>8} {:>9}",
+                "{:<10} {:<9} {:>8} {:>10.1} {:>8}",
                 r.name,
                 r.strategy,
                 r.choices,
                 r.seq_ms,
-                r.par_ms,
-                r.seq_ms / r.par_ms,
                 r.speedup_vs_baseline
                     .map(|s| format!("{s:.2}x"))
                     .unwrap_or_else(|| "-".into()),
-                r.identical,
             );
         }
         for r in &rows {
-            println!("\n{} pipeline (parallel run):\n{}", r.name, r.par_pipeline);
+            println!("\n{} pipeline:\n{}", r.name, r.seq_pipeline);
         }
         for r in &rows {
-            println!("\n{} passes (parallel run):", r.name);
+            println!("\n{} passes:", r.name);
             println!("{:<12} {:>10}  counters", "pass", "micros");
             for p in &r.passes {
                 let counters: Vec<String> =
@@ -333,9 +267,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    let mut json = String::from("{\n  \"threads\": ");
-    json.push_str(&threads.to_string());
-    json.push_str(",\n  \"recorder\": ");
+    let mut json = String::from("{\n  \"recorder\": ");
     json.push_str(&format!(
         concat!(
             "{{\"disabled_ns_per_span\":{:.2},\"spans_recorded\":{},",
@@ -356,21 +288,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         json.push_str(&format!(
             concat!(
                 "    {{\"name\":\"{}\",\"strategy\":\"{}\",\"choices\":{},",
-                "\"seq_ms\":{:.3},\"par_ms\":{:.3},\"identical\":{},",
-                "\"speedup_vs_baseline\":{},",
-                "\"seq_pipeline\":{},\"par_pipeline\":{},\"passes\":{}}}{}\n"
+                "\"seq_ms\":{:.3},\"speedup_vs_baseline\":{},",
+                "\"seq_pipeline\":{},\"passes\":{}}}{}\n"
             ),
             r.name,
             r.strategy,
             r.choices,
             r.seq_ms,
-            r.par_ms,
-            r.identical,
             r.speedup_vs_baseline
                 .map(|s| format!("{s:.3}"))
                 .unwrap_or_else(|| "null".into()),
             json_pipeline(&r.seq_pipeline),
-            json_pipeline(&r.par_pipeline),
             json_passes(&r.passes),
             if i + 1 == rows.len() { "" } else { "," },
         ));

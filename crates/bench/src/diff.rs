@@ -10,9 +10,10 @@
 //!    front-end rejection is also a failure (the generator promises
 //!    well-formed programs), while a solver failure is recorded as an
 //!    accepted typed outcome.
-//! 2. **Thread-count determinism** — the partitioning choices and the
-//!    solver's work counters are bit-identical when the parametric solve
-//!    runs on 1, 2 and 4 worker threads.
+//! 2. **Repeat determinism** — analyzing the program a second time in
+//!    the same process gives bit-identical partitioning choices and
+//!    solver work counters, under both region strategies, so no
+//!    hash-iteration order leaks into the result.
 //! 3. **Dispatch optimality** — at sampled parameter points, the choice
 //!    the compiled dispatcher picks has minimal predicted cost among
 //!    *all* enumerated choices, by exact rational comparison of
@@ -46,8 +47,6 @@ pub struct DiffConfig {
     pub count: usize,
     /// Parameter points sampled per program for dispatch/simulation.
     pub points: usize,
-    /// Thread counts the solve must be bit-identical across.
-    pub threads: Vec<usize>,
     /// Program-shape budgets.
     pub gen: GenConfig,
 }
@@ -58,7 +57,6 @@ impl Default for DiffConfig {
             seed: DEFAULT_SEED,
             count: 50,
             points: 3,
-            threads: vec![1, 2, 4],
             gen: GenConfig::default(),
         }
     }
@@ -73,8 +71,7 @@ pub struct DiffSummary {
     pub analyzed: usize,
     /// Programs rejected with an accepted typed error: `(seed, error)`.
     pub typed_failures: Vec<(u64, String)>,
-    /// Programs additionally cross-checked under the dominance strategy's
-    /// parallel LP storm.
+    /// Programs additionally cross-checked under the dominance strategy.
     pub dominance_checked: usize,
     /// Parameter points at which dispatch optimality was verified.
     pub points_checked: usize,
@@ -127,24 +124,40 @@ fn sample_params(seed: u64, point: usize, arity: usize) -> Vec<i64> {
         .collect()
 }
 
-fn analyze(src: &str, threads: usize) -> Result<Analysis, AnalyzeError> {
-    analyze_strategy(src, threads, RegionStrategy::Exact)
-}
-
-fn analyze_strategy(
-    src: &str,
-    threads: usize,
-    region_strategy: RegionStrategy,
-) -> Result<Analysis, AnalyzeError> {
+fn analyze(src: &str, region_strategy: RegionStrategy) -> Result<Analysis, AnalyzeError> {
     let opts = AnalysisOptions::builder()
         .annotate_with(offload_benchmarks::default_annotations)
         .solve(SolveOptions {
-            threads,
             region_strategy,
             ..SolveOptions::default()
         })
         .build();
     Analysis::from_source(src, opts)
+}
+
+/// Why two analyses of one program disagree, if they do: a different
+/// partition, different work counters, or different typed outcomes.
+fn divergence(
+    a: &Result<Analysis, AnalyzeError>,
+    b: &Result<Analysis, AnalyzeError>,
+) -> Option<String> {
+    match (a, b) {
+        (Ok(a), Ok(b)) => {
+            if format!("{:?}", a.partition.choices) != format!("{:?}", b.partition.choices) {
+                return Some("partition diverged".into());
+            }
+            let (wa, wb) = (
+                a.pipeline_stats().work_counters(),
+                b.pipeline_stats().work_counters(),
+            );
+            (wa != wb).then(|| format!("work counters diverged:\nfirst:  {wa:?}\nsecond: {wb:?}"))
+        }
+        (Err(ea), Err(eb)) => {
+            (ea.to_string() != eb.to_string()).then(|| format!("errors diverged: {ea} vs {eb}"))
+        }
+        (Ok(_), Err(e)) => Some(format!("succeeded, then failed: {e}")),
+        (Err(e), Ok(_)) => Some(format!("failed ({e}), then succeeded")),
+    }
 }
 
 /// Runs the differential harness.
@@ -180,162 +193,50 @@ pub fn run_differential(cfg: &DiffConfig) -> Result<DiffSummary, Box<DiffFailure
 
         // (1) Typed completion: panics and front-end rejections are
         // failures; solver errors are accepted typed outcomes.
-        let base_threads = cfg.threads.first().copied().unwrap_or(1);
-        let base = match catch_unwind(AssertUnwindSafe(|| analyze(&source, base_threads))) {
-            Err(panic) => {
+        let analyze_caught = |strategy| {
+            catch_unwind(AssertUnwindSafe(|| analyze(&source, strategy))).map_err(|panic| {
                 let msg = panic_text(&panic);
-                return Err(fail(format!("analysis panicked: {msg}"), &source));
-            }
-            Ok(Err(AnalyzeError::Lang(e))) => {
+                fail(format!("{strategy:?} analysis panicked: {msg}"), &source)
+            })
+        };
+        let first = analyze_caught(RegionStrategy::Exact)?;
+        let base = match &first {
+            Err(AnalyzeError::Lang(e)) => {
                 return Err(fail(
                     format!("generator emitted an ill-formed program: {e}"),
                     &source,
                 ));
             }
-            Ok(Err(e)) => {
+            Err(e) => {
                 summary.typed_failures.push((seed, e.to_string()));
                 continue;
             }
-            Ok(Ok(a)) => a,
+            Ok(a) => a,
         };
         summary.analyzed += 1;
 
-        // (2) Thread-count determinism: choices and work counters must be
-        // bit-identical for every solver thread count.
-        for &threads in cfg.threads.iter().skip(1) {
-            let other = match catch_unwind(AssertUnwindSafe(|| analyze(&source, threads))) {
-                Err(panic) => {
-                    let msg = panic_text(&panic);
-                    return Err(fail(
-                        format!("analysis panicked at {threads} threads: {msg}"),
-                        &source,
-                    ));
-                }
-                Ok(Err(e)) => {
-                    return Err(fail(
-                        format!("analysis succeeded at {base_threads} threads but failed at {threads}: {e}"),
-                        &source,
-                    ));
-                }
-                Ok(Ok(a)) => a,
-            };
-            if format!("{:?}", other.partition.choices) != format!("{:?}", base.partition.choices) {
-                return Err(fail(
-                    format!(
-                        "partition diverged between {base_threads} and {threads} solver threads"
-                    ),
-                    &source,
-                ));
-            }
-            if other.pipeline_stats().work_counters() != base.pipeline_stats().work_counters() {
-                return Err(fail(
-                    format!(
-                        "solver work counters diverged between {base_threads} and {threads} threads:\n\
-                         {base_threads} threads: {:?}\n\
-                         {threads} threads: {:?}",
-                        base.pipeline_stats().work_counters(),
-                        other.pipeline_stats().work_counters()
-                    ),
-                    &source,
-                ));
+        // (2) Repeat determinism: a second analysis in the same process
+        // must agree on choices and work counters, under both strategies.
+        // Dominance legitimately partitions differently from the exact
+        // strategy, so each strategy is compared with itself; a typed
+        // dominance error is an accepted outcome, but it must repeat.
+        let dom = analyze_caught(RegionStrategy::Dominance)?;
+        for (strategy, a) in [
+            (RegionStrategy::Exact, &first),
+            (RegionStrategy::Dominance, &dom),
+        ] {
+            let b = analyze_caught(strategy)?;
+            if let Some(why) = divergence(a, &b) {
+                return Err(fail(format!("{strategy:?} re-analysis: {why}"), &source));
             }
         }
-
-        // (2b) The dominance strategy fans its per-round probe storm
-        // across the same worker pool; its choices and work counters
-        // (including the shadow certification counts) must also be
-        // bit-identical at every thread count. Dominance legitimately
-        // partitions differently from the exact strategy, so dominance
-        // runs are compared with each other, not with `base`; a typed
-        // solver error at the base thread count skips the comparison
-        // (the strategy rejecting a program is an accepted outcome, but
-        // it must reject it identically at every thread count).
-        let dom_base = match catch_unwind(AssertUnwindSafe(|| {
-            analyze_strategy(&source, base_threads, RegionStrategy::Dominance)
-        })) {
-            Err(panic) => {
-                let msg = panic_text(&panic);
-                return Err(fail(format!("dominance analysis panicked: {msg}"), &source));
-            }
-            Ok(r) => r,
-        };
-        for &threads in cfg.threads.iter().skip(1) {
-            let other = match catch_unwind(AssertUnwindSafe(|| {
-                analyze_strategy(&source, threads, RegionStrategy::Dominance)
-            })) {
-                Err(panic) => {
-                    let msg = panic_text(&panic);
-                    return Err(fail(
-                        format!("dominance analysis panicked at {threads} threads: {msg}"),
-                        &source,
-                    ));
-                }
-                Ok(r) => r,
-            };
-            match (&dom_base, &other) {
-                (Ok(a), Ok(b)) => {
-                    if format!("{:?}", b.partition.choices) != format!("{:?}", a.partition.choices)
-                    {
-                        return Err(fail(
-                            format!(
-                                "dominance partition diverged between {base_threads} and \
-                                 {threads} solver threads"
-                            ),
-                            &source,
-                        ));
-                    }
-                    if b.pipeline_stats().work_counters() != a.pipeline_stats().work_counters() {
-                        return Err(fail(
-                            format!(
-                                "dominance work counters diverged between {base_threads} and \
-                                 {threads} threads:\n\
-                                 {base_threads} threads: {:?}\n\
-                                 {threads} threads: {:?}",
-                                a.pipeline_stats().work_counters(),
-                                b.pipeline_stats().work_counters()
-                            ),
-                            &source,
-                        ));
-                    }
-                }
-                (Err(ea), Err(eb)) => {
-                    if ea.to_string() != eb.to_string() {
-                        return Err(fail(
-                            format!(
-                                "dominance error diverged between {base_threads} and {threads} \
-                                 threads: {ea} vs {eb}"
-                            ),
-                            &source,
-                        ));
-                    }
-                }
-                (Ok(_), Err(e)) => {
-                    return Err(fail(
-                        format!(
-                            "dominance succeeded at {base_threads} threads but failed at \
-                             {threads}: {e}"
-                        ),
-                        &source,
-                    ));
-                }
-                (Err(e), Ok(_)) => {
-                    return Err(fail(
-                        format!(
-                            "dominance failed at {base_threads} threads ({e}) but succeeded at \
-                             {threads}"
-                        ),
-                        &source,
-                    ));
-                }
-            }
-        }
-        if dom_base.is_ok() {
+        if dom.is_ok() {
             summary.dominance_checked += 1;
         }
 
         // (3) + (4): dispatch optimality and behaviour preservation at
         // sampled parameter points.
-        let sim = Simulator::new(&base, DeviceModel::ipaq_testbed());
+        let sim = Simulator::new(base, DeviceModel::ipaq_testbed());
         let arity = base.symbolic.dict.param_count();
         let nchoices = base.partition.choices.len();
         let input = [3i64, 5, 7, 11];

@@ -83,7 +83,7 @@ impl Benchmark {
     }
 
     /// Like [`Benchmark::analyze`], but with caller-supplied solver
-    /// options (thread count, cut cache, logging). The benchmark's
+    /// options (simplification, cut cache). The benchmark's
     /// preferred region strategy still takes precedence.
     ///
     /// # Errors

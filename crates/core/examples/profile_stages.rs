@@ -1,5 +1,6 @@
 //! Developer tool: stage-by-stage timing of the analysis pipeline on
-//! the Figure 1 program (set `OFFLOAD_POLY_DEBUG=1` for projection traces).
+//! the Figure 1 program. Projection details (admission estimate, rounds
+//! run, rows used) are fields of the `poly/fm_eliminate` span.
 
 use offload_core::*;
 use std::time::Instant;

@@ -10,29 +10,22 @@
 //! reduction merges choices whose assigned regions are covered by another
 //! choice's full optimality region.
 //!
-//! The engine drains `X` as a **worklist of disjoint convex pieces**,
-//! explored by a round-synchronous pool of `std::thread::scope` workers
-//! (see [`SolveOptions::threads`]): each round, every current piece of
-//! `X` is sampled / min-cut solved / Lemma-1 projected in parallel, then
-//! a *sequential* merge in piece order accepts each discovered cut unless
-//! an earlier-accepted region of the same round already covers its sample
-//! point. Parallelism only decides *who computes* each piece's result,
-//! never *which results exist*, so the output is bit-identical for every
-//! thread count — including `threads = 1`, which runs the same worklist
-//! inline. A memo cache keyed by cut signature (the source-side bit
+//! The engine drains `X` as a **worklist of disjoint convex pieces**, one
+//! round at a time on the calling thread: every current piece of `X` is
+//! sampled, min-cut solved and Lemma-1 projected in piece order, then a
+//! merge in the same order accepts each discovered cut unless an
+//! earlier-accepted region of the same round already covers its sample
+//! point. A memo cache keyed by cut signature (the source-side bit
 //! vector) reuses projected regions when the same cut is rediscovered
 //! ([`SolveOptions::cut_cache`]).
 
 use crate::netbuild::{PartitionNetwork, Term};
-use offload_flow::{Capacity, FlowStats, MaxFlow, ParamNetwork, ParamSolver, UnboundedFlow};
+use offload_flow::{Capacity, MaxFlow, ParamNetwork, ParamSolver, UnboundedFlow};
 use offload_obs::Level;
-use offload_poly::{
-    fan_out, hardware_threads, Polyhedron, ProjectionBudgetExceeded, Rational, Region,
-};
+use offload_poly::{Polyhedron, ProjectionBudgetExceeded, Rational, Region};
 use offload_tcfg::{TaskId, Tcfg};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Direction of a data transfer.
@@ -153,17 +146,24 @@ pub struct ParametricPartition {
 pub enum SolveError {
     /// Every cut is infinite at some sampled point (malformed network).
     Unbounded(UnboundedFlow),
-    /// The iteration limit was exceeded before covering the region
+    /// More than `MAX_ITERATIONS` (64) cuts were accepted before covering
+    /// the region, or a cut's region missed its own sample point
     /// (indicates a degenerate region computation).
     IterationLimit {
         /// Choices found before giving up.
         found: usize,
     },
     /// A cut's optimality-region projection exceeded
-    /// [`SolveOptions::projection_budget`] Fourier–Motzkin rows — the
-    /// network's flow-variable elimination is intractable, and letting it
-    /// run would effectively hang the solve. Deterministic: the same
-    /// program fails (or doesn't) identically at every thread count.
+    /// `PROJECTION_BUDGET` (4 000 000) Fourier–Motzkin rows — the network's
+    /// flow-variable elimination is intractable, and letting it run would
+    /// effectively hang the solve. Enforced two ways: an up-front
+    /// admission check against the worst-case estimate
+    /// `vars × ⌈rows/2⌉²` of the post-substitution system (the trigger
+    /// that matters in practice — fuzzer-found pathological programs keep
+    /// hundreds of flow variables whose elimination spends hours in
+    /// per-round redundancy sweeps while generating few rows), and a
+    /// mid-flight count of rows actually derived. Deterministic: the same
+    /// program fails (or doesn't) identically on every run.
     ProjectionBudget {
         /// Rows the offending projection generated — or, for a projection
         /// rejected up front, its worst-case admission estimate
@@ -206,14 +206,20 @@ pub enum RegionStrategy {
     Dominance,
 }
 
-/// Default [`SolveOptions::projection_budget`], calibrated empirically:
-/// the checked-in benchmarks' projections stay under an admission
-/// estimate of ~115 k and the seeded-fuzz corpus' largest completing
-/// projection sits at ~1.9 M, while the smallest known-pathological
-/// program (seed `0x2e94fb30ba8d3dfb`: 160 post-substitution flow
-/// variables over ~495 constraints, ~15 s per elimination round) starts
-/// at ~9.8 M. 4 M splits the gap with ~2× margin on both sides.
-pub const DEFAULT_PROJECTION_BUDGET: u64 = 4_000_000;
+/// Fourier–Motzkin rows one optimality-region projection may cost before
+/// the solve aborts with [`SolveError::ProjectionBudget`], calibrated
+/// empirically: the checked-in benchmarks' projections stay under an
+/// admission estimate of ~115 k and the seeded-fuzz corpus' largest
+/// completing projection sits at ~1.9 M, while the smallest
+/// known-pathological program (seed `0x2e94fb30ba8d3dfb`: 160
+/// post-substitution flow variables over ~495 constraints, ~15 s per
+/// elimination round) starts at ~9.8 M. 4 M splits the gap with ~2×
+/// margin on both sides.
+const PROJECTION_BUDGET: u64 = 4_000_000;
+
+/// Safety bound on Algorithm 2 iterations (accepted cuts of the exact
+/// engine).
+const MAX_ITERATIONS: usize = 64;
 
 /// Options controlling the solver.
 #[derive(Debug, Clone)]
@@ -222,31 +228,15 @@ pub struct SolveOptions {
     pub simplify: bool,
     /// Apply the §5.2 degeneracy reduction afterwards.
     pub reduce_degeneracy: bool,
-    /// Safety bound on Algorithm 2 iterations.
-    pub max_iterations: usize,
     /// Region computation strategy.
     pub region_strategy: RegionStrategy,
-    /// Worker threads for the region-exploration engine. `0` (default)
-    /// means [`std::thread::available_parallelism`]. The partitioning
-    /// output is bit-identical for every value.
+    /// Ignored: a solve runs on its calling thread. Kept so existing
+    /// struct literals still compile.
     pub threads: usize,
     /// Reuse projected optimality regions when the same cut signature is
     /// rediscovered (default `true`; sound — the projection is a pure
     /// function of the signature).
     pub cut_cache: bool,
-    /// Fourier–Motzkin rows one optimality-region projection may cost
-    /// before the solve aborts with [`SolveError::ProjectionBudget`].
-    /// Enforced two ways: an up-front admission check against the
-    /// worst-case estimate `vars × ⌈rows/2⌉²` of the post-substitution
-    /// system (the trigger that matters in practice — fuzzer-found
-    /// pathological programs keep hundreds of flow variables whose
-    /// elimination spends hours in per-round redundancy sweeps while
-    /// generating few rows), and a mid-flight count of rows actually
-    /// derived. The default ([`DEFAULT_PROJECTION_BUDGET`]) is roughly
-    /// an order of magnitude above the largest admission estimate any
-    /// checked-in benchmark or seeded-fuzz program reaches, and an order
-    /// of magnitude below the smallest known-pathological one.
-    pub projection_budget: u64,
 }
 
 impl Default for SolveOptions {
@@ -254,11 +244,9 @@ impl Default for SolveOptions {
         SolveOptions {
             simplify: true,
             reduce_degeneracy: true,
-            max_iterations: 64,
             region_strategy: RegionStrategy::Exact,
             threads: 0,
             cut_cache: true,
-            projection_budget: DEFAULT_PROJECTION_BUDGET,
         }
     }
 }
@@ -304,33 +292,22 @@ pub fn solve_with_probes(
 ) -> Result<ParametricPartition, SolveError> {
     // Start from a cold LP result cache so per-run cache-hit counts and
     // timings are reproducible regardless of what ran earlier on this
-    // thread. (Worker threads are spawned fresh each round, so their
-    // caches always start empty.)
+    // thread.
     offload_poly::lp_cache_clear();
     let mut stats = SolveStats {
         nodes_before: pnet.net.node_count(),
         ..Default::default()
-    };
-    // Resolve the configured worker count once, up front, so every
-    // strategy reports the same number.
-    let threads = match options.threads {
-        0 => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        n => n,
     };
     let mut solve_span = offload_obs::span!(
         "parametric",
         "solve",
         nodes = pnet.net.node_count(),
         dims = pnet.dims.len(),
-        threads = threads,
     );
 
     // This solve's own record: the engine counts rounds and timings into
-    // `stats.pipeline` directly, the flow and poly layers tally into this
-    // thread's record, and every fan-out hands its workers' records back
-    // at join, so concurrent solves never mix counts.
+    // `stats.pipeline` directly, and the flow and poly layers tally into
+    // this thread's record, so concurrent solves never mix counts.
     let (result, counted) = offload_obs::tallied(|| {
         let t_simplify = Instant::now();
         let simplify_span = offload_obs::span!(
@@ -360,19 +337,14 @@ pub fn solve_with_probes(
 
         let t_solve = Instant::now();
         let result = if options.region_strategy == RegionStrategy::Dominance {
-            solve_dominance(
-                pnet, tcfg, n_items, &snet, &mapping, probes, threads, &mut stats,
-            )
+            solve_dominance(pnet, tcfg, n_items, &snet, &mapping, probes, &mut stats)
         } else {
-            explore_regions(
-                pnet, tcfg, n_items, options, threads, &snet, &mapping, &mut stats,
-            )
+            explore_regions(pnet, tcfg, n_items, options, &snet, &mapping, &mut stats)
         };
         stats.pipeline.solve_micros = t_solve.elapsed().as_micros() as u64;
         result
     });
     stats.pipeline += counted;
-    stats.pipeline.threads_used = threads as u32;
 
     let mut choices = result?;
     if options.region_strategy == RegionStrategy::Exact && options.reduce_degeneracy {
@@ -405,44 +377,30 @@ struct PieceResult {
 }
 
 /// The memo cache mapping a cut signature (source-side bit vector on the
-/// simplified network) to its projected optimality region.
-///
-/// Each entry is a compute-once cell: the first worker to claim a
-/// signature computes the projection while racing workers block on the
-/// cell and reuse the result. This keeps the projection work — and the
-/// hit/miss tallies — independent of thread scheduling (exactly one miss
-/// per unique signature), which the determinism contract on
-/// [`PipelineStats::work_counters`] requires.
-///
-/// The cell holds a `Result`: a projection that blows its row budget is
-/// memoized as the typed failure, so racing workers see the same verdict
-/// without re-running the blowup.
-type CutCache =
-    Mutex<HashMap<Vec<bool>, Arc<OnceLock<Result<Polyhedron, ProjectionBudgetExceeded>>>>>;
+/// simplified network) to its projected optimality region, so each
+/// unique signature is projected once (one miss). A projection that
+/// blows its row budget is memoized as the typed failure.
+type CutCache = HashMap<Vec<bool>, Result<Polyhedron, ProjectionBudgetExceeded>>;
 
-/// The exact region-exploration engine: a round-synchronous parallel
-/// worklist over the disjoint pieces of the uncovered region `X`.
+/// The exact region-exploration engine: a round-by-round worklist over
+/// the disjoint pieces of the uncovered region `X`.
 ///
 /// Each round takes a snapshot of `X`'s pieces in order and explores all
-/// of them (sample → concrete min-cut → optimality region) across the
-/// worker pool; a sequential merge then walks the results **in piece
-/// order**, accepting a cut unless a region accepted earlier in the same
-/// round already covers its sample point, and shrinking `X` per accepted
-/// cut. Every piece is explored in every round regardless of thread
-/// count, and the merge is sequential, so the output — and even the flow
-/// work counters — are independent of scheduling.
-#[allow(clippy::too_many_arguments)]
+/// of them (sample → concrete min-cut → optimality region); a merge then
+/// walks the results **in piece order**, accepting a cut unless a region
+/// accepted earlier in the same round already covers its sample point,
+/// and shrinking `X` per accepted cut.
 fn explore_regions(
     pnet: &PartitionNetwork,
     tcfg: &Tcfg,
     n_items: usize,
     options: &SolveOptions,
-    threads: usize,
     snet: &ParamNetwork,
     mapping: &[usize],
     stats: &mut SolveStats,
 ) -> Result<Vec<Partition>, SolveError> {
-    let cache: Option<CutCache> = options.cut_cache.then(|| Mutex::new(HashMap::new()));
+    let mut cache: Option<CutCache> = options.cut_cache.then(HashMap::new);
+    let mut solver = snet.solver();
 
     let mut x = Region::from(pnet.param_space.clone());
     let mut choices: Vec<Partition> = Vec::new();
@@ -461,17 +419,11 @@ fn explore_regions(
             round = stats.pipeline.rounds,
             pieces = n_pieces,
         );
-        let results = explore_round(
-            snet,
-            &pnet.param_space,
-            pieces,
-            threads,
-            cache.as_ref(),
-            options.projection_budget,
-        );
+        let results: Vec<_> = pieces
+            .iter()
+            .map(|piece| explore_piece(snet, &pnet.param_space, piece, &mut solver, cache.as_mut()))
+            .collect();
 
-        // Sequential merge in piece order. Parallelism above only decided
-        // who computed each slot; from here on everything is ordered.
         let mut accepted: Vec<PieceResult> = Vec::new();
         for result in results {
             let r = match result {
@@ -491,7 +443,7 @@ fn explore_regions(
                 continue;
             }
             stats.iterations += 1;
-            if stats.iterations > options.max_iterations {
+            if stats.iterations > MAX_ITERATIONS {
                 return Err(SolveError::IterationLimit {
                     found: choices.len(),
                 });
@@ -534,89 +486,6 @@ fn explore_regions(
     Ok(choices)
 }
 
-/// Explores every piece of the current round, returning results in piece
-/// order. With one thread (or one piece) the work runs inline; otherwise
-/// the pieces fan out across scoped workers (see [`fan_out_solves`]).
-fn explore_round(
-    snet: &ParamNetwork,
-    param_space: &Polyhedron,
-    pieces: &[Polyhedron],
-    threads: usize,
-    cache: Option<&CutCache>,
-    projection_budget: u64,
-) -> Vec<Option<Result<PieceResult, PieceError>>> {
-    let n = pieces.len();
-    // Spawn scoped workers only when the round has ≥2 pieces to
-    // distribute *and* enough estimated work to amortize thread setup.
-    // Small rounds — the common tail of the exact strategy, where a
-    // round re-queues one or two low-constraint slivers of X — run
-    // inline with the full thread budget handed to intra-piece
-    // projection instead of paying spawn overhead for trivia (the
-    // rawdaudio parallel regression before this gate existed). Who
-    // computes a piece never changes what is computed, so output is
-    // bit-identical either way.
-    let workers = if n >= 2 && round_work_estimate(pieces) >= ROUND_SPAWN_MIN_WORK {
-        threads.min(n).min(hardware_threads())
-    } else {
-        1
-    };
-    // Piece-level workers claim the thread budget first; whatever is
-    // left over parallelizes each worker's own projections. Inline, all
-    // of it does: that is the exact strategy's hot path, where rounds
-    // have a single piece.
-    let intra = (threads / workers).max(1);
-    fan_out_solves(snet, n, workers, |solver, i| {
-        explore_piece(
-            snet,
-            param_space,
-            &pieces[i],
-            solver,
-            cache,
-            intra,
-            projection_budget,
-        )
-    })
-}
-
-/// Runs `n` jobs through [`fan_out`], each worker owning a
-/// [`ParamSolver`] so repeated min-cuts share scratch buffers, and
-/// tallies every solver's min-cut work on the calling thread.
-fn fan_out_solves<T: Send>(
-    snet: &ParamNetwork,
-    n: usize,
-    workers: usize,
-    job: impl Fn(&mut ParamSolver, usize) -> T + Sync,
-) -> Vec<T> {
-    let (out, solvers) = fan_out(n, workers, || snet.solver(), job);
-    for solver in &solvers {
-        tally_flow(solver.stats());
-    }
-    out
-}
-
-/// Adds a min-cut solver's work to the calling thread's record.
-fn tally_flow(f: FlowStats) {
-    offload_obs::tally(|t| {
-        t.flow_solves += f.solves;
-        t.flow_phases += f.phases;
-        t.flow_augmenting_paths += f.augmenting_paths;
-    });
-}
-
-/// Minimum [`round_work_estimate`] before `explore_round` spawns
-/// piece-level workers; below it the round runs inline and the whole
-/// thread budget goes to intra-piece projection.
-const ROUND_SPAWN_MIN_WORK: usize = 64;
-
-/// Coarse estimate of a round's distributable work: each piece costs its
-/// constraint count (sampling and the region LPs scale with it) plus a
-/// flat term for its concrete min-cut solve and cache probe. Only used
-/// to decide whether piece-level workers are worth spawning — never part
-/// of the algorithm, so precision does not matter.
-fn round_work_estimate(pieces: &[Polyhedron]) -> usize {
-    pieces.iter().map(|p| p.constraints().len() + 8).sum()
-}
-
 /// Explores one worklist piece: sample its deterministic interior point,
 /// solve the concrete min-cut there, and obtain the cut's optimality
 /// region (from the signature cache when enabled). Returns `None` for an
@@ -626,9 +495,7 @@ fn explore_piece(
     param_space: &Polyhedron,
     piece: &Polyhedron,
     solver: &mut ParamSolver,
-    cache: Option<&CutCache>,
-    intra_threads: usize,
-    projection_budget: u64,
+    cache: Option<&mut CutCache>,
 ) -> Option<Result<PieceResult, PieceError>> {
     let mut span = offload_obs::span!("parametric", "piece");
     let point = piece.sample()?;
@@ -639,48 +506,31 @@ fn explore_piece(
     // Every projection call gets a fresh budget: whether a signature's
     // region is affordable depends only on the signature, never on what
     // other pieces spent.
-    let project = |threads: usize| {
-        let mut budget = projection_budget;
-        snet.try_optimality_region_threads(&mf.source_side, param_space, threads, &mut budget)
+    let project = || {
+        let mut budget = PROJECTION_BUDGET;
+        snet.try_optimality_region(&mf.source_side, param_space, &mut budget)
     };
-    let full_region = match cache {
+    let region = match cache {
         Some(cache) => {
-            let cell = {
-                let mut map = lock_ignore_poison(cache);
-                Arc::clone(
-                    map.entry(mf.source_side.clone())
-                        .or_insert_with(|| Arc::new(OnceLock::new())),
-                )
-            };
-            // The projection is a pure function of (signature,
-            // param_space); `get_or_init` blocks racing workers until the
-            // single computation finishes, so exactly one miss is tallied
-            // per unique signature regardless of scheduling. A budget
-            // failure is memoized like any other result.
-            let mut computed = false;
-            let region = cell
-                .get_or_init(|| {
-                    computed = true;
-                    project(intra_threads)
-                })
-                .clone();
+            let hit = cache.contains_key(&mf.source_side);
             offload_obs::tally(|t| {
-                if computed {
-                    t.cache_misses += 1;
-                } else {
+                if hit {
                     t.cache_hits += 1;
+                } else {
+                    t.cache_misses += 1;
                 }
             });
-            span.record("cache_hit", !computed);
-            match region {
-                Ok(r) => r,
-                Err(e) => return Some(Err(PieceError::Budget(e))),
-            }
+            span.record("cache_hit", hit);
+            cache
+                .entry(mf.source_side.clone())
+                .or_insert_with(project)
+                .clone()
         }
-        None => match project(intra_threads) {
-            Ok(r) => r,
-            Err(e) => return Some(Err(PieceError::Budget(e))),
-        },
+        None => project(),
+    };
+    let full_region = match region {
+        Ok(r) => r,
+        Err(e) => return Some(Err(PieceError::Budget(e))),
     };
     Some(Ok(PieceResult {
         point,
@@ -694,13 +544,6 @@ fn explore_piece(
 enum PieceError {
     Unbounded(UnboundedFlow),
     Budget(ProjectionBudgetExceeded),
-}
-
-/// Locks a mutex, recovering the guard from a poisoned lock (the data is
-/// memo entries — a worker panic cannot leave them in a harmful state,
-/// and the panic itself is re-raised by the fan-out's join).
-fn lock_ignore_poison<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 fn expand_cut(mapping: &[usize], simplified_side: &[bool], nodes: usize) -> Vec<bool> {
@@ -722,34 +565,15 @@ fn cut_value_expr(net: &ParamNetwork, side: &[bool]) -> Option<offload_poly::Lin
     Some(total)
 }
 
-/// Minimum `probe count × arc count` product before the dominance probe
-/// storm spawns workers; below it the concrete min-cut solves are too
-/// cheap to amortize thread setup and run inline.
-const PROBE_SPAWN_MIN_WORK: usize = 4096;
-
-/// Minimum estimated constraint work before the dominance region /
-/// disjointification loops spawn workers.
-const REGION_SPAWN_MIN_WORK: usize = 64;
-
 /// The [`RegionStrategy::Dominance`] solver: discover cuts by probing,
 /// define each cut's region by pairwise cut-value dominance (cheap affine
 /// constraints — no flow-variable elimination), and iterate until no
 /// probe point finds a better cut.
 ///
-/// The LP/min-cut storm is fanned across `threads` with the same
-/// frozen-state, deterministic-merge discipline the exact strategy's
-/// round loop uses: each round freezes the cut list, enumerates its probe
-/// points in
-/// a fixed order, solves every probe's concrete min-cut across the
-/// worker pool, and a *sequential* merge walks the solved probes in
-/// enumeration order deciding which cuts to adopt. Dominance-region
-/// reduction and the final disjointification are per-cut pure functions
-/// of the (frozen) cut list and likewise fan out with slot-indexed
-/// results. Every probe is solved in every round regardless of thread
-/// count and all adoption decisions happen in the ordered merge, so the
-/// choices — and the flow/LP work counters — are bit-identical at any
-/// thread count, including 1.
-#[allow(clippy::too_many_arguments)]
+/// Each round enumerates probe points from the cut list as it stood at
+/// the round's start, in a fixed order, and solves each probe's concrete
+/// min-cut in that order, adopting the cuts that beat every cut adopted
+/// so far.
 fn solve_dominance(
     pnet: &PartitionNetwork,
     tcfg: &Tcfg,
@@ -757,17 +581,15 @@ fn solve_dominance(
     snet: &ParamNetwork,
     mapping: &[usize],
     probes: &[Vec<Rational>],
-    threads: usize,
     stats: &mut SolveStats,
 ) -> Result<Vec<Partition>, SolveError> {
     use offload_poly::Rational;
     let space = &pnet.param_space;
     let mut cuts: Vec<(Vec<bool>, offload_poly::LinExpr)> = Vec::new();
 
-    // Ordered-merge step: adopt the concrete min-cut `mf` found at
-    // `point` if its signature is new and it strictly beats every
-    // already-adopted cut at that point. Callers invoke this in a fixed
-    // probe order, so the cut list never depends on scheduling.
+    // Adopt the concrete min-cut `mf` found at `point` if its signature
+    // is new and it strictly beats every already-adopted cut at that
+    // point. Callers invoke this in a fixed probe order.
     fn absorb(
         snet: &ParamNetwork,
         mf: MaxFlow,
@@ -791,31 +613,25 @@ fn solve_dominance(
     // Seed with the region's interior point and the caller's
     // parameter-consistent probe points (realistic monomial values —
     // dimension-space bumps alone would violate the product relations and
-    // land outside the declared space). A handful of dependent solves:
-    // stays sequential.
+    // land outside the declared space).
     let Some(seed) = space.sample() else {
         return Ok(Vec::new());
     };
-    {
-        let mut solver = snet.solver();
-        let mf = solver.solve_at(&seed).map_err(SolveError::Unbounded)?;
-        absorb(snet, mf, &seed, &mut cuts);
-        for p in probes {
-            if space.contains(p) {
-                let mf = solver.solve_at(p).map_err(SolveError::Unbounded)?;
-                absorb(snet, mf, p, &mut cuts);
-            }
+    let mut solver = snet.solver();
+    let mf = solver.solve_at(&seed).map_err(SolveError::Unbounded)?;
+    absorb(snet, mf, &seed, &mut cuts);
+    for p in probes {
+        if space.contains(p) {
+            let mf = solver.solve_at(p).map_err(SolveError::Unbounded)?;
+            absorb(snet, mf, p, &mut cuts);
         }
-        tally_flow(solver.stats());
     }
 
     // Refinement rounds: probe each dominance region (its interior sample
-    // plus scaled-out points along the diagonal) for better cuts. The
-    // region list and probe set are frozen per round; the min-cut solves
-    // fan out; adoption happens in the ordered merge below.
+    // plus scaled-out points along the diagonal) for better cuts.
     for _round in 0..12 {
         stats.iterations += 1;
-        let regions = dominance_regions(space, &cuts, threads);
+        let regions = dominance_regions(space, &cuts);
         let mut points: Vec<Vec<Rational>> = Vec::new();
         for region in &regions {
             let Some(p) = region.sample() else { continue };
@@ -841,20 +657,9 @@ fn solve_dominance(
                 }
             }
         }
-        let workers = if points.len() >= 2
-            && threads >= 2
-            && points.len() * snet.arcs().len().max(1) >= PROBE_SPAWN_MIN_WORK
-        {
-            threads.min(points.len()).min(hardware_threads())
-        } else {
-            1
-        };
-        let solved = fan_out_solves(snet, points.len(), workers, |solver, i| {
-            solver.solve_at(&points[i])
-        });
         let mut improved = false;
-        for (q, r) in points.iter().zip(solved) {
-            let mf = r.map_err(SolveError::Unbounded)?;
+        for q in &points {
+            let mf = solver.solve_at(q).map_err(SolveError::Unbounded)?;
             improved |= absorb(snet, mf, q, &mut cuts);
         }
         if !improved {
@@ -864,32 +669,19 @@ fn solve_dominance(
 
     // Assemble disjoint regions and partitions. Choice `i`'s final
     // region is its dominance region minus the full regions of all
-    // earlier choices — a pure function of the frozen region list, so
-    // the subtraction chains run per-choice across the pool and
-    // assemble in cut order.
-    let regions = dominance_regions(space, &cuts, threads);
-    let est: usize = regions
-        .iter()
-        .enumerate()
-        .map(|(i, r)| i * r.constraints().len())
-        .sum();
-    let workers = if regions.len() >= 2 && threads >= 2 && est >= REGION_SPAWN_MIN_WORK {
-        threads.min(regions.len()).min(hardware_threads())
-    } else {
-        1
-    };
-    let (disjoint, _) = fan_out(
-        regions.len(),
-        workers,
-        || (),
-        |(), i| {
+    // earlier choices. The solver's capacity copies are not needed for
+    // this LP-heavy tail, where the solve's memory peaks.
+    drop(solver);
+    let regions = dominance_regions(space, &cuts);
+    let disjoint: Vec<Region> = (0..regions.len())
+        .map(|i| {
             let mut region = Region::from(regions[i].clone());
             for earlier in &regions[..i] {
                 region = region.subtract(earlier);
             }
             region
-        },
-    );
+        })
+        .collect();
     let mut out = Vec::new();
     for (((side, _), region_poly), region) in cuts.iter().zip(regions).zip(disjoint) {
         let cut = expand_cut(mapping, side, pnet.net.node_count());
@@ -912,20 +704,10 @@ fn solve_dominance(
     fn dominance_regions(
         space: &offload_poly::Polyhedron,
         cuts: &[(Vec<bool>, offload_poly::LinExpr)],
-        threads: usize,
     ) -> Vec<offload_poly::Polyhedron> {
-        let est = cuts.len() * (space.constraints().len() + cuts.len());
-        let workers = if cuts.len() >= 2 && threads >= 2 && est >= REGION_SPAWN_MIN_WORK {
-            threads.min(cuts.len()).min(hardware_threads())
-        } else {
-            1
-        };
-        fan_out(
-            cuts.len(),
-            workers,
-            || (),
-            |(), i| {
-                let ei = &cuts[i].1;
+        cuts.iter()
+            .enumerate()
+            .map(|(i, (_, ei))| {
                 let mut r = space.clone();
                 for (j, (_, ej)) in cuts.iter().enumerate() {
                     if i == j {
@@ -935,9 +717,8 @@ fn solve_dominance(
                     r.add(offload_poly::Constraint::ge0(ej.sub(ei)));
                 }
                 r.reduce_redundancy()
-            },
-        )
-        .0
+            })
+            .collect()
     }
 }
 

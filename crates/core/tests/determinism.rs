@@ -1,11 +1,9 @@
 //! Determinism contracts of the region-exploration engine.
 //!
-//! The parallel worklist must produce bit-identical partitions for every
-//! thread count (parallelism only decides *who* computes each piece,
-//! never *which* results exist), the cut-signature cache must be a pure
-//! memoization (identical output on and off), and the whole analysis must
-//! be reproducible run to run within one process (no hash-iteration
-//! ordering may leak into the output).
+//! The cut-signature cache must be a pure memoization (identical output
+//! on and off), and the whole analysis must be reproducible run to run
+//! within one process (no hash-iteration ordering may leak into the
+//! output or the work counters).
 
 use offload_core::{Analysis, AnalysisOptions, PipelineStats, SolveOptions};
 
@@ -56,97 +54,6 @@ fn analyze_with(src: &str, solve: SolveOptions) -> Analysis {
 }
 
 #[test]
-fn parallel_partition_is_bit_identical_to_sequential() {
-    for (i, src) in PROGRAMS.iter().enumerate() {
-        let seq = analyze_with(
-            src,
-            SolveOptions {
-                threads: 1,
-                ..Default::default()
-            },
-        );
-        for threads in [2, 4, 8] {
-            let par = analyze_with(
-                src,
-                SolveOptions {
-                    threads,
-                    ..Default::default()
-                },
-            );
-            assert_eq!(
-                seq.partition.choices, par.partition.choices,
-                "program {i}: threads={threads} diverged from sequential"
-            );
-        }
-    }
-}
-
-#[test]
-fn parallel_work_counters_are_scheduling_independent() {
-    // Every piece is explored in every round regardless of thread count,
-    // so even the flow-layer effort counters must match exactly. The
-    // `work_counters` view masks the legitimately run-dependent fields
-    // (thread count, wall times), so the whole record must compare equal.
-    for src in PROGRAMS {
-        let seq = analyze_with(
-            src,
-            SolveOptions {
-                threads: 1,
-                ..Default::default()
-            },
-        );
-        let par = analyze_with(
-            src,
-            SolveOptions {
-                threads: 4,
-                ..Default::default()
-            },
-        );
-        let (s, p) = (seq.pipeline_stats(), par.pipeline_stats());
-        assert_eq!(s.flow_solves, p.flow_solves);
-        assert_eq!(s.flow_phases, p.flow_phases);
-        assert_eq!(s.flow_augmenting_paths, p.flow_augmenting_paths);
-        assert_eq!(s.rounds, p.rounds);
-        assert_eq!(s.regions_explored, p.regions_explored);
-        assert_eq!(s.work_counters(), p.work_counters());
-        assert_ne!(
-            s.threads_used, p.threads_used,
-            "the masked field really differs"
-        );
-    }
-}
-
-#[test]
-fn threads_used_reports_the_configured_worker_count() {
-    // `threads_used` records the resolved configuration on every
-    // strategy: dominance fans its probe storm across the same pool.
-    for threads in [1usize, 2, 3] {
-        let a = analyze_with(
-            PROGRAMS[0],
-            SolveOptions {
-                threads,
-                ..Default::default()
-            },
-        );
-        let p = a.pipeline_stats();
-        assert_eq!(p.threads_used as usize, threads);
-    }
-    let dom = analyze_with(
-        PROGRAMS[0],
-        SolveOptions {
-            threads: 2,
-            region_strategy: offload_core::RegionStrategy::Dominance,
-            ..Default::default()
-        },
-    );
-    let p = dom.pipeline_stats();
-    assert_eq!(
-        p.threads_used, 2,
-        "dominance still reports the configured count"
-    );
-}
-
-#[test]
 fn cut_cache_does_not_change_the_partition() {
     for (i, src) in PROGRAMS.iter().enumerate() {
         let cached = analyze_with(
@@ -188,104 +95,66 @@ fn analysis_is_reproducible_within_a_process() {
             "program {i}: repeated analysis diverged"
         );
         assert_eq!(a.network.param_space, b.network.param_space);
-    }
-}
-
-#[test]
-fn incremental_prune_counters_fire_and_are_thread_count_independent() {
-    // The warm-started redundancy pipeline must (a) actually run on a
-    // real evaluation program — every ladder stage fires, so none of the
-    // counters may be zero — and (b) do *identical* work at every thread
-    // count: the intra-piece parallel split only changes who verifies
-    // each candidate, never which checks happen.
-    let bench = offload_benchmarks::all()
-        .into_iter()
-        .find(|b| b.name == "rawcaudio")
-        .expect("rawcaudio is a stock benchmark");
-    let mut runs = Vec::new();
-    for threads in [1usize, 2, 4] {
-        let a = bench
-            .analyze_with(SolveOptions {
-                threads,
-                ..Default::default()
-            })
-            .expect("analysis succeeds");
-        runs.push((threads, a.pipeline_stats(), a.partition.choices.clone()));
-    }
-    let (_, first, choices) = &runs[0];
-    assert!(first.prefilter_hits() > 0, "pre-filter ladder never fired");
-    assert!(first.lp_warm_starts > 0, "incremental LP never consulted");
-    assert!(first.dual_pivots > 0, "dual-simplex restore never ran");
-    assert!(first.prune_micros > 0, "prune time must be accounted");
-    for (threads, stats, ch) in &runs[1..] {
-        assert_eq!(choices, ch, "threads={threads}: partition diverged");
-        for (name, a, b) in [
-            (
-                "prefilter_hits",
-                first.prefilter_hits(),
-                stats.prefilter_hits(),
-            ),
-            ("lp_warm_starts", first.lp_warm_starts, stats.lp_warm_starts),
-            ("dual_pivots", first.dual_pivots, stats.dual_pivots),
-            ("lp_pivots", first.lp_pivots, stats.lp_pivots),
-            ("lp_solves", first.lp_solves, stats.lp_solves),
-            ("fm_constraints", first.fm_constraints, stats.fm_constraints),
-        ] {
-            assert_eq!(a, b, "threads={threads}: {name} depends on thread count");
-        }
-    }
-}
-
-#[test]
-fn dominance_strategy_is_thread_count_independent_on_fft() {
-    // fft takes the dominance strategy, whose probe storm fans out across
-    // the solver threads. Its partition and every work counter must be
-    // the same at every thread count, and the f64 shadow must actually
-    // propose the pivots: a shadow that never engages would leave the
-    // same counts at every thread count and pass the comparison anyway.
-    let fft = offload_benchmarks::all()
-        .into_iter()
-        .find(|b| b.name == "fft")
-        .expect("fft is a stock benchmark");
-    let runs: Vec<_> = [1usize, 2, 4]
-        .into_iter()
-        .map(|threads| {
-            let a = fft
-                .analyze_with(SolveOptions {
-                    threads,
-                    ..Default::default()
-                })
-                .expect("analysis succeeds");
-            (threads, a.partition.choices.clone(), a.pipeline_stats())
-        })
-        .collect();
-    let (_, choices, stats) = &runs[0];
-    assert!(stats.shadow_certified > 0, "the shadow certified nothing");
-    for (threads, ch, st) in &runs[1..] {
-        assert_eq!(choices, ch, "threads={threads}: partition diverged");
         assert_eq!(
-            stats.work_counters(),
-            st.work_counters(),
-            "threads={threads}: work counters diverged"
+            a.pipeline_stats().work_counters(),
+            b.pipeline_stats().work_counters(),
+            "program {i}: repeated analysis did different work"
         );
     }
 }
 
 #[test]
-fn pipeline_stats_are_populated_on_the_exact_path() {
-    let a = analyze_with(
-        PROGRAMS[0],
-        SolveOptions {
-            threads: 2,
-            ..Default::default()
-        },
+fn incremental_prune_counters_fire_and_are_thread_count_independent() {
+    // The warm-started redundancy pipeline must actually run on a real
+    // evaluation program: every ladder stage fires, so none of the
+    // counters may be zero.
+    let bench = offload_benchmarks::all()
+        .into_iter()
+        .find(|b| b.name == "rawcaudio")
+        .expect("rawcaudio is a stock benchmark");
+    let stats = bench.analyze().expect("analysis succeeds").pipeline_stats();
+    assert!(stats.prefilter_hits() > 0, "pre-filter ladder never fired");
+    assert!(stats.lp_warm_starts > 0, "incremental LP never consulted");
+    assert!(stats.dual_pivots > 0, "dual-simplex restore never ran");
+    assert!(stats.prune_micros > 0, "prune time must be accounted");
+}
+
+#[test]
+fn dominance_strategy_is_thread_count_independent_on_fft() {
+    // fft takes the dominance strategy. Two analyses in one process must
+    // agree on the partition and on every work counter, and the f64
+    // shadow must actually propose the pivots: a shadow that never
+    // engages would leave the same counts on both runs and pass the
+    // comparison anyway.
+    let fft = offload_benchmarks::all()
+        .into_iter()
+        .find(|b| b.name == "fft")
+        .expect("fft is a stock benchmark");
+    let runs: Vec<_> = (0..2)
+        .map(|_| {
+            let a = fft.analyze().expect("analysis succeeds");
+            (a.partition.choices.clone(), a.pipeline_stats())
+        })
+        .collect();
+    let (choices, stats) = &runs[0];
+    assert!(stats.shadow_certified > 0, "the shadow certified nothing");
+    let (again, again_stats) = &runs[1];
+    assert_eq!(choices, again, "repeated analysis: partition diverged");
+    assert_eq!(
+        stats.work_counters(),
+        again_stats.work_counters(),
+        "repeated analysis: work counters diverged"
     );
+}
+
+#[test]
+fn pipeline_stats_are_populated_on_the_exact_path() {
+    let a = analyze_with(PROGRAMS[0], SolveOptions::default());
     let p: PipelineStats = a.pipeline_stats();
     assert!(p.flow_solves > 0, "min-cut work must be counted");
     assert!(p.lp_solves > 0, "LP work must be counted");
     assert!(p.rounds > 0, "worklist rounds must be counted");
     assert!(p.regions_explored as usize >= a.partition.choices.len());
-    assert_eq!(p.threads_used, 2);
 }
 
 #[test]
@@ -293,21 +162,14 @@ fn concurrent_analyses_report_their_own_counters() {
     // Each solve counts into its own record, so two analyses running at
     // once in one process must each report exactly what they report when
     // run alone: every work counter, and the LP cache hits (the solver
-    // clears its thread's cache on entry, so at one solver thread those
-    // repeat exactly too).
+    // clears its thread's cache on entry, so those repeat exactly too).
     let benches: Vec<_> = offload_benchmarks::all()
         .into_iter()
         .filter(|b| b.name == "rawcaudio" || b.name == "fft")
         .collect();
     assert_eq!(benches.len(), 2);
     let run = |b: &offload_benchmarks::Benchmark| {
-        let p = b
-            .analyze_with(SolveOptions {
-                threads: 1,
-                ..Default::default()
-            })
-            .expect("analysis succeeds")
-            .pipeline_stats();
+        let p = b.analyze().expect("analysis succeeds").pipeline_stats();
         (p.work_counters(), p.lp_cache_hits)
     };
     let alone: Vec<_> = benches.iter().map(run).collect();

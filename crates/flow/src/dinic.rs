@@ -59,21 +59,6 @@ impl fmt::Display for Capacity {
     }
 }
 
-/// Work counters of a [`DinicSolver`], accumulated across solves.
-///
-/// The parametric solver adds them to its per-solve record
-/// (`offload_obs::PipelineStats`): they measure how much min-cut work a
-/// solve performed, independent of wall-clock noise.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FlowStats {
-    /// Completed max-flow solves.
-    pub solves: u64,
-    /// BFS level phases across all solves.
-    pub phases: u64,
-    /// Augmenting paths pushed across all solves.
-    pub augmenting_paths: u64,
-}
-
 /// A directed flow network with a single source and sink.
 #[derive(Debug, Clone)]
 pub struct FlowNetwork {
@@ -222,7 +207,6 @@ pub struct DinicSolver {
     iter: Vec<usize>,
     seen: Vec<bool>,
     stack: Vec<usize>,
-    stats: FlowStats,
 }
 
 impl DinicSolver {
@@ -246,7 +230,6 @@ impl DinicSolver {
             iter: vec![0; nodes],
             seen: vec![false; nodes],
             stack: Vec::new(),
-            stats: FlowStats::default(),
         }
     }
 
@@ -297,11 +280,6 @@ impl DinicSolver {
         self.caps[arc] = cap;
     }
 
-    /// Work counters accumulated since construction.
-    pub fn stats(&self) -> FlowStats {
-        self.stats
-    }
-
     /// Unboundedness check: an s-t path using only infinite arcs. Reuses
     /// the `seen`/`stack` scratch buffers.
     fn has_infinite_path(&mut self) -> bool {
@@ -346,7 +324,8 @@ impl DinicSolver {
     }
 
     /// Computes the maximum flow and the canonical minimum cut under the
-    /// current capacities.
+    /// current capacities, adding its `flow_*` work to the calling
+    /// thread's `offload_obs` record.
     ///
     /// # Errors
     ///
@@ -359,20 +338,24 @@ impl DinicSolver {
             nodes = self.nodes,
             arcs = self.caps.len(),
         );
-        let before = self.stats;
-        let result = self.solve_inner();
-        if offload_obs::enabled() {
-            span.record("phases", self.stats.phases - before.phases);
-            span.record(
-                "augmenting_paths",
-                self.stats.augmenting_paths - before.augmenting_paths,
-            );
-            span.record("ok", result.is_ok());
-        }
+        let (mut phases, mut augmenting_paths) = (0u64, 0u64);
+        let result = self.solve_inner(&mut phases, &mut augmenting_paths);
+        offload_obs::tally(|t| {
+            t.flow_solves += u64::from(result.is_ok());
+            t.flow_phases += phases;
+            t.flow_augmenting_paths += augmenting_paths;
+        });
+        span.record("phases", phases);
+        span.record("augmenting_paths", augmenting_paths);
+        span.record("ok", result.is_ok());
         result
     }
 
-    fn solve_inner(&mut self) -> Result<MaxFlow, UnboundedFlow> {
+    fn solve_inner(
+        &mut self,
+        phases: &mut u64,
+        augmenting_paths: &mut u64,
+    ) -> Result<MaxFlow, UnboundedFlow> {
         if self.has_infinite_path() {
             return Err(UnboundedFlow);
         }
@@ -406,7 +389,7 @@ impl DinicSolver {
             if self.level[self.sink] == usize::MAX {
                 break;
             }
-            self.stats.phases += 1;
+            *phases += 1;
             // Blocking flow via iterative DFS with edge iterators.
             self.iter.iter_mut().for_each(|i| *i = 0);
             loop {
@@ -473,7 +456,7 @@ impl DinicSolver {
                         *c = &*c + &b;
                     }
                 }
-                self.stats.augmenting_paths += 1;
+                *augmenting_paths += 1;
                 total += &b;
             }
         }
@@ -510,7 +493,6 @@ impl DinicSolver {
             })
             .collect();
 
-        self.stats.solves += 1;
         Ok(MaxFlow {
             value: total,
             arc_flow,
@@ -659,7 +641,7 @@ mod tests {
         let mut solver = n.solver();
         for c in [1i64, 4, 9] {
             solver.set_capacity(0, fin(c));
-            let reused = solver.solve().unwrap();
+            let (reused, st) = offload_obs::tallied(|| solver.solve().unwrap());
             let mut fresh_net = FlowNetwork::new(3, 0, 2);
             fresh_net.add_arc(0, 1, fin(c));
             fresh_net.add_arc(1, 2, fin(5));
@@ -667,10 +649,12 @@ mod tests {
             assert_eq!(reused.value, fresh.value, "c={c}");
             assert_eq!(reused.source_side, fresh.source_side, "c={c}");
             assert_eq!(reused.arc_flow, fresh.arc_flow, "c={c}");
+            assert_eq!(st.flow_solves, 1, "c={c}");
+            assert!(
+                st.flow_phases >= 1 && st.flow_augmenting_paths >= 1,
+                "c={c}"
+            );
         }
-        let st = solver.stats();
-        assert_eq!(st.solves, 3);
-        assert!(st.phases >= 3 && st.augmenting_paths >= 3);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! * [`ParamNetwork::simplify`] — the §5.4 node-merging heuristic that
 //!   strips the redundancy introduced by infinite constraint arcs.
 
-use crate::dinic::{Capacity, DinicSolver, FlowStats, MaxFlow, UnboundedFlow};
+use crate::dinic::{Capacity, DinicSolver, MaxFlow, UnboundedFlow};
 use offload_poly::{Constraint, LinExpr, Polyhedron, ProjectionBudgetExceeded, Rational};
 
 /// A parametric capacity: an affine function of the parameters, or `+∞`.
@@ -180,39 +180,25 @@ impl ParamNetwork {
     ///
     /// The returned polyhedron is intersected with `param_space`.
     pub fn optimality_region(&self, source_side: &[bool], param_space: &Polyhedron) -> Polyhedron {
-        self.optimality_region_threads(source_side, param_space, 1)
-    }
-
-    /// [`Self::optimality_region`] with up to `threads` worker threads
-    /// available to the polyhedral projection's redundancy-elimination
-    /// inner loop. The region — and every poly work counter — is
-    /// identical for every thread count.
-    pub fn optimality_region_threads(
-        &self,
-        source_side: &[bool],
-        param_space: &Polyhedron,
-        threads: usize,
-    ) -> Polyhedron {
         let mut unlimited = u64::MAX;
-        self.try_optimality_region_threads(source_side, param_space, threads, &mut unlimited)
+        self.try_optimality_region(source_side, param_space, &mut unlimited)
             .expect("an unlimited row budget cannot be exceeded")
     }
 
-    /// [`Self::optimality_region_threads`] under a Fourier–Motzkin row
-    /// budget shared across this region's component projections (see
-    /// [`Polyhedron::try_eliminate_vars_threads`]). Pathological networks
-    /// whose flow-variable elimination blows up fail deterministically
-    /// with a typed error instead of running unbounded.
+    /// [`Self::optimality_region`] under a Fourier–Motzkin row budget
+    /// shared across this region's component projections (see
+    /// [`Polyhedron::try_eliminate_vars`]). Pathological networks whose
+    /// flow-variable elimination blows up fail deterministically with a
+    /// typed error instead of running unbounded.
     ///
     /// # Errors
     ///
     /// Returns [`ProjectionBudgetExceeded`] when the component
     /// projections would generate more rows than `budget` allows.
-    pub fn try_optimality_region_threads(
+    pub fn try_optimality_region(
         &self,
         source_side: &[bool],
         param_space: &Polyhedron,
-        threads: usize,
         budget: &mut u64,
     ) -> Result<Polyhedron, ProjectionBudgetExceeded> {
         assert_eq!(source_side.len(), self.nodes);
@@ -440,13 +426,13 @@ impl ParamNetwork {
                 cs.extend(Constraint::equalities(&balance, &LinExpr::zero(nv)));
             }
             let poly = Polyhedron::from_constraints(nv, cs);
-            let shadow = poly.try_project_to_first_threads(k, threads, budget)?;
+            let shadow = poly.try_project_to_first(k, budget)?;
             for c in shadow.constraints() {
                 result.add(c.clone());
             }
         }
 
-        Ok(result.reduce_redundancy_threads(threads))
+        Ok(result.reduce_redundancy())
     }
 
     /// Applies the §5.4 simplification heuristic: merges node `nj` into
@@ -603,8 +589,8 @@ impl ParamNetwork {
 /// parameter points: each [`ParamSolver::solve_at`] evaluates the affine
 /// capacities into the held [`DinicSolver`] and re-solves on the already
 /// constructed graph — no adjacency rebuilding, no per-point vector
-/// allocation beyond the returned [`MaxFlow`]. This is the per-worker
-/// state of the parallel region-exploration engine.
+/// allocation beyond the returned [`MaxFlow`]. The region-exploration
+/// engine holds one for the whole solve.
 #[derive(Debug, Clone)]
 pub struct ParamSolver {
     caps: Vec<ParamCap>,
@@ -625,11 +611,6 @@ impl ParamSolver {
             self.solver.set_capacity(i, c.eval(point));
         }
         self.solver.solve()
-    }
-
-    /// Work counters accumulated across all solves on this solver.
-    pub fn stats(&self) -> FlowStats {
-        self.solver.stats()
     }
 }
 

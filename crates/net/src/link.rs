@@ -439,28 +439,24 @@ pub enum Served {
 }
 
 /// Runs the passive side: answer the active host's item traffic against
-/// the local machine until control (or the session end) arrives.
+/// the local machine until control (or the session end) arrives. An item
+/// request the machine rejects gets a [`WireMsg::Error`] reply and ends
+/// the loop.
 ///
 /// # Errors
 ///
-/// Transport failures, and [`NetError::Remote`] if the peer reports its
-/// half of the run failed.
+/// Transport failures, a rejected item request, and
+/// [`NetError::Remote`] if the peer reports its half of the run failed.
 pub fn serve(machine: &mut Machine<'_>, conn: &mut Conn) -> Result<Served, NetError> {
     loop {
         let frame = conn.recv()?;
-        match frame.msg {
+        let reply = match frame.msg {
             WireMsg::FetchItem { item } => {
-                let payload = machine
-                    .fetch_item(AbsLocId(item))
-                    .map_err(|e| NetError::protocol(e.0))?;
-                conn.reply(frame.request_id, WireMsg::ItemData(payload))?;
+                machine.fetch_item(AbsLocId(item)).map(WireMsg::ItemData)
             }
-            WireMsg::PushItem { item, payload } => {
-                machine
-                    .push_item(AbsLocId(item), payload)
-                    .map_err(|e| NetError::protocol(e.0))?;
-                conn.reply(frame.request_id, WireMsg::PushAck)?;
-            }
+            WireMsg::PushItem { item, payload } => machine
+                .push_item(AbsLocId(item), payload)
+                .map(|()| WireMsg::PushAck),
             WireMsg::Control(m) => return Ok(Served::Control(*m)),
             WireMsg::Error(m) => return Err(NetError::Remote(m)),
             WireMsg::Bye => return Ok(Served::Bye),
@@ -469,6 +465,13 @@ pub fn serve(machine: &mut Machine<'_>, conn: &mut Conn) -> Result<Served, NetEr
                     "unexpected {} while serving",
                     other.kind()
                 )))
+            }
+        };
+        match reply {
+            Ok(msg) => conn.reply(frame.request_id, msg)?,
+            Err(e) => {
+                let _ = conn.reply(frame.request_id, WireMsg::Error(e.0.clone()));
+                return Err(NetError::protocol(e.0));
             }
         }
     }

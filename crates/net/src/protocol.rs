@@ -61,8 +61,9 @@ use std::io::{Read, Write};
 /// skips names it does not know, so adding a counter no longer changes
 /// the protocol;
 /// `sequential_strategy` is gone and `prefilter_hits` is split into its
-/// four pre-filter stage counts. `certify_micros` was later dropped
-/// without a bump: a v10 decoder skips a name it does not know.)
+/// four pre-filter stage counts. `certify_micros` and `threads_used`
+/// were later dropped without a bump: a v10 decoder skips a name it does
+/// not know.)
 pub const PROTOCOL_VERSION: u8 = 10;
 
 /// Upper bound on a single frame's payload (a corruption guard, not a

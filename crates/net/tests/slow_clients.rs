@@ -12,7 +12,9 @@
 //!   idle-reaped at the request timeout, without wedging a worker;
 //! * 200 connections that churn without a `Bye` leave no protocol or
 //!   dispatch errors behind;
-//! * a session that panics gives its connection slot back;
+//! * an item frame naming an untracked item, or a payload foreign to its
+//!   item, gets an `Error` reply, and the session gives its connection
+//!   slot back;
 //! * a program nested past the parser's cap is refused with an `Error`
 //!   reply instead of overflowing a worker's stack.
 //!
@@ -370,16 +372,24 @@ fn connection_churn_without_bye_leaves_no_errors() {
     server.shutdown();
 }
 
-/// A session whose server half panics must still give its connection
-/// slot back. The hostile client pushes a register of a function that
-/// does not exist, which panics the session thread while it installs
-/// the item; with a cap of one connection, every later client would be
-/// refused if the slot leaked.
+/// Item frames come straight from the wire, so the server half of a
+/// session must check them before they index anything: a `FetchItem` for
+/// an id that is not a tracked item, and a `PushItem` whose register
+/// payload names a function that does not exist, each get an `Error`
+/// reply and end their session. With a cap of one connection, the fresh
+/// client afterwards is refused unless every ended session gave its slot
+/// back (the slot guard also runs when a session panics).
 #[test]
 fn panicking_session_releases_its_connection_slot() {
     let _guard = serialized();
+    // `main`'s registers cross the cut, so the plan tracks them as items.
+    const TRACKED: &str = "
+        int work(int k) { int j; int acc; acc = 0;
+            for (j = 0; j < k; j++) { acc = acc + j * j % 1000; }
+            return acc; }
+        void main(int n) { int r; r = work(n); output(r + work(n)); }";
     let analysis =
-        Arc::new(Analysis::from_source(PROGRAM, AnalysisOptions::default()).expect("analysis"));
+        Arc::new(Analysis::from_source(TRACKED, AnalysisOptions::default()).expect("analysis"));
     let mut server = OffloadServer::bind(
         "127.0.0.1:0",
         analysis.clone(),
@@ -398,19 +408,10 @@ fn panicking_session_releases_its_connection_slot() {
         .position(|c| !c.is_all_local())
         .expect("a partitioned choice");
 
-    let mut hostile = TcpStream::connect(server.addr()).expect("hostile connect");
-    hostile
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .expect("read timeout");
-    let hello = WireMsg::Hello {
-        fingerprint: fp,
-        choice: choice as u32,
-        params: vec![1_000],
-        max_steps: 0,
-        client_time_us: 0,
-    };
+    let tracked = analysis.items.items[0].loc.index() as u32;
+    let fetch = WireMsg::FetchItem { item: u32::MAX };
     let push = WireMsg::PushItem {
-        item: 0,
+        item: tracked,
         payload: ItemPayload::Reg {
             func: FuncId(9999),
             local: LocalId(0),
@@ -418,13 +419,38 @@ fn panicking_session_releases_its_connection_slot() {
         },
     };
     let frame = |request_id, msg| encode_frame(&WireFrame { request_id, msg });
-    hostile.write_all(&frame(1, hello)).expect("send Hello");
-    let ack = read_raw_frame(&mut hostile);
-    assert!(matches!(ack.msg, WireMsg::HelloAck { .. }), "{:?}", ack.msg);
-    hostile.write_all(&frame(2, push)).expect("send PushItem");
-    // The panic unwinds the session thread, which closes the socket
-    // after giving the slot back.
-    assert!(matches!(hostile.read(&mut [0u8; 16]), Ok(0) | Err(_)));
+    for hostile_msg in [fetch, push] {
+        let kind = hostile_msg.kind();
+        let mut hostile = TcpStream::connect(server.addr()).expect("hostile connect");
+        hostile
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        let hello = WireMsg::Hello {
+            fingerprint: fp,
+            choice: choice as u32,
+            params: vec![1_000],
+            max_steps: 0,
+            client_time_us: 0,
+        };
+        hostile.write_all(&frame(1, hello)).expect("send Hello");
+        let ack = read_raw_frame(&mut hostile);
+        assert!(matches!(ack.msg, WireMsg::HelloAck { .. }), "{:?}", ack.msg);
+        hostile
+            .write_all(&frame(2, hostile_msg))
+            .expect("send item frame");
+        let reply = read_raw_frame(&mut hostile);
+        assert_eq!(reply.request_id, 2, "{kind}");
+        assert!(
+            matches!(reply.msg, WireMsg::Error(_)),
+            "{kind}: {:?}",
+            reply.msg
+        );
+        // The session ends after the reply and closes the socket.
+        assert!(
+            matches!(hostile.read(&mut [0u8; 16]), Ok(0) | Err(_)),
+            "{kind}"
+        );
+    }
 
     let mut c = client(&server);
     let choices = c.dispatch(fp, &[vec![5]]).expect("the slot was released");

@@ -51,7 +51,7 @@ pub use metrics::{
     counter, gauge, histogram, metrics_snapshot, reset_metrics, Counter, Gauge, Histogram,
     HistogramSummary, MetricValue, MetricsSnapshot,
 };
-pub use pipeline::{take_tally, tallied, tally, CounterKind, CounterSpec, PipelineStats};
+pub use pipeline::{tallied, tally, CounterKind, CounterSpec, PipelineStats};
 pub use recorder::{
     begin_span, enabled, instant_event, log_event, now_us, reset, set_enabled, snapshot,
     span_summary, Event, EventKind, FieldValue, Level, SpanGuard, SpanStat, SpanSummary,

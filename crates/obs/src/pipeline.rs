@@ -6,19 +6,18 @@
 //! timings) in `offload-core`. `offload-core` re-exports it unchanged.
 //!
 //! Each counter is declared once, in the `counters!` list below, with
-//! its kind: a deterministic work counter, a scheduling-dependent count,
-//! the configured thread count, or a wall-clock timing. The struct, the
-//! [`PipelineStats::COUNTERS`] table, name/value access and field-wise
-//! addition are generated from that list; [`PipelineStats::work_counters`],
+//! its kind: a deterministic work counter, a cache-dependent count, or a
+//! wall-clock timing. The struct, the [`PipelineStats::COUNTERS`] table,
+//! name/value access and field-wise addition are generated from that
+//! list; [`PipelineStats::work_counters`],
 //! [`PipelineStats::publish_metrics`], the net protocol's codec and the
 //! bench JSON iterate the table. A new counter therefore touches this
 //! file only.
 //!
 //! Counting is per thread, with no shared state: a layer adds into the
-//! calling thread's record with [`tally`], a solve measures its own
-//! work with [`tallied`], and a scoped fan-out hands each worker's record
-//! ([`take_tally`]) back to the joining thread. Two solves running at
-//! once in one process therefore never see each other's counts.
+//! calling thread's record with [`tally`], and a solve, which runs on
+//! one thread, measures its own work with [`tallied`]. Two solves running
+//! at once in one process therefore never see each other's counts.
 
 use std::cell::RefCell;
 use std::fmt;
@@ -29,14 +28,13 @@ use std::ops::AddAssign;
 /// [`PipelineStats::publish_metrics`] exports it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CounterKind {
-    /// A pure work counter: identical for every thread count (the
-    /// engine's determinism contract). Published as a counter.
+    /// A pure work counter: identical on every run of the same input
+    /// (the engine's determinism contract). Published as a counter.
     Work,
-    /// A count that legitimately varies with thread scheduling, such as
-    /// hits in a per-thread cache. Published as a counter.
+    /// A count that legitimately varies with what ran earlier on the
+    /// thread, such as hits in a per-thread cache. Published as a
+    /// counter.
     Scheduling,
-    /// The configured worker count. Published as a gauge.
-    Config,
     /// Wall-clock microseconds. Published as a histogram.
     Micros,
 }
@@ -60,16 +58,15 @@ pub struct CounterSpec {
 }
 
 macro_rules! counters {
-    ($($(#[doc = $doc:literal])* $field:ident: $ty:ty = $kind:ident,)*) => {
+    ($($(#[doc = $doc:literal])* $field:ident = $kind:ident,)*) => {
         /// Work counters across every layer of one parametric solve.
         ///
-        /// Every field is a plain integer. Counter values may
-        /// legitimately differ between runs with different thread counts
-        /// or cache settings (see [`CounterKind`]); the partitioning
-        /// output never does.
+        /// Every field is a `u64`. Counter values may legitimately differ
+        /// between runs with different cache settings (see
+        /// [`CounterKind`]); the partitioning output never does.
         #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
         pub struct PipelineStats {
-            $($(#[doc = $doc])* pub $field: $ty,)*
+            $($(#[doc = $doc])* pub $field: u64,)*
         }
 
         /// Number of declared counters.
@@ -88,17 +85,14 @@ macro_rules! counters {
 
             /// Every counter's value, parallel to [`Self::COUNTERS`].
             fn values(&self) -> [u64; COUNT] {
-                [$(u64::from(self.$field)),*]
+                [$(self.$field),*]
             }
 
-            /// Sets the counter called `name`, saturating a value its
-            /// field cannot hold. Returns `false` (and changes nothing)
-            /// for a name that is not declared.
+            /// Sets the counter called `name`. Returns `false` (and
+            /// changes nothing) for a name that is not declared.
             pub fn set(&mut self, name: &str, value: u64) -> bool {
                 match name {
-                    $(stringify!($field) => {
-                        self.$field = <$ty>::try_from(value).unwrap_or(<$ty>::MAX)
-                    })*
+                    $(stringify!($field) => self.$field = value,)*
                     _ => return false,
                 }
                 true
@@ -115,77 +109,75 @@ macro_rules! counters {
 
 counters! {
     /// Max-flow solves performed (concrete min-cuts at sample points).
-    flow_solves: u64 = Work,
+    flow_solves = Work,
     /// Dinic BFS level phases.
-    flow_phases: u64 = Work,
+    flow_phases = Work,
     /// Dinic augmenting paths pushed.
-    flow_augmenting_paths: u64 = Work,
+    flow_augmenting_paths = Work,
     /// Simplex LP solves (`lp_maximize` entries, including the internal
     /// ones behind emptiness tests and redundancy reduction).
-    lp_solves: u64 = Work,
+    lp_solves = Work,
     /// Simplex pivots. A cached LP solve adds its stored pivot count, so
     /// this stays scheduling-independent.
-    lp_pivots: u64 = Work,
+    lp_pivots = Work,
     /// Variables eliminated by polyhedral projection (equality
     /// substitution or Fourier–Motzkin).
-    fm_vars_eliminated: u64 = Work,
+    fm_vars_eliminated = Work,
     /// Constraints generated by Fourier–Motzkin combination (before
     /// pruning).
-    fm_constraints: u64 = Work,
+    fm_constraints = Work,
     /// LP solves answered from the poly layer's thread-local result cache
     /// without re-running the simplex.
-    lp_cache_hits: u64 = Scheduling,
+    lp_cache_hits = Scheduling,
     /// `BigInt` results that outgrew the inline `i64` representation and
     /// allocated heap limbs (cached LP solves skip the arithmetic).
-    small_int_promotions: u64 = Scheduling,
+    small_int_promotions = Scheduling,
     /// Cuts accepted by the region-exploration engine.
-    regions_explored: u64 = Work,
-    /// Worklist rounds of the parallel engine.
-    rounds: u64 = Work,
+    regions_explored = Work,
+    /// Worklist rounds of the exact engine.
+    rounds = Work,
     /// Cut-signature cache hits.
-    cache_hits: u64 = Work,
+    cache_hits = Work,
     /// Cut-signature cache misses (projections actually performed).
-    cache_misses: u64 = Work,
-    /// Worker threads the engine was configured with.
-    threads_used: u32 = Config,
+    cache_misses = Work,
     /// Exact syntactic duplicates dropped by the canonical-form dedup
     /// pre-filter.
-    prefilter_dedup: u64 = Work,
+    prefilter_dedup = Work,
     /// Parallel half-spaces dropped by the syntactic dominance sweep
     /// (same canonical direction, provably weaker bound).
-    prefilter_dominance: u64 = Work,
+    prefilter_dominance = Work,
     /// Implication checks discharged by interval/bound propagation
     /// without touching the LP.
-    prefilter_interval: u64 = Work,
+    prefilter_interval = Work,
     /// Implication checks answered "not implied" by a cached vertex of
     /// the kept set, without an LP.
-    prefilter_witness: u64 = Work,
+    prefilter_witness = Work,
     /// Implication checks answered by the warm-started incremental LP
     /// (primal phase-2 from the previous feasible basis).
-    lp_warm_starts: u64 = Work,
+    lp_warm_starts = Work,
     /// Dual-simplex pivots spent restoring feasibility after pushing a
     /// kept constraint into the incremental LP.
-    dual_pivots: u64 = Work,
+    dual_pivots = Work,
     /// Wall-clock microseconds inside redundancy elimination (pre-filters
-    /// + warm-started implication checks), summed across worker threads.
-    prune_micros: u64 = Micros,
+    /// + warm-started implication checks).
+    prune_micros = Micros,
     /// Wall-clock microseconds inside polyhedron emptiness LPs (the
-    /// region-subtraction hot path), summed across worker threads.
-    region_lp_micros: u64 = Micros,
+    /// region-subtraction hot path).
+    region_lp_micros = Micros,
     /// Entering-column (or optimality) proposals made by the f64 shadow
     /// simplex. A cached LP solve replays its stored shadow counts.
-    shadow_proposals: u64 = Work,
+    shadow_proposals = Work,
     /// Shadow proposals the exact engine certified.
-    shadow_certified: u64 = Work,
+    shadow_certified = Work,
     /// Shadow proposals that failed exact certification, forcing an
     /// exact-rule fallback and a shadow resync.
     /// `shadow_proposals = shadow_certified + shadow_fallbacks`.
-    shadow_fallbacks: u64 = Work,
+    shadow_fallbacks = Work,
     /// Wall-clock microseconds of the §5.4 simplification.
-    simplify_micros: u64 = Micros,
+    simplify_micros = Micros,
     /// Wall-clock microseconds of the region exploration (everything
     /// after simplification).
-    solve_micros: u64 = Micros,
+    solve_micros = Micros,
 }
 
 impl PipelineStats {
@@ -218,7 +210,7 @@ impl PipelineStats {
     /// This record with every counter that is not
     /// [`CounterKind::Work`] zeroed. What remains are pure work
     /// counters, which the engine's determinism contract requires to be
-    /// identical for every thread count.
+    /// identical on every run of the same input.
     pub fn work_counters(&self) -> PipelineStats {
         let mut out = *self;
         for c in Self::COUNTERS.iter().filter(|c| !c.kind.deterministic()) {
@@ -234,7 +226,6 @@ impl PipelineStats {
         for (c, value) in Self::COUNTERS.iter().zip(self.values()) {
             match c.kind {
                 CounterKind::Work | CounterKind::Scheduling => crate::counter(c.metric).add(value),
-                CounterKind::Config => crate::gauge(c.metric).set(value as i64),
                 CounterKind::Micros => crate::histogram(c.metric).record(value),
             }
         }
@@ -251,8 +242,8 @@ pub fn tally(f: impl FnOnce(&mut PipelineStats)) {
 }
 
 /// Runs `f` and returns its output with everything counted on this
-/// thread while it ran, including what scoped workers handed back. The
-/// counts are also added to the enclosing record, so measurements nest.
+/// thread while it ran. The counts are also added to the enclosing
+/// record, so measurements nest.
 pub fn tallied<R>(f: impl FnOnce() -> R) -> (R, PipelineStats) {
     let outer = take_tally();
     let out = f();
@@ -261,9 +252,8 @@ pub fn tallied<R>(f: impl FnOnce() -> R) -> (R, PipelineStats) {
     (out, inner)
 }
 
-/// Takes the calling thread's record, leaving it zeroed. A scoped
-/// worker returns this to the thread that joins it.
-pub fn take_tally() -> PipelineStats {
+/// Takes the calling thread's record, leaving it zeroed.
+fn take_tally() -> PipelineStats {
     CURRENT.with(RefCell::take)
 }
 
@@ -298,10 +288,9 @@ impl fmt::Display for PipelineStats {
         )?;
         writeln!(
             f,
-            "core: {} regions in {} rounds on {} thread(s), cache {}/{} ({:.0}% hit)",
+            "core: {} regions in {} rounds, cache {}/{} ({:.0}% hit)",
             self.regions_explored,
             self.rounds,
-            self.threads_used,
             self.cache_hits,
             self.cache_hits + self.cache_misses,
             self.cache_hit_rate() * 100.0
@@ -327,8 +316,6 @@ mod tests {
         let again: Vec<u64> = s.entries().map(|(_, v)| v).collect();
         assert_eq!(again, (1..=COUNT as u64).collect::<Vec<_>>());
         assert!(!s.set("no_such_counter", 5));
-        s.set("threads_used", u64::MAX);
-        assert_eq!(s.threads_used, u32::MAX, "out-of-range values saturate");
     }
 
     #[test]

@@ -43,7 +43,6 @@
 #![forbid(unsafe_code)]
 
 mod bigint;
-mod fanout;
 mod linear;
 mod lp;
 mod polyhedron;
@@ -54,7 +53,6 @@ mod shadow;
 mod simplex;
 
 pub use bigint::{BigInt, ParseBigIntError};
-pub use fanout::{fan_out, hardware_threads};
 pub use linear::{Cmp, Constraint, LinExpr};
 pub use lp::{
     cache_clear as lp_cache_clear, closure_feasible, maximize as lp_maximize,

@@ -29,7 +29,7 @@
 use crate::linear::{Constraint, LinExpr};
 use crate::rational::Rational;
 use crate::shadow::{ShadowCounts, ShadowRed};
-use crate::simplex::{primal, Phase, Rule, Scratch, Tableau, Target};
+use crate::simplex::{primal, Phase, Rule, Scratch, Tableau};
 use std::cell::RefCell;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -120,7 +120,7 @@ pub fn maximize(objective: &LinExpr, constraints: &[Constraint]) -> LpResult {
                     // A fresh solve of the same system would perform the
                     // same pivots and shadow proposals, so account for
                     // them: lp_solves/lp_pivots and the shadow counters
-                    // stay independent of cache (and thread) scheduling.
+                    // stay independent of whether the cache fires.
                     offload_obs::tally(|t| {
                         t.lp_pivots += e.pivots;
                         t.lp_cache_hits += 1;
@@ -230,9 +230,8 @@ fn solve(
                 Rational::zero()
             }
         };
-        let target = Target { base: None, tab: t };
         match primal(
-            target,
+            t,
             stride,
             cost,
             sx,
@@ -274,8 +273,7 @@ fn solve(
             Rational::zero()
         }
     };
-    let target = Target { base: None, tab: t };
-    match primal(target, cols, cost, sx, shadow, Rule::Bland, pivots) {
+    match primal(t, cols, cost, sx, shadow, Rule::Bland, pivots) {
         Phase::Unbounded => LpResult::Unbounded,
         Phase::Optimal(v) => LpResult::Optimal(&v + objective.constant_term()),
     }

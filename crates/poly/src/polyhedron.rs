@@ -24,9 +24,9 @@ const LP_REDUCE_THRESHOLD: usize = 150;
 /// elimination is (or is predicted to be) too expensive for the caller's
 /// row budget.
 ///
-/// Two triggers, both pure functions of the input system and the budget —
-/// never of thread count or scheduling — so callers can treat this as a
-/// deterministic, typed "projection is intractable" verdict:
+/// Two triggers, both pure functions of the input system and the budget,
+/// so callers can treat this as a deterministic, typed "projection is
+/// intractable" verdict:
 ///
 /// * **admission**: before any combination work, the worst-case row
 ///   estimate `vars × ⌈rows/2⌉²` of the post-substitution system already
@@ -283,43 +283,32 @@ impl Polyhedron {
     /// elimination produces the fewest new constraints (the classic
     /// `min(|lowers| * |uppers|)` heuristic).
     pub fn eliminate_vars(&self, vars: &[usize]) -> Polyhedron {
-        self.eliminate_vars_threads(vars, 1)
-    }
-
-    /// [`Self::eliminate_vars`] with up to `threads` worker threads for
-    /// the intra-step LP-based redundancy reduction. The output — and
-    /// every work counter — is identical for every thread count (see
-    /// `reduce.rs` for the determinism argument).
-    pub fn eliminate_vars_threads(&self, vars: &[usize], threads: usize) -> Polyhedron {
         let mut unlimited = u64::MAX;
-        self.try_eliminate_vars_threads(vars, threads, &mut unlimited)
+        self.try_eliminate_vars(vars, &mut unlimited)
             .expect("an unlimited row budget cannot be exceeded")
     }
 
-    /// [`Self::eliminate_vars_threads`] under a Fourier–Motzkin row
-    /// budget. `budget` is the number of derived rows this call may still
+    /// [`Self::eliminate_vars`] under a Fourier–Motzkin row budget.
+    /// `budget` is the number of derived rows this call may still
     /// generate; on success the rows actually generated are deducted (so
     /// one budget can be threaded through a sequence of projections), and
     /// the elimination aborts with [`ProjectionBudgetExceeded`] either up
     /// front — when the worst-case row estimate `vars × ⌈rows/2⌉²` of the
     /// post-substitution system already exceeds the budget — or mid-round,
-    /// when the cumulative row count crosses it.
+    /// when the cumulative row count crosses it. Both triggers are pure
+    /// functions of the input system.
     ///
-    /// Both triggers are pure functions of the input system (generation
-    /// happens in the sequential per-variable loop; the parallel LP
-    /// reduction has a thread-count-independent survivor set), so whether
-    /// this fails — and with what count — does not depend on `threads` or
-    /// scheduling.
+    /// The `poly/fm_eliminate` span records the admission estimate, the
+    /// rounds run and the rows used.
     ///
     /// # Errors
     ///
     /// Returns [`ProjectionBudgetExceeded`] when the elimination is
     /// predicted (admission estimate) or observed (rows generated) to
     /// exceed `budget`.
-    pub fn try_eliminate_vars_threads(
+    pub fn try_eliminate_vars(
         &self,
         vars: &[usize],
-        threads: usize,
         budget: &mut u64,
     ) -> Result<Polyhedron, ProjectionBudgetExceeded> {
         let mut span = offload_obs::span!(
@@ -328,7 +317,7 @@ impl Polyhedron {
             vars = vars.len(),
             constraints_in = self.constraints.len(),
         );
-        let out = self.eliminate_vars_inner(vars, threads, budget)?;
+        let out = self.eliminate_vars_inner(vars, budget, &mut span)?;
         span.record("constraints_out", out.constraints.len());
         Ok(out)
     }
@@ -336,8 +325,8 @@ impl Polyhedron {
     fn eliminate_vars_inner(
         &self,
         vars: &[usize],
-        threads: usize,
         budget: &mut u64,
+        span: &mut offload_obs::SpanGuard,
     ) -> Result<Polyhedron, ProjectionBudgetExceeded> {
         let remaining: Vec<usize> = vars.to_vec();
         let cur = match self.pruned() {
@@ -403,13 +392,7 @@ impl Polyhedron {
             let half = (cur.constraints.len() as u64).div_ceil(2);
             (remaining.len() as u64).saturating_mul(half.saturating_mul(half))
         };
-        if std::env::var_os("OFFLOAD_POLY_TRACE").is_some() {
-            eprintln!(
-                "[poly:trace] fm start: {} vars to eliminate, sys {}, estimate {estimate}",
-                remaining.len(),
-                cur.constraints.len(),
-            );
-        }
+        span.record("estimate", estimate);
         if estimate > *budget {
             return Err(ProjectionBudgetExceeded {
                 generated: estimate,
@@ -464,6 +447,8 @@ impl Polyhedron {
                     used += 1;
                     if used > *budget {
                         offload_obs::tally(|t| t.fm_constraints += generated);
+                        span.record("rounds", eliminated);
+                        span.record("rows_used", used);
                         return Err(ProjectionBudgetExceeded { generated: used });
                     }
                     let b = up.expr.coeff(v).abs();
@@ -500,6 +485,8 @@ impl Polyhedron {
                     Some(true) => continue,
                     Some(false) => {
                         *budget -= used.min(*budget);
+                        span.record("rounds", eliminated);
+                        span.record("rows_used", used);
                         return Ok(Polyhedron::empty(self.nvars));
                     }
                     None => {}
@@ -564,19 +551,11 @@ impl Polyhedron {
             // benchmarks a threshold of 150 more than halves end-to-end
             // projection time versus 300+.
             if sys.len() > LP_REDUCE_THRESHOLD {
-                sys = lp_reduce_with_history(sys, threads);
-            }
-
-            // Low-tech progress trace for diagnosing pathological
-            // eliminations (set `OFFLOAD_POLY_TRACE` to enable).
-            if std::env::var_os("OFFLOAD_POLY_TRACE").is_some() {
-                eprintln!(
-                    "[poly:trace] fm round {eliminated}: {} vars left, sys {}, rows used {used}",
-                    remaining.len(),
-                    sys.len(),
-                );
+                sys = lp_reduce_with_history(sys);
             }
         }
+        span.record("rounds", eliminated);
+        span.record("rows_used", used);
         *budget -= used.min(*budget);
         // Embed the compact-space result back into the original space.
         Ok(embed_space(
@@ -589,34 +568,26 @@ impl Polyhedron {
     /// Projects onto the first `k` variables: eliminates variables
     /// `k..nvars` and truncates the space to `k` dimensions.
     pub fn project_to_first(&self, k: usize) -> Polyhedron {
-        self.project_to_first_threads(k, 1)
-    }
-
-    /// [`Self::project_to_first`] with up to `threads` worker threads for
-    /// the redundancy-elimination inner loop; output is thread-count
-    /// independent.
-    pub fn project_to_first_threads(&self, k: usize, threads: usize) -> Polyhedron {
         let mut unlimited = u64::MAX;
-        self.try_project_to_first_threads(k, threads, &mut unlimited)
+        self.try_project_to_first(k, &mut unlimited)
             .expect("an unlimited row budget cannot be exceeded")
     }
 
-    /// [`Self::project_to_first_threads`] under a Fourier–Motzkin row
-    /// budget (see [`Self::try_eliminate_vars_threads`]).
+    /// [`Self::project_to_first`] under a Fourier–Motzkin row budget (see
+    /// [`Self::try_eliminate_vars`]).
     ///
     /// # Errors
     ///
     /// Returns [`ProjectionBudgetExceeded`] when the elimination would
     /// generate more rows than `budget` allows.
-    pub fn try_project_to_first_threads(
+    pub fn try_project_to_first(
         &self,
         k: usize,
-        threads: usize,
         budget: &mut u64,
     ) -> Result<Polyhedron, ProjectionBudgetExceeded> {
         assert!(k <= self.nvars);
         let elim: Vec<usize> = (k..self.nvars).collect();
-        let reduced = self.try_eliminate_vars_threads(&elim, threads, budget)?;
+        let reduced = self.try_eliminate_vars(&elim, budget)?;
         let constraints = reduced
             .constraints
             .iter()
@@ -709,14 +680,6 @@ impl Polyhedron {
     /// warm-started incremental LP — see `reduce.rs`), then a reverse
     /// sweep removing survivors made redundant by later additions.
     pub fn reduce_redundancy(&self) -> Polyhedron {
-        self.reduce_redundancy_threads(1)
-    }
-
-    /// [`Self::reduce_redundancy`] with up to `threads` worker threads
-    /// for the implication checks. The survivor set — and every work
-    /// counter — is identical for every thread count, including 1; the
-    /// thread count only changes how fast the same checks run.
-    pub fn reduce_redundancy_threads(&self, threads: usize) -> Polyhedron {
         let cur = match self.pruned_counted() {
             Some(p) => p,
             None => return Polyhedron::empty(self.nvars),
@@ -725,7 +688,7 @@ impl Polyhedron {
         // likelier to be facets of simple regions).
         let mut ordered = cur.constraints;
         ordered.sort_by_key(|c| c.expr.support().count());
-        let keep = crate::reduce::filter_implied(&ordered, threads);
+        let keep = crate::reduce::filter_implied(&ordered);
         let mut kept: Vec<Constraint> = Vec::with_capacity(keep.len());
         let mut want = keep.into_iter().peekable();
         for (i, c) in ordered.into_iter().enumerate() {
@@ -1045,16 +1008,14 @@ fn embed_space(nvars: usize, to_old: &[usize], constraints: Vec<Constraint>) -> 
 
 /// Incremental LP-based redundancy filter preserving derivation
 /// histories: keeps a constraint only when the already-kept set does not
-/// imply it. The checks run on the warm-started incremental solver
-/// across up to `threads` workers; output is thread-count independent.
+/// imply it. The checks run on the warm-started incremental solver.
 fn lp_reduce_with_history(
     sys: Vec<(Constraint, std::collections::BTreeSet<u32>)>,
-    threads: usize,
 ) -> Vec<(Constraint, std::collections::BTreeSet<u32>)> {
     let mut ordered = sys;
     ordered.sort_by_key(|(c, _)| c.expr.support().count());
     let cs: Vec<Constraint> = ordered.iter().map(|(c, _)| c.clone()).collect();
-    let keep = crate::reduce::filter_implied(&cs, threads);
+    let keep = crate::reduce::filter_implied(&cs);
     let mut kept: Vec<(Constraint, std::collections::BTreeSet<u32>)> =
         Vec::with_capacity(keep.len());
     let mut want = keep.into_iter().peekable();

@@ -26,66 +26,16 @@
 //!    runs the shared primal kernel (`simplex.rs`) from the current
 //!    basis: phase 2 only, with no phase 1 and no tableau rebuilt from
 //!    scratch.
-//!
-//! 3. **Deterministic intra-call parallelism.** Candidates are walked in
-//!    a *fixed* block schedule (independent of the thread count). Each
-//!    block's checks run against the basis frozen at the block start —
-//!    across as many worker threads as the caller granted — and a
-//!    sequential integration pass then confirms survivors against the
-//!    live basis. A candidate implied by the frozen (smaller) kept set is
-//!    implied by every later kept set, so a parallel "implied" verdict is
-//!    final; a "not implied" verdict is re-validated sequentially before
-//!    the candidate is accepted. The survivor set — and every counter —
-//!    is therefore identical for every thread count, including 1.
 
-use crate::fanout::{fan_out, hardware_threads};
 use crate::linear::{Cmp, Constraint};
 use crate::rational::Rational;
 use crate::shadow::ShadowRed;
-use crate::simplex::{primal, Phase, Rule, Scratch, Tableau, Target};
+use crate::simplex::{primal, Phase, Rule, Scratch, Tableau};
 use std::time::Instant;
-
-/// Upper bound on a block of candidate checks that run against one
-/// frozen basis. Early blocks are small (survivors cluster at the front,
-/// and each survivor in a block forces a sequential re-check), growing
-/// geometrically to this cap once drops dominate.
-const MAX_BLOCK: usize = 64;
-
-/// Minimum block length worth spawning scoped worker threads for.
-const PAR_THRESHOLD: usize = 4;
-
-/// Minimum estimated block work — block length × live basis rows — worth
-/// spawning scoped worker threads for. Each verdict solves an LP over
-/// the kept basis, so `bs × kept` tracks the block's real cost where
-/// block length alone does not: the G.721 decoder's reduce calls have
-/// the same block shapes as the encoder's but bases roughly half the
-/// size, and spawning for those cheap blocks cost more than it saved
-/// (the rawdaudio parallel regression).
-const PAR_MIN_WORK: usize = 1500;
 
 /// How many witness vertices the incremental LP remembers. Each kept
 /// constraint's post-push vertex lands here; older vertices age out.
 const WITNESS_CAP: usize = 8;
-
-/// The fixed candidate block schedule for `n` candidates: 1, 2, 4, …,
-/// [`MAX_BLOCK`], then [`MAX_BLOCK`] repeated. Never depends on the
-/// thread count — the schedule decides which basis each check runs
-/// against, so it must be part of the deterministic algorithm, not of
-/// the execution strategy.
-fn block_sizes(n: usize) -> Vec<usize> {
-    let mut out = Vec::new();
-    let mut covered = 0usize;
-    let mut size = 1usize;
-    while covered < n {
-        let b = size.min(n - covered);
-        out.push(b);
-        covered += b;
-        if size < MAX_BLOCK {
-            size *= 2;
-        }
-    }
-    out
-}
 
 /// The bounding box implied by the kept single-variable constraints
 /// (closure semantics — strictness is ignored, exactly as the LP relaxes
@@ -187,8 +137,8 @@ struct IncLp {
     n: usize,
     /// Row stride is `2n` plus the reserved slack columns, doubled on
     /// demand as constraints are pushed. Kept close to the *kept* row
-    /// count — not the candidate count — because every implication check
-    /// that pivots copies the tableau, and copy cost is `rows × stride`.
+    /// count — not the candidate count — because every pivot sweeps
+    /// `rows × stride` entries.
     t: Tableau,
     /// The closure of the kept set is empty; every candidate is implied.
     infeasible: bool,
@@ -201,8 +151,6 @@ struct IncLp {
 /// not allocate.
 #[derive(Default)]
 struct Work {
-    /// The copy of the kept tableau a read-only check pivots.
-    copy: Tableau,
     sx: Scratch,
     /// `f64` shadow of the reduced-cost row (pivot-search front-end).
     fred: ShadowRed,
@@ -281,53 +229,28 @@ impl IncLp {
         })
     }
 
-    /// Checks whether the kept set implies `c`: witness points first,
-    /// then the primal kernel from the current feasible basis, pivoting a
-    /// copy of the tableau.
-    fn check(&self, c: &Constraint, work: &mut Work) -> bool {
-        if self.infeasible {
-            return true;
-        }
-        if self.witness_rejects(c) {
-            offload_obs::tally(|t| t.prefilter_witness += 1);
-            return false;
-        }
-        let target = Target {
-            base: Some(&self.t),
-            tab: &mut work.copy,
-        };
-        implies(
-            self.n,
-            self.width(),
-            target,
-            c,
-            &mut work.sx,
-            &mut work.fred,
-        )
-    }
-
-    /// Like [`IncLp::check`], but pivots the kept tableau *in place* (any
+    /// Checks whether the kept set implies `c` and, if not, pushes it:
+    /// witness points first, then the primal kernel from the current
+    /// feasible basis, pivoting the kept tableau in place (any
     /// primal-feasible basis is a valid base, so the candidate's
-    /// minimizing basis is simply kept) and, on a non-implied verdict,
-    /// pushes `c`. From the minimizer the new row enters with a negative
-    /// right-hand side, so the dual simplex restores feasibility along the
-    /// textbook warm-start cycle. Only the sequential integration pass
-    /// calls this, so the mutation is deterministic.
+    /// minimizing basis is simply kept). From the minimizer the new row
+    /// enters with a negative right-hand side, so the dual simplex
+    /// restores feasibility along the textbook warm-start cycle.
     fn check_and_push(&mut self, c: &Constraint, work: &mut Work) -> bool {
         if self.infeasible {
             return true;
         }
         if self.witness_rejects(c) {
             offload_obs::tally(|t| t.prefilter_witness += 1);
-        } else {
-            let (n, width) = (self.n, self.width());
-            let target = Target {
-                base: None,
-                tab: &mut self.t,
-            };
-            if implies(n, width, target, c, &mut work.sx, &mut work.fred) {
-                return true;
-            }
+        } else if implies(
+            self.n,
+            self.width(),
+            &mut self.t,
+            c,
+            &mut work.sx,
+            &mut work.fred,
+        ) {
+            return true;
         }
         self.push(c, work);
         false
@@ -417,13 +340,13 @@ impl IncLp {
     }
 }
 
-/// Whether the rows of `target` imply `c`: primal phase 2 maximizes
-/// `−(c.expr − c₀)` from the target's feasible basis, so the exact
+/// Whether the rows of `t` imply `c`: primal phase 2 maximizes
+/// `−(c.expr − c₀)` from the tableau's feasible basis, so the exact
 /// minimum of `c.expr` over their closure is `c₀` minus that maximum.
 fn implies(
     n: usize,
     width: usize,
-    target: Target<'_>,
+    t: &mut Tableau,
     c: &Constraint,
     sx: &mut Scratch,
     fred: &mut ShadowRed,
@@ -440,7 +363,7 @@ fn implies(
     };
     let mut pivots = 0;
     let phase = primal(
-        target,
+        t,
         width,
         cost,
         sx,
@@ -473,25 +396,11 @@ fn eval_at(c: &Constraint, p: &[Rational]) -> Rational {
     v
 }
 
-/// One candidate's implication check against a frozen state: the
-/// interval pre-filter first, then the warm-started LP.
-fn check_one(lp: &IncLp, bounds: &IntervalBox, c: &Constraint, work: &mut Work) -> bool {
-    if lp.infeasible {
-        return true;
-    }
-    if bounds.implies(c) {
-        offload_obs::tally(|t| t.prefilter_interval += 1);
-        return true;
-    }
-    lp.check(c, work)
-}
-
 /// The incremental redundancy filter: returns the (ascending) indices of
 /// the candidates that survive "keep iff not implied by the already kept
-/// set", walking `ordered` front to back. The survivor set is exactly
-/// the sequential filter's — see the module docs for the argument — and
-/// both it and every counter are independent of `threads`.
-pub(crate) fn filter_implied(ordered: &[Constraint], threads: usize) -> Vec<usize> {
+/// set", walking `ordered` front to back: the interval pre-filter first,
+/// then the warm-started LP against the live basis.
+pub(crate) fn filter_implied(ordered: &[Constraint]) -> Vec<usize> {
     if ordered.is_empty() {
         return Vec::new();
     }
@@ -501,50 +410,19 @@ pub(crate) fn filter_implied(ordered: &[Constraint], threads: usize) -> Vec<usiz
     let mut bounds = IntervalBox::new(nvars);
     let mut kept: Vec<usize> = Vec::new();
     let mut work = Work::default();
-    let mut start = 0usize;
-    for bs in block_sizes(ordered.len()) {
-        let block = start..start + bs;
-        start += bs;
+    for (i, c) in ordered.iter().enumerate() {
         if lp.infeasible {
-            continue; // everything after an infeasible kept set is implied
+            break; // everything after an infeasible kept set is implied
         }
-        // Verdicts against the basis frozen at block start. "Implied" is
-        // final (implication is monotone in the kept set); "not implied"
-        // is re-validated during sequential integration below.
-        let spawn = threads.min(hardware_threads()) >= 2
-            && bs >= PAR_THRESHOLD
-            && bs * (kept.len() + 1) >= PAR_MIN_WORK;
-        let verdicts: Vec<bool> = if spawn {
-            // Each check is a pure function of the frozen `(lp, bounds)`
-            // state and its candidate, so which worker computes it never
-            // matters.
-            let workers = threads.min(bs).min(hardware_threads());
-            fan_out(bs, workers, Work::default, |work, k| {
-                check_one(&lp, &bounds, &ordered[block.start + k], work)
-            })
-            .0
-        } else {
-            block
-                .clone()
-                .map(|i| check_one(&lp, &bounds, &ordered[i], &mut work))
-                .collect()
-        };
-        for (k, i) in block.enumerate() {
-            if lp.infeasible || verdicts[k] {
-                continue;
-            }
-            // Confirm against the live basis (the kept set may have grown
-            // within this block) and, on survival, adopt + push.
-            if bounds.implies(&ordered[i]) {
-                offload_obs::tally(|t| t.prefilter_interval += 1);
-                continue;
-            }
-            if lp.check_and_push(&ordered[i], &mut work) {
-                continue;
-            }
-            bounds.absorb(&ordered[i]);
-            kept.push(i);
+        if bounds.implies(c) {
+            offload_obs::tally(|t| t.prefilter_interval += 1);
+            continue;
         }
+        if lp.check_and_push(c, &mut work) {
+            continue;
+        }
+        bounds.absorb(c);
+        kept.push(i);
     }
     offload_obs::tally(|t| t.prune_micros += t0.elapsed().as_micros() as u64);
     kept
@@ -581,16 +459,6 @@ mod tests {
     }
 
     #[test]
-    fn block_schedule_is_fixed_and_covers() {
-        assert_eq!(block_sizes(0), Vec::<usize>::new());
-        assert_eq!(block_sizes(1), vec![1]);
-        assert_eq!(block_sizes(10), vec![1, 2, 4, 3]);
-        let total: usize = block_sizes(1000).iter().sum();
-        assert_eq!(total, 1000);
-        assert!(block_sizes(1000).iter().all(|&b| b <= MAX_BLOCK));
-    }
-
-    #[test]
     fn matches_reference_on_redundant_wedge() {
         // x >= 0, y >= 0, x + y <= 10, plus redundant supports.
         let mut cs = vec![
@@ -602,9 +470,7 @@ mod tests {
             cs.push(ge(2, &[(0, 1), (1, 1)], k)); // implied by x,y >= 0
             cs.push(ge(2, &[(0, -1), (1, -2)], 20 + k)); // implied by the wedge
         }
-        for threads in [1, 3] {
-            assert_eq!(filter_implied(&cs, threads), reference_filter(&cs));
-        }
+        assert_eq!(filter_implied(&cs), reference_filter(&cs));
     }
 
     #[test]
@@ -617,7 +483,7 @@ mod tests {
             ge(1, &[(0, 1)], -100),
             ge(1, &[(0, -1)], 200),
         ];
-        let got = filter_implied(&cs, 2);
+        let got = filter_implied(&cs);
         assert_eq!(got, reference_filter(&cs));
         assert_eq!(got, vec![0, 1]);
     }
@@ -635,31 +501,10 @@ mod tests {
         for k in 1..10 {
             cs.push(ge(2, &[(0, 1), (1, 1)], k));
         }
-        let (got, delta) = offload_obs::tallied(|| filter_implied(&cs, 1));
+        let (got, delta) = offload_obs::tallied(|| filter_implied(&cs));
         assert_eq!(got, reference_filter(&cs));
         assert_eq!(got, vec![0, 1, 2, 3]);
         assert!(delta.prefilter_interval > 0, "interval filter must fire");
-    }
-
-    #[test]
-    fn counters_are_thread_count_independent() {
-        let mut cs = vec![
-            ge(3, &[(0, 1)], 0),
-            ge(3, &[(1, 1)], 0),
-            ge(3, &[(2, 1)], 0),
-            ge(3, &[(0, -1), (1, -1), (2, -1)], 30),
-        ];
-        for k in 1..40 {
-            cs.push(ge(3, &[(0, k % 5 + 1), (1, 1)], 10 * k));
-            cs.push(ge(3, &[(1, -1), (2, -(k % 3) - 1)], 90 + k));
-        }
-        let (seq, d_seq) = offload_obs::tallied(|| filter_implied(&cs, 1));
-        let (par, d_par) = offload_obs::tallied(|| filter_implied(&cs, 4));
-        assert_eq!(seq, par);
-        assert_eq!(d_seq.lp_warm_starts, d_par.lp_warm_starts);
-        assert_eq!(d_seq.dual_pivots, d_par.dual_pivots);
-        assert_eq!(d_seq.lp_pivots, d_par.lp_pivots);
-        assert_eq!(d_seq.prefilter_interval, d_par.prefilter_interval);
     }
 
     #[test]
@@ -672,7 +517,7 @@ mod tests {
             Constraint::gt0(LinExpr::var(1, 0)),
             Constraint::gt0(LinExpr::var(1, 0).plus_constant(r(-1))),
         ];
-        let got = filter_implied(&cs, 1);
+        let got = filter_implied(&cs);
         assert_eq!(got, reference_filter(&cs));
         assert_eq!(got, vec![0, 2]);
     }

@@ -23,9 +23,8 @@
 //! Determinism: IEEE-754 `f64` arithmetic is a pure function of its
 //! inputs, so the proposal sequence — and with it the certified pivot
 //! sequence and every shadow counter — depends only on the LP system
-//! being solved, never on thread scheduling. Results and work counters
-//! stay bit-identical at any thread count, which is the repo-wide
-//! contract (`DESIGN.md` §15).
+//! being solved. Results and work counters repeat exactly on every run,
+//! which is the repo-wide contract (`DESIGN.md` §15).
 
 use crate::rational::Rational;
 

@@ -57,14 +57,6 @@ pub(crate) struct Scratch {
     prow: Vec<Rational>,
 }
 
-/// The tableau a primal run pivots: `tab` itself, or, given a `base`, a
-/// copy of `base` made in `tab` at the first pivot. A run that is already
-/// optimal at the base vertex copies nothing.
-pub(crate) struct Target<'a> {
-    pub base: Option<&'a Tableau>,
-    pub tab: &'a mut Tableau,
-}
-
 /// Exact entering-column rule.
 #[derive(Clone, Copy)]
 pub(crate) enum Rule {
@@ -85,13 +77,6 @@ impl Tableau {
     /// Number of constraint rows.
     pub fn rows(&self) -> usize {
         self.basis.len()
-    }
-
-    fn copy_from(&mut self, other: &Tableau) {
-        self.tab.clone_from(&other.tab);
-        self.b.clone_from(&other.b);
-        self.basis.clone_from(&other.basis);
-        self.stride = other.stride;
     }
 
     /// Ratio test for entering column `j`: the row minimizing `b_i / a_ij`
@@ -171,15 +156,15 @@ impl Rule {
 }
 
 /// Primal simplex: maximizes `Σ cost(j)·x_j` over the first `width`
-/// columns of a primal-feasible tableau, starting from its basis, and
-/// adds every pivot it makes to `pivots`.
+/// columns of a primal-feasible tableau, pivoting it in place from its
+/// basis, and adds every pivot it makes to `pivots`.
 ///
 /// With a `shadow`, the shadow proposes each entering column and `rule`
 /// decides only when certification fails; without one, `rule` decides
 /// every column. Either way Bland's rule decides once [`STALL_LIMIT`]
 /// degenerate pivots have run in a row.
 pub(crate) fn primal(
-    mut t: Target<'_>,
+    t: &mut Tableau,
     width: usize,
     cost: impl Fn(usize) -> Rational,
     sx: &mut Scratch,
@@ -189,22 +174,21 @@ pub(crate) fn primal(
 ) -> Phase {
     // Reduced costs at the starting basis, touching only the rows whose
     // basic column has a nonzero cost.
-    let start = t.base.unwrap_or(t.tab);
     sx.red.clear();
     sx.red.extend((0..width).map(&cost));
     let mut z = Rational::zero();
-    for i in 0..start.rows() {
-        let cb = cost(start.basis[i]);
+    for i in 0..t.rows() {
+        let cb = cost(t.basis[i]);
         if cb.is_zero() {
             continue;
         }
-        let row = &start.tab[i * start.stride..i * start.stride + width];
+        let row = &t.tab[i * t.stride..i * t.stride + width];
         for (r, a) in sx.red.iter_mut().zip(row) {
             if !a.is_zero() {
                 *r -= &(&cb * a);
             }
         }
-        z += &(&cb * &start.b[i]);
+        z += &(&cb * &t.b[i]);
     }
     if let Some(fred) = shadow.as_deref_mut() {
         fred.sync(&sx.red);
@@ -219,13 +203,10 @@ pub(crate) fn primal(
         let Some(j) = entering else {
             return Phase::Optimal(z);
         };
-        let Some(i) = t.base.unwrap_or(t.tab).leaving(j) else {
+        let Some(i) = t.leaving(j) else {
             return Phase::Unbounded;
         };
-        if let Some(base) = t.base.take() {
-            t.tab.copy_from(base);
-        }
-        if t.tab.b[i].is_zero() {
+        if t.b[i].is_zero() {
             stall += 1;
         } else {
             stall = 0;
@@ -233,7 +214,7 @@ pub(crate) fn primal(
         // red -= red_j · (normalized pivot row) sets red_j to an exact
         // zero; z grows by red_j times the entering column's new value.
         let rj = sx.red[j].clone();
-        t.tab.pivot(sx, width, i, j);
+        t.pivot(sx, width, i, j);
         *pivots += 1;
         for (&k, v) in sx.nz.iter().zip(&sx.prow) {
             sx.red[k] -= &(&rj * v);
@@ -241,6 +222,6 @@ pub(crate) fn primal(
         if let Some(fred) = shadow.as_deref_mut() {
             fred.pivot_update(rj.to_f64(), &sx.nz, &sx.prow, j);
         }
-        z += &(&rj * &t.tab.b[i]);
+        z += &(&rj * &t.b[i]);
     }
 }

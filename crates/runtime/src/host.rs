@@ -298,12 +298,22 @@ pub struct Machine<'a> {
 }
 
 impl<'a> ExecHost for Machine<'a> {
+    /// Rejects an id that is not a tracked item of this run.
     fn fetch_item(&mut self, item: AbsLocId) -> Result<ItemPayload, HostError> {
+        self.check_tracked(item)?;
         Ok(self.collect_item(item))
     }
 
+    /// Rejects an id that is not a tracked item of this run, and a
+    /// payload that is not storage of the item's location.
     fn push_item(&mut self, item: AbsLocId, payload: ItemPayload) -> Result<(), HostError> {
-        let _ = item;
+        self.check_tracked(item)?;
+        if !self.payload_matches(item, &payload) {
+            return Err(HostError(format!(
+                "payload does not match item {}",
+                item.index()
+            )));
+        }
         self.install_item(payload);
         Ok(())
     }
@@ -561,6 +571,40 @@ impl<'a> Machine<'a> {
 
     fn is_tracked(&self, item: AbsLocId) -> bool {
         self.tracked.contains(&item)
+    }
+
+    /// An item id from the peer must name a tracked item before it
+    /// indexes anything.
+    fn check_tracked(&self, item: AbsLocId) -> Result<(), HostError> {
+        if self.is_tracked(item) {
+            Ok(())
+        } else {
+            Err(HostError(format!("item {} is not tracked", item.index())))
+        }
+    }
+
+    /// Whether `payload` is storage of `item`'s location: the same
+    /// function and local for a register, the location's own object keys
+    /// for memory.
+    fn payload_matches(&self, item: AbsLocId, payload: &ItemPayload) -> bool {
+        match (self.r.pta.loc(item), payload) {
+            (
+                AbsLoc::Reg { func, local },
+                ItemPayload::Reg {
+                    func: f, local: l, ..
+                },
+            ) => func == *f && local == *l,
+            (AbsLoc::Global(g), ItemPayload::Objects(objs)) => {
+                objs.iter().all(|o| o.key == ObjKey::Global(g.0))
+            }
+            (AbsLoc::Local { func, local }, ItemPayload::Objects(objs)) => {
+                objs.iter().all(|o| o.key == ObjKey::Local(func, local))
+            }
+            (AbsLoc::Site(site), ItemPayload::Objects(objs)) => objs
+                .iter()
+                .all(|o| matches!(o.key, ObjKey::Dyn(_)) && o.site == Some(site)),
+            _ => false,
+        }
     }
 
     fn validity(&mut self, item: AbsLocId) -> &mut [bool; 2] {
