@@ -12,9 +12,9 @@
 //!   idle-reaped at the request timeout, without wedging a worker;
 //! * 200 connections that churn without a `Bye` leave no protocol or
 //!   dispatch errors behind;
+//! * a session that panics gives its connection slot back;
 //! * an item frame naming an untracked item, or a payload foreign to its
-//!   item, gets an `Error` reply, and the session gives its connection
-//!   slot back;
+//!   item, gets an `Error` reply instead of panicking the session;
 //! * a program nested past the parser's cap is refused with an `Error`
 //!   reply instead of overflowing a worker's stack.
 //!
@@ -22,12 +22,13 @@
 //! one mutex and reasons in counter deltas.
 
 use offload_core::{Analysis, AnalysisOptions};
-use offload_ir::{FuncId, LocalId};
+use offload_ir::{BlockId, FuncId, LocalId};
 use offload_net::protocol::{decode_frame, encode_frame, TraceContext, WireFrame, WireMsg};
 use offload_net::{
     fingerprint, ClientConfig, DispatchClient, NetError, OffloadServer, ServerConfig, ServerHandle,
 };
-use offload_runtime::{DeviceModel, ItemPayload, Value};
+use offload_runtime::{ControlMsg, DeviceModel, Host, ItemPayload, PendingAction, Value};
+use offload_tcfg::SegmentId;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -110,6 +111,41 @@ fn read_raw_frame(stream: &mut TcpStream) -> WireFrame {
     let mut payload = vec![0u8; len as usize];
     stream.read_exact(&mut payload).expect("read frame payload");
     decode_frame(&payload).expect("decode frame")
+}
+
+/// Opens a raw session on `server`: connects, sends a valid `Hello` for
+/// `choice` and reads its `HelloAck`.
+fn raw_session(server: &ServerHandle, fp: u64, choice: usize) -> TcpStream {
+    let mut stream = TcpStream::connect(server.addr()).expect("hostile connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let hello = WireMsg::Hello {
+        fingerprint: fp,
+        choice: choice as u32,
+        params: vec![1_000],
+        max_steps: 0,
+        client_time_us: 0,
+    };
+    stream.write_all(&raw_frame(1, hello)).expect("send Hello");
+    let ack = read_raw_frame(&mut stream);
+    assert!(matches!(ack.msg, WireMsg::HelloAck { .. }), "{:?}", ack.msg);
+    stream
+}
+
+/// A raw, already length-prefixed frame.
+fn raw_frame(request_id: u64, msg: WireMsg) -> Vec<u8> {
+    encode_frame(&WireFrame { request_id, msg })
+}
+
+/// The index of a choice that splits the program across both hosts.
+fn partitioned_choice(analysis: &Analysis) -> usize {
+    analysis
+        .partition
+        .choices
+        .iter()
+        .position(|c| !c.is_all_local())
+        .expect("a partitioned choice")
 }
 
 /// A client that dribbles its frame one byte at a time must be
@@ -372,15 +408,60 @@ fn connection_churn_without_bye_leaves_no_errors() {
     server.shutdown();
 }
 
+/// A session whose server half panics must still give its connection
+/// slot back. The hostile client hands the server control with a call
+/// into a function that does not exist, which panics the session thread
+/// while it writes the callee's parameter register; with a cap of one
+/// connection, every later client would be refused if the slot leaked.
+#[test]
+fn panicking_session_releases_its_connection_slot() {
+    let _guard = serialized();
+    let analysis =
+        Arc::new(Analysis::from_source(PROGRAM, AnalysisOptions::default()).expect("analysis"));
+    let mut server = OffloadServer::bind(
+        "127.0.0.1:0",
+        analysis.clone(),
+        DeviceModel::ipaq_testbed(),
+        ServerConfig::builder()
+            .threads(1)
+            .max_connections(1)
+            .build(),
+    )
+    .expect("server");
+    let fp = fingerprint(&analysis);
+    let choice = partitioned_choice(&analysis);
+
+    let mut hostile = raw_session(&server, fp, choice);
+    let mut control = ControlMsg::start();
+    control.to = Host::Server;
+    control.action = PendingAction::PushFrame {
+        func: FuncId(9999),
+        block: BlockId(0),
+        segment: SegmentId(0),
+        writes: vec![(LocalId(0), Value::Int(1))],
+    };
+    hostile
+        .write_all(&raw_frame(2, WireMsg::Control(Box::new(control))))
+        .expect("send Control");
+    // The panic unwinds the session thread, which closes the socket
+    // after giving the slot back.
+    assert!(matches!(hostile.read(&mut [0u8; 16]), Ok(0) | Err(_)));
+
+    let mut c = client(&server);
+    let choices = c.dispatch(fp, &[vec![5]]).expect("the slot was released");
+    assert_eq!(choices, vec![analysis.select(&[5]).expect("select") as u32]);
+    c.close();
+    server.shutdown();
+}
+
 /// Item frames come straight from the wire, so the server half of a
 /// session must check them before they index anything: a `FetchItem` for
 /// an id that is not a tracked item, and a `PushItem` whose register
 /// payload names a function that does not exist, each get an `Error`
-/// reply and end their session. With a cap of one connection, the fresh
-/// client afterwards is refused unless every ended session gave its slot
-/// back (the slot guard also runs when a session panics).
+/// reply and end their session, and a fresh client is served afterwards
+/// under a cap of one connection.
 #[test]
-fn panicking_session_releases_its_connection_slot() {
+fn hostile_item_frames_get_error_replies() {
     let _guard = serialized();
     // `main`'s registers cross the cut, so the plan tracks them as items.
     const TRACKED: &str = "
@@ -401,12 +482,7 @@ fn panicking_session_releases_its_connection_slot() {
     )
     .expect("server");
     let fp = fingerprint(&analysis);
-    let choice = analysis
-        .partition
-        .choices
-        .iter()
-        .position(|c| !c.is_all_local())
-        .expect("a partitioned choice");
+    let choice = partitioned_choice(&analysis);
 
     let tracked = analysis.items.items[0].loc.index() as u32;
     let fetch = WireMsg::FetchItem { item: u32::MAX };
@@ -418,25 +494,11 @@ fn panicking_session_releases_its_connection_slot() {
             value: Value::Int(1),
         },
     };
-    let frame = |request_id, msg| encode_frame(&WireFrame { request_id, msg });
     for hostile_msg in [fetch, push] {
         let kind = hostile_msg.kind();
-        let mut hostile = TcpStream::connect(server.addr()).expect("hostile connect");
+        let mut hostile = raw_session(&server, fp, choice);
         hostile
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .expect("read timeout");
-        let hello = WireMsg::Hello {
-            fingerprint: fp,
-            choice: choice as u32,
-            params: vec![1_000],
-            max_steps: 0,
-            client_time_us: 0,
-        };
-        hostile.write_all(&frame(1, hello)).expect("send Hello");
-        let ack = read_raw_frame(&mut hostile);
-        assert!(matches!(ack.msg, WireMsg::HelloAck { .. }), "{:?}", ack.msg);
-        hostile
-            .write_all(&frame(2, hostile_msg))
+            .write_all(&raw_frame(2, hostile_msg))
             .expect("send item frame");
         let reply = read_raw_frame(&mut hostile);
         assert_eq!(reply.request_id, 2, "{kind}");
@@ -453,7 +515,9 @@ fn panicking_session_releases_its_connection_slot() {
     }
 
     let mut c = client(&server);
-    let choices = c.dispatch(fp, &[vec![5]]).expect("the slot was released");
+    let choices = c
+        .dispatch(fp, &[vec![5]])
+        .expect("a fresh client is served");
     assert_eq!(choices, vec![analysis.select(&[5]).expect("select") as u32]);
     c.close();
     server.shutdown();

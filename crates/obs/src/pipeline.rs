@@ -6,8 +6,7 @@
 //! timings) in `offload-core`. `offload-core` re-exports it unchanged.
 //!
 //! Each counter is declared once, in the `counters!` list below, with
-//! its kind: a deterministic work counter, a cache-dependent count, or a
-//! wall-clock timing. The struct, the [`PipelineStats::COUNTERS`] table,
+//! its kind: a deterministic work counter or a wall-clock timing. The struct, the [`PipelineStats::COUNTERS`] table,
 //! name/value access and field-wise addition are generated from that
 //! list; [`PipelineStats::work_counters`],
 //! [`PipelineStats::publish_metrics`], the net protocol's codec and the
@@ -31,10 +30,6 @@ pub enum CounterKind {
     /// A pure work counter: identical on every run of the same input
     /// (the engine's determinism contract). Published as a counter.
     Work,
-    /// A count that legitimately varies with what ran earlier on the
-    /// thread, such as hits in a per-thread cache. Published as a
-    /// counter.
-    Scheduling,
     /// Wall-clock microseconds. Published as a histogram.
     Micros,
 }
@@ -62,8 +57,8 @@ macro_rules! counters {
         /// Work counters across every layer of one parametric solve.
         ///
         /// Every field is a `u64`. Counter values may legitimately differ
-        /// between runs with different cache settings (see
-        /// [`CounterKind`]); the partitioning output never does.
+        /// between runs with different solver options (the cut cache, for
+        /// one); the partitioning output never does.
         #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
         pub struct PipelineStats {
             $($(#[doc = $doc])* pub $field: u64,)*
@@ -118,7 +113,7 @@ counters! {
     /// ones behind emptiness tests and redundancy reduction).
     lp_solves = Work,
     /// Simplex pivots. A cached LP solve adds its stored pivot count, so
-    /// this stays scheduling-independent.
+    /// this does not depend on whether the cache fires.
     lp_pivots = Work,
     /// Variables eliminated by polyhedral projection (equality
     /// substitution or Fourier–Motzkin).
@@ -127,11 +122,12 @@ counters! {
     /// pruning).
     fm_constraints = Work,
     /// LP solves answered from the poly layer's thread-local result cache
-    /// without re-running the simplex.
-    lp_cache_hits = Scheduling,
+    /// without re-running the simplex. The solve clears the cache on
+    /// entry, so the count repeats exactly.
+    lp_cache_hits = Work,
     /// `BigInt` results that outgrew the inline `i64` representation and
     /// allocated heap limbs (cached LP solves skip the arithmetic).
-    small_int_promotions = Scheduling,
+    small_int_promotions = Work,
     /// Cuts accepted by the region-exploration engine.
     regions_explored = Work,
     /// Worklist rounds of the exact engine.
@@ -225,7 +221,7 @@ impl PipelineStats {
     pub fn publish_metrics(&self) {
         for (c, value) in Self::COUNTERS.iter().zip(self.values()) {
             match c.kind {
-                CounterKind::Work | CounterKind::Scheduling => crate::counter(c.metric).add(value),
+                CounterKind::Work => crate::counter(c.metric).add(value),
                 CounterKind::Micros => crate::histogram(c.metric).record(value),
             }
         }

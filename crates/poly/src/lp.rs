@@ -21,10 +21,10 @@
 //! re-issue many identical `(objective, constraints)` systems, which are
 //! answered from the cache without re-solving. Keys are compared by full
 //! structural equality (never by hash alone), so a cache hit returns
-//! exactly what a fresh solve would. To keep the work counters
-//! scheduling-independent, a hit still counts as an `lp_solve` and adds
-//! the original solve's pivot count to `lp_pivots`; the hit itself is
-//! reported separately as `lp_cache_hits`.
+//! exactly what a fresh solve would. So that the work counters do not
+//! depend on whether the cache fires, a hit still counts as an
+//! `lp_solve` and adds the original solve's pivot count to `lp_pivots`;
+//! the hit itself is reported separately as `lp_cache_hits`.
 
 use crate::linear::{Constraint, LinExpr};
 use crate::rational::Rational;
