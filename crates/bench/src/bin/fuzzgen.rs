@@ -7,8 +7,9 @@
 //! Generates `--count` deterministic mini-C programs from the root
 //! `--seed` (default `0x0FF10AD5`, the documented CI seed) and runs the
 //! differential harness over them: typed pipeline completion,
-//! repeat determinism of the partition, exact dispatch optimality
-//! against exhaustive plan enumeration, and behaviour preservation under
+//! repeat determinism of the partition, compiled dispatch equal to the
+//! linear-scan reference and optimal against exhaustive plan
+//! enumeration, and behaviour preservation under
 //! every plan at `--points` sampled parameter settings per program.
 //!
 //! `--emit` prints each generated program instead of checking it (use

@@ -15,9 +15,11 @@
 //!    solver work counters, under both region strategies, so no
 //!    hash-iteration order leaks into the result.
 //! 3. **Dispatch optimality** — at sampled parameter points, the choice
-//!    the compiled dispatcher picks has minimal predicted cost among
-//!    *all* enumerated choices, by exact rational comparison of
-//!    [`cut_cost_at`] (the differential form of Theorem 1's guarantee).
+//!    the compiled dispatcher picks is the linear-scan reference's
+//!    choice (`Dispatcher::select_linear`), bit for bit, and has minimal
+//!    predicted cost among *all* enumerated choices, by exact rational
+//!    comparison of [`cut_cost_at`] (the differential form of Theorem 1's
+//!    guarantee).
 //! 4. **Behaviour preservation** — simulating the program all-local and
 //!    under *every* partitioning choice produces identical outputs, and
 //!    the dispatched run agrees with them.
@@ -248,6 +250,29 @@ pub fn run_differential(cfg: &DiffConfig) -> Result<DiffSummary, Box<DiffFailure
                     return Err(fail(format!("dispatch failed at {params:?}: {e}"), &source));
                 }
             };
+            // The compiled dispatcher must pick the linear scan's choice,
+            // not merely another choice of minimal cost.
+            match base
+                .dispatcher
+                .select_linear(&base.network, &base.partition, &params)
+            {
+                Ok(linear) if linear == chosen => {}
+                Ok(linear) => {
+                    return Err(fail(
+                        format!(
+                            "compiled dispatch chose {chosen} at {params:?}, \
+                             the linear scan {linear}"
+                        ),
+                        &source,
+                    ));
+                }
+                Err(e) => {
+                    return Err(fail(
+                        format!("linear dispatch failed at {params:?}: {e}"),
+                        &source,
+                    ));
+                }
+            }
             // Exact predicted-cost minimality over all enumerated choices.
             let rp: Vec<Rational> = params.iter().map(|&v| Rational::from(v)).collect();
             let dim_point = match base.dispatcher.dim_point(&base.network, &rp) {

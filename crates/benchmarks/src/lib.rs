@@ -149,17 +149,16 @@ pub fn annotate_by_origin(
     out
 }
 
-/// `ceil(log2(max(params[0], 1)))` — the annotation for doubling loops
-/// over the first parameter.
-pub fn log2_of_param0(params: &[Rational]) -> Rational {
-    let v = params.first().map(|r| r.to_f64()).unwrap_or(1.0).max(1.0);
-    Rational::from(v.log2().ceil() as i64)
-}
-
-/// Same for the second parameter.
+/// `ceil(log2(max(params[1], 1)))` — the annotation for doubling loops
+/// over the second parameter, in integer arithmetic.
 pub fn log2_of_param1(params: &[Rational]) -> Rational {
-    let v = params.get(1).map(|r| r.to_f64()).unwrap_or(1.0).max(1.0);
-    Rational::from(v.log2().ceil() as i64)
+    // ceil(log2(v)) = ceil(log2(ceil(v))) for v >= 1: the bit length of
+    // ceil(v) - 1. Values past i128 saturate (parameters are i64).
+    let v = match params.get(1) {
+        Some(r) if r.is_positive() => r.ceil().to_i128().unwrap_or(i128::MAX),
+        _ => 1,
+    };
+    Rational::from(i64::from((v - 1).checked_ilog2().map_or(0, |b| b + 1)))
 }
 
 pub use adpcm::{rawcaudio, rawdaudio};
@@ -175,6 +174,21 @@ pub fn all() -> Vec<Benchmark> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn log2_of_param1_is_exact_around_every_power_of_two() {
+        let log2 = |n: i64| log2_of_param1(&[Rational::zero(), Rational::from(n)]);
+        for (n, want) in [(i64::MIN, 0), (-5, 0), (0, 0), (1, 0), (2, 1), (3, 2)] {
+            assert_eq!(log2(n), Rational::from(want), "n = {n}");
+        }
+        for k in 2..63 {
+            let p = 1i64 << k;
+            assert_eq!(log2(p - 1), Rational::from(k), "n = 2^{k} - 1");
+            assert_eq!(log2(p), Rational::from(k), "n = 2^{k}");
+            assert_eq!(log2(p + 1), Rational::from(k + 1), "n = 2^{k} + 1");
+        }
+        assert_eq!(log2(i64::MAX), Rational::from(63));
+    }
 
     #[test]
     fn all_sources_compile() {

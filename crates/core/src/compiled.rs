@@ -1,4 +1,5 @@
-//! Compiled point-location dispatch: a hyperplane decision DAG.
+//! Compiled point-location dispatch: a hyperplane decision DAG over a
+//! point program in fixed-width integers.
 //!
 //! The linear-scan dispatcher answers "which optimality region contains
 //! this parameter point?" by testing every constraint of every region
@@ -22,22 +23,38 @@
 //! * each leaf is a decided choice, the out-of-region fallback, or (if
 //!   the node budget is hit) a short residual scan.
 //!
-//! Construction works on the exact rationals. Queries evaluate plane
-//! signs in fixed-width `i128` arithmetic whenever the point and the
-//! plane's (integer, normalized) coefficients fit, with a checked-
-//! overflow fallback to exact rational evaluation — so the fast path
-//! can never change an answer, only speed it up. A differential
-//! property test (`tests/dispatch_tests.rs`) enforces bit-identical
-//! agreement with [`Dispatcher::select_linear`] over seeded parameter
-//! grids, including points outside every region where both paths take
-//! the cheapest-cut fallback.
+//! It also lowers the point itself — the linearized dimensions the
+//! planes are over — into a straight-line *point program* over checked
+//! `i128`: one slot per distinct atom the dimensions mention, in
+//! dependency order (a parameter; a `Func` annotation, called once per
+//! query; an `Expr` annotation with integer coefficients over earlier
+//! slots; an unannotated `AutoCond` dummy as the 0/1 sign test of its
+//! `lhs − rhs` scaled to integers), each dimension the product of its
+//! slots, and each plane its nonzero integer coefficients. A query runs
+//! the program once and walks the DAG with a per-query sign memo, so
+//! each plane is evaluated at most once, by splits and scan leaves
+//! alike.
+//!
+//! Everything else takes the one exact path: the point in `Rational`s
+//! ([`Dispatcher::dim_point_of`]), the DAG walked with exact plane signs,
+//! and the cheapest-cut fallback. A query goes there on any overflow, a
+//! `Func` result that is not an integer that fits, or a point outside
+//! every region; and every query goes there when some dimension cannot
+//! be lowered (a missing or cyclic annotation, a fractional or oversized
+//! constant), so every [`DispatchError`] is the exact path's. The fast
+//! path therefore never changes an answer, only speeds it up. A
+//! differential property test (`tests/dispatch_tests.rs`) enforces
+//! bit-identical agreement with [`Dispatcher::select_linear`] over
+//! seeded parameter grids and in-bounds traffic, including points outside
+//! every region, forced overflow and non-integer annotations.
 
-use crate::dispatch::{DispatchError, Dispatcher};
+use crate::dispatch::{AnnotationRule, DispatchError, Dispatcher, MAX_ANNOTATION_DEPTH};
 use crate::netbuild::PartitionNetwork;
 use crate::parametric::ParametricPartition;
 use offload_flow::ParamCap;
+use offload_ir::IrBinOp;
 use offload_poly::{Cmp, Constraint, LinExpr, Rational};
-use offload_symbolic::MonomialId;
+use offload_symbolic::{Atom, DummyOrigin, MonomialId, SymExpr};
 use std::collections::HashMap;
 
 /// Sign-set bitmask over a plane's value: bit 0 = negative, bit 1 =
@@ -47,21 +64,20 @@ const NEG: u8 = 1;
 const ZERO: u8 = 2;
 const POS: u8 = 4;
 
+/// The sign bit of a value whose signum is `s`.
+fn sign_bit(s: i32) -> u8 {
+    match s {
+        ..=-1 => NEG,
+        0 => ZERO,
+        _ => POS,
+    }
+}
+
 /// Upper bound on DAG nodes; beyond it remaining subproblems become
 /// residual-scan leaves (still exact, just not O(depth)). The solutions
 /// the solver produces have a handful of choices over a handful of
 /// planes, so this is a blowup guard, not a working limit.
 const NODE_BUDGET: usize = 4096;
-
-/// One canonical hyperplane: a normalized, sign-oriented integer
-/// [`LinExpr`] over the linearized dimensions, plus its coefficients
-/// promoted to `i128` when they fit (the query fast path).
-#[derive(Debug, Clone)]
-struct Plane {
-    expr: LinExpr,
-    /// `(variable coefficients, constant)` as `i128`, if all fit.
-    fixed: Option<(Vec<i128>, i128)>,
-}
 
 /// One region piece compiled to plane sign tests: the conjunction of
 /// `(plane, allowed-signs mask)` pairs.
@@ -91,6 +107,250 @@ enum Node {
     Leaf(Leaf),
 }
 
+/// A product of slot values (a monomial: its atoms' slots, a repeated
+/// atom repeated).
+type Product = Box<[u32]>;
+
+fn product(factors: &[u32], values: &[i128]) -> Option<i128> {
+    factors
+        .iter()
+        .try_fold(1i128, |acc, &s| acc.checked_mul(values[s as usize]))
+}
+
+/// `constant + Σ coefficient · product` over slot values.
+#[derive(Debug, Clone)]
+struct IntPoly {
+    constant: i128,
+    terms: Vec<(i128, Product)>,
+}
+
+impl IntPoly {
+    fn eval(&self, values: &[i128]) -> Option<i128> {
+        self.terms.iter().try_fold(self.constant, |acc, (c, p)| {
+            acc.checked_add(c.checked_mul(product(p, values)?)?)
+        })
+    }
+}
+
+/// How one slot of the point program gets its value.
+#[derive(Debug, Clone)]
+enum Slot {
+    /// Parameter `i`.
+    Param(usize),
+    /// A `Func` annotation, called with the parameters.
+    Func(fn(&[Rational]) -> Rational),
+    /// An `Expr` annotation with integer coefficients.
+    Expr(IntPoly),
+    /// An unannotated `AutoCond` dummy: 1 when the sign of `lhs − rhs`
+    /// (both scaled by the same positive integer) is in `holds`, else 0.
+    Cond {
+        holds: u8,
+        lhs: IntPoly,
+        rhs: IntPoly,
+    },
+}
+
+/// A plane's nonzero integer coefficients, each with the register of
+/// its dimension.
+#[derive(Debug, Clone)]
+struct SparsePlane {
+    constant: i128,
+    terms: Vec<(u32, i128)>,
+}
+
+impl SparsePlane {
+    fn sign(&self, values: &[i128]) -> Option<u8> {
+        let v = self.terms.iter().try_fold(self.constant, |acc, &(r, c)| {
+            acc.checked_add(c.checked_mul(values[r as usize])?)
+        })?;
+        Some(sign_bit(v.signum() as i32))
+    }
+}
+
+/// The dimensions and planes lowered to checked `i128` arithmetic. Its
+/// registers are the slots, then the dimensions.
+#[derive(Debug, Clone)]
+struct PointProgram {
+    slots: Vec<Slot>,
+    dims: Vec<Product>,
+    planes: Vec<SparsePlane>,
+}
+
+impl PointProgram {
+    /// The registers at `params`, or `None` when the point needs exact
+    /// arithmetic: an overflow, or a `Func` result that is not an
+    /// integer that fits.
+    fn run(&self, params: &[i64]) -> Option<Vec<i128>> {
+        let mut exact: Option<Vec<Rational>> = None;
+        let mut values = Vec::with_capacity(self.slots.len() + self.dims.len());
+        for slot in &self.slots {
+            let v = match slot {
+                Slot::Param(i) => i128::from(params[*i]),
+                Slot::Func(f) => {
+                    let exact = exact
+                        .get_or_insert_with(|| params.iter().map(|&v| Rational::from(v)).collect());
+                    integer(&f(exact))?
+                }
+                Slot::Expr(e) => e.eval(&values)?,
+                Slot::Cond { holds, lhs, rhs } => {
+                    let d = lhs.eval(&values)?.checked_sub(rhs.eval(&values)?)?;
+                    i128::from(holds & sign_bit(d.signum() as i32) != 0)
+                }
+            };
+            values.push(v);
+        }
+        for d in &self.dims {
+            let v = product(d, &values)?;
+            values.push(v);
+        }
+        Some(values)
+    }
+}
+
+/// `r` as an `i128`, if it is an integer that fits.
+fn integer(r: &Rational) -> Option<i128> {
+    if r.is_integer() {
+        r.numer().to_i128()
+    } else {
+        None
+    }
+}
+
+/// Lowers atoms into slots, mirroring [`Dispatcher::atom_value`]. Every
+/// method returns `None` where `atom_value` would fail or a value needs
+/// exact arithmetic on every query.
+struct Lowering<'a> {
+    base: &'a Dispatcher,
+    slots: Vec<Slot>,
+    /// Atom → (slot, annotation levels its value descends: 0 for a
+    /// parameter, one more than its deepest atom for a dummy).
+    lowered: HashMap<Atom, (u32, u32)>,
+}
+
+impl Lowering<'_> {
+    /// The slot of atom `a` reached at annotation depth `depth`, and its
+    /// levels.
+    fn slot(&mut self, a: Atom, depth: u32) -> Option<(u32, u32)> {
+        if let Some(&(slot, levels)) = self.lowered.get(&a) {
+            // The deepest dummy below sits at `depth + levels - 1`.
+            return (depth + levels <= MAX_ANNOTATION_DEPTH + 1).then_some((slot, levels));
+        }
+        let (slot, levels) = match a {
+            Atom::Param(i) => (Slot::Param(i as usize), 0),
+            Atom::Dummy(d) => {
+                // A cycle ends here too, as it does in `atom_value`.
+                if depth > MAX_ANNOTATION_DEPTH {
+                    return None;
+                }
+                let (slot, levels) = self.dummy(d, depth + 1)?;
+                (slot, levels + 1)
+            }
+        };
+        let id = self.slots.len() as u32;
+        self.slots.push(slot);
+        self.lowered.insert(a, (id, levels));
+        Some((id, levels))
+    }
+
+    /// Dummy `d`'s slot, its annotation's atoms at `depth`: an annotation
+    /// takes precedence over an `AutoCond` origin.
+    fn dummy(&mut self, d: u32, depth: u32) -> Option<(Slot, u32)> {
+        let base = self.base;
+        if let Some(rule) = base.annotations().exprs.get(&d) {
+            return match rule {
+                AnnotationRule::Func(f) => Some((Slot::Func(*f), 0)),
+                AnnotationRule::Expr(e) => {
+                    let (e, levels) = self.poly(e, &Rational::one(), depth)?;
+                    Some((Slot::Expr(e), levels))
+                }
+            };
+        }
+        let Some(DummyOrigin::AutoCond { op, lhs, rhs, .. }) =
+            base.dict().dummies().get(d as usize)
+        else {
+            return None;
+        };
+        let holds = match op {
+            IrBinOp::Eq => ZERO,
+            IrBinOp::Ne => NEG | POS,
+            IrBinOp::Lt => NEG,
+            IrBinOp::Le => NEG | ZERO,
+            IrBinOp::Gt => POS,
+            IrBinOp::Ge => ZERO | POS,
+            _ => 0,
+        };
+        // Clearing the denominators by one positive factor keeps the
+        // sign of `lhs − rhs`.
+        let scale = [lhs, rhs]
+            .into_iter()
+            .flat_map(|e| std::iter::once(e.constant_term()).chain(e.terms().map(|(_, c)| c)))
+            .fold(offload_poly::BigInt::one(), |l, c| l.lcm(c.denom()));
+        let scale = Rational::from(scale);
+        let (lhs, l) = self.poly(lhs, &scale, depth)?;
+        let (rhs, r) = self.poly(rhs, &scale, depth)?;
+        Some((Slot::Cond { holds, lhs, rhs }, l.max(r)))
+    }
+
+    /// `e · scale` with integer coefficients, its atoms at `depth`.
+    fn poly(&mut self, e: &SymExpr, scale: &Rational, depth: u32) -> Option<(IntPoly, u32)> {
+        let mut levels = 0;
+        let mut terms = Vec::new();
+        for (m, c) in e.terms() {
+            let (p, l) = self.product(m, depth)?;
+            levels = levels.max(l);
+            terms.push((integer(&(c * scale))?, p));
+        }
+        let constant = integer(&(e.constant_term() * scale))?;
+        Some((IntPoly { constant, terms }, levels))
+    }
+
+    /// The slots of monomial `m`'s atoms, reached at `depth`.
+    fn product(&mut self, m: MonomialId, depth: u32) -> Option<(Product, u32)> {
+        let base = self.base;
+        let mut levels = 0;
+        let mut factors = Vec::new();
+        for &a in base.dict().atoms(m) {
+            let (s, l) = self.slot(a, depth)?;
+            levels = levels.max(l);
+            factors.push(s);
+        }
+        Some((factors.into(), levels))
+    }
+}
+
+/// Lowers `dims` and `planes` into a [`PointProgram`], or `None` when
+/// some dimension or plane needs exact arithmetic on every query.
+fn lower(base: &Dispatcher, dims: &[MonomialId], planes: &[LinExpr]) -> Option<PointProgram> {
+    let mut lowering = Lowering {
+        base,
+        slots: Vec::new(),
+        lowered: HashMap::new(),
+    };
+    let dims = dims
+        .iter()
+        .map(|&m| lowering.product(m, 0).map(|(p, _)| p))
+        .collect::<Option<Vec<_>>>()?;
+    let first_dim = lowering.slots.len() as u32;
+    let planes = planes
+        .iter()
+        .map(|e| {
+            let terms = e
+                .terms()
+                .map(|(i, c)| Some((first_dim + i as u32, integer(c)?)))
+                .collect::<Option<_>>()?;
+            Some(SparsePlane {
+                constant: integer(e.constant_term())?,
+                terms,
+            })
+        })
+        .collect::<Option<_>>()?;
+    Some(PointProgram {
+        slots: lowering.slots,
+        dims,
+        planes,
+    })
+}
+
 /// Build/shape statistics of a compiled dispatcher (for reports and
 /// benchmark output).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -105,11 +365,15 @@ pub struct CompiledStats {
     pub pieces: usize,
     /// Residual-scan leaves (0 unless the node budget was hit).
     pub scan_leaves: usize,
+    /// Slots of the fixed-width point program (0 when some dimension
+    /// could not be lowered and every query takes the exact path).
+    pub slots: usize,
 }
 
 /// A self-contained compiled dispatcher: everything needed to answer
-/// `select(params)` — dictionary, annotations, dimension list, decision
-/// DAG and per-choice fallback cut expressions — owned by value.
+/// `select(params)` — dictionary, annotations, dimension list, point
+/// program, decision DAG and per-choice fallback cut expressions — owned
+/// by value.
 ///
 /// Build one with [`Dispatcher::compile`]; queries are answered in
 /// O(depth) sign comparisons and return bit-identical choices to
@@ -118,7 +382,10 @@ pub struct CompiledStats {
 pub struct CompiledDispatcher {
     base: Dispatcher,
     dims: Vec<MonomialId>,
-    planes: Vec<Plane>,
+    /// The canonical planes, for the exact path.
+    planes: Vec<LinExpr>,
+    /// The fixed-width path, when every dimension could be lowered.
+    program: Option<PointProgram>,
     nodes: Vec<Node>,
     /// Per choice: the affine capacities of its cut's forward arcs
     /// (`None` when the cut severs an infinite arc and can never be the
@@ -159,60 +426,47 @@ impl CompiledDispatcher {
                 got: params.len(),
             });
         }
+        let fast = self.program.as_ref().and_then(|program| {
+            let values = program.run(params)?;
+            self.locate(|plane| program.planes[plane].sign(&values))
+                .flatten()
+        });
+        let (selected, matched_region) = match fast {
+            Some(choice) => (choice, true),
+            None => self.select_exact(params)?,
+        };
+        offload_obs::event!(
+            "runtime",
+            "dispatch",
+            choice = selected,
+            matched_region = matched_region,
+            compiled = true,
+        );
+        if offload_obs::enabled() {
+            let name = if matched_region {
+                "runtime.dispatch.compiled_matches"
+            } else {
+                "runtime.dispatch.compiled_fallbacks"
+            };
+            offload_obs::counter(name).inc();
+        }
+        Ok(selected)
+    }
+
+    /// The exact path: the point in `Rational`s, the DAG walked with
+    /// exact plane signs, and outside every region the cheapest known
+    /// cut, earliest index on ties — identical to the linear scan's
+    /// fallback. Returns the choice and whether a region matched.
+    fn select_exact(&self, params: &[i64]) -> Result<(usize, bool), DispatchError> {
         let params: Vec<Rational> = params.iter().map(|&v| Rational::from(v)).collect();
         let point = self.base.dim_point_of(&self.dims, &params)?;
-        // Fixed-width coordinates for the i128 fast path: only when
-        // every coordinate is an integer that fits (dummy annotations
-        // can produce fractional coordinates, e.g. branch frequencies).
-        let ipoint: Option<Vec<i128>> = point
-            .iter()
-            .map(|r| {
-                if r.is_integer() {
-                    r.numer().to_i128()
-                } else {
-                    None
-                }
-            })
-            .collect();
-
-        let mut node = 0usize;
-        let leaf = loop {
-            match &self.nodes[node] {
-                Node::Split { plane, children } => {
-                    let s = self.plane_sign(*plane, &point, ipoint.as_deref());
-                    node = children[(s + 1) as usize] as usize;
-                }
-                Node::Leaf(leaf) => break leaf,
-            }
-        };
-        let matched = match leaf {
-            Leaf::Choice(c) => Some(*c as usize),
-            Leaf::Fallback => None,
-            Leaf::Scan(pieces) => pieces
-                .iter()
-                .find(|p| {
-                    p.tests.iter().all(|&(plane, mask)| {
-                        let s = self.plane_sign(plane, &point, ipoint.as_deref());
-                        mask & (1 << (s + 1)) != 0
-                    })
-                })
-                .map(|p| p.choice as usize),
-        };
-        if let Some(i) = matched {
-            offload_obs::event!(
-                "runtime",
-                "dispatch",
-                choice = i,
-                matched_region = true,
-                compiled = true,
-            );
-            if offload_obs::enabled() {
-                offload_obs::counter("runtime.dispatch.compiled_matches").inc();
-            }
-            return Ok(i);
+        if offload_obs::enabled() {
+            offload_obs::counter("runtime.dispatch.exact_queries").inc();
         }
-        // Outside every region: cheapest known cut, earliest index on
-        // ties — identical to the linear scan's fallback.
+        let located = self.locate(|plane| Some(sign_bit(self.planes[plane].eval(&point).signum())));
+        if let Some(Some(choice)) = located {
+            return Ok((choice, true));
+        }
         let mut best: Option<(usize, Rational)> = None;
         for (i, arcs) in self.fallback_cuts.iter().enumerate() {
             if let Some(arcs) = arcs {
@@ -230,48 +484,47 @@ impl CompiledDispatcher {
                 });
             }
         }
-        let selected = best.map(|(i, _)| i).unwrap_or(0);
-        offload_obs::event!(
-            "runtime",
-            "dispatch",
-            choice = selected,
-            matched_region = false,
-            compiled = true,
-        );
-        if offload_obs::enabled() {
-            offload_obs::counter("runtime.dispatch.compiled_fallbacks").inc();
-        }
-        Ok(selected)
+        Ok((best.map(|(i, _)| i).unwrap_or(0), false))
     }
 
-    /// The sign (−1 / 0 / +1) of one plane at the query point: `i128`
-    /// checked arithmetic when both the point and the plane fit, exact
-    /// rationals otherwise (and on overflow).
-    fn plane_sign(&self, plane: u32, point: &[Rational], ipoint: Option<&[i128]>) -> i32 {
-        let p = &self.planes[plane as usize];
-        if let (Some(ip), Some((coeffs, constant))) = (ipoint, &p.fixed) {
-            if let Some(acc) = dot_i128(coeffs, *constant, ip) {
-                return acc.signum() as i32;
+    /// Walks the DAG, asking `sign` for each plane's sign bit at most
+    /// once: `Some(Some(choice))` for the first region piece that holds,
+    /// `Some(None)` outside every region, `None` as soon as `sign` gives
+    /// up.
+    fn locate(&self, mut sign: impl FnMut(usize) -> Option<u8>) -> Option<Option<usize>> {
+        let mut memo = vec![0u8; self.planes.len()];
+        let mut test = |plane: u32| {
+            let known = &mut memo[plane as usize];
+            if *known == 0 {
+                *known = sign(plane as usize)?;
             }
-            if offload_obs::enabled() {
-                offload_obs::counter("runtime.dispatch.exact_sign_evals").inc();
+            Some(*known)
+        };
+        let mut node = 0usize;
+        let leaf = loop {
+            match &self.nodes[node] {
+                Node::Split { plane, children } => {
+                    node = children[test(*plane)?.trailing_zeros() as usize] as usize;
+                }
+                Node::Leaf(leaf) => break leaf,
             }
-        }
-        p.expr.eval(point).signum()
+        };
+        Some(match leaf {
+            Leaf::Choice(c) => Some(*c as usize),
+            Leaf::Fallback => None,
+            Leaf::Scan(pieces) => {
+                'pieces: for p in pieces {
+                    for &(plane, mask) in &p.tests {
+                        if test(plane)? & mask == 0 {
+                            continue 'pieces;
+                        }
+                    }
+                    return Some(Some(p.choice as usize));
+                }
+                None
+            }
+        })
     }
-}
-
-/// `constant + Σ coeffs[i] * point[i]` in checked `i128`; `None` on any
-/// overflow.
-fn dot_i128(coeffs: &[i128], constant: i128, point: &[i128]) -> Option<i128> {
-    let mut acc = constant;
-    for (c, v) in coeffs.iter().zip(point) {
-        if *c == 0 {
-            continue;
-        }
-        acc = acc.checked_add(c.checked_mul(*v)?)?;
-    }
-    Some(acc)
 }
 
 /// Interns the canonical form of a constraint, returning its plane index
@@ -279,7 +532,7 @@ fn dot_i128(coeffs: &[i128], constant: i128, point: &[i128]) -> Option<i128> {
 /// when the constraint is trivially true/false (`b`).
 fn intern_constraint(
     c: &Constraint,
-    planes: &mut Vec<Plane>,
+    planes: &mut Vec<LinExpr>,
     index: &mut HashMap<LinExpr, u32>,
 ) -> Result<(u32, u8), bool> {
     let n = c.normalize();
@@ -307,29 +560,10 @@ fn intern_constraint(
     };
     let next = planes.len() as u32;
     let id = *index.entry(expr.clone()).or_insert_with(|| {
-        let fixed = fix_coeffs(&expr);
-        planes.push(Plane { expr, fixed });
+        planes.push(expr);
         next
     });
     Ok((id, mask))
-}
-
-/// The `i128` image of a normalized (integer-coefficient) expression,
-/// if every coefficient fits.
-fn fix_coeffs(expr: &LinExpr) -> Option<(Vec<i128>, i128)> {
-    let mut coeffs = Vec::with_capacity(expr.nvars());
-    for i in 0..expr.nvars() {
-        let c = expr.coeff(i);
-        if !c.is_integer() {
-            return None;
-        }
-        coeffs.push(c.numer().to_i128()?);
-    }
-    let c = expr.constant_term();
-    if !c.is_integer() {
-        return None;
-    }
-    Some((coeffs, c.numer().to_i128()?))
 }
 
 /// Recursive DAG builder state.
@@ -496,17 +730,20 @@ pub(crate) fn compile(
         })
         .collect();
 
+    let program = lower(&base, &pnet.dims, &planes);
     let stats = CompiledStats {
         planes: planes.len(),
         nodes: builder.nodes.len(),
         max_depth: builder.max_depth,
         pieces: piece_count,
         scan_leaves: builder.scan_leaves,
+        slots: program.as_ref().map_or(0, |p| p.slots.len()),
     };
     CompiledDispatcher {
         base,
         dims: pnet.dims.clone(),
         planes,
+        program,
         nodes: builder.nodes,
         fallback_cuts,
         stats,

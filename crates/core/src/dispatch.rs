@@ -15,6 +15,10 @@ use offload_symbolic::{Atom, DummyOrigin, ParamDict, SymExpr};
 use std::collections::HashMap;
 use std::fmt;
 
+/// Deepest annotation level [`Dispatcher::atom_value`] expands: a dummy
+/// reached through more annotations than this is reported as a cycle.
+pub(crate) const MAX_ANNOTATION_DEPTH: u32 = 16;
+
 /// How an annotated dummy is evaluated at dispatch time.
 #[derive(Debug, Clone)]
 pub enum AnnotationRule {
@@ -129,7 +133,7 @@ impl Dispatcher {
                 // Depth only grows through dummy expansion, so a deep
                 // chain means the annotation of `d` (directly or through
                 // other dummies) refers back to itself.
-                if depth > 16 {
+                if depth > MAX_ANNOTATION_DEPTH {
                     return Err(DispatchError::CyclicAnnotation { dummy: d });
                 }
                 if let Some(rule) = self.annotations.exprs.get(&d) {

@@ -259,6 +259,16 @@ fn log(level: Level, msg: impl FnOnce() -> String) {
     }
 }
 
+/// Frees the calling thread's LP result cache when dropped, so a solve
+/// leaves none behind on any exit, a panic included.
+struct LpCacheGuard;
+
+impl Drop for LpCacheGuard {
+    fn drop(&mut self) {
+        offload_poly::lp_cache_clear();
+    }
+}
+
 /// Runs Algorithm 2 on a partitioning network.
 ///
 /// # Errors
@@ -292,8 +302,9 @@ pub fn solve_with_probes(
 ) -> Result<ParametricPartition, SolveError> {
     // Start from a cold LP result cache so per-run cache-hit counts and
     // timings are reproducible regardless of what ran earlier on this
-    // thread.
+    // thread, and free it however the solve ends.
     offload_poly::lp_cache_clear();
+    let _free_cache = LpCacheGuard;
     let mut stats = SolveStats {
         nodes_before: pnet.net.node_count(),
         ..Default::default()

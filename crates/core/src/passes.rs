@@ -764,6 +764,7 @@ impl Pass for CompilePass {
         report.count("max_depth", stats.max_depth as u64);
         report.count("pieces", stats.pieces as u64);
         report.count("scan_leaves", stats.scan_leaves as u64);
+        report.count("slots", stats.slots as u64);
         cx.put(keys::DISPATCHER, dispatcher);
         cx.put(keys::COMPILED, compiled);
         Ok(())

@@ -148,6 +148,24 @@ fn dominance_strategy_is_thread_count_independent_on_fft() {
 }
 
 #[test]
+fn a_solve_leaves_no_lp_cache_on_its_thread() {
+    // The solve runs on this test's thread and clears the thread's LP
+    // result cache on entry; it must also free it on the way out.
+    let fft = offload_benchmarks::fft()
+        .analyze()
+        .expect("analysis succeeds");
+    assert!(
+        fft.pipeline_stats().lp_cache_hits > 0,
+        "the solve never used its LP cache"
+    );
+    assert_eq!(
+        offload_poly::lp_cache_cells(),
+        0,
+        "the solve left its LP cache on the thread"
+    );
+}
+
+#[test]
 fn pipeline_stats_are_populated_on_the_exact_path() {
     let a = analyze_with(PROGRAMS[0], SolveOptions::default());
     let p: PipelineStats = a.pipeline_stats();

@@ -1,10 +1,12 @@
 //! Dispatch correctness: the compiled decision-DAG dispatcher must
 //! return bit-identical choices to the linear-scan reference on any
 //! input — inside the declared parameter space, outside it (the
-//! cheapest-cut fallback), and on error paths.
+//! cheapest-cut fallback), on the fixed-width path and on every way
+//! out of it (overflow, non-integer annotations), and on error paths.
 
-use offload_core::{Analysis, AnalysisOptions, Annotations, DispatchError};
+use offload_core::{Analysis, AnalysisOptions, AnnotationRule, Annotations, DispatchError};
 use offload_poly::Rational;
+use offload_symbolic::Atom;
 
 const WORK_LOOP: &str = "
     int work(int k) {
@@ -48,6 +50,11 @@ impl Lcg {
         (self.next() >> 24) % modulus
     }
 
+    /// A uniform draw in `[0, 1)` from the top 53 bits.
+    fn unit(&mut self) -> f64 {
+        (self.next() >> 11) as f64 / (1u64 << 53) as f64
+    }
+
     /// A parameter value spanning the interesting ranges: small,
     /// boundary, huge (i128-overflow bait), and out-of-bounds negative.
     fn param(&mut self) -> i64 {
@@ -64,23 +71,63 @@ impl Lcg {
     }
 }
 
+/// The compiled choice at `params`, checked against the linear scan.
+fn agreed_choice(analysis: &Analysis, name: &str, params: &[i64]) -> usize {
+    let compiled = analysis
+        .compiled
+        .select(params)
+        .unwrap_or_else(|e| panic!("{name}: compiled select failed on {params:?}: {e}"));
+    let linear = analysis
+        .dispatcher
+        .select_linear(&analysis.network, &analysis.partition, params)
+        .unwrap_or_else(|e| panic!("{name}: linear select failed on {params:?}: {e}"));
+    assert_eq!(compiled, linear, "{name}: diverged on params {params:?}");
+    compiled
+}
+
+/// The size parameters of each checked-in program and the cap drawn for
+/// a size its bounds leave open — the dispatch benchmark's traffic.
+fn sizes_of(name: &str) -> &'static [(usize, Option<i64>)] {
+    match name {
+        "rawcaudio" | "rawdaudio" => &[(0, Some(4096))],
+        "encode" | "decode" => &[(2, None), (3, Some(128))],
+        "fft" => &[(1, None)],
+        "susan" => &[(3, None), (4, None)],
+        _ => &[],
+    }
+}
+
+/// A point inside the program's declared bounds: sizes log-uniform up to
+/// their cap, every other parameter uniform between its bounds.
+fn in_bounds_point(lcg: &mut Lcg, bench: &offload_benchmarks::Benchmark) -> Vec<i64> {
+    let sizes = sizes_of(bench.name);
+    (0..bench.param_names.len())
+        .map(|i| {
+            let size = sizes.iter().find(|s| s.0 == i);
+            let lo = bench.bounds.lower(i).expect("a lower bound");
+            let hi = bench
+                .bounds
+                .upper(i)
+                .or(size.and_then(|s| s.1))
+                .expect("an upper bound or a size cap");
+            if size.is_some() {
+                let span = (hi - lo + 1) as f64;
+                let x = (lcg.unit() * span.ln()).exp() as i64;
+                (lo + x - 1).clamp(lo, hi)
+            } else {
+                lo + (lcg.next() >> 24) as i64 % (hi - lo + 1)
+            }
+        })
+        .collect()
+}
+
 fn assert_agreement(analysis: &Analysis, name: &str, seed: u64, samples: usize) {
     let k = analysis.symbolic.dict.param_count();
     let mut lcg = Lcg(seed);
     let mut fallbacks = 0usize;
-    for i in 0..samples {
+    for _ in 0..samples {
         let params: Vec<i64> = (0..k).map(|_| lcg.param()).collect();
-        let compiled = analysis.compiled.select(&params).unwrap_or_else(|e| {
-            panic!("{name}: compiled select failed on {params:?}: {e}");
-        });
-        let linear = analysis
-            .dispatcher
-            .select_linear(&analysis.network, &analysis.partition, &params)
-            .unwrap_or_else(|e| panic!("{name}: linear select failed on {params:?}: {e}"));
-        assert_eq!(
-            compiled, linear,
-            "{name}: sample {i} diverged on params {params:?}"
-        );
+        agreed_choice(analysis, name, &params);
         let in_region = analysis.partition.choices.iter().any(|c| {
             analysis
                 .dispatcher
@@ -113,6 +160,139 @@ fn compiled_matches_linear_scan_on_checked_in_benchmarks() {
             .unwrap_or_else(|e| panic!("{}: analysis failed: {e}", bench.name));
         assert_agreement(&analysis, bench.name, 0xBE7C_0DE5, 120);
     }
+}
+
+#[test]
+fn compiled_matches_linear_scan_on_in_bounds_traffic() {
+    for bench in offload_benchmarks::all() {
+        let analysis = bench
+            .analyze()
+            .unwrap_or_else(|e| panic!("{}: analysis failed: {e}", bench.name));
+        // The fixed-width path is on: every dimension was lowered.
+        let slots = analysis.compiled.stats().slots;
+        assert!(slots > 0, "{}: no point program", bench.name);
+        let reported = analysis
+            .pass_report("compile")
+            .and_then(|r| r.counter("slots"));
+        assert_eq!(reported, Some(slots as u64), "{}", bench.name);
+
+        let mut lcg = Lcg(0x7EAF_F1C0);
+        let mut drawn = vec![false; analysis.partition.choices.len()];
+        for _ in 0..2000 {
+            let params = in_bounds_point(&mut lcg, &bench);
+            drawn[agreed_choice(&analysis, bench.name, &params)] = true;
+        }
+        let reached = drawn.iter().filter(|&&d| d).count();
+        assert!(
+            reached > 1,
+            "{}: the traffic reached {reached} choice(s)",
+            bench.name
+        );
+    }
+}
+
+/// A loop over the product of three parameters: the only dimension is
+/// `a*b*c`, with choice 0 up to a small threshold and choice 1 above it.
+const CUBE: &str = "
+    int work(int k) {
+        int j; int acc;
+        acc = 0;
+        for (j = 0; j < k; j++) { acc = acc + j * j; }
+        return acc;
+    }
+    void main(int a, int b, int c) { output(work(a * b * c)); }";
+
+#[test]
+fn overflowing_points_take_the_exact_path_and_agree() {
+    let analysis = Analysis::from_source(CUBE, AnalysisOptions::default()).unwrap();
+    let dict = &analysis.symbolic.dict;
+    assert!(
+        analysis
+            .network
+            .dims
+            .iter()
+            .any(|&m| dict.atoms(m).len() == 3),
+        "no cubic dimension to overflow"
+    );
+    assert!(analysis.compiled.stats().slots > 0, "no point program");
+    assert_eq!(analysis.partition.choices.len(), 2);
+    // Near 2^45 the cubic coordinate passes 2^128. Powers of two there
+    // make it an exact multiple of 2^128, which wraps to 0 — the low
+    // region — so arithmetic that misses an overflow picks choice 0
+    // where the exact answer is choice 1.
+    for i in 43..48 {
+        for j in 43..48 {
+            for k in 43..48 {
+                let params = [1i64 << i, 1i64 << j, 1i64 << k];
+                assert_eq!(agreed_choice(&analysis, "cube", &params), 1);
+            }
+        }
+    }
+    let mut lcg = Lcg(0x0F10_2045);
+    let mut near = || (1i64 << 45) + lcg.draw(2001) as i64 - 1000;
+    for _ in 0..200 {
+        let large = [near(), near(), near()];
+        agreed_choice(&analysis, "cube", &large);
+        // One large parameter and two small ones fit in i128.
+        for i in 0..3 {
+            let mut mixed = [0, 1, 2];
+            mixed[i] = large[i];
+            agreed_choice(&analysis, "cube", &mixed);
+        }
+    }
+}
+
+#[test]
+fn non_integer_func_annotations_take_the_exact_path_and_agree() {
+    // Every non-automatic dummy gets a `Func` annotation worth 1/2, so
+    // no point whose dimensions mention one fits the fixed-width path.
+    fn half(_: &[Rational]) -> Rational {
+        Rational::new(1, 2)
+    }
+    let opts = AnalysisOptions::builder()
+        .annotate_with(|sym| {
+            let mut ann = Annotations::default();
+            for (d, origin) in sym.dict.dummies().iter().enumerate() {
+                if !origin.is_auto() {
+                    ann.exprs.insert(d as u32, AnnotationRule::Func(half));
+                }
+            }
+            ann
+        })
+        .build();
+    let src = "
+        int work(int k) {
+            int j; int acc;
+            acc = 0;
+            for (j = 0; j < k; j++) {
+                if (acc > 100) { acc = acc - 1; }
+                acc = acc + j;
+            }
+            return acc;
+        }
+        void main(int n) { output(work(n)); }";
+    let analysis = Analysis::from_source(src, opts).unwrap();
+    let dict = &analysis.symbolic.dict;
+    assert!(
+        analysis
+            .network
+            .dims
+            .iter()
+            .any(|&m| dict.atoms(m).iter().any(|a| matches!(
+                a,
+                Atom::Dummy(d) if !dict.dummies()[*d as usize].is_auto()
+            ))),
+        "no dimension mentions an annotated dummy"
+    );
+    assert!(analysis.compiled.stats().slots > 0, "no point program");
+    assert_agreement(&analysis, "half_func", 0x0000_0001_0000_0002, 200);
+    // The region boundary moves with the annotation's value: a dense
+    // sweep across it tells 1/2 apart from either integer next to it.
+    let mut drawn = vec![false; analysis.partition.choices.len()];
+    for n in -5..=200 {
+        drawn[agreed_choice(&analysis, "half_func", &[n])] = true;
+    }
+    assert!(drawn.iter().all(|&d| d), "the sweep missed a choice");
 }
 
 #[test]

@@ -55,8 +55,9 @@ mod simplex;
 pub use bigint::{BigInt, ParseBigIntError};
 pub use linear::{Cmp, Constraint, LinExpr};
 pub use lp::{
-    cache_clear as lp_cache_clear, closure_feasible, maximize as lp_maximize,
-    maximize_bland as lp_maximize_bland, minimize as lp_minimize, LpResult,
+    cache_cells as lp_cache_cells, cache_clear as lp_cache_clear, closure_feasible,
+    maximize as lp_maximize, maximize_bland as lp_maximize_bland, minimize as lp_minimize,
+    LpResult,
 };
 pub use polyhedron::{Polyhedron, ProjectionBudgetExceeded};
 pub use rational::{ParseRationalError, Rational};

@@ -73,18 +73,27 @@ thread_local! {
     static LP_TLS: RefCell<LpTls> = RefCell::new(LpTls::default());
 }
 
-/// Drops this thread's LP result cache (scratch buffers are kept).
+/// Drops this thread's LP result cache and frees its table (scratch
+/// buffers are kept).
 ///
 /// The parametric engine calls this at the start of every solve so runs
 /// are reproducible: cached results never change *what* is computed (keys
 /// are compared exactly), but clearing makes the per-run `lp_cache_hits`
 /// counter and timing independent of whatever ran earlier on the thread.
+/// It calls it again when the solve ends, so a thread that ran a solve
+/// does not keep its cache alive until the next one.
 pub fn cache_clear() {
     LP_TLS.with(|tls| {
         let tls = &mut *tls.borrow_mut();
-        tls.cache.clear();
+        tls.cache = HashMap::new();
         tls.cache_cells = 0;
     });
+}
+
+/// Constraint cells (`(nvars + 1) × (rows + 1)` per entry) this thread's
+/// LP result cache holds.
+pub fn cache_cells() -> usize {
+    LP_TLS.with(|tls| tls.borrow().cache_cells)
 }
 
 fn key_hash(objective: &LinExpr, constraints: &[Constraint]) -> u64 {

@@ -3,11 +3,19 @@
 #
 #   scripts/verify.sh
 #
-# Runs fully offline: release build, the whole test suite, and (when the
-# component is installed) clippy with warnings denied.
+# Runs fully offline: the format check and clippy with warnings denied
+# (each when its component is installed), release build, and the whole
+# test suite. CI's verify job runs this script as its only gate.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+echo "== format =="
+if cargo fmt --version >/dev/null 2>&1; then
+    cargo fmt --all -- --check
+else
+    echo "rustfmt not installed; skipping"
+fi
 
 echo "== build (release) =="
 cargo build --release --workspace --offline
