@@ -9,8 +9,10 @@
 //! differential harness over them: typed pipeline completion,
 //! repeat determinism of the partition, compiled dispatch equal to the
 //! linear-scan reference and optimal against exhaustive plan
-//! enumeration, and behaviour preservation under
-//! every plan at `--points` sampled parameter settings per program.
+//! enumeration, and behaviour preservation (with ledgers that add up)
+//! under every plan at `--points` sampled parameter settings per program.
+//! Each sampled setting also brings four wide, dispatch-only settings
+//! (large magnitudes, `i64` extremes, ± powers of two).
 //!
 //! `--emit` prints each generated program instead of checking it (use
 //! with `--count 1 --seed <failing-seed>` to reproduce a report).
@@ -26,7 +28,8 @@ fn usage() -> ! {
          \n\
          --seed N    root seed (decimal or 0x hex; default 0x0FF10AD5)\n\
          --count N   programs to generate/check (default 50)\n\
-         --points N  parameter points sampled per program (default 3)\n\
+         --points N  parameter points simulated per program (default 3),\n\
+         \x20           each with four wide dispatch-only points\n\
          --emit      print the generated programs, don't check them\n\
          --json      print the summary as JSON"
     );

@@ -19,10 +19,18 @@
 //!    choice (`Dispatcher::select_linear`), bit for bit, and has minimal
 //!    predicted cost among *all* enumerated choices, by exact rational
 //!    comparison of [`cut_cost_at`] (the differential form of Theorem 1's
-//!    guarantee).
+//!    guarantee). Besides the small points that check 4 simulates, each
+//!    program gets four check-3-only points per sampled point, drawn
+//!    wide: large magnitudes, and every fourth one at `i64`
+//!    extremes and ± powers of two, where the compiled dispatcher's
+//!    fixed-width arithmetic overflows or the point leaves every region.
 //! 4. **Behaviour preservation** — simulating the program all-local and
 //!    under *every* partitioning choice produces identical outputs, and
-//!    the dispatched run agrees with them.
+//!    the dispatched run agrees with them. Every run's ledger adds up:
+//!    `total_time == client_compute + server_compute + comm_time`
+//!    exactly (each clock increment goes to exactly one of the three),
+//!    and the dispatched run's `RunStats` equal those of
+//!    `run_choice(chosen)`.
 //!
 //! Every failure reports the per-program seed so the offending program
 //! can be regenerated exactly: `fuzzgen --seed <seed> --count 1 --emit`.
@@ -32,7 +40,7 @@ use offload_core::{
     cut_cost_at, Analysis, AnalysisOptions, AnalyzeError, RegionStrategy, SolveOptions,
 };
 use offload_poly::Rational;
-use offload_runtime::{DeviceModel, Simulator};
+use offload_runtime::{DeviceModel, RunStats, Simulator};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -115,6 +123,9 @@ pub fn program_seed(root: u64, index: usize) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Check-3-only points drawn per simulated point.
+const WIDE_PER_POINT: usize = 4;
+
 /// Deterministic per-point parameter values in a range the simulator
 /// handles quickly (small non-negative trip counts).
 fn sample_params(seed: u64, point: usize, arity: usize) -> Vec<i64> {
@@ -124,6 +135,81 @@ fn sample_params(seed: u64, point: usize, arity: usize) -> Vec<i64> {
             (z % 21) as i64 // 0..=20
         })
         .collect()
+}
+
+/// Deterministic check-3-only parameter values, far outside what the
+/// simulator could run: every fourth point takes each value from the
+/// `i64` extremes and ± powers of two, the others a random sign and a
+/// magnitude of uniformly drawn bit length (1..=62).
+fn wide_params(seed: u64, point: usize, arity: usize) -> Vec<i64> {
+    (0..arity)
+        .map(|i| {
+            let z = program_seed(seed ^ 0x0057_1DE5, point * 64 + i);
+            let r = program_seed(z, 1);
+            if point % 4 == 3 {
+                let near = (r & 1) as i64;
+                match z % 4 {
+                    0 => i64::MIN + near,
+                    1 => i64::MAX - near,
+                    2 => 1i64 << (r % 63),
+                    _ => -(1i64 << (r % 63)),
+                }
+            } else {
+                let bits = 1 + z % 62;
+                let magnitude = (r >> (64 - bits)) as i64;
+                if z & (1 << 40) == 0 {
+                    magnitude
+                } else {
+                    -magnitude
+                }
+            }
+        })
+        .collect()
+}
+
+/// Check 3 at one point: the compiled dispatcher's choice equals the
+/// linear scan's and has minimal exact predicted cost among all choices.
+/// Returns that choice, or why the check failed.
+fn check_dispatch(base: &Analysis, params: &[i64]) -> Result<usize, String> {
+    let chosen = base
+        .select(params)
+        .map_err(|e| format!("dispatch failed at {params:?}: {e}"))?;
+    // The compiled dispatcher must pick the linear scan's choice, not
+    // merely another choice of minimal cost.
+    let linear = base
+        .dispatcher
+        .select_linear(&base.network, &base.partition, params)
+        .map_err(|e| format!("linear dispatch failed at {params:?}: {e}"))?;
+    if linear != chosen {
+        return Err(format!(
+            "compiled dispatch chose {chosen} at {params:?}, the linear scan {linear}"
+        ));
+    }
+    // Exact predicted-cost minimality over all enumerated choices.
+    let rp: Vec<Rational> = params.iter().map(|&v| Rational::from(v)).collect();
+    let dim_point = base
+        .dispatcher
+        .dim_point(&base.network, &rp)
+        .map_err(|e| format!("dim_point failed at {params:?}: {e}"))?;
+    let chosen_cost = cut_cost_at(&base.network, &base.partition.choices[chosen], &dim_point)
+        .ok_or_else(|| format!("dispatched choice {chosen} has infinite cut cost at {params:?}"))?;
+    for (i, choice) in base.partition.choices.iter().enumerate() {
+        if let Some(cost) = cut_cost_at(&base.network, choice, &dim_point) {
+            if cost < chosen_cost {
+                return Err(format!(
+                    "choice {i} is cheaper than dispatched choice {chosen} at {params:?} \
+                     ({cost:?} < {chosen_cost:?})"
+                ));
+            }
+        }
+    }
+    Ok(chosen)
+}
+
+/// Check 4's ledger identity: every clock increment is client compute,
+/// server compute or communication, so the three add up to the total.
+fn ledger_adds_up(stats: &RunStats) -> bool {
+    stats.total_time == &(&stats.client_compute + &stats.server_compute) + &stats.comm_time
 }
 
 fn analyze(src: &str, region_strategy: RegionStrategy) -> Result<Analysis, AnalyzeError> {
@@ -244,70 +330,11 @@ pub fn run_differential(cfg: &DiffConfig) -> Result<DiffSummary, Box<DiffFailure
         let input = [3i64, 5, 7, 11];
         for point in 0..cfg.points {
             let params = sample_params(seed, point, arity);
-            let chosen = match base.select(&params) {
-                Ok(c) => c,
-                Err(e) => {
-                    return Err(fail(format!("dispatch failed at {params:?}: {e}"), &source));
-                }
-            };
-            // The compiled dispatcher must pick the linear scan's choice,
-            // not merely another choice of minimal cost.
-            match base
-                .dispatcher
-                .select_linear(&base.network, &base.partition, &params)
-            {
-                Ok(linear) if linear == chosen => {}
-                Ok(linear) => {
-                    return Err(fail(
-                        format!(
-                            "compiled dispatch chose {chosen} at {params:?}, \
-                             the linear scan {linear}"
-                        ),
-                        &source,
-                    ));
-                }
-                Err(e) => {
-                    return Err(fail(
-                        format!("linear dispatch failed at {params:?}: {e}"),
-                        &source,
-                    ));
-                }
-            }
-            // Exact predicted-cost minimality over all enumerated choices.
-            let rp: Vec<Rational> = params.iter().map(|&v| Rational::from(v)).collect();
-            let dim_point = match base.dispatcher.dim_point(&base.network, &rp) {
-                Ok(p) => p,
-                Err(e) => {
-                    return Err(fail(
-                        format!("dim_point failed at {params:?}: {e}"),
-                        &source,
-                    ));
-                }
-            };
-            let chosen_cost =
-                cut_cost_at(&base.network, &base.partition.choices[chosen], &dim_point);
-            let Some(chosen_cost) = chosen_cost else {
-                return Err(fail(
-                    format!("dispatched choice {chosen} has infinite cut cost at {params:?}"),
-                    &source,
-                ));
-            };
-            for (i, choice) in base.partition.choices.iter().enumerate() {
-                if let Some(cost) = cut_cost_at(&base.network, choice, &dim_point) {
-                    if cost < chosen_cost {
-                        return Err(fail(
-                            format!(
-                                "choice {i} is cheaper than dispatched choice {chosen} at {params:?} \
-                                 ({cost:?} < {chosen_cost:?})"
-                            ),
-                            &source,
-                        ));
-                    }
-                }
-            }
+            let chosen = check_dispatch(base, &params).map_err(|why| fail(why, &source))?;
             summary.points_checked += 1;
 
-            // Simulate all-local and every choice: identical outputs.
+            // Simulate all-local and every choice: identical outputs, and
+            // ledgers that add up.
             let local = match sim.run_local(&params, &input) {
                 Ok(r) => r,
                 Err(e) => {
@@ -318,6 +345,16 @@ pub fn run_differential(cfg: &DiffConfig) -> Result<DiffSummary, Box<DiffFailure
                 }
             };
             summary.plans_executed += 1;
+            if !ledger_adds_up(&local.stats) {
+                return Err(fail(
+                    format!(
+                        "local run's ledger does not add up at {params:?}: {:?}",
+                        local.stats
+                    ),
+                    &source,
+                ));
+            }
+            let mut chosen_stats = None;
             for i in 0..nchoices {
                 let r = match sim.run_choice(i, &params, &input) {
                     Ok(r) => r,
@@ -339,14 +376,36 @@ pub fn run_differential(cfg: &DiffConfig) -> Result<DiffSummary, Box<DiffFailure
                         &source,
                     ));
                 }
+                if !ledger_adds_up(&r.stats) {
+                    return Err(fail(
+                        format!(
+                            "choice {i}'s ledger does not add up at {params:?}: {:?}",
+                            r.stats
+                        ),
+                        &source,
+                    ));
+                }
+                if i == chosen {
+                    chosen_stats = Some(r.stats);
+                }
             }
-            // The adaptive path must agree too.
+            // The adaptive path must agree too, down to its statistics.
             match sim.run_dispatched(&params, &input) {
                 Ok((idx, r)) => {
                     summary.plans_executed += 1;
                     if idx != chosen || r.outputs != local.outputs {
                         return Err(fail(
                             format!("dispatched run diverged at {params:?}"),
+                            &source,
+                        ));
+                    }
+                    if chosen_stats.as_ref() != Some(&r.stats) {
+                        return Err(fail(
+                            format!(
+                                "dispatched run's statistics differ from choice {chosen}'s \
+                                 at {params:?}: {:?} vs {chosen_stats:?}",
+                                r.stats
+                            ),
                             &source,
                         ));
                     }
@@ -358,6 +417,13 @@ pub fn run_differential(cfg: &DiffConfig) -> Result<DiffSummary, Box<DiffFailure
                     ));
                 }
             }
+        }
+
+        // Check 3 alone at wide points, which no simulation could run.
+        for point in 0..cfg.points * WIDE_PER_POINT {
+            let params = wide_params(seed, point, arity);
+            check_dispatch(base, &params).map_err(|why| fail(why, &source))?;
+            summary.points_checked += 1;
         }
     }
     Ok(summary)

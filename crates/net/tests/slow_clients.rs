@@ -15,6 +15,8 @@
 //! * a session that panics gives its connection slot back;
 //! * an item frame naming an untracked item, or a payload foreign to its
 //!   item, gets an `Error` reply instead of panicking the session;
+//! * a `Control` frame's validity entries that name no tracked item are
+//!   skipped instead of indexing the server's tables;
 //! * a program nested past the parser's cap is refused with an `Error`
 //!   reply instead of overflowing a worker's stack.
 //!
@@ -27,6 +29,7 @@ use offload_net::protocol::{decode_frame, encode_frame, TraceContext, WireFrame,
 use offload_net::{
     fingerprint, ClientConfig, DispatchClient, NetError, OffloadServer, ServerConfig, ServerHandle,
 };
+use offload_pta::AbsLocId;
 use offload_runtime::{ControlMsg, DeviceModel, Host, ItemPayload, PendingAction, Value};
 use offload_tcfg::SegmentId;
 use std::io::{Read, Write};
@@ -513,6 +516,69 @@ fn hostile_item_frames_get_error_replies() {
             "{kind}"
         );
     }
+
+    let mut c = client(&server);
+    let choices = c
+        .dispatch(fp, &[vec![5]])
+        .expect("a fresh client is served");
+    assert_eq!(choices, vec![analysis.select(&[5]).expect("select") as u32]);
+    c.close();
+    server.shutdown();
+}
+
+/// A `Control` frame's validity entries come straight from the wire and
+/// index the server's per-location table, so each must name a tracked
+/// item first. A `Resume` with an empty stack and entries for
+/// `AbsLocId(u32::MAX)` and for the first id past the points-to table
+/// finishes the (empty) run at once: the session answers with a `Finish`
+/// control home that names neither id, and a fresh client is served
+/// afterwards under a cap of one connection.
+#[test]
+fn control_validity_entries_past_the_tables_are_skipped() {
+    let _guard = serialized();
+    let analysis =
+        Arc::new(Analysis::from_source(PROGRAM, AnalysisOptions::default()).expect("analysis"));
+    let mut server = OffloadServer::bind(
+        "127.0.0.1:0",
+        analysis.clone(),
+        DeviceModel::ipaq_testbed(),
+        ServerConfig::builder()
+            .threads(1)
+            .max_connections(1)
+            .build(),
+    )
+    .expect("server");
+    let fp = fingerprint(&analysis);
+    let choice = partitioned_choice(&analysis);
+
+    let hostile_ids = [
+        AbsLocId(u32::MAX),
+        AbsLocId(analysis.pta.locs().len() as u32),
+    ];
+    let mut hostile = raw_session(&server, fp, choice);
+    let mut control = ControlMsg::start();
+    control.to = Host::Server;
+    control.action = PendingAction::Resume;
+    control.valid = hostile_ids.iter().map(|&id| (id, [false, true])).collect();
+    hostile
+        .write_all(&raw_frame(2, WireMsg::Control(Box::new(control))))
+        .expect("send Control");
+    let reply = read_raw_frame(&mut hostile);
+    let WireMsg::Control(back) = reply.msg else {
+        panic!("expected a Control reply, got {:?}", reply.msg);
+    };
+    assert_eq!(back.to, Host::Client);
+    assert_eq!(back.action, PendingAction::Finish);
+    assert!(
+        back.valid.iter().all(|(id, _)| !hostile_ids.contains(id)),
+        "{:?}",
+        back.valid
+    );
+    // The session ends at the client's `Bye` and closes the socket.
+    hostile
+        .write_all(&raw_frame(3, WireMsg::Bye))
+        .expect("send Bye");
+    assert!(matches!(hostile.read(&mut [0u8; 16]), Ok(0) | Err(_)));
 
     let mut c = client(&server);
     let choices = c

@@ -28,12 +28,13 @@ use crate::exec::{Host, Plan, RunResult, RunStats, Runner, RuntimeError};
 use crate::value::{ObjKey, Value};
 use offload_core::Direction;
 use offload_ir::{
-    AllocSiteId, BlockId, Callee, FuncId, Inst, IrBinOp, LocalId, LocalKind, Operand, Terminator,
+    AllocSiteId, BlockId, Callee, FuncId, GlobalId, Inst, IrBinOp, LocalId, LocalKind, Module,
+    Operand, Terminator,
 };
-use offload_poly::Rational;
+use offload_poly::{BigInt, Rational};
 use offload_pta::{AbsLoc, AbsLocId};
 use offload_tcfg::{EdgeKind, SegmentId, TaskId};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 /// A transport failure on the peer link.
@@ -261,9 +262,42 @@ pub enum Outcome {
     Done,
 }
 
+/// A dynamic object in one host's image.
+struct DynObj {
+    /// Its registration (allocation site and size), once this host knows
+    /// it.
+    reg: Option<(AllocSiteId, u32)>,
+    /// The slot contents.
+    data: Vec<Value>,
+}
+
+/// One host's memory image.
 struct HostState {
-    mem: HashMap<ObjKey, Vec<Value>>,
-    regs: HashMap<FuncId, Vec<Value>>,
+    /// Register files, by function.
+    regs: Vec<Vec<Value>>,
+    /// Globals (by global id), then memory locals (see
+    /// [`Machine::static_index`]).
+    statics: Vec<Vec<Value>>,
+    /// Dynamic objects by registration id. Peers name these ids, so they
+    /// key a map and never size a vector.
+    dyns: BTreeMap<u64, DynObj>,
+}
+
+/// Compute charges not yet in the ledger, as integer counts.
+///
+/// Each instruction adds its weight here instead of adding a rational to
+/// the ledger; [`Machine::flush`] folds the counts in, in one exact step,
+/// before the ledger leaves the machine. Rational addition is exact and
+/// associative, so the ledger is the same as if every charge had been
+/// added on its own.
+#[derive(Default)]
+struct Tally {
+    /// Weighted instruction units ([`offload_core::CostModel::inst_weight`]).
+    units: u64,
+    /// Client accesses to over-cache objects.
+    cache_misses: u64,
+    /// Dynamic allocations, each paying the registration fee.
+    registrations: u64,
 }
 
 /// Segment lookup entry: `(range_start, range_end, segment)` for one
@@ -278,20 +312,31 @@ pub struct Machine<'a> {
     r: &'a Runner<'a>,
     host: Host,
     state: HostState,
-    tracked: HashSet<AbsLocId>,
+    tally: Tally,
     // Shared bookkeeping, authoritative only while this host is active.
-    valid: HashMap<AbsLocId, [bool; 2]>,
-    dyn_site: HashMap<ObjKey, (AllocSiteId, u32)>,
+    /// Validity per points-to location; `None` until the run touches it.
+    valid: Vec<Option<[bool; 2]>>,
     dyn_count: u64,
     steps: u64,
     ledger: Ledger,
     stack: Vec<Frame>,
-    active_funcs: HashSet<FuncId>,
+    /// Whether each function has a frame on the stack.
+    active: Vec<bool>,
     // Client-only I/O state (the server refuses I/O instructions).
     input: &'a [i64],
     input_pos: usize,
     outputs: Vec<i64>,
     // Derived indexes.
+    /// Whether each points-to location is a tracked item.
+    tracked: Vec<bool>,
+    /// Tracked item of each register, by function and local.
+    reg_items: Vec<Vec<Option<AbsLocId>>>,
+    /// Static object of each memory local, by function and local.
+    local_objs: Vec<Vec<Option<usize>>>,
+    /// Tracked item of each static object.
+    static_items: Vec<Option<AbsLocId>>,
+    /// Tracked item of each allocation site.
+    site_items: Vec<Option<AbsLocId>>,
     seg_index: HashMap<(FuncId, BlockId), Vec<SegEntry>>,
     edge_index: HashMap<(TaskId, TaskId, EdgeKind), usize>,
     max_steps: u64,
@@ -308,12 +353,7 @@ impl<'a> ExecHost for Machine<'a> {
     /// payload that is not storage of the item's location.
     fn push_item(&mut self, item: AbsLocId, payload: ItemPayload) -> Result<(), HostError> {
         self.check_tracked(item)?;
-        if !self.payload_matches(item, &payload) {
-            return Err(HostError(format!(
-                "payload does not match item {}",
-                item.index()
-            )));
-        }
+        self.check_payload(item, &payload)?;
         self.install_item(payload);
         Ok(())
     }
@@ -336,48 +376,72 @@ impl<'a> Machine<'a> {
         for (ei, e) in r.tcfg.edges().iter().enumerate() {
             edge_index.insert((e.from, e.to, e.kind), ei);
         }
-        let mut state = HostState {
-            mem: HashMap::new(),
-            regs: HashMap::new(),
-        };
-        for (gi, g) in r.module.globals.iter().enumerate() {
-            state.mem.insert(
-                ObjKey::Global(gi as u32),
-                vec![Value::Int(0); g.slots as usize],
-            );
+
+        let module = r.module;
+        let mut tracked = vec![false; r.pta.locs().len()];
+        for &item in r.tracked_order {
+            tracked[item.index()] = true;
         }
-        for (fi, f) in r.module.functions.iter().enumerate() {
-            let fid = FuncId(fi as u32);
-            state.regs.insert(fid, vec![Value::Uninit; f.locals.len()]);
+        let item_of = |loc: AbsLoc| r.pta.id_of(loc).filter(|id| tracked[id.index()]);
+        let mut statics: Vec<Vec<Value>> = Vec::new();
+        let mut static_items = Vec::new();
+        for (gi, g) in module.globals.iter().enumerate() {
+            statics.push(vec![Value::Int(0); g.slots as usize]);
+            static_items.push(item_of(AbsLoc::Global(GlobalId(gi as u32))));
+        }
+        let mut regs = Vec::with_capacity(module.functions.len());
+        let mut reg_items = Vec::with_capacity(module.functions.len());
+        let mut local_objs = Vec::with_capacity(module.functions.len());
+        for (fi, f) in module.functions.iter().enumerate() {
+            let func = FuncId(fi as u32);
+            regs.push(vec![Value::Uninit; f.locals.len()]);
+            let mut items = Vec::with_capacity(f.locals.len());
+            let mut objs = Vec::with_capacity(f.locals.len());
             for (li, l) in f.locals.iter().enumerate() {
-                if let LocalKind::Memory { slots } = &l.kind {
-                    state.mem.insert(
-                        ObjKey::Local(fid, LocalId(li as u32)),
-                        vec![Value::Int(0); *slots as usize],
-                    );
-                }
+                let local = LocalId(li as u32);
+                items.push(item_of(AbsLoc::Reg { func, local }));
+                objs.push(match l.kind {
+                    LocalKind::Memory { slots } => {
+                        statics.push(vec![Value::Int(0); slots as usize]);
+                        static_items.push(item_of(AbsLoc::Local { func, local }));
+                        Some(statics.len() - 1)
+                    }
+                    LocalKind::Register => None,
+                });
             }
+            reg_items.push(items);
+            local_objs.push(objs);
         }
-        let main = r.module.function(r.module.main);
+        let site_items = (0..module.alloc_sites)
+            .map(|s| item_of(AbsLoc::Site(AllocSiteId(s))))
+            .collect();
+        let main = module.function(module.main);
         for (pi, &p) in main.params.iter().enumerate() {
-            let v = Value::Int(params.get(pi).copied().unwrap_or(0));
-            state.regs.get_mut(&r.module.main).expect("regs")[p.index()] = v;
+            regs[module.main.index()][p.index()] = Value::Int(params.get(pi).copied().unwrap_or(0));
         }
         Machine {
             r,
             host,
-            state,
-            tracked: r.tracked_order.iter().copied().collect(),
-            valid: HashMap::new(),
-            dyn_site: HashMap::new(),
+            state: HostState {
+                regs,
+                statics,
+                dyns: BTreeMap::new(),
+            },
+            tally: Tally::default(),
+            valid: vec![None; tracked.len()],
             dyn_count: 0,
             steps: 0,
             ledger: Ledger::default(),
             stack: Vec::new(),
-            active_funcs: HashSet::new(),
+            active: vec![false; module.functions.len()],
             input,
             input_pos: 0,
             outputs: Vec::new(),
+            tracked,
+            reg_items,
+            local_objs,
+            static_items,
+            site_items,
             seg_index,
             edge_index,
             max_steps: if r.max_steps == 0 {
@@ -394,7 +458,8 @@ impl<'a> Machine<'a> {
     }
 
     /// Consumes the client machine into a finished [`RunResult`].
-    pub fn into_result(self) -> RunResult {
+    pub fn into_result(mut self) -> RunResult {
+        self.flush();
         let stats = self.ledger.finish(self.r.device);
         RunResult {
             outputs: self.outputs,
@@ -429,7 +494,7 @@ impl<'a> Machine<'a> {
                     segment: entry_seg,
                     ret_dst: None,
                 });
-                self.active_funcs.insert(main);
+                self.active[main.index()] = true;
                 let entry_task = self.r.tcfg.task_of(entry_seg);
                 if self.host_of(entry_task) != self.host {
                     let sched = self.r.device.cost.sched_c2s.clone();
@@ -453,7 +518,7 @@ impl<'a> Machine<'a> {
                     segment,
                     ret_dst: None,
                 });
-                self.active_funcs.insert(func);
+                self.active[func.index()] = true;
                 for (p, v) in writes {
                     self.write_reg(p, v);
                 }
@@ -491,32 +556,51 @@ impl<'a> Machine<'a> {
 
     fn install(&mut self, msg: &ControlMsg) {
         self.stack = msg.stack.clone();
-        self.active_funcs = self.stack.iter().map(|f| f.func).collect();
-        self.valid = msg.valid.iter().copied().collect();
+        self.active.fill(false);
+        for f in &self.stack {
+            self.active[f.func.index()] = true;
+        }
+        self.valid.fill(None);
+        for &(item, v) in &msg.valid {
+            // A peer's entry indexes nothing unless it names a tracked item.
+            if self.is_tracked(item) {
+                self.valid[item.index()] = Some(v);
+            }
+        }
         for &(key, site, slots) in &msg.dyn_table {
-            self.dyn_site.insert(key, (site, slots));
             // Deferred registration: materialize zeroed storage for
             // objects allocated on the other host.
-            self.state
-                .mem
-                .entry(key)
-                .or_insert_with(|| vec![Value::Int(0); slots as usize]);
+            if let ObjKey::Dyn(id) = key {
+                self.state
+                    .dyns
+                    .entry(id)
+                    .or_insert_with(|| DynObj {
+                        reg: None,
+                        data: vec![Value::Int(0); slots as usize],
+                    })
+                    .reg = Some((site, slots));
+            }
         }
         self.dyn_count = msg.dyn_count;
         self.steps = msg.steps;
         self.ledger = msg.ledger.clone();
+        self.tally = Tally::default();
     }
 
-    fn package(&self, to: Host, action: PendingAction) -> ControlMsg {
-        let mut valid: Vec<(AbsLocId, [bool; 2])> =
-            self.valid.iter().map(|(k, v)| (*k, *v)).collect();
-        valid.sort_by_key(|(k, _)| k.index());
-        let mut dyn_table: Vec<(ObjKey, AllocSiteId, u32)> = self
-            .dyn_site
+    fn package(&mut self, to: Host, action: PendingAction) -> ControlMsg {
+        self.flush();
+        let valid = self
+            .valid
             .iter()
-            .map(|(k, (s, n))| (*k, *s, *n))
+            .enumerate()
+            .filter_map(|(i, v)| v.map(|v| (AbsLocId(i as u32), v)))
             .collect();
-        dyn_table.sort_by_key(|(k, _, _)| *k);
+        let dyn_table = self
+            .state
+            .dyns
+            .iter()
+            .filter_map(|(&id, o)| o.reg.map(|(site, slots)| (ObjKey::Dyn(id), site, slots)))
+            .collect();
         ControlMsg {
             to,
             action,
@@ -531,46 +615,56 @@ impl<'a> Machine<'a> {
 
     // ---- cost accounting ----
 
-    fn compute_cost(&mut self, inst: &Inst) {
-        let w = self.r.device.cost.inst_weight(inst) as i64;
+    /// Folds the pending [`Tally`] into the ledger as this host's compute
+    /// time. Runs before every control message and at the end of the run.
+    fn flush(&mut self) {
+        let Tally {
+            units,
+            cache_misses,
+            registrations,
+        } = std::mem::take(&mut self.tally);
+        let cost = &self.r.device.cost;
         let unit = match self.host {
-            Host::Client => self.r.device.cost.client_unit.clone(),
-            Host::Server => self.r.device.cost.server_unit.clone(),
+            Host::Client => &cost.client_unit,
+            Host::Server => &cost.server_unit,
         };
-        self.ledger.busy(self.host, &Rational::from(w) * &unit);
-    }
-
-    /// Extra client time for accesses to over-cache objects (modeled only
-    /// in the simulator, not in the analysis — a realistic source of
-    /// prediction error).
-    fn cache_penalty(&mut self, key: ObjKey) {
-        if self.host != Host::Client {
-            return;
-        }
-        let size = self.state.mem.get(&key).map(|v| v.len()).unwrap_or(0) as u32;
-        if size > self.r.device.cache_slots {
-            let p = self.r.device.cache_miss_penalty.clone();
-            self.ledger.busy(Host::Client, p);
-        }
+        let mut t = times(units, unit);
+        t += &times(cache_misses, &self.r.device.cache_miss_penalty);
+        t += &times(registrations, &cost.registration);
+        self.ledger.busy(self.host, t);
     }
 
     // ---- item identity and validity ----
 
-    fn item_of_obj(&self, key: ObjKey) -> Option<AbsLocId> {
-        let loc = match key {
-            ObjKey::Global(g) => AbsLoc::Global(offload_ir::GlobalId(g)),
-            ObjKey::Local(f, l) => AbsLoc::Local { func: f, local: l },
-            ObjKey::Dyn(_) => AbsLoc::Site(self.dyn_site.get(&key)?.0),
-        };
-        self.r.pta.id_of(loc)
+    /// The static object (global or memory local) `key` names, if any.
+    fn static_index(&self, key: ObjKey) -> Option<usize> {
+        match key {
+            ObjKey::Global(g) => ((g as usize) < self.r.module.globals.len()).then_some(g as usize),
+            ObjKey::Local(f, l) => *self.local_objs.get(f.index())?.get(l.index())?,
+            ObjKey::Dyn(_) => None,
+        }
     }
 
-    fn item_of_reg(&self, func: FuncId, reg: LocalId) -> Option<AbsLocId> {
-        self.r.pta.id_of(AbsLoc::Reg { func, local: reg })
+    fn item_of_obj(&self, key: ObjKey) -> Option<AbsLocId> {
+        match key {
+            ObjKey::Dyn(id) => {
+                let (site, _) = self.state.dyns.get(&id)?.reg?;
+                *self.site_items.get(site.index())?
+            }
+            _ => self.static_items[self.static_index(key)?],
+        }
+    }
+
+    /// This host's storage of `key`, if it has any.
+    fn object(&self, key: ObjKey) -> Option<&[Value]> {
+        match key {
+            ObjKey::Dyn(id) => self.state.dyns.get(&id).map(|o| o.data.as_slice()),
+            _ => Some(&self.state.statics[self.static_index(key)?]),
+        }
     }
 
     fn is_tracked(&self, item: AbsLocId) -> bool {
-        self.tracked.contains(&item)
+        self.tracked.get(item.index()).copied().unwrap_or(false)
     }
 
     /// An item id from the peer must name a tracked item before it
@@ -583,11 +677,11 @@ impl<'a> Machine<'a> {
         }
     }
 
-    /// Whether `payload` is storage of `item`'s location: the same
-    /// function and local for a register, the location's own object keys
-    /// for memory.
-    fn payload_matches(&self, item: AbsLocId, payload: &ItemPayload) -> bool {
-        match (self.r.pta.loc(item), payload) {
+    /// A payload from the peer must be storage of `item`'s location (the
+    /// same function and local for a register, the location's own object
+    /// keys for memory) before it is installed.
+    fn check_payload(&self, item: AbsLocId, payload: &ItemPayload) -> Result<(), HostError> {
+        let matches = match (self.r.pta.loc(item), payload) {
             (
                 AbsLoc::Reg { func, local },
                 ItemPayload::Reg {
@@ -604,23 +698,28 @@ impl<'a> Machine<'a> {
                 .iter()
                 .all(|o| matches!(o.key, ObjKey::Dyn(_)) && o.site == Some(site)),
             _ => false,
+        };
+        if matches {
+            Ok(())
+        } else {
+            Err(HostError(format!(
+                "payload does not match item {}",
+                item.index()
+            )))
         }
     }
 
     fn validity(&mut self, item: AbsLocId) -> &mut [bool; 2] {
-        self.valid.entry(item).or_insert([true, true])
+        self.valid[item.index()].get_or_insert([true, true])
     }
 
-    /// Ensures `item` is valid on this host, pulling it lazily from the
-    /// peer if necessary.
+    /// Ensures the tracked `item` is valid on this host, pulling it lazily
+    /// from the peer if necessary.
     fn ensure_valid(
         &mut self,
         item: AbsLocId,
         peer: &mut dyn ExecHost,
     ) -> Result<(), RuntimeError> {
-        if !self.is_tracked(item) {
-            return Ok(());
-        }
         let here = self.host.index();
         if self.validity(item)[here] {
             return Ok(());
@@ -635,10 +734,8 @@ impl<'a> Machine<'a> {
         self.transfer_item(item, self.host.other(), self.host, peer)
     }
 
+    /// Marks the tracked `item` written here: valid on this host only.
     fn note_write(&mut self, item: AbsLocId) {
-        if !self.is_tracked(item) {
-            return;
-        }
         let host = self.host;
         let v = self.validity(item);
         v[host.index()] = true;
@@ -647,61 +744,57 @@ impl<'a> Machine<'a> {
 
     /// Reads out one tracked item's backing storage on this host.
     fn collect_item(&self, item: AbsLocId) -> ItemPayload {
+        let whole = |key: ObjKey| {
+            ItemPayload::Objects(vec![ObjEntry {
+                key,
+                site: None,
+                data: self.object(key).map(<[Value]>::to_vec).unwrap_or_default(),
+            }])
+        };
         match self.r.pta.loc(item) {
             AbsLoc::Reg { func, local } => ItemPayload::Reg {
                 func,
                 local,
-                value: self.state.regs[&func][local.index()],
+                value: self.state.regs[func.index()][local.index()],
             },
-            AbsLoc::Global(g) => {
-                let key = ObjKey::Global(g.0);
-                ItemPayload::Objects(vec![ObjEntry {
-                    key,
-                    site: None,
-                    data: self.state.mem.get(&key).cloned().unwrap_or_default(),
-                }])
-            }
-            AbsLoc::Local { func, local } => {
-                let key = ObjKey::Local(func, local);
-                ItemPayload::Objects(vec![ObjEntry {
-                    key,
-                    site: None,
-                    data: self.state.mem.get(&key).cloned().unwrap_or_default(),
-                }])
-            }
-            AbsLoc::Site(site) => {
-                let mut keys: Vec<ObjKey> = self
-                    .dyn_site
+            AbsLoc::Global(g) => whole(ObjKey::Global(g.0)),
+            AbsLoc::Local { func, local } => whole(ObjKey::Local(func, local)),
+            AbsLoc::Site(site) => ItemPayload::Objects(
+                self.state
+                    .dyns
                     .iter()
-                    .filter(|(_, (s, _))| *s == site)
-                    .map(|(k, _)| *k)
-                    .collect();
-                keys.sort();
-                ItemPayload::Objects(
-                    keys.into_iter()
-                        .map(|key| ObjEntry {
-                            key,
-                            site: Some(site),
-                            data: self.state.mem.get(&key).cloned().unwrap_or_default(),
-                        })
-                        .collect(),
-                )
-            }
+                    .filter(|(_, o)| matches!(o.reg, Some((s, _)) if s == site))
+                    .map(|(&id, o)| ObjEntry {
+                        key: ObjKey::Dyn(id),
+                        site: Some(site),
+                        data: o.data.clone(),
+                    })
+                    .collect(),
+            ),
         }
     }
 
-    /// Overwrites this host's copy with a payload.
+    /// Overwrites this host's copy with a payload that
+    /// [`Machine::check_payload`] accepted.
     fn install_item(&mut self, payload: ItemPayload) {
         match payload {
             ItemPayload::Reg { func, local, value } => {
-                self.state.regs.get_mut(&func).expect("regs")[local.index()] = value;
+                self.state.regs[func.index()][local.index()] = value;
             }
             ItemPayload::Objects(objs) => {
                 for obj in objs {
-                    if let (ObjKey::Dyn(_), Some(site)) = (obj.key, obj.site) {
-                        self.dyn_site.insert(obj.key, (site, obj.data.len() as u32));
+                    if let ObjKey::Dyn(id) = obj.key {
+                        let o = self.state.dyns.entry(id).or_insert_with(|| DynObj {
+                            reg: None,
+                            data: Vec::new(),
+                        });
+                        if let Some(site) = obj.site {
+                            o.reg = Some((site, obj.data.len() as u32));
+                        }
+                        o.data = obj.data;
+                    } else if let Some(i) = self.static_index(obj.key) {
+                        self.state.statics[i] = obj.data;
                     }
-                    self.state.mem.insert(obj.key, obj.data);
                 }
             }
         }
@@ -723,6 +816,8 @@ impl<'a> Machine<'a> {
             slots
         } else {
             let payload = peer.fetch_item(item).map_err(RuntimeError::from)?;
+            self.check_payload(item, &payload)
+                .map_err(RuntimeError::from)?;
             let slots = payload.slots();
             self.install_item(payload);
             slots
@@ -753,17 +848,17 @@ impl<'a> Machine<'a> {
     }
 
     fn read_reg(&mut self, reg: LocalId, peer: &mut dyn ExecHost) -> Result<Value, RuntimeError> {
-        let func = self.cur_func();
-        if let Some(item) = self.item_of_reg(func, reg) {
+        let func = self.cur_func().index();
+        if let Some(item) = self.reg_items[func][reg.index()] {
             self.ensure_valid(item, peer)?;
         }
-        Ok(self.state.regs[&func][reg.index()])
+        Ok(self.state.regs[func][reg.index()])
     }
 
     fn write_reg(&mut self, reg: LocalId, v: Value) {
-        let func = self.cur_func();
-        self.state.regs.get_mut(&func).expect("regs")[reg.index()] = v;
-        if let Some(item) = self.item_of_reg(func, reg) {
+        let func = self.cur_func().index();
+        self.state.regs[func][reg.index()] = v;
+        if let Some(item) = self.reg_items[func][reg.index()] {
             self.note_write(item);
         }
     }
@@ -775,19 +870,35 @@ impl<'a> Machine<'a> {
         }
     }
 
+    /// Makes `key`'s object valid on this host and charges one access to
+    /// it: the client pays the cache penalty (modeled only in the
+    /// simulator, not in the analysis — a realistic source of prediction
+    /// error) on over-cache objects. Returns the storage and its item.
+    fn access(
+        &mut self,
+        key: ObjKey,
+        peer: &mut dyn ExecHost,
+    ) -> Result<(&mut Vec<Value>, Option<AbsLocId>), RuntimeError> {
+        let item = self.item_of_obj(key);
+        if let Some(item) = item {
+            self.ensure_valid(item, peer)?;
+        }
+        let obj = match key {
+            ObjKey::Dyn(id) => self.state.dyns.get_mut(&id).map(|o| &mut o.data),
+            _ => self.static_index(key).map(|i| &mut self.state.statics[i]),
+        }
+        .ok_or_else(|| RuntimeError::BadAccess(format!("no object {key}")))?;
+        if self.host == Host::Client && obj.len() > self.r.device.cache_slots as usize {
+            self.tally.cache_misses += 1;
+        }
+        Ok((obj, item))
+    }
+
     fn load(&mut self, addr: Value, peer: &mut dyn ExecHost) -> Result<Value, RuntimeError> {
         let Value::Addr(key, off) = addr else {
             return Err(RuntimeError::BadAccess(format!("load through {addr}")));
         };
-        if let Some(item) = self.item_of_obj(key) {
-            self.ensure_valid(item, peer)?;
-        }
-        self.cache_penalty(key);
-        let obj = self
-            .state
-            .mem
-            .get(&key)
-            .ok_or_else(|| RuntimeError::BadAccess(format!("no object {key}")))?;
+        let (obj, _) = self.access(key, peer)?;
         obj.get(off as usize)
             .copied()
             .ok_or_else(|| RuntimeError::BadAccess(format!("{key}+{off} out of bounds")))
@@ -802,22 +913,14 @@ impl<'a> Machine<'a> {
         let Value::Addr(key, off) = addr else {
             return Err(RuntimeError::BadAccess(format!("store through {addr}")));
         };
-        if let Some(item) = self.item_of_obj(key) {
-            // Partial writes require the destination copy to be valid
-            // first (the paper's conservative constraint, dynamically).
-            self.ensure_valid(item, peer)?;
-        }
-        self.cache_penalty(key);
-        let obj = self
-            .state
-            .mem
-            .get_mut(&key)
-            .ok_or_else(|| RuntimeError::BadAccess(format!("no object {key}")))?;
+        // Partial writes require the destination copy to be valid first
+        // (the paper's conservative constraint, dynamically).
+        let (obj, item) = self.access(key, peer)?;
         let slot = obj
             .get_mut(off as usize)
             .ok_or_else(|| RuntimeError::BadAccess(format!("{key}+{off} out of bounds")))?;
         *slot = v;
-        if let Some(item) = self.item_of_obj(key) {
+        if let Some(item) = item {
             self.note_write(item);
         }
         Ok(())
@@ -875,8 +978,7 @@ impl<'a> Machine<'a> {
         // (they can also prepay for later tasks).
         if let Plan::Partitioned(p) = self.r.plan {
             if let Some(&ei) = self.edge_index.get(&(from_task, to_task, kind)) {
-                let moves = p.transfers[ei].clone();
-                for (item_idx, dir) in moves {
+                for &(item_idx, dir) in &p.transfers[ei] {
                     let item = self.tracked_item_by_index(item_idx);
                     let (src, dst) = match dir {
                         Direction::ClientToServer => (Host::Client, Host::Server),
@@ -915,14 +1017,14 @@ impl<'a> Machine<'a> {
     fn step(&mut self, peer: &mut dyn ExecHost) -> Result<Option<ControlMsg>, RuntimeError> {
         let frame = self.stack.last().expect("active frame");
         let (func, block, inst_idx, seg) = (frame.func, frame.block, frame.inst, frame.segment);
-        let f = self.r.module.function(func);
-        let b = &f.blocks[block.index()];
+        // Instructions are borrowed from the module, which outlives `self`.
+        let module: &'a Module = self.r.module;
+        let b = &module.function(func).blocks[block.index()];
 
-        if inst_idx < b.insts.len() {
-            let inst = b.insts[inst_idx].clone();
+        if let Some(inst) = b.insts.get(inst_idx) {
             self.ledger.stats.instructions += 1;
-            self.compute_cost(&inst);
-            if let Inst::Call { .. } = &inst {
+            self.tally.units += u64::from(self.r.device.cost.inst_weight(inst));
+            if let Inst::Call { .. } = inst {
                 return self.exec_call(inst, func, block, inst_idx, seg, peer);
             }
             self.exec_simple(inst, peer)?;
@@ -932,8 +1034,7 @@ impl<'a> Machine<'a> {
         }
 
         // Terminator.
-        let term = b.term.clone();
-        match term {
+        match b.term {
             Terminator::Goto(t) => self.jump(func, seg, block, t, peer),
             Terminator::Branch {
                 cond,
@@ -981,7 +1082,7 @@ impl<'a> Machine<'a> {
 
     fn exec_call(
         &mut self,
-        inst: Inst,
+        inst: &'a Inst,
         func: FuncId,
         block: BlockId,
         inst_idx: usize,
@@ -991,7 +1092,7 @@ impl<'a> Machine<'a> {
         let Inst::Call { dst, callee, args } = inst else {
             unreachable!()
         };
-        let target = match callee {
+        let target = match *callee {
             Callee::Direct(t) => t,
             Callee::Indirect(op) => match self.operand(op, peer)? {
                 Value::Func(t) => t,
@@ -1002,7 +1103,8 @@ impl<'a> Machine<'a> {
                 }
             },
         };
-        let callee_def = self.r.module.function(target);
+        let module: &'a Module = self.r.module;
+        let callee_def = module.function(target);
         if callee_def.params.len() != args.len() {
             return Err(RuntimeError::BadIndirectCall(format!(
                 "`{}` expects {} args, got {}",
@@ -1011,13 +1113,13 @@ impl<'a> Machine<'a> {
                 args.len()
             )));
         }
-        if self.active_funcs.contains(&target) {
+        if self.active[target.index()] {
             return Err(RuntimeError::Recursion(callee_def.name.clone()));
         }
         // Evaluate arguments on the caller's host.
         let mut arg_vals = Vec::with_capacity(args.len());
-        for a in &args {
-            arg_vals.push(self.operand(*a, peer)?);
+        for &a in args {
+            arg_vals.push(self.operand(a, peer)?);
         }
 
         // Advance the caller past the call before switching.
@@ -1025,15 +1127,15 @@ impl<'a> Machine<'a> {
         {
             let frame = self.stack.last_mut().expect("caller frame");
             frame.inst = inst_idx + 1;
-            frame.ret_dst = dst;
+            frame.ret_dst = *dst;
             frame.segment = cont_seg;
         }
 
         // Control moves to the callee's entry segment.
         let callee_entry = callee_def.entry;
         let entry_seg = self.segment_at(target, callee_entry, 0);
-        let params = callee_def.params.clone();
-        let writes: Vec<(LocalId, Value)> = params.iter().copied().zip(arg_vals).collect();
+        let writes: Vec<(LocalId, Value)> =
+            callee_def.params.iter().copied().zip(arg_vals).collect();
         let switch = self.cross(seg, entry_seg, EdgeKind::Call { site: seg }, peer)?;
         if let Some(h) = switch {
             // Parameters are carried by the scheduling message and written
@@ -1055,7 +1157,7 @@ impl<'a> Machine<'a> {
             segment: entry_seg,
             ret_dst: None,
         });
-        self.active_funcs.insert(target);
+        self.active[target.index()] = true;
         for (p, v) in writes {
             self.write_reg(p, v);
         }
@@ -1069,7 +1171,7 @@ impl<'a> Machine<'a> {
         peer: &mut dyn ExecHost,
     ) -> Result<Option<ControlMsg>, RuntimeError> {
         let done = self.stack.pop().expect("returning frame");
-        self.active_funcs.remove(&done.func);
+        self.active[done.func.index()] = false;
         let Some(caller) = self.stack.last() else {
             return Ok(None); // main returned
         };
@@ -1095,8 +1197,8 @@ impl<'a> Machine<'a> {
         Ok(None)
     }
 
-    fn exec_simple(&mut self, inst: Inst, peer: &mut dyn ExecHost) -> Result<(), RuntimeError> {
-        match inst {
+    fn exec_simple(&mut self, inst: &Inst, peer: &mut dyn ExecHost) -> Result<(), RuntimeError> {
+        match *inst {
             Inst::Copy { dst, src } => {
                 let v = self.operand(src, peer)?;
                 self.write_reg(dst, v);
@@ -1174,21 +1276,24 @@ impl<'a> Machine<'a> {
                     .as_int()
                     .ok_or_else(|| RuntimeError::BadAccess("pointer alloc count".into()))?;
                 let slots = (elem_slots as i64).saturating_mul(c.max(0)) as usize;
-                let key = ObjKey::Dyn(self.dyn_count);
+                let id = self.dyn_count;
                 self.dyn_count += 1;
                 self.ledger.stats.registrations += 1;
                 // Registration: the id ↔ site binding becomes shared
                 // knowledge (it rides the next control transfer); this
                 // host materializes zeroed storage now, the other host on
                 // receipt. The registration fee is charged once.
-                self.dyn_site.insert(key, (site, slots as u32));
-                self.state.mem.insert(key, vec![Value::Int(0); slots]);
-                let fee = self.r.device.cost.registration.clone();
-                let host = self.host;
-                self.ledger.busy(host, fee);
-                self.write_reg(dst, Value::Addr(key, 0));
+                self.state.dyns.insert(
+                    id,
+                    DynObj {
+                        reg: Some((site, slots as u32)),
+                        data: vec![Value::Int(0); slots],
+                    },
+                );
+                self.tally.registrations += 1;
+                self.write_reg(dst, Value::Addr(ObjKey::Dyn(id), 0));
                 // The fresh object is valid where it was allocated.
-                if let Some(item) = self.item_of_obj(key) {
+                if let Some(item) = self.site_items[site.index()] {
                     self.note_write(item);
                 }
             }
@@ -1220,6 +1325,11 @@ impl<'a> Machine<'a> {
         }
         Ok(())
     }
+}
+
+/// `n × r`, exactly: `n` converts without wrapping.
+fn times(n: u64, r: &Rational) -> Rational {
+    &Rational::from(BigInt::from(n)) * r
 }
 
 fn eval_bin(op: IrBinOp, a: Value, b: Value) -> Result<Value, RuntimeError> {

@@ -3,7 +3,12 @@
 //! preserves observable behaviour.
 
 use offload_core::{Analysis, AnalysisOptions};
-use offload_runtime::{DeviceModel, RuntimeError, Simulator};
+use offload_ir::{FuncId, LocalId};
+use offload_pta::AbsLocId;
+use offload_runtime::{
+    ControlMsg, DeviceModel, ExecHost, Host, HostError, ItemPayload, Machine, Plan, Runner,
+    RuntimeError, Simulator, Value,
+};
 
 fn analysis(src: &str) -> Analysis {
     Analysis::from_source(src, AnalysisOptions::default()).expect("analysis")
@@ -277,4 +282,58 @@ fn out_of_bounds_param_dispatches_via_fallback_and_runs_correctly() {
     assert_eq!(idx, a.select(&params).unwrap(), "same fallback choice");
     let local = sim.run_local(&params, &[]).unwrap();
     assert_eq!(dispatched.outputs, local.outputs, "fallback run is correct");
+}
+
+/// A peer that answers every fetch with a register of a function that
+/// does not exist, and accepts every push.
+struct ForeignPeer;
+
+impl ExecHost for ForeignPeer {
+    fn fetch_item(&mut self, _item: AbsLocId) -> Result<ItemPayload, HostError> {
+        Ok(ItemPayload::Reg {
+            func: FuncId(9999),
+            local: LocalId(0),
+            value: Value::Int(1),
+        })
+    }
+
+    fn push_item(&mut self, _item: AbsLocId, _payload: ItemPayload) -> Result<(), HostError> {
+        Ok(())
+    }
+}
+
+#[test]
+fn a_fetched_payload_foreign_to_its_item_is_a_link_error() {
+    // A peer's reply is outside input like any frame: the pulled payload
+    // must be storage of the item it was fetched for before it is
+    // installed, or the run fails as a link failure instead of writing
+    // (or indexing) storage the item does not own.
+    let a = analysis(
+        "int work(int k) { int j; int acc; acc = 0;
+             for (j = 0; j < k; j++) { acc = acc + j * j % 1000; }
+             return acc; }
+         void main(int n) { int r; r = work(n); output(r + work(n)); }",
+    );
+    let tracked: Vec<AbsLocId> = a.items.items.iter().map(|i| i.loc).collect();
+    assert!(!tracked.is_empty(), "the program must track items");
+    let device = DeviceModel::ipaq_testbed();
+    let runner = Runner {
+        module: &a.module,
+        tcfg: &a.tcfg,
+        pta: &a.pta,
+        tracked_order: &tracked,
+        device: &device,
+        plan: Plan::AllLocal,
+        max_steps: 0,
+    };
+    let mut client = Machine::new(&runner, Host::Client, &[5], &[]);
+    // Every tracked item starts out valid only on the peer, so the first
+    // read of one pulls it.
+    let mut start = ControlMsg::start();
+    start.valid = tracked.iter().map(|&item| (item, [false, true])).collect();
+    match client.run_turn(start, &mut ForeignPeer) {
+        Err(RuntimeError::HostLink(msg)) => assert!(msg.contains("does not match"), "{msg}"),
+        Err(e) => panic!("expected a link failure, got {e}"),
+        Ok(_) => panic!("a foreign payload was installed"),
+    }
 }

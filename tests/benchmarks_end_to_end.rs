@@ -27,10 +27,6 @@ fn table3_shape() {
 }
 
 #[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "analyzes a full benchmark; run with --release (exact polyhedral algebra is ~10x slower unoptimized)"
-)]
 fn rawcaudio_analyzes_and_roundtrips() {
     let b = rawcaudio();
     let a = b.analyze().expect("analysis");
@@ -51,10 +47,6 @@ fn rawcaudio_analyzes_and_roundtrips() {
 }
 
 #[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "analyzes two full benchmarks; run with --release"
-)]
 fn adpcm_compress_decompress_roundtrip() {
     // Compressing then decompressing through the two benchmark programs
     // reconstructs a waveform close to the original (ADPCM is lossy).
