@@ -9,7 +9,8 @@
 //! differential harness over them: typed pipeline completion,
 //! repeat determinism of the partition, compiled dispatch equal to the
 //! linear-scan reference and optimal against exhaustive plan
-//! enumeration, and behaviour preservation (with ledgers that add up)
+//! enumeration and the concrete min-cut (under both region strategies),
+//! and behaviour preservation (with ledgers that add up)
 //! under every plan at `--points` sampled parameter settings per program.
 //! Each sampled setting also brings four wide, dispatch-only settings
 //! (large magnitudes, `i64` extremes, ± powers of two).
@@ -94,26 +95,28 @@ fn main() -> ExitCode {
                 println!(
                     "{{\"seed\":\"{:#x}\",\"programs\":{},\"analyzed\":{},\
                      \"dominance_checked\":{},\"points_checked\":{},\
-                     \"plans_executed\":{},\"typed_failures\":[{}]}}",
+                     \"mincut_checked\":{},\"plans_executed\":{},\"typed_failures\":[{}]}}",
                     cfg.seed,
                     summary.programs,
                     summary.analyzed,
                     summary.dominance_checked,
                     summary.points_checked,
+                    summary.mincut_checked,
                     summary.plans_executed,
                     typed.join(",")
                 );
             } else {
                 println!(
                     "fuzzgen: seed {:#x}: {} programs, {} analyzed ({} dominance-checked), \
-                     {} typed failures, {} points checked, {} plans executed — all differential \
-                     checks passed",
+                     {} typed failures, {} points checked ({} against the concrete min-cut), \
+                     {} plans executed — all differential checks passed",
                     cfg.seed,
                     summary.programs,
                     summary.analyzed,
                     summary.dominance_checked,
                     summary.typed_failures.len(),
                     summary.points_checked,
+                    summary.mincut_checked,
                     summary.plans_executed,
                 );
                 for (seed, err) in &summary.typed_failures {

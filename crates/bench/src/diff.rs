@@ -19,11 +19,15 @@
 //!    choice (`Dispatcher::select_linear`), bit for bit, and has minimal
 //!    predicted cost among *all* enumerated choices, by exact rational
 //!    comparison of [`cut_cost_at`] (the differential form of Theorem 1's
-//!    guarantee). Besides the small points that check 4 simulates, each
-//!    program gets four check-3-only points per sampled point, drawn
-//!    wide: large magnitudes, and every fourth one at `i64`
-//!    extremes and ± powers of two, where the compiled dispatcher's
-//!    fixed-width arithmetic overflows or the point leaves every region.
+//!    guarantee). Wherever the point lies in the declared parameter
+//!    space, that cost also equals the concrete minimum cut of the
+//!    network at the point (Theorem 2). Besides the small points that
+//!    check 4 simulates, each program gets four check-3-only points per
+//!    sampled point, drawn wide: large magnitudes, and every fourth one
+//!    at `i64` extremes and ± powers of two, where the compiled
+//!    dispatcher's fixed-width arithmetic overflows or the point leaves
+//!    every region. Check 3 runs on the exact and the dominance analysis
+//!    alike.
 //! 4. **Behaviour preservation** — simulating the program all-local and
 //!    under *every* partitioning choice produces identical outputs, and
 //!    the dispatched run agrees with them. Every run's ledger adds up:
@@ -83,8 +87,12 @@ pub struct DiffSummary {
     pub typed_failures: Vec<(u64, String)>,
     /// Programs additionally cross-checked under the dominance strategy.
     pub dominance_checked: usize,
-    /// Parameter points at which dispatch optimality was verified.
+    /// Parameter points at which dispatch optimality was verified, once
+    /// per analysis (exact, and dominance where it succeeded).
     pub points_checked: usize,
+    /// Of those, the points inside the declared parameter space, where
+    /// the dispatched cut was also compared with the concrete min-cut.
+    pub mincut_checked: usize,
     /// Simulator runs executed (local + every choice + dispatched).
     pub plans_executed: usize,
 }
@@ -168,9 +176,14 @@ fn wide_params(seed: u64, point: usize, arity: usize) -> Vec<i64> {
 }
 
 /// Check 3 at one point: the compiled dispatcher's choice equals the
-/// linear scan's and has minimal exact predicted cost among all choices.
-/// Returns that choice, or why the check failed.
-fn check_dispatch(base: &Analysis, params: &[i64]) -> Result<usize, String> {
+/// linear scan's, has minimal exact predicted cost among all choices,
+/// and, inside the declared space, costs the concrete min-cut. Returns
+/// that choice, or why the check failed.
+fn check_dispatch(
+    base: &Analysis,
+    params: &[i64],
+    summary: &mut DiffSummary,
+) -> Result<usize, String> {
     let chosen = base
         .select(params)
         .map_err(|e| format!("dispatch failed at {params:?}: {e}"))?;
@@ -202,6 +215,22 @@ fn check_dispatch(base: &Analysis, params: &[i64]) -> Result<usize, String> {
                 ));
             }
         }
+    }
+    summary.points_checked += 1;
+    if base.network.param_space.contains(&dim_point) {
+        let min_cut = base
+            .network
+            .net
+            .solve_at(&dim_point)
+            .map_err(|e| format!("concrete min-cut failed at {params:?}: {e}"))?;
+        if min_cut.value != chosen_cost {
+            return Err(format!(
+                "dispatched choice {chosen} costs {chosen_cost:?} at {params:?}, \
+                 the concrete min-cut {:?}",
+                min_cut.value
+            ));
+        }
+        summary.mincut_checked += 1;
     }
     Ok(chosen)
 }
@@ -328,10 +357,18 @@ pub fn run_differential(cfg: &DiffConfig) -> Result<DiffSummary, Box<DiffFailure
         let arity = base.symbolic.dict.param_count();
         let nchoices = base.partition.choices.len();
         let input = [3i64, 5, 7, 11];
+        let dom = dom.as_ref().ok();
+        let check = |params: &[i64], summary: &mut DiffSummary| -> Result<_, Box<DiffFailure>> {
+            let chosen = check_dispatch(base, params, summary).map_err(|why| fail(why, &source))?;
+            if let Some(dom) = dom {
+                check_dispatch(dom, params, summary)
+                    .map_err(|why| fail(format!("dominance analysis: {why}"), &source))?;
+            }
+            Ok(chosen)
+        };
         for point in 0..cfg.points {
             let params = sample_params(seed, point, arity);
-            let chosen = check_dispatch(base, &params).map_err(|why| fail(why, &source))?;
-            summary.points_checked += 1;
+            let chosen = check(&params, &mut summary)?;
 
             // Simulate all-local and every choice: identical outputs, and
             // ledgers that add up.
@@ -421,9 +458,7 @@ pub fn run_differential(cfg: &DiffConfig) -> Result<DiffSummary, Box<DiffFailure
 
         // Check 3 alone at wide points, which no simulation could run.
         for point in 0..cfg.points * WIDE_PER_POINT {
-            let params = wide_params(seed, point, arity);
-            check_dispatch(base, &params).map_err(|why| fail(why, &source))?;
-            summary.points_checked += 1;
+            check(&wide_params(seed, point, arity), &mut summary)?;
         }
     }
     Ok(summary)

@@ -95,16 +95,9 @@ pub struct AnalysisOptions {
     pub cost: CostModel,
     /// Declared parameter bounds (defaults to `h ≥ 0`).
     pub bounds: ParamBounds,
-    /// User annotations for unresolvable dummies.
-    pub annotations: Annotations,
-    /// Builds annotations from the discovered dummies (dummy ids only
-    /// exist after the symbolic analysis runs, so benchmark-style callers
-    /// supply a function instead of a fixed table). Takes precedence over
-    /// `annotations` when set.
-    pub annotate: Option<fn(&Symbolic) -> Annotations>,
-    /// Closure form of [`AnalysisOptions::annotate`]; set via the builder's
-    /// [`AnalysisOptionsBuilder::annotate_with`]. Takes precedence over both
-    /// `annotate` and `annotations` when set.
+    /// Builds the user annotations for unresolvable dummies from the
+    /// discovered ones (none when unset); set via the builder's
+    /// [`AnalysisOptionsBuilder::annotate_with`].
     pub annotate_with: Option<Arc<AnnotateFn>>,
     /// Data-transfer model: the paper's validity states (default) or the
     /// traditional per-DU-chain charging it improves upon (§2.2 ablation).
@@ -118,8 +111,6 @@ impl fmt::Debug for AnalysisOptions {
         f.debug_struct("AnalysisOptions")
             .field("cost", &self.cost)
             .field("bounds", &self.bounds)
-            .field("annotations", &self.annotations)
-            .field("annotate", &self.annotate.map(|_| "fn"))
             .field(
                 "annotate_with",
                 &self.annotate_with.as_ref().map(|_| "closure"),
@@ -135,18 +126,6 @@ impl AnalysisOptions {
     pub fn builder() -> AnalysisOptionsBuilder {
         AnalysisOptionsBuilder {
             opts: AnalysisOptions::default(),
-        }
-    }
-
-    /// Resolves the effective annotations for an analyzed program, honoring
-    /// the precedence `annotate_with` > `annotate` > `annotations`.
-    pub(crate) fn resolve_annotations(&self, symbolic: &Symbolic) -> Annotations {
-        if let Some(f) = &self.annotate_with {
-            f(symbolic)
-        } else if let Some(f) = self.annotate {
-            f(symbolic)
-        } else {
-            self.annotations.clone()
         }
     }
 }
@@ -170,14 +149,8 @@ impl AnalysisOptionsBuilder {
         self
     }
 
-    /// Sets a fixed annotation table.
-    pub fn annotations(mut self, annotations: Annotations) -> Self {
-        self.opts.annotations = annotations;
-        self
-    }
-
     /// Sets a closure that builds annotations from the discovered dummies
-    /// (runs after symbolic analysis; overrides `annotations`).
+    /// (runs after symbolic analysis).
     pub fn annotate_with<F>(mut self, f: F) -> Self
     where
         F: Fn(&Symbolic) -> Annotations + Send + Sync + 'static,

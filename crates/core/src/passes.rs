@@ -555,7 +555,10 @@ impl Pass for AnnotatePass {
     fn run(&self, cx: &mut PassContext, report: &mut PassReport) -> Result<(), PassError> {
         let mut symbolic = cx.take::<Symbolic>(keys::SYMBOLIC)?;
         let options = cx.get::<AnalysisOptions>(keys::OPTIONS)?;
-        let annotations = options.resolve_annotations(&symbolic);
+        let annotations = options
+            .annotate_with
+            .as_ref()
+            .map_or_else(Annotations::default, |annotate| annotate(&symbolic));
         // Substitute in ascending dummy order: substitution interns new
         // monomials, and the interning order decides every downstream
         // dimension numbering — iterating the map directly would make the

@@ -17,6 +17,9 @@
 //!   item, gets an `Error` reply instead of panicking the session;
 //! * a `Control` frame's validity entries that name no tracked item are
 //!   skipped instead of indexing the server's tables;
+//! * a `Control` frame whose `dyn_table` would take the session past
+//!   `MAX_PEER_SLOTS` peer-allocated slots gets an `Error` reply before
+//!   anything is allocated;
 //! * a program nested past the parser's cap is refused with an `Error`
 //!   reply instead of overflowing a worker's stack.
 //!
@@ -24,13 +27,15 @@
 //! one mutex and reasons in counter deltas.
 
 use offload_core::{Analysis, AnalysisOptions};
-use offload_ir::{BlockId, FuncId, LocalId};
+use offload_ir::{AllocSiteId, BlockId, FuncId, LocalId};
 use offload_net::protocol::{decode_frame, encode_frame, TraceContext, WireFrame, WireMsg};
 use offload_net::{
     fingerprint, ClientConfig, DispatchClient, NetError, OffloadServer, ServerConfig, ServerHandle,
 };
 use offload_pta::AbsLocId;
-use offload_runtime::{ControlMsg, DeviceModel, Host, ItemPayload, PendingAction, Value};
+use offload_runtime::{
+    ControlMsg, DeviceModel, Host, ItemPayload, ObjKey, PendingAction, Value, MAX_PEER_SLOTS,
+};
 use offload_tcfg::SegmentId;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -579,6 +584,73 @@ fn control_validity_entries_past_the_tables_are_skipped() {
         .write_all(&raw_frame(3, WireMsg::Bye))
         .expect("send Bye");
     assert!(matches!(hostile.read(&mut [0u8; 16]), Ok(0) | Err(_)));
+
+    let mut c = client(&server);
+    let choices = c
+        .dispatch(fp, &[vec![5]])
+        .expect("a fresh client is served");
+    assert_eq!(choices, vec![analysis.select(&[5]).expect("select") as u32]);
+    c.close();
+    server.shutdown();
+}
+
+/// A `Control` frame's `dyn_table` sizes the zeroed storage a session
+/// materializes for peer-allocated objects, with peer-supplied slot
+/// counts, so one frame could ask for 2³² slots per entry. The session
+/// refuses any table that would take it past `MAX_PEER_SLOTS` in total,
+/// before allocating: one entry one slot past the cap, and two entries
+/// that pass it only together, each get an `Error` reply and end their
+/// session, and a fresh client is served afterwards under a cap of one
+/// connection.
+#[test]
+fn control_dyn_table_past_the_slot_cap_is_refused() {
+    let _guard = serialized();
+    let analysis =
+        Arc::new(Analysis::from_source(PROGRAM, AnalysisOptions::default()).expect("analysis"));
+    let mut server = OffloadServer::bind(
+        "127.0.0.1:0",
+        analysis.clone(),
+        DeviceModel::ipaq_testbed(),
+        ServerConfig::builder()
+            .threads(1)
+            .max_connections(1)
+            .build(),
+    )
+    .expect("server");
+    let fp = fingerprint(&analysis);
+    let choice = partitioned_choice(&analysis);
+
+    let entry = |id: u64, slots: u64| {
+        let slots = u32::try_from(slots).expect("slot count fits the wire");
+        (ObjKey::Dyn(id), AllocSiteId(0), slots)
+    };
+    let one_past = vec![entry(0, MAX_PEER_SLOTS + 1)];
+    let two_halves = vec![
+        entry(0, MAX_PEER_SLOTS / 2 + 1),
+        entry(1, MAX_PEER_SLOTS / 2 + 1),
+    ];
+    for dyn_table in [one_past, two_halves] {
+        let entries = dyn_table.len();
+        let mut hostile = raw_session(&server, fp, choice);
+        let mut control = ControlMsg::start();
+        control.to = Host::Server;
+        control.action = PendingAction::Resume;
+        control.dyn_table = dyn_table;
+        hostile
+            .write_all(&raw_frame(2, WireMsg::Control(Box::new(control))))
+            .expect("send Control");
+        let reply = read_raw_frame(&mut hostile);
+        assert!(
+            matches!(&reply.msg, WireMsg::Error(e) if e.contains("peer slots")),
+            "{entries} entries: {:?}",
+            reply.msg
+        );
+        // The session ends after the reply and closes the socket.
+        assert!(
+            matches!(hostile.read(&mut [0u8; 16]), Ok(0) | Err(_)),
+            "{entries} entries"
+        );
+    }
 
     let mut c = client(&server);
     let choices = c

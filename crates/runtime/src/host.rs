@@ -304,6 +304,13 @@ struct Tally {
 /// `(function, block)` pair.
 type SegEntry = (usize, usize, SegmentId);
 
+/// Most slots one machine materializes, over its whole run, for objects
+/// the peer allocated: a `Control` frame's `dyn_table` sizes them with
+/// peer-supplied counts. `1 << 24` slots are 384 MiB of [`Value`]s; none
+/// of the Table 3 programs allocates dynamically, and the generated test
+/// programs allocate `a + 1` ints at a time.
+pub const MAX_PEER_SLOTS: u64 = 1 << 24;
+
 /// The interpreter for one host.
 ///
 /// Created by [`Machine::new`] from the same [`Runner`] configuration on
@@ -317,6 +324,9 @@ pub struct Machine<'a> {
     /// Validity per points-to location; `None` until the run touches it.
     valid: Vec<Option<[bool; 2]>>,
     dyn_count: u64,
+    /// Slots materialized for peer-allocated objects so far (at most
+    /// [`MAX_PEER_SLOTS`]).
+    peer_slots: u64,
     steps: u64,
     ledger: Ledger,
     stack: Vec<Frame>,
@@ -430,6 +440,7 @@ impl<'a> Machine<'a> {
             tally: Tally::default(),
             valid: vec![None; tracked.len()],
             dyn_count: 0,
+            peer_slots: 0,
             steps: 0,
             ledger: Ledger::default(),
             stack: Vec::new(),
@@ -480,7 +491,7 @@ impl<'a> Machine<'a> {
         peer: &mut dyn ExecHost,
     ) -> Result<Outcome, RuntimeError> {
         debug_assert_eq!(msg.to, self.host, "control delivered to the wrong host");
-        self.install(&msg);
+        self.install(&msg)?;
         match msg.action {
             PendingAction::Finish => return Ok(Outcome::Done),
             PendingAction::Start => {
@@ -554,7 +565,22 @@ impl<'a> Machine<'a> {
 
     // ---- control-transfer plumbing ----
 
-    fn install(&mut self, msg: &ControlMsg) {
+    /// Installs a control transfer, after checking that its `dyn_table`
+    /// keeps this machine within [`MAX_PEER_SLOTS`].
+    fn install(&mut self, msg: &ControlMsg) -> Result<(), RuntimeError> {
+        let unseen = msg
+            .dyn_table
+            .iter()
+            .filter_map(|&(key, _, slots)| match key {
+                ObjKey::Dyn(id) if !self.state.dyns.contains_key(&id) => Some(u64::from(slots)),
+                _ => None,
+            });
+        let wanted = unseen.fold(self.peer_slots, u64::saturating_add);
+        if wanted > MAX_PEER_SLOTS {
+            return Err(RuntimeError::BadAccess(format!(
+                "dyn_table would materialize {wanted} peer slots, past the cap of {MAX_PEER_SLOTS}"
+            )));
+        }
         self.stack = msg.stack.clone();
         self.active.fill(false);
         for f in &self.stack {
@@ -571,12 +597,16 @@ impl<'a> Machine<'a> {
             // Deferred registration: materialize zeroed storage for
             // objects allocated on the other host.
             if let ObjKey::Dyn(id) = key {
+                let peer_slots = &mut self.peer_slots;
                 self.state
                     .dyns
                     .entry(id)
-                    .or_insert_with(|| DynObj {
-                        reg: None,
-                        data: vec![Value::Int(0); slots as usize],
+                    .or_insert_with(|| {
+                        *peer_slots += u64::from(slots);
+                        DynObj {
+                            reg: None,
+                            data: vec![Value::Int(0); slots as usize],
+                        }
                     })
                     .reg = Some((site, slots));
             }
@@ -585,6 +615,7 @@ impl<'a> Machine<'a> {
         self.steps = msg.steps;
         self.ledger = msg.ledger.clone();
         self.tally = Tally::default();
+        Ok(())
     }
 
     fn package(&mut self, to: Host, action: PendingAction) -> ControlMsg {

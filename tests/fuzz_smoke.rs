@@ -23,6 +23,10 @@ fn differential_harness_passes_on_fixed_seed_slice() {
         summary.typed_failures
     );
     assert!(summary.points_checked > 0);
+    assert!(
+        summary.mincut_checked > 0,
+        "no point fell in a declared space"
+    );
     assert!(summary.plans_executed > 0);
 }
 
