@@ -1,45 +1,35 @@
-//! End-to-end loopback benchmark of the TCP offload engine.
+//! Load-and-scrape benchmark of the TCP dispatch service.
 //!
-//! Two modes:
-//!
-//! **Demo** (default): starts a real [`OffloadServer`] on an OS-assigned
-//! loopback port, runs the adaptive engine against it across parameter
-//! settings (small ones dispatch all-local, large ones offload over the
-//! socket), prints the chosen partition and wall-clock timing for each,
-//! then demonstrates graceful degradation by running against an address
-//! with no server.
-//!
-//! **Load generator** (`--clients N --duration S`): hammers the server's
-//! batched dispatch service with `N` persistent connections, each
-//! pipelining `DispatchBatch` frames of `--batch` points, and reports
-//! sustained QPS, latency at two clearly distinct granularities — the
-//! `batch_latency_us` histogram has one sample per *round trip*, while
-//! `dispatch_latency_us` weights the same observations by the points in
-//! the batch, so its count equals `total_points` — and plan-cache hit
-//! rates into `BENCH_net.json` (override the path with `NETBENCH_OUT`).
+//! Starts a real [`OffloadServer`] and hammers its batched dispatch
+//! service with `--clients` persistent connections, each pipelining
+//! `DispatchBatch` frames of `--batch` points for `--duration` seconds,
+//! and reports sustained QPS, latency at two clearly distinct
+//! granularities — the `batch_latency_us` histogram has one sample per
+//! *round trip*, while `dispatch_latency_us` weights the same
+//! observations by the points in the batch, so its count equals
+//! `total_points` — and plan-cache hit rates into `BENCH_net.json`
+//! (override the path with `NETBENCH_OUT`). The report also goes to
+//! stdout; progress goes to stderr. `examples/remote_offload.rs` shows
+//! one offloaded run and the all-local fallback.
 //!
 //! ```text
-//! cargo run -p offload-bench --bin netbench [--json] [--trace <path>]
-//! cargo run -p offload-bench --bin netbench -- --clients 100 --duration 5
+//! cargo run --release -p offload-bench --bin netbench -- --clients 100 --duration 5
 //! ```
 //!
-//! * `--json` — print a machine-readable report to stdout and nothing
-//!   else (human-readable progress goes to stderr);
-//! * `--trace <path>` — record with the `offload-obs` recorder and write
-//!   a Chrome trace-event JSON file to `path`. In load mode the clients
-//!   sample roughly one dispatch in a thousand with a wire-propagated
-//!   trace context, and the file is the *merged* client+server view
-//!   (each sampled request is one causally-nested tree);
-//! * `--clients N --duration S [--batch B]` — load-generator mode;
+//! * `--clients N` (default 100), `--duration S` (default 5),
+//!   `--batch B` (default 16) — the load;
+//! * `--trace <path>` — record with the `offload-obs` recorder: the
+//!   clients sample roughly one dispatch in a thousand with a
+//!   wire-propagated trace context, and the file at `path` is the
+//!   *merged* client+server Chrome trace (each sampled request is one
+//!   causally-nested tree);
 //! * `--listen ADDR` — bind the server on a fixed address instead of an
-//!   OS-assigned port (so an external `obstop` can find it);
+//!   OS-assigned loopback port (so an external `obstop` can find it);
 //! * `--linger S` — keep the server alive `S` seconds after the report
 //!   is written, for live scraping.
 
 use offload_core::{Analysis, AnalysisOptions};
-use offload_net::{
-    ClientConfig, DispatchClient, OffloadEngine, OffloadServer, RetryPolicy, ServerConfig,
-};
+use offload_net::{ClientConfig, DispatchClient, OffloadServer, ServerConfig};
 use offload_runtime::DeviceModel;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -59,194 +49,43 @@ const PROGRAM: &str = "
         output(work(n));
     }";
 
-struct RunRow {
-    n: i64,
-    choice: usize,
-    offloaded: bool,
-    virt_time: f64,
-    wall_ms: f64,
-}
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut json_mode = false;
-    let mut trace_path: Option<String> = None;
-    let mut clients = 0usize;
-    let mut duration = 5.0f64;
-    let mut batch = 16usize;
-    let mut listen: Option<String> = None;
-    let mut linger = 0.0f64;
+    let mut opts = LoadOptions {
+        clients: 100,
+        duration: 5.0,
+        batch: 16,
+        trace_path: None,
+        listen: None,
+        linger: 0.0,
+    };
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--json" => json_mode = true,
             "--trace" => {
-                trace_path = Some(args.next().ok_or("--trace requires a path")?);
+                opts.trace_path = Some(args.next().ok_or("--trace requires a path")?);
             }
             "--clients" => {
-                clients = args.next().ok_or("--clients requires a count")?.parse()?;
+                opts.clients = args.next().ok_or("--clients requires a count")?.parse()?;
             }
             "--duration" => {
-                duration = args.next().ok_or("--duration requires seconds")?.parse()?;
+                opts.duration = args.next().ok_or("--duration requires seconds")?.parse()?;
             }
             "--batch" => {
-                batch = args.next().ok_or("--batch requires a size")?.parse()?;
+                opts.batch = args.next().ok_or("--batch requires a size")?.parse()?;
             }
             "--listen" => {
-                listen = Some(args.next().ok_or("--listen requires HOST:PORT")?);
+                opts.listen = Some(args.next().ok_or("--listen requires HOST:PORT")?);
             }
             "--linger" => {
-                linger = args.next().ok_or("--linger requires seconds")?.parse()?;
+                opts.linger = args.next().ok_or("--linger requires seconds")?.parse()?;
             }
             other => return Err(format!("unknown flag {other}").into()),
         }
     }
-    if clients > 0 {
-        return run_load(LoadOptions {
-            clients,
-            duration: duration.max(0.1),
-            batch: batch.max(1),
-            trace_path,
-            listen,
-            linger,
-        });
-    }
-    if trace_path.is_some() {
-        offload_obs::set_enabled(true);
-    }
-    macro_rules! say {
-        ($($arg:tt)*) => {
-            if json_mode { eprintln!($($arg)*) } else { println!($($arg)*) }
-        };
-    }
-
-    let analysis = Arc::new(Analysis::from_source(PROGRAM, AnalysisOptions::default())?);
-    let device = DeviceModel::ipaq_testbed();
-    say!("partitioning choices:\n{}", analysis.describe_choices());
-
-    let server = OffloadServer::bind(
-        "127.0.0.1:0",
-        analysis.clone(),
-        device.clone(),
-        ServerConfig::default(),
-    )?;
-    say!("server listening on {}", server.addr());
-
-    // The interpreter is slow in debug builds; give each request a
-    // generous deadline so the demo never times out spuriously.
-    let mut config = ClientConfig::new(server.addr().to_string());
-    config.request_timeout = Duration::from_secs(300);
-    let engine = OffloadEngine::new(&analysis, device.clone(), config);
-    say!(
-        "{:<10} {:>7} {:>10} {:>11} {:>12}  output",
-        "n",
-        "choice",
-        "where",
-        "virt time",
-        "wall"
-    );
-    let mut server_stats = None;
-    let mut rows: Vec<RunRow> = Vec::new();
-    for n in [4i64, 1_000, 100_000] {
-        let wall = Instant::now();
-        let report = engine.run(&[n], &[])?;
-        assert!(!report.fell_back, "loopback server should be reachable");
-        say!(
-            "{n:<10} {:>7} {:>10} {:>11.3} {:>10.1?}  {:?}",
-            report.choice,
-            if report.offloaded {
-                "offloaded"
-            } else {
-                "local"
-            },
-            report.result.stats.total_time.to_f64(),
-            wall.elapsed(),
-            report.result.outputs,
-        );
-        rows.push(RunRow {
-            n,
-            choice: report.choice,
-            offloaded: report.offloaded,
-            virt_time: report.result.stats.total_time.to_f64(),
-            wall_ms: wall.elapsed().as_secs_f64() * 1e3,
-        });
-        if let Some(s) = report.server_pipeline {
-            server_stats = Some((s, report.local_pipeline));
-        }
-    }
-    let mut analyses_match = false;
-    if let Some((server, local)) = &server_stats {
-        say!("\nanalysis pipeline stats (from the handshake):\n{server}");
-        analyses_match = server == local;
-        say!(
-            "server analysis matches the client's: {}",
-            if analyses_match {
-                "yes"
-            } else {
-                "no (independent analyses)"
-            }
-        );
-    }
-
-    // Graceful degradation: same engine, but nobody is listening. The
-    // dead address is the server's port after shutdown, so a connect is
-    // refused immediately.
-    let mut server = server;
-    let dead = server.addr().to_string();
-    server.shutdown();
-    drop(server);
-    let mut config = ClientConfig::new(dead);
-    config.retry = RetryPolicy {
-        max_attempts: 2,
-        ..RetryPolicy::default()
-    };
-    config.connect_timeout = Duration::from_millis(500);
-    let engine = OffloadEngine::new(&analysis, device, config);
-    let report = engine.run(&[1_000], &[])?;
-    assert!(report.fell_back, "no server: the engine must degrade");
-    say!(
-        "\nserver absent: fell back after {} connect attempts — {}",
-        report.connect_attempts,
-        report
-            .fallback_reason
-            .as_deref()
-            .unwrap_or("(no reason recorded)"),
-    );
-    say!(
-        "fallback output {:?} (all-local, correct)",
-        report.result.outputs
-    );
-
-    if let Some(path) = &trace_path {
-        let snapshot = offload_obs::snapshot();
-        offload_obs::export::write_chrome_trace(path, &snapshot)?;
-        eprintln!("wrote {path} (open in chrome://tracing or ui.perfetto.dev)");
-    }
-    if json_mode {
-        let mut json = String::from("{\n  \"runs\": [\n");
-        for (i, r) in rows.iter().enumerate() {
-            json.push_str(&format!(
-                concat!(
-                    "    {{\"n\":{},\"choice\":{},\"offloaded\":{},",
-                    "\"virt_time\":{:.6},\"wall_ms\":{:.3}}}{}\n"
-                ),
-                r.n,
-                r.choice,
-                r.offloaded,
-                r.virt_time,
-                r.wall_ms,
-                if i + 1 == rows.len() { "" } else { "," },
-            ));
-        }
-        json.push_str("  ],\n");
-        json.push_str(&format!("  \"analyses_match\": {analyses_match},\n"));
-        json.push_str(&format!(
-            "  \"fallback\": {{\"fell_back\":{},\"connect_attempts\":{}}}\n",
-            report.fell_back, report.connect_attempts,
-        ));
-        json.push_str("}\n");
-        print!("{json}");
-    }
-    Ok(())
+    opts.clients = opts.clients.max(1);
+    opts.duration = opts.duration.max(0.1);
+    opts.batch = opts.batch.max(1);
+    run_load(opts)
 }
 
 /// Per-client load-generator tallies.
@@ -296,7 +135,6 @@ fn run_load(opts: LoadOptions) -> Result<(), Box<dyn std::error::Error>> {
         DeviceModel::ipaq_testbed(),
         ServerConfig::builder()
             .threads(4)
-            .cache_shards(8)
             .max_connections(clients + 8)
             .build(),
     )?;

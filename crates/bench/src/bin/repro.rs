@@ -1,4 +1,5 @@
-//! `repro` — prints any table or figure of the paper's evaluation.
+//! `repro` — prints any table or figure of the paper's evaluation, or the
+//! solver's work counters.
 //!
 //! ```text
 //! repro <experiment>
@@ -6,10 +7,11 @@
 //! repro --write
 //! ```
 //!
-//! The experiments are `table1`, `table3`, `table4`, `figure2`,
-//! `figure6_7`, `figure9` … `figure13`, `summary`, `ablation_duchain` and
-//! `offloadc`, which without a FILE prints its demo run. `--write`
-//! rewrites every `results/<experiment>.txt`. Progress goes to stderr.
+//! The experiments are `table1`, `table3`, `table4`, `solve_counters`,
+//! `figure2`, `figure6_7`, `figure9` … `figure13`, `summary`,
+//! `ablation_duchain` and `offloadc`, which without a FILE prints its demo
+//! run. `--write` rewrites every `results/<experiment>.txt`. Progress goes
+//! to stderr.
 
 use offload_bench::{offloadc, render, results_path, Error, EXPERIMENTS};
 use std::process::ExitCode;

@@ -1,14 +1,14 @@
 //! # offload-bench
 //!
 //! The experiment harness. Each table and figure of the paper's
-//! evaluation has a renderer here that returns the text the `repro`
-//! binary prints and `results/<name>.txt` holds (see `DESIGN.md`'s
-//! experiment index). Where the paper makes a claim about the numbers
-//! (Table 1, Figures 9–13, §6.2, the §2.2 ablation), a function returns
-//! the typed rows and the renderer formats them. `tests/paper_claims.rs`
-//! compares every rendering with `results/` and asserts the claims from
-//! the rows. [`diff`] and [`gen`] are the differential fuzzer behind the
-//! `fuzzgen` binary.
+//! evaluation, and the solver's work counters, has a renderer here that
+//! returns the text the `repro` binary prints and `results/<name>.txt`
+//! holds (see `DESIGN.md`'s experiment index). Where the paper makes a
+//! claim about the numbers (Table 1, Figures 9–13, §6.2, the §2.2
+//! ablation), a function returns the typed rows and the renderer formats
+//! them. `tests/paper_claims.rs` compares every rendering with
+//! `results/` and asserts the claims from the rows. [`diff`] and [`gen`]
+//! are the differential fuzzer behind the `fuzzgen` binary.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -17,13 +17,15 @@ pub mod diff;
 pub mod gen;
 
 use offload_benchmarks::{all, Benchmark};
-use offload_core::{cut_cost_at, Analysis, AnalysisOptions, Plan, ValidityModel};
+use offload_core::{
+    cut_cost_at, Analysis, AnalysisOptions, PipelineStats, Plan, RegionStrategy, ValidityModel,
+};
 use offload_flow::{ParamCap, ParamNetwork};
 use offload_poly::{Constraint, LinExpr, Polyhedron, Rational, Region};
 use offload_runtime::{DeviceModel, SimError, Simulator};
 use offload_symbolic::{Atom, ParamDict, SymExpr};
 use std::collections::BTreeSet;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::OnceLock;
 use std::time::Duration;
 
@@ -36,10 +38,11 @@ pub type Renderer = fn() -> Result<String, Error>;
 
 /// Every experiment: the name `repro` takes and `results/` files it under,
 /// and its renderer.
-pub const EXPERIMENTS: [(&str, Renderer); 13] = [
+pub const EXPERIMENTS: [(&str, Renderer); 14] = [
     ("table1", || Ok(render_table1(&table1()))),
     ("table3", || Ok(render_table3())),
     ("table4", render_table4),
+    ("solve_counters", render_solve_counters),
     ("figure2", render_figure2),
     ("figure6_7", || Ok(render_figure6_7())),
     ("figure9", || Ok(render_figure9(&figure9().run()?))),
@@ -67,9 +70,15 @@ pub fn render(name: &str) -> Result<String, Error> {
     render()
 }
 
-/// Where `results/` keeps experiment `name`'s rendering.
+/// Where `results/` keeps experiment `name`'s rendering. The crate
+/// directory is read from the environment, which cargo sets for `cargo
+/// test` and `cargo run`, so a build shared by two checkouts reads the
+/// running checkout's files; a binary run by hand falls back to the
+/// directory it was built from.
 pub fn results_path(name: &str) -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("../../results/{name}.txt"))
+    let dir = std::env::var_os("CARGO_MANIFEST_DIR");
+    let dir = dir.map_or_else(|| PathBuf::from(env!("CARGO_MANIFEST_DIR")), PathBuf::from);
+    dir.join(format!("../../results/{name}.txt"))
 }
 
 /// Table 3 program `name` and its analysis, which runs on first use and
@@ -193,6 +202,42 @@ Program      No. Tasks No. Annotations  No. Partition Choices  Analysis Time
  rawdaudio 10/2/1/185, encode 107/4/4/2247, decode 87/4/4/2159,
  fft 26/3/2/748, susan 95/13/3/3482)
 ")
+}
+
+/// Renders the parametric solve's deterministic work counters for each
+/// Table 3 program, next to its region strategy and choice count. The
+/// wall-clock counters are left out; solve times come from perfbench's
+/// `compile` workload.
+pub fn render_solve_counters() -> Result<String, Error> {
+    let programs = all()
+        .iter()
+        .map(|b| analyzed(b.name))
+        .collect::<Result<Vec<_>, _>>()?;
+    let row = |label: &str, cells: &mut dyn Iterator<Item = String>| {
+        let cells: String = cells.map(|c| format!(" {c:>10}")).collect();
+        format!("{label:<22}{cells}\n")
+    };
+    let mut o = "== Solve work counters ==\n".to_string();
+    o += &row("counter", &mut programs.iter().map(|(b, _)| b.name.into()));
+    o += &row(
+        "strategy",
+        &mut programs.iter().map(|(b, _)| match b.region_strategy() {
+            RegionStrategy::Exact => "exact".into(),
+            RegionStrategy::Dominance => "dominance".into(),
+        }),
+    );
+    let choices = programs.iter().map(|(_, a)| a.partition.choices.len());
+    o += &row("choices", &mut choices.map(|c| c.to_string()));
+    let counts: Vec<Vec<u64>> = programs
+        .iter()
+        .map(|(_, a)| a.pipeline_stats().entries().map(|(_, v)| v).collect())
+        .collect();
+    for (i, c) in PipelineStats::COUNTERS.iter().enumerate() {
+        if c.kind.deterministic() {
+            o += &row(c.name, &mut counts.iter().map(|p| p[i].to_string()));
+        }
+    }
+    Ok(o)
 }
 
 // ---- Figures 2 and 6-7: the running example ----

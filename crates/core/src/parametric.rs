@@ -373,8 +373,8 @@ pub fn solve_with_probes(
     if offload_obs::enabled() {
         solve_span.record("choices", choices.len());
         solve_span.record("rounds", stats.pipeline.rounds);
-        stats.pipeline.publish_metrics();
     }
+    stats.pipeline.publish_metrics();
     Ok(ParametricPartition { choices, stats })
 }
 

@@ -33,25 +33,17 @@ pub struct PlanCacheStats {
     pub entries: u64,
 }
 
-struct Shard<K> {
-    map: HashMap<u64, K>,
-}
-
-impl<K> Default for Shard<K> {
-    fn default() -> Self {
-        Shard {
-            map: HashMap::new(),
-        }
-    }
-}
+/// Lock shards per index of the [`PlanCache`].
+const SHARDS: usize = 8;
 
 /// The sharded plan cache. Cheap to share: clone the [`Arc`] it is
 /// handed out in.
 pub struct PlanCache {
-    /// Keyed by FNV-1a of the source text; guards the analyze path.
-    by_source: Vec<Mutex<Shard<Arc<Analysis>>>>,
+    /// Keyed by the source text itself (sharded by its FNV-1a hash);
+    /// guards the analyze path.
+    by_source: Vec<Mutex<HashMap<String, Arc<Analysis>>>>,
     /// Keyed by analysis fingerprint; guards the dispatch path.
-    by_fp: Vec<Mutex<Shard<Arc<Analysis>>>>,
+    by_fp: Vec<Mutex<HashMap<u64, Arc<Analysis>>>>,
     analyze_hits: AtomicU64,
     analyze_misses: AtomicU64,
     dispatch_hits: AtomicU64,
@@ -69,7 +61,6 @@ pub struct PlanCache {
 impl std::fmt::Debug for PlanCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PlanCache")
-            .field("shards", &self.by_source.len())
             .field("stats", &self.stats())
             .finish()
     }
@@ -84,14 +75,16 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-impl PlanCache {
-    /// Creates a cache with `shards` independent lock domains per index
-    /// (clamped to at least 1).
-    pub fn new(shards: usize) -> PlanCache {
-        let n = shards.max(1);
+fn shards<K>() -> Vec<Mutex<HashMap<K, Arc<Analysis>>>> {
+    (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect()
+}
+
+impl Default for PlanCache {
+    /// An empty cache.
+    fn default() -> Self {
         PlanCache {
-            by_source: (0..n).map(|_| Mutex::new(Shard::default())).collect(),
-            by_fp: (0..n).map(|_| Mutex::new(Shard::default())).collect(),
+            by_source: shards(),
+            by_fp: shards(),
             analyze_hits: AtomicU64::new(0),
             analyze_misses: AtomicU64::new(0),
             dispatch_hits: AtomicU64::new(0),
@@ -104,13 +97,15 @@ impl PlanCache {
             m_entries: offload_obs::gauge("net.plan_cache.entries"),
         }
     }
+}
 
-    fn source_shard(&self, key: u64) -> &Mutex<Shard<Arc<Analysis>>> {
-        &self.by_source[(key % self.by_source.len() as u64) as usize]
+impl PlanCache {
+    fn source_shard(&self, source: &str) -> &Mutex<HashMap<String, Arc<Analysis>>> {
+        &self.by_source[(fnv1a(source.as_bytes()) % SHARDS as u64) as usize]
     }
 
-    fn fp_shard(&self, key: u64) -> &Mutex<Shard<Arc<Analysis>>> {
-        &self.by_fp[(key % self.by_fp.len() as u64) as usize]
+    fn fp_shard(&self, key: u64) -> &Mutex<HashMap<u64, Arc<Analysis>>> {
+        &self.by_fp[(key % SHARDS as u64) as usize]
     }
 
     /// Registers an already-compiled analysis (the server's primary
@@ -118,7 +113,7 @@ impl PlanCache {
     pub fn register(&self, analysis: Arc<Analysis>) -> u64 {
         let fp = fingerprint(&analysis);
         let mut shard = self.fp_shard(fp).lock().unwrap();
-        if shard.map.insert(fp, analysis).is_none() {
+        if shard.insert(fp, analysis).is_none() {
             self.entries.fetch_add(1, Ordering::Relaxed);
             self.m_entries.add(1);
         }
@@ -137,10 +132,9 @@ impl PlanCache {
         source: &str,
         options: AnalysisOptions,
     ) -> Result<(Arc<Analysis>, u64, bool), AnalyzeError> {
-        let key = fnv1a(source.as_bytes());
         // Lock held across `from_source` on purpose: see module docs.
-        let mut shard = self.source_shard(key).lock().unwrap();
-        if let Some(found) = shard.map.get(&key) {
+        let mut shard = self.source_shard(source).lock().unwrap();
+        if let Some(found) = shard.get(source) {
             self.analyze_hits.fetch_add(1, Ordering::Relaxed);
             self.m_analyze_hits.inc();
             let fp = fingerprint(found);
@@ -149,7 +143,7 @@ impl PlanCache {
         self.analyze_misses.fetch_add(1, Ordering::Relaxed);
         self.m_analyze_misses.inc();
         let analysis = Arc::new(Analysis::from_source(source, options)?);
-        shard.map.insert(key, Arc::clone(&analysis));
+        shard.insert(source.to_string(), Arc::clone(&analysis));
         // Source shards and fingerprint shards are separate lock pools
         // and always taken in this order, so no cycle is possible.
         let fp = self.register(Arc::clone(&analysis));
@@ -159,7 +153,7 @@ impl PlanCache {
     /// Resolves a dispatch fingerprint to its resident analysis.
     pub fn lookup(&self, fp: u64) -> Option<Arc<Analysis>> {
         let shard = self.fp_shard(fp).lock().unwrap();
-        match shard.map.get(&fp) {
+        match shard.get(&fp) {
             Some(found) => {
                 self.dispatch_hits.fetch_add(1, Ordering::Relaxed);
                 self.m_dispatch_hits.inc();
@@ -194,7 +188,7 @@ mod tests {
 
     #[test]
     fn analyze_caches_by_source_and_fingerprint() {
-        let cache = PlanCache::new(4);
+        let cache = PlanCache::default();
         let (a1, fp1, hit1) = cache.analyze(SRC, AnalysisOptions::default()).unwrap();
         assert!(!hit1);
         let (a2, fp2, hit2) = cache.analyze(SRC, AnalysisOptions::default()).unwrap();
@@ -211,10 +205,27 @@ mod tests {
 
     #[test]
     fn register_is_idempotent() {
-        let cache = PlanCache::new(1);
+        let cache = PlanCache::default();
         let analysis = Arc::new(Analysis::from_source(SRC, AnalysisOptions::default()).unwrap());
         let fp = cache.register(Arc::clone(&analysis));
         assert_eq!(cache.register(analysis), fp);
         assert_eq!(cache.stats().entries, 1);
+    }
+
+    #[test]
+    fn sources_sharing_a_hash_get_their_own_analyses() {
+        // Two programs whose source texts have the same 64-bit FNV-1a
+        // hash: the second must be analyzed, not served the first's plans.
+        const A: &str = "void main(int n) {\n    output(n);\n}\n// 78740bf640271c58";
+        const B: &str = "void main(int n) {\n    output(n + 1);\n}\n// 2f0293eb0a1611d7";
+        assert_eq!(fnv1a(A.as_bytes()), fnv1a(B.as_bytes()));
+        let cache = PlanCache::default();
+        let (_, fp_a, _) = cache.analyze(A, AnalysisOptions::default()).unwrap();
+        let (_, fp_b, hit) = cache.analyze(B, AnalysisOptions::default()).unwrap();
+        let own = fingerprint(&Analysis::from_source(B, AnalysisOptions::default()).unwrap());
+        assert!(!hit, "another program's entry is not a hit");
+        assert_eq!(fp_b, own);
+        assert_ne!(fp_a, fp_b);
+        assert_eq!(cache.stats().entries, 2);
     }
 }

@@ -6,7 +6,7 @@ use crate::error::NetError;
 use crate::link::{serve, Conn, Served, TcpPeer};
 use crate::protocol::{fingerprint, TraceContext, WireMsg};
 use crate::stats::SlowRequest;
-use offload_core::{Analysis, PipelineStats, Plan};
+use offload_core::{Analysis, Plan};
 use offload_obs::{FieldValue, MetricsSnapshot, SpanGuard};
 use offload_pta::AbsLocId;
 use offload_runtime::{
@@ -116,16 +116,6 @@ pub struct RunReport {
     pub fallback_reason: Option<String>,
     /// TCP connection attempts spent (0 when no connection was needed).
     pub connect_attempts: u32,
-    /// Analysis-time pipeline statistics of the local (client-side)
-    /// compiled analysis — identical counters to a purely local run.
-    pub local_pipeline: PipelineStats,
-    /// The server's analysis-time pipeline statistics, carried back on
-    /// the v2 handshake; `None` when no handshake completed.
-    pub server_pipeline: Option<PipelineStats>,
-    /// Aggregated server-side span statistics from the handshake
-    /// (empty unless the server runs with tracing enabled); `None` when
-    /// no handshake completed.
-    pub server_spans: Option<offload_obs::SpanSummary>,
     /// Estimated client-clock-minus-server-clock offset in microseconds
     /// (both clocks count from their process's observability epoch),
     /// from the `Hello`/`HelloAck` timestamps; `None` when no handshake
@@ -440,9 +430,9 @@ pub struct OffloadEngine<'a> {
 }
 
 /// What a successful remote run hands back to [`OffloadEngine::run`]:
-/// the result, connect attempts, the server's pipeline stats and span
-/// summary, and the estimated client-minus-server clock offset (µs).
-type RemoteRun = (RunResult, u32, PipelineStats, offload_obs::SpanSummary, i64);
+/// the result, connect attempts, and the estimated client-minus-server
+/// clock offset (µs).
+type RemoteRun = (RunResult, u32, i64);
 
 impl<'a> OffloadEngine<'a> {
     /// Creates an engine for one compiled analysis.
@@ -483,7 +473,6 @@ impl<'a> OffloadEngine<'a> {
     /// Dispatch failures, program faults, and non-transport protocol
     /// errors.
     pub fn run(&self, params: &[i64], input: &[i64]) -> Result<RunReport, NetError> {
-        let local_pipeline = self.analysis.pipeline_stats();
         let (choice, plan) = self.analysis.plan_for(params)?;
         let Plan::Partitioned(partition) = plan else {
             let result = self.run_plan(Plan::AllLocal, params, input)?;
@@ -494,27 +483,19 @@ impl<'a> OffloadEngine<'a> {
                 fell_back: false,
                 fallback_reason: None,
                 connect_attempts: 0,
-                local_pipeline,
-                server_pipeline: None,
-                server_spans: None,
                 server_clock_offset_us: None,
             });
         };
         match self.try_remote(choice, partition, params, input) {
-            Ok((result, connect_attempts, server_pipeline, server_spans, clock_offset)) => {
-                Ok(RunReport {
-                    choice,
-                    result,
-                    offloaded: true,
-                    fell_back: false,
-                    fallback_reason: None,
-                    connect_attempts,
-                    local_pipeline,
-                    server_pipeline: Some(server_pipeline),
-                    server_spans: Some(server_spans),
-                    server_clock_offset_us: Some(clock_offset),
-                })
-            }
+            Ok((result, connect_attempts, clock_offset)) => Ok(RunReport {
+                choice,
+                result,
+                offloaded: true,
+                fell_back: false,
+                fallback_reason: None,
+                connect_attempts,
+                server_clock_offset_us: Some(clock_offset),
+            }),
             Err((e, connect_attempts)) if e.is_transport() => {
                 offload_obs::event!("net", "fallback", choice = choice, cause = e.to_string(),);
                 if offload_obs::enabled() {
@@ -528,9 +509,6 @@ impl<'a> OffloadEngine<'a> {
                     fell_back: true,
                     fallback_reason: Some(e.to_string()),
                     connect_attempts,
-                    local_pipeline,
-                    server_pipeline: None,
-                    server_spans: None,
                     server_clock_offset_us: None,
                 })
             }
@@ -638,17 +616,12 @@ impl<'a> OffloadEngine<'a> {
             .map_err(fail)?;
         let ack = conn.recv().map_err(fail)?;
         let t3 = offload_obs::now_us();
-        let (server_stats, server_spans, clock_offset) = match ack.msg {
-            WireMsg::HelloAck {
-                server_stats,
-                server_spans,
-                server_time_us,
-            } if ack.request_id == id => {
-                // One server timestamp instead of NTP's two: assume it
-                // was taken at the round trip's midpoint. Client minus
-                // server, like `DispatchClient::stats`.
-                let offset = (t0 as i64 + t3 as i64) / 2 - server_time_us as i64;
-                (server_stats, server_spans, offset)
+        let clock_offset = match ack.msg {
+            // One server timestamp instead of NTP's two: assume it was
+            // taken at the round trip's midpoint. Client minus server,
+            // like `DispatchClient::stats`.
+            WireMsg::HelloAck { server_time_us } if ack.request_id == id => {
+                (t0 as i64 + t3 as i64) / 2 - server_time_us as i64
             }
             WireMsg::Error(m) => return Err(fail(NetError::HandshakeRefused(m))),
             other => {
@@ -685,13 +658,7 @@ impl<'a> OffloadEngine<'a> {
                     span.record("connect_attempts", attempts);
                     span.record("bytes_sent", conn.bytes_sent());
                     span.record("bytes_received", conn.bytes_received());
-                    return Ok((
-                        machine.into_result(),
-                        attempts,
-                        server_stats,
-                        server_spans,
-                        clock_offset,
-                    ));
+                    return Ok((machine.into_result(), attempts, clock_offset));
                 }
                 Err(e @ RuntimeError::HostLink(_)) => return Err(fail(e.into())),
                 Err(e) => {

@@ -20,9 +20,9 @@
 
 use crate::error::NetError;
 use crate::stats::SlowRequest;
-use offload_core::{Analysis, PipelineStats};
+use offload_core::Analysis;
 use offload_ir::{AllocSiteId, BlockId, FuncId, LocalId};
-use offload_obs::{HistogramSummary, MetricValue, MetricsSnapshot, SpanStat, SpanSummary};
+use offload_obs::{HistogramSummary, MetricValue, MetricsSnapshot};
 use offload_poly::Rational;
 use offload_pta::AbsLocId;
 use offload_runtime::{
@@ -32,12 +32,12 @@ use offload_tcfg::SegmentId;
 use std::io::{Read, Write};
 
 /// Protocol version; bumped on any incompatible framing change.
-/// (v2: `HelloAck` carries the server's analysis [`PipelineStats`];
-/// v3: [`PipelineStats`] gains `sequential_strategy` and `HelloAck`
-/// additionally carries the server's [`SpanSummary`];
-/// v4: [`PipelineStats`] gains `lp_cache_hits` and
+/// (v2: `HelloAck` carries the server's analysis `PipelineStats`;
+/// v3: `PipelineStats` gains `sequential_strategy` and `HelloAck`
+/// additionally carries the server's span summary;
+/// v4: `PipelineStats` gains `lp_cache_hits` and
 /// `small_int_promotions`;
-/// v5: [`PipelineStats`] gains the incremental-projection counters
+/// v5: `PipelineStats` gains the incremental-projection counters
 /// `prefilter_hits`, `lp_warm_starts`, `dual_pivots` and the phase
 /// timings `prune_micros`, `region_lp_micros`;
 /// v6: the dispatch service — [`WireMsg::AnalyzeProgram`] /
@@ -51,20 +51,24 @@ use std::io::{Read, Write};
 /// timestamps for clock-offset estimation, and
 /// [`WireMsg::StatsRequest`] / [`WireMsg::StatsReport`] scrape a live
 /// server's full [`MetricsSnapshot`] plus its slow-request ring;
-/// v8: [`PipelineStats`] gains the float-shadow certification counters
+/// v8: `PipelineStats` gains the float-shadow certification counters
 /// `shadow_proposals`, `shadow_certified`, `shadow_fallbacks` and the
 /// timing `certify_micros`;
 /// v9: histogram summaries inside [`WireMsg::StatsReport`] snapshots
 /// gain a `p999` estimate, surfacing the tail the readiness reactor
 /// targets;
-/// v10: [`PipelineStats`] travels as `(name, value)` pairs and a decoder
+/// v10: `PipelineStats` travels as `(name, value)` pairs and a decoder
 /// skips names it does not know, so adding a counter no longer changes
 /// the protocol;
 /// `sequential_strategy` is gone and `prefilter_hits` is split into its
 /// four pre-filter stage counts. `certify_micros` and `threads_used`
 /// were later dropped without a bump: a v10 decoder skips a name it does
-/// not know.)
-pub const PROTOCOL_VERSION: u8 = 10;
+/// not know;
+/// v11: [`WireMsg::HelloAck`] carries only `server_time_us`. The server's
+/// analysis counters reach clients through the metrics registry alone
+/// (`pipeline.<name>` in a [`WireMsg::StatsReport`]), so no counter
+/// change touches the protocol.)
+pub const PROTOCOL_VERSION: u8 = 11;
 
 /// Upper bound on a single frame's payload (a corruption guard, not a
 /// tight limit).
@@ -124,12 +128,6 @@ pub enum WireMsg {
     },
     /// Server → client: session accepted.
     HelloAck {
-        /// Work counters of the server's parametric analysis, so a
-        /// networked run reports the same numbers as a local one.
-        server_stats: PipelineStats,
-        /// Aggregated span statistics of the server process so far —
-        /// where server time went, without shipping a full trace.
-        server_spans: SpanSummary,
         /// Server's reply timestamp on *its* epoch; with the client's
         /// send/receive times this bounds the inter-epoch clock offset.
         server_time_us: u64,
@@ -367,25 +365,6 @@ fn put_payload(buf: &mut Vec<u8>, p: &ItemPayload) {
                 }
             }
         }
-    }
-}
-
-fn put_pipeline(buf: &mut Vec<u8>, s: &PipelineStats) {
-    put_uv(buf, PipelineStats::COUNTERS.len() as u64);
-    for (name, value) in s.entries() {
-        put_str(buf, name);
-        put_uv(buf, value);
-    }
-}
-
-fn put_span_summary(buf: &mut Vec<u8>, s: &SpanSummary) {
-    put_uv(buf, s.entries.len() as u64);
-    for e in &s.entries {
-        put_str(buf, &e.cat);
-        put_str(buf, &e.name);
-        put_uv(buf, e.count);
-        put_uv(buf, e.total_us);
-        put_uv(buf, e.max_us);
     }
 }
 
@@ -661,32 +640,6 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    fn pipeline(&mut self) -> Result<PipelineStats, NetError> {
-        let mut s = PipelineStats::default();
-        for _ in 0..self.uv()? {
-            let name = self.str()?;
-            // A counter this build does not declare is skipped, so a peer
-            // may carry more counters than we know about.
-            s.set(&name, self.uv()?);
-        }
-        Ok(s)
-    }
-
-    fn span_summary(&mut self) -> Result<SpanSummary, NetError> {
-        let n = self.uv()? as usize;
-        let mut entries = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            entries.push(SpanStat {
-                cat: self.str()?,
-                name: self.str()?,
-                count: self.uv()?,
-                total_us: self.uv()?,
-                max_us: self.uv()?,
-            });
-        }
-        Ok(SpanSummary { entries })
-    }
-
     fn trace(&mut self) -> Result<TraceContext, NetError> {
         Ok(TraceContext {
             trace_id: self.uv()?,
@@ -878,15 +831,7 @@ pub fn encode_frame(frame: &WireFrame) -> Vec<u8> {
             put_uv(&mut body, *max_steps);
             put_uv(&mut body, *client_time_us);
         }
-        WireMsg::HelloAck {
-            server_stats,
-            server_spans,
-            server_time_us,
-        } => {
-            put_pipeline(&mut body, server_stats);
-            put_span_summary(&mut body, server_spans);
-            put_uv(&mut body, *server_time_us);
-        }
+        WireMsg::HelloAck { server_time_us } => put_uv(&mut body, *server_time_us),
         WireMsg::PushAck | WireMsg::Bye => {}
         WireMsg::Control(m) => put_control(&mut body, m),
         WireMsg::FetchItem { item } => put_uv(&mut body, *item as u64),
@@ -988,8 +933,6 @@ pub fn decode_frame(payload: &[u8]) -> Result<WireFrame, NetError> {
             }
         }
         2 => WireMsg::HelloAck {
-            server_stats: c.pipeline()?,
-            server_spans: c.span_summary()?,
             server_time_us: c.uv()?,
         },
         3 => WireMsg::Control(Box::new(c.control()?)),

@@ -46,7 +46,6 @@ use std::time::{Duration, Instant};
 ///
 /// let config = ServerConfig::builder()
 ///     .threads(2)
-///     .cache_shards(4)
 ///     .max_connections(256)
 ///     .build();
 /// assert_eq!(config.dispatch_threads, 2);
@@ -63,8 +62,6 @@ pub struct ServerConfig {
     /// Reactor worker threads multiplexing the dispatch connections. Has
     /// no effect off Linux, where each connection gets its own thread.
     pub dispatch_threads: usize,
-    /// Lock shards in the [`PlanCache`].
-    pub cache_shards: usize,
     /// Connections beyond this are refused at accept.
     pub max_connections: usize,
     /// Slowest dispatch batches retained for `StatsReport` forensics
@@ -78,7 +75,6 @@ impl Default for ServerConfig {
             request_timeout: Some(Duration::from_secs(60)),
             fail_after_frames: None,
             dispatch_threads: 4,
-            cache_shards: 8,
             max_connections: 1024,
             slow_ring: 16,
         }
@@ -105,12 +101,6 @@ impl ServerConfigBuilder {
     /// Sets the reactor worker-pool size (clamped to at least 1).
     pub fn threads(mut self, n: usize) -> Self {
         self.config.dispatch_threads = n.max(1);
-        self
-    }
-
-    /// Sets the plan-cache shard count (clamped to at least 1).
-    pub fn cache_shards(mut self, n: usize) -> Self {
-        self.config.cache_shards = n.max(1);
         self
     }
 
@@ -289,7 +279,7 @@ impl ServerHandle {
         listener
             .set_nonblocking(true)
             .map_err(|e| NetError::io("setting listener nonblocking", e))?;
-        let cache = PlanCache::new(config.cache_shards);
+        let cache = PlanCache::default();
         cache.register(Arc::clone(&analysis));
         let slow = SlowRing::new(config.slow_ring);
         let service = Arc::new(Service {
@@ -621,8 +611,6 @@ fn run_session(conn: &mut Conn, hello: WireFrame, svc: &Service) -> Result<(), N
     conn.reply(
         hello.request_id,
         WireMsg::HelloAck {
-            server_stats: analysis.pipeline_stats(),
-            server_spans: offload_obs::span_summary(),
             server_time_us: offload_obs::now_us(),
         },
     )?;

@@ -49,7 +49,7 @@ fn start_server() -> (Arc<Analysis>, ServerHandle) {
         "127.0.0.1:0",
         analysis.clone(),
         DeviceModel::ipaq_testbed(),
-        ServerConfig::builder().threads(2).cache_shards(4).build(),
+        ServerConfig::builder().threads(2).build(),
     )
     .expect("server");
     (analysis, server)

@@ -1,13 +1,14 @@
 //! Loopback tests of the live observability plane: the `StatsRequest`
 //! scrape, counter/sequence monotonicity, the slow-request ring, the
-//! Prometheus exposition text, and the merged client+server trace.
+//! Prometheus exposition text, the merged client+server trace, and the
+//! server's analysis counters as the registry publishes them.
 //!
 //! The metrics registry is process-global, so everything that asserts on
 //! counter values lives in ONE test function and reasons in deltas
 //! between two scrapes of the same server. On Linux the pass also
 //! asserts the reactor's `net.reactor.*` counters moved.
 
-use offload_core::{Analysis, AnalysisOptions};
+use offload_core::{Analysis, AnalysisOptions, PipelineStats};
 use offload_net::{fingerprint, ClientConfig, DispatchClient, OffloadServer, ServerConfig};
 use offload_obs::MetricValue;
 use offload_runtime::DeviceModel;
@@ -27,6 +28,18 @@ const PROGRAM: &str = "
 
     void main(int n) {
         output(work(n));
+    }";
+
+/// A program the server has not seen, for a plan-cache miss.
+const SECOND: &str = "
+    void main(int n) {
+        int i;
+        int acc;
+        acc = 0;
+        for (i = 0; i < n; i++) {
+            acc = acc + i * 7;
+        }
+        output(acc);
     }";
 
 /// One scrape-dispatch-scrape pass over a loopback server, asserting the
@@ -190,6 +203,42 @@ fn loopback_scrape_counters_and_merged_trace() {
     ] {
         assert!(merged.contains(needle), "merged trace lacks {needle}");
     }
+
+    // The server's analysis counters reach clients only through the
+    // registry: a plan-cache miss publishes its solve's work counters as
+    // `pipeline.<name>`, and the scrape deltas equal a local analysis of
+    // the same program. The local analysis publishes into this process's
+    // registry too, so it runs after the second scrape.
+    let before = c.stats().expect("scrape before the analysis");
+    let info = c.analyze(SECOND).expect("analyze");
+    assert!(!info.cache_hit, "a new program misses the plan cache");
+    let after = c.stats().expect("scrape after the analysis");
+    let local = Analysis::from_source(SECOND, AnalysisOptions::default()).expect("analysis");
+    let work = local.pipeline_stats().work_counters();
+    let mut compared = 0;
+    for ((name, value), spec) in work.entries().zip(PipelineStats::COUNTERS) {
+        if !spec.kind.deterministic() {
+            continue;
+        }
+        let delta = after.snapshot.counter(spec.metric).expect(spec.metric)
+            - before.snapshot.counter(spec.metric).unwrap_or(0);
+        assert_eq!(delta, value, "{name}");
+        compared += 1;
+    }
+    let published = after
+        .snapshot
+        .entries
+        .iter()
+        .filter(|(name, v)| name.starts_with("pipeline.") && matches!(v, MetricValue::Counter(_)))
+        .count();
+    assert_eq!(
+        published, compared,
+        "every pipeline counter is a work counter"
+    );
+    assert!(
+        work.lp_solves > 0,
+        "the second program exercises the solver"
+    );
 
     c.close();
 }

@@ -6,7 +6,6 @@
 //! offline build environment cannot fetch crates), so every run draws the
 //! same deterministic case set.
 
-use offload_core::PipelineStats;
 use offload_ir::{AllocSiteId, BlockId, FuncId, LocalId};
 use offload_net::protocol::{decode_frame, encode_frame, put_iv, put_uv, Cursor};
 use offload_net::{NetError, SlowRequest, TraceContext, WireFrame, WireMsg};
@@ -156,28 +155,6 @@ fn arb_control(rng: &mut Rng) -> ControlMsg {
     }
 }
 
-fn arb_pipeline(rng: &mut Rng) -> PipelineStats {
-    let mut s = PipelineStats::default();
-    for c in PipelineStats::COUNTERS {
-        s.set(c.name, rng.next() % 100_000_000);
-    }
-    s
-}
-
-fn arb_span_summary(rng: &mut Rng) -> offload_obs::SpanSummary {
-    offload_obs::SpanSummary {
-        entries: (0..rng.usize(6))
-            .map(|_| offload_obs::SpanStat {
-                cat: format!("cat{}", rng.u32(4)),
-                name: format!("span{}", rng.u32(16)),
-                count: rng.next() % 100_000,
-                total_us: rng.next() % 100_000_000,
-                max_us: rng.next() % 10_000_000,
-            })
-            .collect(),
-    }
-}
-
 fn arb_trace(rng: &mut Rng) -> TraceContext {
     if rng.bool() {
         TraceContext::default()
@@ -242,8 +219,6 @@ fn arb_msg(rng: &mut Rng) -> WireMsg {
             client_time_us: rng.next() % 100_000_000_000,
         },
         1 => WireMsg::HelloAck {
-            server_stats: arb_pipeline(rng),
-            server_spans: arb_span_summary(rng),
             server_time_us: rng.next() % 100_000_000_000,
         },
         2 => WireMsg::Control(Box::new(arb_control(rng))),
@@ -372,11 +347,7 @@ fn truncated_frames_fail_cleanly() {
 fn corrupt_version_byte_is_rejected() {
     let frame = WireFrame {
         request_id: 7,
-        msg: WireMsg::HelloAck {
-            server_stats: PipelineStats::default(),
-            server_spans: offload_obs::SpanSummary::default(),
-            server_time_us: 42,
-        },
+        msg: WireMsg::HelloAck { server_time_us: 42 },
     };
     let encoded = encode_frame(&frame);
     let mut payload = strip_len_prefix(&encoded).to_vec();
@@ -413,56 +384,28 @@ fn put_name(buf: &mut Vec<u8>, name: &str) {
     buf.extend_from_slice(name.as_bytes());
 }
 
-fn hello_ack(server_stats: PipelineStats) -> WireFrame {
-    WireFrame {
-        request_id: 5,
-        msg: WireMsg::HelloAck {
-            server_stats,
-            server_spans: offload_obs::SpanSummary::default(),
-            server_time_us: 9,
-        },
-    }
-}
-
 #[test]
-fn unknown_pipeline_counter_is_skipped() {
-    // A peer that declares a counter this build does not know sends it as
-    // one more (name, value) pair; the decoder skips it and keeps the rest.
-    let stats = arb_pipeline(&mut Rng::new(0x5EED));
-    let frame = hello_ack(stats);
-    let encoded = encode_frame(&frame);
-    // Version, tag and the one-byte request id, then the counter block.
-    let mut payload = strip_len_prefix(&encoded)[..3].to_vec();
-    put_uv(&mut payload, PipelineStats::COUNTERS.len() as u64 + 1);
-    put_name(&mut payload, "from_a_newer_peer");
-    put_uv(&mut payload, 77);
-    for (name, value) in stats.entries() {
+fn v10_hello_ack_gets_version_mismatch() {
+    // v10 sent the server's counters as (name, value) pairs and a span
+    // summary ahead of the timestamp; read as v11 the first pair's count
+    // would pass for `server_time_us`, so the version byte must turn the
+    // frame away before any body parsing.
+    let mut payload = vec![10, 2, 5]; // version, HelloAck tag, request id
+    put_uv(&mut payload, 2);
+    for (name, value) in [("flow_solves", 3), ("lp_pivots", 40)] {
         put_name(&mut payload, name);
         put_uv(&mut payload, value);
     }
-    put_uv(&mut payload, 0); // empty span summary
-    put_uv(&mut payload, 9); // server_time_us
-    assert_eq!(decode_frame(&payload).unwrap(), frame);
-}
-
-#[test]
-fn v9_hello_ack_gets_version_mismatch() {
-    // v9 sent the counters as 25 fixed-position varints plus a strategy
-    // flag byte; read as v10 pairs they would misparse, so the version
-    // byte must turn the frame away before any body parsing.
-    let encoded = encode_frame(&hello_ack(PipelineStats::default()));
-    let header = &strip_len_prefix(&encoded)[..3];
-    let mut payload = vec![9];
-    payload.extend_from_slice(&header[1..]);
-    for v in 0..25u64 {
-        put_uv(&mut payload, v);
+    put_uv(&mut payload, 1); // one span summary entry
+    put_name(&mut payload, "net");
+    put_name(&mut payload, "session");
+    for v in [2u64, 300, 200] {
+        put_uv(&mut payload, v); // count, total_us, max_us
     }
-    payload.push(0); // the v9 strategy flag
-    put_uv(&mut payload, 0); // empty span summary
     put_uv(&mut payload, 9); // server_time_us
     match decode_frame(&payload) {
         Err(NetError::VersionMismatch { ours, theirs }) => {
-            assert_eq!((ours, theirs), (10, 9));
+            assert_eq!((ours, theirs), (11, 10));
         }
         other => panic!("expected VersionMismatch, got {other:?}"),
     }

@@ -1,10 +1,9 @@
 //! Exporters over a recorder snapshot: Chrome trace-event JSON, a
-//! JSON-lines event stream, a human-readable aggregated tree, the
-//! Prometheus text exposition of a [`MetricsSnapshot`], and the merged
-//! client+server request-trace view.
+//! JSON-lines event stream, the Prometheus text exposition of a
+//! [`MetricsSnapshot`], and the merged client+server request-trace view.
 
 use crate::metrics::{MetricValue, MetricsSnapshot};
-use crate::recorder::{Event, EventKind, FieldValue, ThreadSnapshot};
+use crate::recorder::{EventKind, FieldValue, ThreadSnapshot};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -121,18 +120,6 @@ pub fn chrome_trace_json(threads: &[ThreadSnapshot]) -> String {
     out
 }
 
-/// Writes [`chrome_trace_json`] of a snapshot to `path`.
-///
-/// # Errors
-///
-/// Filesystem failures.
-pub fn write_chrome_trace(
-    path: impl AsRef<std::path::Path>,
-    threads: &[ThreadSnapshot],
-) -> std::io::Result<()> {
-    std::fs::write(path, chrome_trace_json(threads))
-}
-
 /// Renders a snapshot as a JSON-lines event stream: one self-contained
 /// JSON object per event, carrying the thread id/name, kind, category,
 /// name, timestamp, and fields. Grep-friendly and trivially parseable.
@@ -159,67 +146,6 @@ pub fn jsonl(threads: &[ThreadSnapshot]) -> String {
             );
         }
     }
-    out
-}
-
-#[derive(Default)]
-struct TreeNode {
-    count: u64,
-    total_us: u64,
-    children: BTreeMap<(String, String), TreeNode>,
-}
-
-fn insert_thread(root: &mut TreeNode, events: &[Event]) {
-    // Path of (cat, name) keys from the root to the open span.
-    let mut path: Vec<(String, String)> = Vec::new();
-    let mut begin_ts: Vec<u64> = Vec::new();
-    for e in events {
-        match e.kind {
-            EventKind::Begin => {
-                path.push((e.cat.to_string(), e.name.to_string()));
-                begin_ts.push(e.ts_us);
-            }
-            EventKind::End => {
-                if let (Some(_), Some(ts)) = (path.last(), begin_ts.pop()) {
-                    let mut node = &mut *root;
-                    for key in &path {
-                        node = node.children.entry(key.clone()).or_default();
-                    }
-                    node.count += 1;
-                    node.total_us += e.ts_us.saturating_sub(ts);
-                    path.pop();
-                }
-            }
-            EventKind::Instant => {}
-        }
-    }
-}
-
-fn render(node: &TreeNode, depth: usize, out: &mut String) {
-    for ((cat, name), child) in &node.children {
-        let _ = writeln!(
-            out,
-            "{:indent$}{cat}/{name}: {} spans, {} us total ({} us avg)",
-            "",
-            child.count,
-            child.total_us,
-            child.total_us.checked_div(child.count).unwrap_or(0),
-            indent = depth * 2,
-        );
-        render(child, depth + 1, out);
-    }
-}
-
-/// Renders a snapshot as an indented aggregate tree: spans merged across
-/// threads by their (category, name) nesting path, each line showing
-/// completion count and total/average duration.
-pub fn summary_tree(threads: &[ThreadSnapshot]) -> String {
-    let mut root = TreeNode::default();
-    for t in threads {
-        insert_thread(&mut root, &t.events);
-    }
-    let mut out = String::new();
-    render(&root, 0, &mut out);
     out
 }
 

@@ -4,8 +4,8 @@
 //! workspace, hand-rolled like everything else here (no `tokio`, no
 //! `tracing`): the analysis pipeline (TCFG → cost annotation → parametric
 //! min-cut → polyhedral projection) and the networked runtime both record
-//! into it, and three exporters turn the recording into something a human
-//! can read.
+//! into it, and the exporters turn the recording into something a human
+//! or a tool can read.
 //!
 //! Three pieces:
 //!
@@ -24,8 +24,8 @@
 //!   itself into the registry.
 //! * **Exporters** ([`export`]) — Chrome trace-event JSON (open it in
 //!   `chrome://tracing` or <https://ui.perfetto.dev>, one track per
-//!   worker thread), a JSON-lines event stream, and a human-readable
-//!   aggregated tree summary.
+//!   worker thread), a JSON-lines event stream, the Prometheus text of a
+//!   metrics snapshot, and the merged client+server request traces.
 //!
 //! ```
 //! offload_obs::set_enabled(true);
@@ -51,11 +51,10 @@ pub use metrics::{
     counter, gauge, histogram, metrics_snapshot, reset_metrics, Counter, Gauge, Histogram,
     HistogramSummary, MetricValue, MetricsSnapshot,
 };
-pub use pipeline::{tallied, tally, CounterKind, CounterSpec, PipelineStats};
+pub use pipeline::{tallied, tally, untallied, CounterKind, CounterSpec, PipelineStats};
 pub use recorder::{
-    begin_span, enabled, instant_event, log_event, now_us, reset, set_enabled, snapshot,
-    span_summary, Event, EventKind, FieldValue, Level, SpanGuard, SpanStat, SpanSummary,
-    ThreadSnapshot,
+    begin_span, enabled, instant_event, log_event, now_us, reset, set_enabled, snapshot, Event,
+    EventKind, FieldValue, Level, SpanGuard, ThreadSnapshot,
 };
 
 /// Opens a span: `span!("category", "name", key = value, ...)`.

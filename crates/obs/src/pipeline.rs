@@ -9,9 +9,9 @@
 //! its kind: a deterministic work counter or a wall-clock timing. The struct, the [`PipelineStats::COUNTERS`] table,
 //! name/value access and field-wise addition are generated from that
 //! list; [`PipelineStats::work_counters`],
-//! [`PipelineStats::publish_metrics`], the net protocol's codec and the
-//! bench JSON iterate the table. A new counter therefore touches this
-//! file only.
+//! [`PipelineStats::publish_metrics`] and the `solve_counters`
+//! experiment of `offload-bench` iterate the table. A new counter
+//! therefore touches this file only.
 //!
 //! Counting is per thread, with no shared state: a layer adds into the
 //! calling thread's record with [`tally`], and a solve, which runs on
@@ -44,7 +44,8 @@ impl CounterKind {
 /// One declared counter of [`PipelineStats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CounterSpec {
-    /// The field name, also the counter's wire and JSON key.
+    /// The field name, also the counter's row label in
+    /// `results/solve_counters.txt`.
     pub name: &'static str,
     /// The metric it publishes into (`pipeline.<name>`).
     pub metric: &'static str,
@@ -69,7 +70,7 @@ macro_rules! counters {
 
         impl PipelineStats {
             /// Every counter, in declaration order (which is also the
-            /// order of [`Self::entries`], the wire and the bench JSON).
+            /// order of [`Self::entries`]).
             pub const COUNTERS: &'static [CounterSpec] = &[$(CounterSpec {
                 name: stringify!($field),
                 metric: concat!("pipeline.", stringify!($field)),
@@ -177,8 +178,7 @@ counters! {
 }
 
 impl PipelineStats {
-    /// `(name, value)` for every counter, in declaration order: what the
-    /// wire codec and the bench JSON write.
+    /// `(name, value)` for every counter, in declaration order.
     pub fn entries(&self) -> impl Iterator<Item = (&'static str, u64)> {
         Self::COUNTERS.iter().map(|c| c.name).zip(self.values())
     }
@@ -246,6 +246,16 @@ pub fn tallied<R>(f: impl FnOnce() -> R) -> (R, PipelineStats) {
     let inner = CURRENT.with(|r| r.replace(outer));
     tally(|t| *t += inner);
     (out, inner)
+}
+
+/// Runs `f` and drops whatever it counts on this thread. For checks
+/// that only some builds run (debug assertions), so that no work counter
+/// depends on the build profile.
+pub fn untallied<R>(f: impl FnOnce() -> R) -> R {
+    let outer = take_tally();
+    let out = f();
+    CURRENT.with(|r| r.replace(outer));
+    out
 }
 
 /// Takes the calling thread's record, leaving it zeroed.
@@ -344,5 +354,15 @@ mod tests {
             tally(|t| *t += handed);
         });
         assert_eq!((outer.lp_solves, outer.lp_pivots), (11, 3));
+    }
+
+    #[test]
+    fn untallied_work_is_dropped() {
+        let (_, counted) = tallied(|| {
+            tally(|t| t.lp_solves += 1);
+            untallied(|| tally(|t| t.lp_solves += 5));
+            tally(|t| t.lp_solves += 1);
+        });
+        assert_eq!(counted.lp_solves, 2);
     }
 }

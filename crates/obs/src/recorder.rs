@@ -9,7 +9,6 @@
 //! every thread share one timeline.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -336,91 +335,5 @@ pub fn snapshot() -> Vec<ThreadSnapshot> {
 pub fn reset() {
     for log in lock_ignore_poison(registry()).iter() {
         lock_ignore_poison(&log.events).clear();
-    }
-}
-
-/// Aggregate statistics of one span name within one category.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpanStat {
-    /// Span category.
-    pub cat: String,
-    /// Span name.
-    pub name: String,
-    /// Completed begin/end pairs.
-    pub count: u64,
-    /// Total duration across all completions, microseconds.
-    pub total_us: u64,
-    /// Longest single completion, microseconds.
-    pub max_us: u64,
-}
-
-/// A compact aggregate of every completed span, suitable for shipping
-/// over the wire (the server attaches one to its handshake so clients
-/// see where server time went without a full trace).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SpanSummary {
-    /// Per-(category, name) aggregates, sorted by category then name.
-    pub entries: Vec<SpanStat>,
-}
-
-impl SpanSummary {
-    /// Total completed spans across all entries.
-    pub fn span_count(&self) -> u64 {
-        self.entries.iter().map(|e| e.count).sum()
-    }
-}
-
-impl fmt::Display for SpanSummary {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for e in &self.entries {
-            writeln!(
-                f,
-                "{}/{}: {} spans, {} us total, {} us max",
-                e.cat, e.name, e.count, e.total_us, e.max_us
-            )?;
-        }
-        Ok(())
-    }
-}
-
-/// Aggregates the current recording into per-(category, name) span
-/// statistics by replaying each thread's begin/end nesting. Unclosed
-/// spans are ignored.
-pub fn span_summary() -> SpanSummary {
-    summarize(&snapshot())
-}
-
-/// Aggregates an already-captured snapshot (see [`span_summary`]).
-pub fn summarize(threads: &[ThreadSnapshot]) -> SpanSummary {
-    let mut agg: BTreeMap<(&str, &str), (u64, u64, u64)> = BTreeMap::new();
-    for thread in threads {
-        let mut stack: Vec<(&str, &str, u64)> = Vec::new();
-        for e in &thread.events {
-            match e.kind {
-                EventKind::Begin => stack.push((e.cat, e.name, e.ts_us)),
-                EventKind::End => {
-                    if let Some((cat, name, begin)) = stack.pop() {
-                        let dur = e.ts_us.saturating_sub(begin);
-                        let slot = agg.entry((cat, name)).or_insert((0, 0, 0));
-                        slot.0 += 1;
-                        slot.1 += dur;
-                        slot.2 = slot.2.max(dur);
-                    }
-                }
-                EventKind::Instant => {}
-            }
-        }
-    }
-    SpanSummary {
-        entries: agg
-            .into_iter()
-            .map(|((cat, name), (count, total_us, max_us))| SpanStat {
-                cat: cat.to_string(),
-                name: name.to_string(),
-                count,
-                total_us,
-                max_us,
-            })
-            .collect(),
     }
 }

@@ -4,8 +4,9 @@
 //! A server daemon loads the compiled analysis and waits on a loopback
 //! port; the client engine dispatches on the parameter value and — for
 //! settings where offloading wins — ships the server-side tasks' work
-//! over the socket, turn by turn. If the server disappears, the engine
-//! falls back to all-local execution and says so.
+//! over the socket, turn by turn. The last run goes to the stopped
+//! server's address: the engine falls back to all-local execution, with
+//! the same output, and says so.
 //!
 //! ```text
 //! cargo run -p offload-bench --example remote_offload
@@ -39,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // it shares the process for a self-contained example. The builder
     // mirrors `AnalysisOptions::builder()`; `ServerConfig::default()`
     // works too when every default suits.
-    let server = OffloadServer::bind(
+    let mut server = OffloadServer::bind(
         "127.0.0.1:0",
         analysis.clone(),
         device.clone(),
@@ -51,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let engine = OffloadEngine::new(
         &analysis,
-        device,
+        device.clone(),
         ClientConfig::new(server.addr().to_string()),
     );
     for n in [4i64, 1_000] {
@@ -67,5 +68,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             report.result.outputs,
         );
     }
+
+    // Nobody listens on the stopped server's port, so every connect is
+    // refused and, after the default retries, the engine falls back to
+    // the all-local plan.
+    let dead = server.addr().to_string();
+    server.shutdown();
+    let engine = OffloadEngine::new(&analysis, device, ClientConfig::new(dead));
+    let report = engine.run(&[1_000], &[])?;
+    assert!(report.fell_back, "no server: the engine must fall back");
+    println!(
+        "n={:>9}: server gone, ran all-local after {} connect attempts — output {:?}",
+        1_000, report.connect_attempts, report.result.outputs,
+    );
+    println!(
+        "  ({})",
+        report
+            .fallback_reason
+            .as_deref()
+            .unwrap_or("no reason recorded")
+    );
     Ok(())
 }

@@ -86,9 +86,9 @@ fn masking_touches_only_durations() {
     assert_eq!(mask_durations(kept), kept);
 }
 
-/// Tables 1, 3 and 4, Figures 2 and 6–7 and the `offloadc` demo are
-/// pinned by their text; Table 1's totals also equal the paper's closed
-/// forms at its three sample points.
+/// Tables 1, 3 and 4, the solve work counters, Figures 2 and 6–7 and
+/// the `offloadc` demo are pinned by their text; Table 1's totals also
+/// equal the paper's closed forms at its three sample points.
 #[test]
 fn tables_and_the_running_example_match_results() {
     let t = table1();
@@ -98,7 +98,14 @@ fn tables_and_the_running_example_match_results() {
         assert_eq!(*fg, Rational::from(14 * x * y));
     }
     assert_matches_results("table1", &render_table1(&t));
-    for name in ["table3", "table4", "figure2", "figure6_7", "offloadc"] {
+    for name in [
+        "table3",
+        "table4",
+        "solve_counters",
+        "figure2",
+        "figure6_7",
+        "offloadc",
+    ] {
         assert_matches_results(name, &render(name).expect(name));
     }
 }
