@@ -112,7 +112,8 @@ struct LoadOptions {
 const TRACE_INTERVAL: u64 = 997;
 
 /// The load generator: `clients` persistent connections batch-dispatching
-/// against the server's worker pool for `duration` seconds.
+/// against the server, one thread each on both sides, for `duration`
+/// seconds.
 fn run_load(opts: LoadOptions) -> Result<(), Box<dyn std::error::Error>> {
     let LoadOptions {
         clients,
@@ -133,10 +134,7 @@ fn run_load(opts: LoadOptions) -> Result<(), Box<dyn std::error::Error>> {
         listen.as_deref().unwrap_or("127.0.0.1:0"),
         analysis.clone(),
         DeviceModel::ipaq_testbed(),
-        ServerConfig::builder()
-            .threads(4)
-            .max_connections(clients + 8)
-            .build(),
+        ServerConfig::builder().max_connections(clients + 8).build(),
     )?;
     let addr = server.addr().to_string();
     eprintln!("load: {clients} clients x {duration}s, batches of {batch} against {addr}");

@@ -10,13 +10,18 @@
 //! source shard's lock across [`Analysis::from_source`] — concurrent
 //! requests for the same new program then collapse into one analysis
 //! (the losers find the entry on wake) instead of a thundering herd.
+//!
+//! A panic while a shard is held (inside the analysis, say) poisons that
+//! shard's mutex. The maps only ever change by whole `insert`s after a
+//! successful analysis, so a poisoned shard still holds consistent
+//! entries, and every lock recovers its guard instead of panicking too.
 
 use crate::protocol::fingerprint;
 use offload_core::{Analysis, AnalysisOptions, AnalyzeError};
 use offload_obs::{Counter, Gauge};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Counters describing how the cache has been used since creation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -79,6 +84,11 @@ fn shards<K>() -> Vec<Mutex<HashMap<K, Arc<Analysis>>>> {
     (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect()
 }
 
+/// Locks a shard, recovering it if a panic poisoned it (see module docs).
+fn lock<K>(shard: &Mutex<HashMap<K, Arc<Analysis>>>) -> MutexGuard<'_, HashMap<K, Arc<Analysis>>> {
+    shard.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 impl Default for PlanCache {
     /// An empty cache.
     fn default() -> Self {
@@ -112,7 +122,7 @@ impl PlanCache {
     /// program) under its fingerprint, returning that fingerprint.
     pub fn register(&self, analysis: Arc<Analysis>) -> u64 {
         let fp = fingerprint(&analysis);
-        let mut shard = self.fp_shard(fp).lock().unwrap();
+        let mut shard = lock(self.fp_shard(fp));
         if shard.insert(fp, analysis).is_none() {
             self.entries.fetch_add(1, Ordering::Relaxed);
             self.m_entries.add(1);
@@ -133,7 +143,7 @@ impl PlanCache {
         options: AnalysisOptions,
     ) -> Result<(Arc<Analysis>, u64, bool), AnalyzeError> {
         // Lock held across `from_source` on purpose: see module docs.
-        let mut shard = self.source_shard(source).lock().unwrap();
+        let mut shard = lock(self.source_shard(source));
         if let Some(found) = shard.get(source) {
             self.analyze_hits.fetch_add(1, Ordering::Relaxed);
             self.m_analyze_hits.inc();
@@ -152,7 +162,7 @@ impl PlanCache {
 
     /// Resolves a dispatch fingerprint to its resident analysis.
     pub fn lookup(&self, fp: u64) -> Option<Arc<Analysis>> {
-        let shard = self.fp_shard(fp).lock().unwrap();
+        let shard = lock(self.fp_shard(fp));
         match shard.get(&fp) {
             Some(found) => {
                 self.dispatch_hits.fetch_add(1, Ordering::Relaxed);
@@ -227,5 +237,28 @@ mod tests {
         assert_eq!(fp_b, own);
         assert_ne!(fp_a, fp_b);
         assert_eq!(cache.stats().entries, 2);
+    }
+
+    #[test]
+    fn a_panic_holding_a_shard_does_not_poison_later_analyses() {
+        let cache = Arc::new(PlanCache::default());
+        // A thread that panics while it holds SRC's source shard, as an
+        // analysis that panics inside the pipeline would.
+        let poisoner = {
+            let cache = Arc::clone(&cache);
+            std::thread::spawn(move || {
+                let _shard = cache.source_shard(SRC).lock();
+                panic!("panic while holding a source shard");
+            })
+        };
+        assert!(poisoner.join().is_err());
+        assert!(cache.source_shard(SRC).is_poisoned());
+        let (analysis, fp, hit) = cache.analyze(SRC, AnalysisOptions::default()).unwrap();
+        assert!(!hit);
+        assert_eq!(fp, fingerprint(&analysis));
+        let (_, again, hit) = cache.analyze(SRC, AnalysisOptions::default()).unwrap();
+        assert!(hit);
+        assert_eq!(again, fp);
+        assert!(cache.lookup(fp).is_some());
     }
 }

@@ -23,11 +23,9 @@
 //!   so both sides can check they compiled the same program.
 //! * [`OffloadServer`] — the daemon: binds a listener, and for each
 //!   session builds the server half of the executor from the client's
-//!   `Hello` (choice index + parameter values) and serves turns. On
-//!   Linux, dispatch connections ride a zero-dependency `epoll` reactor;
-//!   elsewhere each connection gets one blocking thread. Both planes
-//!   share one frame handler and one session runner, so wire behavior is
-//!   identical.
+//!   `Hello` (choice index + parameter values) and serves turns. Each
+//!   connection gets one blocking thread, on every platform: it answers
+//!   dispatch frames, and a `Hello` runs its session on that same thread.
 //! * [`OffloadEngine`] — the client: runs the paper's dispatcher on the
 //!   parameter values, executes all-local choices in process, and for
 //!   partitioned choices drives the turn-taking loop over TCP.
@@ -92,6 +90,7 @@
 //! assert_eq!(report.result.outputs, local.outputs);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cache;
@@ -99,8 +98,6 @@ mod client;
 mod error;
 mod link;
 pub mod protocol;
-#[cfg(target_os = "linux")]
-mod reactor;
 mod server;
 mod stats;
 

@@ -2,38 +2,31 @@
 //! peer link the active machine drives, and the serve loop the passive
 //! machine answers with.
 //!
-//! `Conn` owns a read buffer and parses frames out of it, so a frame
-//! split across TCP segments is resumable: in reactor mode a poll that
-//! sees half a frame returns `Ok(None)` and the next poll continues where
-//! it left off — no worker ever blocks waiting for a slow peer to finish
-//! a frame. A connection changes socket mode at most twice: the reactor
-//! makes it nonblocking at accept, and a `Hello` makes it blocking again
-//! for its session thread. In reactor mode replies are queued and
-//! flushed with a single vectored write per drain instead of one `write`
-//! per frame.
+//! A `Conn` is a blocking socket under per-request deadlines, and it
+//! never changes mode. It owns a read buffer and parses frames out of
+//! it, so one read picks up every frame a pipelining peer has already
+//! sent, and a frame split across TCP segments is reassembled across
+//! reads.
 
 use crate::error::NetError;
 use crate::protocol::{decode_frame, encode_frame, WireFrame, WireMsg, MAX_FRAME_LEN};
 use offload_pta::AbsLocId;
 use offload_runtime::{ControlMsg, ExecHost, HostError, ItemPayload, Machine};
-use std::collections::VecDeque;
-use std::io::{self, IoSlice, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
 /// Bytes requested from the socket per buffered read.
 const READ_CHUNK: usize = 16 * 1024;
 
-/// A framed, request-counting TCP connection with buffered reads and
-/// optionally coalesced writes.
+/// A framed, request-counting TCP connection with buffered reads.
 pub struct Conn {
     stream: TcpStream,
     next_id: u64,
     /// Fault injection: abort the connection after this many more frames
     /// (sent + received). Used by tests to kill a server mid-run.
     frame_budget: Option<u64>,
-    /// On-wire bytes written (frame length prefixes included); queued
-    /// reply bytes count as soon as they are accepted for sending.
+    /// On-wire bytes written (frame length prefixes included).
     bytes_sent: u64,
     /// On-wire bytes read (frame length prefixes included); buffered
     /// bytes count as soon as they arrive, parsed or not.
@@ -41,13 +34,6 @@ pub struct Conn {
     /// Unparsed inbound bytes; `rpos` marks how much is already consumed.
     rbuf: Vec<u8>,
     rpos: usize,
-    /// When set, outbound frames queue in `wqueue` for a vectored flush
-    /// instead of writing through immediately (reactor mode).
-    coalesce: bool,
-    /// Encoded-but-unflushed outbound frames; `wpos` marks how much of
-    /// the front frame is already on the wire.
-    wqueue: VecDeque<Vec<u8>>,
-    wpos: usize,
 }
 
 impl Conn {
@@ -74,13 +60,10 @@ impl Conn {
             bytes_received: 0,
             rbuf: Vec::new(),
             rpos: 0,
-            coalesce: false,
-            wqueue: VecDeque::new(),
-            wpos: 0,
         })
     }
 
-    /// On-wire bytes this connection has sent (or queued) so far.
+    /// On-wire bytes this connection has sent so far.
     pub fn bytes_sent(&self) -> u64 {
         self.bytes_sent
     }
@@ -153,7 +136,8 @@ impl Conn {
     }
 
     /// Reads once from the socket into the buffer. Returns the byte
-    /// count (0 = peer closed); WouldBlock/TimedOut pass through raw.
+    /// count (0 = peer closed); a passed deadline passes through raw
+    /// (`WouldBlock` or `TimedOut`, by platform).
     fn fill_read_buf(&mut self) -> io::Result<usize> {
         if self.rpos == self.rbuf.len() {
             self.rbuf.clear();
@@ -177,15 +161,11 @@ impl Conn {
         }
     }
 
-    /// Encodes and sends (or, in reactor mode, queues) one frame.
+    /// Encodes and sends one frame.
     fn write_msg(&mut self, frame: &WireFrame) -> Result<(), NetError> {
         let kind = frame.msg.kind();
         let bytes = encode_frame(frame);
         self.bytes_sent += bytes.len() as u64;
-        if self.coalesce {
-            self.wqueue.push_back(bytes);
-            return Ok(());
-        }
         self.stream
             .write_all(&bytes)
             .map_err(|e| NetError::io(format!("sending {kind}"), e))
@@ -240,137 +220,6 @@ impl Conn {
                 Err(e) => return Err(NetError::io("reading frame length", e)),
             }
         }
-    }
-
-    /// Polls a reactor-mode connection for one complete frame without
-    /// ever blocking; `Ok(None)` means the socket ran dry first.
-    ///
-    /// Bytes are accumulated in the connection's read buffer, so a dry
-    /// poll loses nothing: a frame that arrives byte-by-byte is picked up
-    /// where it left off by the next poll, and a peer that stalls
-    /// mid-frame costs the caller nothing.
-    ///
-    /// # Errors
-    ///
-    /// Transport failures (including the peer closing the socket, which
-    /// surfaces as an unexpected-EOF I/O error) and malformed frames.
-    #[cfg(target_os = "linux")]
-    pub(crate) fn poll_frame(&mut self) -> Result<Option<WireFrame>, NetError> {
-        let mut dry = false;
-        loop {
-            if let Some(frame) = self.try_parse_frame()? {
-                self.spend_frame()?;
-                return Ok(Some(frame));
-            }
-            if dry {
-                return Ok(None);
-            }
-            match self.fill_read_buf() {
-                Ok(0) => {
-                    return Err(NetError::io(
-                        "polling frame",
-                        io::Error::new(io::ErrorKind::UnexpectedEof, "peer closed the connection"),
-                    ))
-                }
-                // A short read emptied the kernel buffer: no frame beyond
-                // what is now buffered can appear until more bytes
-                // arrive, and the arrival itself re-announces the socket
-                // as an edge event — skip the confirming would-block read.
-                Ok(n) => dry = n < READ_CHUNK,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(None),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(NetError::io("polling frame", e)),
-            }
-        }
-    }
-
-    /// Switches into reactor mode: the socket goes nonblocking and
-    /// replies queue for vectored flushes.
-    #[cfg(target_os = "linux")]
-    pub(crate) fn enter_reactor_mode(&mut self) -> Result<(), NetError> {
-        self.stream
-            .set_nonblocking(true)
-            .map_err(|e| NetError::io("entering reactor mode", e))?;
-        self.coalesce = true;
-        Ok(())
-    }
-
-    /// Switches into session mode for a dedicated blocking thread: the
-    /// socket goes blocking under the deadlines [`Conn::new`] armed, and
-    /// any replies still queued are flushed.
-    pub(crate) fn enter_session_mode(&mut self) -> Result<(), NetError> {
-        self.coalesce = false;
-        self.stream
-            .set_nonblocking(false)
-            .map_err(|e| NetError::io("entering session mode", e))?;
-        if self.flush_writes()? {
-            Ok(())
-        } else {
-            Err(NetError::io(
-                "flushing replies",
-                io::Error::new(io::ErrorKind::TimedOut, "write deadline expired mid-flush"),
-            ))
-        }
-    }
-
-    /// Encoded frames queued but not yet fully flushed.
-    #[cfg(target_os = "linux")]
-    pub(crate) fn pending_frames(&self) -> usize {
-        self.wqueue.len()
-    }
-
-    /// Flushes queued frames with vectored writes until done or the
-    /// socket pushes back. `Ok(false)` means a nonblocking socket would
-    /// block (or a blocking write timed out) with bytes still queued.
-    ///
-    /// # Errors
-    ///
-    /// Transport failures.
-    pub(crate) fn flush_writes(&mut self) -> Result<bool, NetError> {
-        while !self.wqueue.is_empty() {
-            let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(self.wqueue.len());
-            for (i, buf) in self.wqueue.iter().enumerate() {
-                slices.push(IoSlice::new(if i == 0 { &buf[self.wpos..] } else { buf }));
-            }
-            match self.stream.write_vectored(&slices) {
-                Ok(0) => {
-                    return Err(NetError::io(
-                        "flushing replies",
-                        io::Error::new(io::ErrorKind::WriteZero, "socket accepted no bytes"),
-                    ))
-                }
-                Ok(mut n) => {
-                    while n > 0 {
-                        let front_left =
-                            self.wqueue.front().expect("queue non-empty").len() - self.wpos;
-                        if n >= front_left {
-                            self.wqueue.pop_front();
-                            self.wpos = 0;
-                            n -= front_left;
-                        } else {
-                            self.wpos += n;
-                            n = 0;
-                        }
-                    }
-                }
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    return Ok(false)
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(NetError::io("flushing replies", e)),
-            }
-        }
-        Ok(true)
-    }
-
-    /// The raw fd, for reactor registration.
-    #[cfg(target_os = "linux")]
-    pub(crate) fn raw_fd(&self) -> i32 {
-        use std::os::unix::io::AsRawFd;
-        self.stream.as_raw_fd()
     }
 }
 

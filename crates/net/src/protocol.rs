@@ -29,7 +29,6 @@ use offload_runtime::{
     ControlMsg, Frame, Host, ItemPayload, Ledger, ObjEntry, ObjKey, PendingAction, RunStats, Value,
 };
 use offload_tcfg::SegmentId;
-use std::io::{Read, Write};
 
 /// Protocol version; bumped on any incompatible framing change.
 /// (v2: `HelloAck` carries the server's analysis `PipelineStats`;
@@ -67,8 +66,10 @@ use std::io::{Read, Write};
 /// v11: [`WireMsg::HelloAck`] carries only `server_time_us`. The server's
 /// analysis counters reach clients through the metrics registry alone
 /// (`pipeline.<name>` in a [`WireMsg::StatsReport`]), so no counter
-/// change touches the protocol.)
-pub const PROTOCOL_VERSION: u8 = 11;
+/// change touches the protocol;
+/// v12: [`SlowRequest`] drops `queue_us`, which is always 0 now that each
+/// connection has its own thread and no frame waits in a worker queue.)
+pub const PROTOCOL_VERSION: u8 = 12;
 
 /// Upper bound on a single frame's payload (a corruption guard, not a
 /// tight limit).
@@ -405,7 +406,6 @@ fn put_metrics_snapshot(buf: &mut Vec<u8>, s: &MetricsSnapshot) {
 fn put_slow(buf: &mut Vec<u8>, s: &SlowRequest) {
     put_uv(buf, s.trace_id);
     put_uv(buf, s.batch_points as u64);
-    put_uv(buf, s.queue_us);
     put_uv(buf, s.select_us);
     put_uv(buf, s.reply_us);
     put_uv(buf, s.total_us);
@@ -681,7 +681,6 @@ impl<'a> Cursor<'a> {
         Ok(SlowRequest {
             trace_id: self.uv()?,
             batch_points: self.u32v()?,
-            queue_us: self.uv()?,
             select_us: self.uv()?,
             reply_us: self.uv()?,
             total_us: self.uv()?,
@@ -1018,64 +1017,6 @@ pub fn decode_frame(payload: &[u8]) -> Result<WireFrame, NetError> {
         return Err(NetError::protocol("trailing bytes in frame"));
     }
     Ok(WireFrame { request_id, msg })
-}
-
-/// Writes one frame to a stream.
-///
-/// # Errors
-///
-/// I/O failures (including write-deadline expiry).
-pub fn write_frame(w: &mut impl Write, frame: &WireFrame) -> Result<u64, NetError> {
-    let bytes = encode_frame(frame);
-    w.write_all(&bytes)
-        .and_then(|()| w.flush())
-        .map_err(|e| NetError::io(format!("sending {}", frame.msg.kind()), e))?;
-    Ok(bytes.len() as u64)
-}
-
-/// Reads one frame from a stream.
-///
-/// # Errors
-///
-/// I/O failures (including read-deadline expiry), oversized frames and
-/// malformed payloads.
-pub fn read_frame(r: &mut impl Read) -> Result<WireFrame, NetError> {
-    read_frame_counted(r).map(|(frame, _)| frame)
-}
-
-/// Like [`read_frame`], additionally returning the on-wire size of the
-/// frame (length prefix plus payload) for transfer accounting.
-///
-/// # Errors
-///
-/// See [`read_frame`].
-pub fn read_frame_counted(r: &mut impl Read) -> Result<(WireFrame, u64), NetError> {
-    let mut prefix = 0u64;
-    let mut len = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let mut b = [0u8; 1];
-        r.read_exact(&mut b)
-            .map_err(|e| NetError::io("reading frame length", e))?;
-        prefix += 1;
-        if shift >= 64 {
-            return Err(NetError::protocol("frame length varint overflow"));
-        }
-        len |= ((b[0] & 0x7f) as u64) << shift;
-        if b[0] & 0x80 == 0 {
-            break;
-        }
-        shift += 7;
-    }
-    if len > MAX_FRAME_LEN {
-        return Err(NetError::protocol(format!(
-            "frame of {len} bytes exceeds limit"
-        )));
-    }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)
-        .map_err(|e| NetError::io("reading frame payload", e))?;
-    decode_frame(&payload).map(|frame| (frame, prefix + len))
 }
 
 /// A stable fingerprint of a compiled analysis (FNV-1a over the program

@@ -5,15 +5,19 @@
 //! * **the dispatch service** — [`WireMsg::AnalyzeProgram`] (analyze a
 //!   program, or find it in the sharded [`PlanCache`]) and
 //!   [`WireMsg::DispatchBatch`] (select a partitioning choice for many
-//!   parameter points in one round trip). On Linux, connections are
-//!   multiplexed over a small worker pool by the `epoll` reactor (see
-//!   [`crate::reactor`]), which wakes a worker only when a connection has
-//!   bytes ready. Elsewhere each connection gets one blocking thread.
-//!   Both planes answer every frame with [`handle_dispatch_frame`], so
-//!   they speak bit-identical protocol.
-//! * **offloaded execution** — a [`WireMsg::Hello`] moves the connection
-//!   onto a dedicated session thread ([`serve_session`]) that runs the
-//!   server half of the partitioned executor.
+//!   parameter points in one round trip);
+//! * **offloaded execution** — a [`WireMsg::Hello`] turns the connection
+//!   into a session that runs the server half of the partitioned
+//!   executor.
+//!
+//! There is one I/O plane on every platform: an accept thread blocks in
+//! `accept` and gives each admitted connection one blocking thread
+//! ([`serve_connection`]), which answers frames until a `Hello` (the
+//! session then runs on that same thread), a `Bye`, an error, or the
+//! request deadline. A slow analysis therefore holds only its own
+//! connection's thread, never another connection's dispatch. Threads are
+//! bounded by [`ServerConfig::max_connections`], and sockets never change
+//! mode.
 //!
 //! The frame handler is also the server's observability plane: every
 //! dispatch frame updates always-on `net.server.*` counters, gauges and
@@ -33,11 +37,16 @@ use offload_core::{Analysis, AnalysisOptions, Plan};
 use offload_obs::{Counter, FieldValue, Gauge, Histogram, MetricsSnapshot, SpanGuard};
 use offload_pta::AbsLocId;
 use offload_runtime::{DeviceModel, Host, Machine, Outcome, Runner};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::ErrorKind;
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// How long shutdown's wake-up connect may take before shutdown gives up
+/// on joining the accept thread.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Server tuning knobs. Construct with [`ServerConfig::builder`]:
 ///
@@ -45,10 +54,9 @@ use std::time::{Duration, Instant};
 /// use offload_net::ServerConfig;
 ///
 /// let config = ServerConfig::builder()
-///     .threads(2)
 ///     .max_connections(256)
 ///     .build();
-/// assert_eq!(config.dispatch_threads, 2);
+/// assert_eq!(config.max_connections, 256);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -59,10 +67,9 @@ pub struct ServerConfig {
     /// Fault injection for tests: each session's connection dies abruptly
     /// after this many frames.
     pub fail_after_frames: Option<u64>,
-    /// Reactor worker threads multiplexing the dispatch connections. Has
-    /// no effect off Linux, where each connection gets its own thread.
-    pub dispatch_threads: usize,
-    /// Connections beyond this are refused at accept.
+    /// Connections beyond this are refused at accept. Each admitted
+    /// connection holds one thread, so this also bounds the server's
+    /// connection threads.
     pub max_connections: usize,
     /// Slowest dispatch batches retained for `StatsReport` forensics
     /// (0 disables retention).
@@ -74,7 +81,6 @@ impl Default for ServerConfig {
         ServerConfig {
             request_timeout: Some(Duration::from_secs(60)),
             fail_after_frames: None,
-            dispatch_threads: 4,
             max_connections: 1024,
             slow_ring: 16,
         }
@@ -98,13 +104,17 @@ pub struct ServerConfigBuilder {
 }
 
 impl ServerConfigBuilder {
-    /// Sets the reactor worker-pool size (clamped to at least 1).
-    pub fn threads(mut self, n: usize) -> Self {
-        self.config.dispatch_threads = n.max(1);
+    /// Does nothing. The server has no worker pool to size: each
+    /// connection gets its own thread, and
+    /// [`ServerConfigBuilder::max_connections`] bounds them.
+    #[deprecated(
+        note = "a no-op: each connection has its own thread; bound them with `max_connections`"
+    )]
+    pub fn threads(self, _n: usize) -> Self {
         self
     }
 
-    /// Sets the accepted-connection cap.
+    /// Sets the accepted-connection cap (at least 1).
     pub fn max_connections(mut self, n: usize) -> Self {
         self.config.max_connections = n.max(1);
         self
@@ -139,7 +149,7 @@ impl ServerConfigBuilder {
 /// registry mutex. Counters and histograms are cumulative across every
 /// server in the process (the registry is process-wide); the gauges are
 /// kept correct by paired increments/decrements.
-pub(crate) struct ServerMetrics {
+struct ServerMetrics {
     batches: Arc<Counter>,
     dispatch_points: Arc<Counter>,
     analyze_requests: Arc<Counter>,
@@ -147,11 +157,10 @@ pub(crate) struct ServerMetrics {
     dispatch_errors: Arc<Counter>,
     analyze_errors: Arc<Counter>,
     protocol_errors: Arc<Counter>,
-    pub(crate) idle_reaped: Arc<Counter>,
-    pub(crate) active_connections: Arc<Gauge>,
+    idle_reaped: Arc<Counter>,
+    active_connections: Arc<Gauge>,
     session_threads: Arc<Gauge>,
     batch_points: Arc<Histogram>,
-    queue_us: Arc<Histogram>,
     select_us: Arc<Histogram>,
     reply_us: Arc<Histogram>,
     batch_us: Arc<Histogram>,
@@ -171,7 +180,6 @@ impl ServerMetrics {
             active_connections: offload_obs::gauge("net.server.active_connections"),
             session_threads: offload_obs::gauge("net.server.session_threads"),
             batch_points: offload_obs::histogram("net.server.batch_points"),
-            queue_us: offload_obs::histogram("net.server.queue_us"),
             select_us: offload_obs::histogram("net.server.select_us"),
             reply_us: offload_obs::histogram("net.server.reply_us"),
             batch_us: offload_obs::histogram("net.server.batch_us"),
@@ -179,39 +187,63 @@ impl ServerMetrics {
     }
 }
 
-/// Everything the I/O plane and the session threads share.
-pub(crate) struct Service {
+/// Everything the accept thread and the connection threads share.
+struct Service {
     analysis: Arc<Analysis>,
     device: DeviceModel,
-    pub(crate) config: ServerConfig,
+    config: ServerConfig,
     cache: PlanCache,
-    pub(crate) stop: AtomicBool,
-    pub(crate) conns: AtomicUsize,
-    pub(crate) metrics: ServerMetrics,
+    stop: AtomicBool,
+    conns: AtomicUsize,
+    metrics: ServerMetrics,
     slow: SlowRing,
 }
 
-impl Service {
-    /// Admits an accepted stream under the connection cap and takes a
-    /// connection slot for it. `None` refuses the stream by dropping it:
-    /// the client sees EOF and heals with its local fallback.
-    pub(crate) fn admit(&self, stream: TcpStream) -> Option<Conn> {
-        if self.conns.load(Ordering::SeqCst) >= self.config.max_connections {
+/// One connection slot under [`ServerConfig::max_connections`], taken at
+/// accept. Dropping it frees the slot, so the slot is freed however the
+/// connection's thread ends, a panic included, and also when no thread
+/// could be started for it.
+struct ConnSlot {
+    svc: Arc<Service>,
+    /// Set once a `Hello` made the connection a session.
+    session: bool,
+}
+
+impl ConnSlot {
+    /// Admits an accepted stream under the connection cap. `None` refuses
+    /// the stream by dropping it: the client sees EOF and heals with its
+    /// local fallback.
+    fn admit(svc: &Arc<Service>, stream: TcpStream) -> Option<(Conn, ConnSlot)> {
+        if svc.conns.load(Ordering::SeqCst) >= svc.config.max_connections {
             return None;
         }
-        let mut conn = Conn::new(stream, self.config.request_timeout).ok()?;
-        if let Some(n) = self.config.fail_after_frames {
+        let mut conn = Conn::new(stream, svc.config.request_timeout).ok()?;
+        if let Some(n) = svc.config.fail_after_frames {
             conn.fail_after_frames(n);
         }
-        self.conns.fetch_add(1, Ordering::SeqCst);
-        self.metrics.active_connections.add(1);
-        Some(conn)
+        svc.conns.fetch_add(1, Ordering::SeqCst);
+        svc.metrics.active_connections.add(1);
+        let slot = ConnSlot {
+            svc: Arc::clone(svc),
+            session: false,
+        };
+        Some((conn, slot))
     }
 
-    /// Releases one connection slot.
-    pub(crate) fn release_conn(&self) {
-        self.conns.fetch_sub(1, Ordering::SeqCst);
-        self.metrics.active_connections.add(-1);
+    /// Counts the connection as a session until its slot is freed.
+    fn promote(&mut self) {
+        self.svc.metrics.session_threads.add(1);
+        self.session = true;
+    }
+}
+
+impl Drop for ConnSlot {
+    fn drop(&mut self) {
+        if self.session {
+            self.svc.metrics.session_threads.add(-1);
+        }
+        self.svc.conns.fetch_sub(1, Ordering::SeqCst);
+        self.svc.metrics.active_connections.add(-1);
     }
 }
 
@@ -220,65 +252,26 @@ pub struct OffloadServer;
 
 impl OffloadServer {
     /// Binds a listener (use port 0 for an OS-assigned port), starts the
-    /// I/O plane, and returns a handle for address discovery, cache
-    /// stats, and shutdown. On Linux the plane is the `epoll` reactor and
-    /// its [`ServerConfig::dispatch_threads`] workers; elsewhere it is an
-    /// accept thread that gives each connection one blocking thread. The
-    /// primary `analysis` is pre-registered in the plan cache, so clients
-    /// that share the build can send [`WireMsg::DispatchBatch`] (or
-    /// [`WireMsg::Hello`]) against its fingerprint without an
-    /// [`WireMsg::AnalyzeProgram`] first.
+    /// accept thread, and returns a handle for address discovery, cache
+    /// stats, and shutdown. Each admitted connection gets one blocking
+    /// thread. The primary `analysis` is pre-registered in the plan
+    /// cache, so clients that share the build can send
+    /// [`WireMsg::DispatchBatch`] (or [`WireMsg::Hello`]) against its
+    /// fingerprint without an [`WireMsg::AnalyzeProgram`] first.
     ///
     /// # Errors
     ///
-    /// Bind failures.
+    /// Bind failures, and failing to start the accept thread.
     pub fn bind(
         addr: impl ToSocketAddrs,
         analysis: Arc<Analysis>,
         device: DeviceModel,
         config: ServerConfig,
     ) -> Result<ServerHandle, NetError> {
-        let (listener, mut server) = ServerHandle::listen(addr, analysis, device, config)?;
-        #[cfg(target_os = "linux")]
-        {
-            let (reactor, workers) = crate::reactor::spawn(listener, Arc::clone(&server.service))?;
-            server.reactor = Some(reactor);
-            server.threads = workers;
-        }
-        #[cfg(not(target_os = "linux"))]
-        server
-            .threads
-            .push(spawn_acceptor(listener, Arc::clone(&server.service)));
-        Ok(server)
-    }
-}
-
-/// A running server: its address, cache stats, and a shutdown switch.
-pub struct ServerHandle {
-    addr: SocketAddr,
-    service: Arc<Service>,
-    /// The plane's own threads: reactor workers, or the accept thread.
-    threads: Vec<JoinHandle<()>>,
-    #[cfg(target_os = "linux")]
-    reactor: Option<Arc<crate::reactor::ReactorShared>>,
-}
-
-impl ServerHandle {
-    /// Binds a nonblocking listener and builds the shared service, with
-    /// no plane running yet.
-    fn listen(
-        addr: impl ToSocketAddrs,
-        analysis: Arc<Analysis>,
-        device: DeviceModel,
-        config: ServerConfig,
-    ) -> Result<(TcpListener, ServerHandle), NetError> {
         let listener = TcpListener::bind(addr).map_err(|e| NetError::io("binding listener", e))?;
         let addr = listener
             .local_addr()
             .map_err(|e| NetError::io("reading bound address", e))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| NetError::io("setting listener nonblocking", e))?;
         let cache = PlanCache::default();
         cache.register(Arc::clone(&analysis));
         let slow = SlowRing::new(config.slow_ring);
@@ -292,18 +285,25 @@ impl ServerHandle {
             metrics: ServerMetrics::new(),
             slow,
         });
-        Ok((
-            listener,
-            ServerHandle {
-                addr,
-                service,
-                threads: Vec::new(),
-                #[cfg(target_os = "linux")]
-                reactor: None,
-            },
-        ))
+        let acceptor = spawn_acceptor(listener, Arc::clone(&service))
+            .map_err(|e| NetError::io("starting the accept thread", e))?;
+        Ok(ServerHandle {
+            addr,
+            service,
+            threads: vec![acceptor],
+        })
     }
+}
 
+/// A running server: its address, cache stats, and a shutdown switch.
+pub struct ServerHandle {
+    addr: SocketAddr,
+    service: Arc<Service>,
+    /// The accept thread; empty once shutdown has joined it.
+    threads: Vec<JoinHandle<()>>,
+}
+
+impl ServerHandle {
     /// The bound address (resolves port 0 to the real port).
     pub fn addr(&self) -> SocketAddr {
         self.addr
@@ -314,17 +314,20 @@ impl ServerHandle {
         self.service.cache.stats()
     }
 
-    /// Stops accepting connections and joins the plane's threads. The
-    /// reactor drops every connection it still holds; sessions, and off
-    /// Linux the connection threads, finish on their own threads.
+    /// Stops accepting connections and joins the accept thread, whose
+    /// exit closes the listener. Connection threads, sessions included,
+    /// finish on their own: each ends at its next frame, its `Bye`, or
+    /// its request deadline, so shutdown never waits on a client.
     pub fn shutdown(&mut self) {
         self.service.stop.store(true, Ordering::SeqCst);
-        #[cfg(target_os = "linux")]
-        if let Some(reactor) = &self.reactor {
-            reactor.wake();
-        }
-        for h in self.threads.drain(..) {
-            let _ = h.join();
+        for acceptor in self.threads.drain(..) {
+            // The accept thread blocks in `accept`; one connect wakes it
+            // to see the stop flag. If even that connect fails, the
+            // thread is left to exit at its next accept rather than hang
+            // shutdown.
+            if TcpStream::connect_timeout(&wake_addr(self.addr), WAKE_TIMEOUT).is_ok() {
+                let _ = acceptor.join();
+            }
         }
     }
 }
@@ -335,65 +338,83 @@ impl Drop for ServerHandle {
     }
 }
 
-/// The off-Linux plane: accepts until shutdown, giving each admitted
-/// connection one blocking thread. The listener is nonblocking so the
-/// stop flag is polled between accepts. Connection threads are detached,
-/// like session threads, so shutdown never waits on a client.
-#[cfg(any(test, not(target_os = "linux")))]
-fn spawn_acceptor(listener: TcpListener, svc: Arc<Service>) -> JoinHandle<()> {
-    std::thread::spawn(move || {
-        while !svc.stop.load(Ordering::SeqCst) {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    if let Some(conn) = svc.admit(stream) {
-                        let svc = Arc::clone(&svc);
-                        std::thread::spawn(move || serve_connection(conn, &svc));
-                    }
+/// Where shutdown connects to wake the accept thread: the bound address,
+/// with an unspecified IP (`0.0.0.0`, `::`) mapped to loopback.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
+}
+
+/// Accepts until shutdown, giving each admitted connection one blocking
+/// thread. Connection threads are detached, so shutdown never waits on a
+/// client.
+fn spawn_acceptor(listener: TcpListener, svc: Arc<Service>) -> std::io::Result<JoinHandle<()>> {
+    std::thread::Builder::new().spawn(move || loop {
+        let accepted = listener.accept();
+        // Shutdown's wake-up connect, or a client that raced it: either
+        // way the stream is dropped unserved.
+        if svc.stop.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
+            Ok((stream, _)) => {
+                if let Some((conn, slot)) = ConnSlot::admit(&svc, stream) {
+                    // A thread that cannot start drops its closure, and
+                    // with it the slot and the socket.
+                    let _ = std::thread::Builder::new().spawn(move || serve_connection(conn, slot));
                 }
-                // Nothing to accept yet, or an accept error that would
-                // repeat at once (fd exhaustion): back off.
-                Err(_) => std::thread::sleep(Duration::from_millis(5)),
             }
+            // An accept error that would repeat at once (fd exhaustion):
+            // back off.
+            Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
     })
 }
 
-/// One connection's thread on the off-Linux plane: answers dispatch
-/// frames until a `Hello` (whose session then runs on this same thread),
-/// a `Bye`, an error, or a request deadline passing with no frame.
-#[cfg(any(test, not(target_os = "linux")))]
-fn serve_connection(mut conn: Conn, svc: &Service) {
-    use std::io::ErrorKind;
-    // Session mode is blocking mode; on some platforms an accepted
-    // socket inherits the listener's `O_NONBLOCK`.
-    if conn.enter_session_mode().is_ok() {
-        while !svc.stop.load(Ordering::SeqCst) {
-            match conn.recv() {
-                Ok(frame) => match handle_dispatch_frame(&mut conn, frame, svc, 0) {
-                    Ok(Disposition::Pooled) => continue,
-                    Ok(Disposition::Promote(hello)) => return serve_session(conn, *hello, svc),
-                    Ok(Disposition::Close) | Err(_) => {}
-                },
-                Err(NetError::Io { source, .. })
-                    if matches!(source.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) =>
-                {
-                    svc.metrics.idle_reaped.inc();
+/// One connection's thread: answers dispatch frames until a `Hello`
+/// (whose session then runs on this same thread), a `Bye`, an error, or a
+/// request deadline passing with no frame.
+fn serve_connection(conn: Conn, slot: ConnSlot) {
+    // Rebound in this order so that `slot` drops before `conn`, also when
+    // a panic unwinds the thread: the slot is free by the time the peer
+    // sees the socket close.
+    let mut conn = conn;
+    let mut slot = slot;
+    let svc = Arc::clone(&slot.svc);
+    while !svc.stop.load(Ordering::SeqCst) {
+        match conn.recv() {
+            Ok(frame) => match handle_dispatch_frame(&mut conn, frame, &svc) {
+                Ok(Disposition::Continue) => continue,
+                Ok(Disposition::Promote(hello)) => {
+                    slot.promote();
+                    // A failed session must not take the daemon down; the
+                    // client heals by falling back.
+                    let _ = run_session(&mut conn, *hello, &svc);
                 }
-                Err(_) => {}
+                Ok(Disposition::Close) | Err(_) => {}
+            },
+            Err(NetError::Io { source, .. })
+                if matches!(source.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) =>
+            {
+                svc.metrics.idle_reaped.inc();
             }
-            break;
+            Err(_) => {}
         }
+        break;
     }
-    svc.release_conn();
 }
 
 /// What a handled frame means for the connection's future.
-pub(crate) enum Disposition {
-    /// Keep serving the connection on its plane.
-    Pooled,
-    /// A `Hello` arrived: hand the connection to [`serve_session`].
-    /// Boxed: a `WireFrame` (now carrying full stats reports) dwarfs the
-    /// other variants.
+enum Disposition {
+    /// Keep answering frames.
+    Continue,
+    /// A `Hello` arrived: run its session on this connection. Boxed: a
+    /// `WireFrame`, which can carry a full stats report, dwarfs the other
+    /// variants.
     Promote(Box<WireFrame>),
     /// Orderly or errored end: drop the connection.
     Close,
@@ -401,12 +422,7 @@ pub(crate) enum Disposition {
 
 /// Opens a trace-tagged server span when the frame asks for one (and
 /// recording is on); a disabled guard otherwise.
-fn trace_span(
-    name: &'static str,
-    trace: crate::protocol::TraceContext,
-    queue_us: u64,
-    points: u64,
-) -> SpanGuard {
+fn trace_span(name: &'static str, trace: crate::protocol::TraceContext, points: u64) -> SpanGuard {
     if trace.is_sampled() && offload_obs::enabled() {
         offload_obs::begin_span(
             "net",
@@ -414,7 +430,6 @@ fn trace_span(
             vec![
                 ("trace_id", FieldValue::from(trace.trace_id)),
                 ("parent_span_id", FieldValue::from(trace.parent_span_id)),
-                ("queue_us", FieldValue::from(queue_us)),
                 ("points", FieldValue::from(points)),
             ],
         )
@@ -423,23 +438,18 @@ fn trace_span(
     }
 }
 
-/// Answers one dispatch-service frame, on either plane.
-///
-/// `queue_us` is the wait between the connection's readiness and the
-/// reactor drain that reads this frame (nonzero only for a drain's first
-/// frame; always 0 off Linux, where no worker queue exists).
-pub(crate) fn handle_dispatch_frame(
+/// Answers one dispatch-service frame.
+fn handle_dispatch_frame(
     conn: &mut Conn,
     frame: WireFrame,
     svc: &Service,
-    queue_us: u64,
 ) -> Result<Disposition, NetError> {
     match frame.msg {
         WireMsg::Hello { .. } => Ok(Disposition::Promote(Box::new(frame))),
         WireMsg::Bye => Ok(Disposition::Close),
         WireMsg::AnalyzeProgram { source, trace } => {
             svc.metrics.analyze_requests.inc();
-            let mut span = trace_span("server_analyze", trace, queue_us, 0);
+            let mut span = trace_span("server_analyze", trace, 0);
             match svc.cache.analyze(&source, AnalysisOptions::default()) {
                 Ok((analysis, fp, cache_hit)) => {
                     span.record("cache_hit", cache_hit);
@@ -460,7 +470,7 @@ pub(crate) fn handle_dispatch_frame(
                     conn.reply(frame.request_id, WireMsg::Error(e.to_string()))?;
                 }
             }
-            Ok(Disposition::Pooled)
+            Ok(Disposition::Continue)
         }
         WireMsg::DispatchBatch {
             fingerprint: fp,
@@ -472,8 +482,7 @@ pub(crate) fn handle_dispatch_frame(
             m.batches.inc();
             m.dispatch_points.add(points.len() as u64);
             m.batch_points.record(points.len() as u64);
-            m.queue_us.record(queue_us);
-            let mut batch_span = trace_span("server_batch", trace, queue_us, points.len() as u64);
+            let mut batch_span = trace_span("server_batch", trace, points.len() as u64);
             let lookup = svc.cache.lookup(fp);
             let cache_hit = lookup.is_some();
             let Some(analysis) = lookup else {
@@ -482,13 +491,13 @@ pub(crate) fn handle_dispatch_frame(
                     frame.request_id,
                     WireMsg::Error(format!("no cached analysis with fingerprint {fp:#018x}")),
                 )?;
-                return Ok(Disposition::Pooled);
+                return Ok(Disposition::Continue);
             };
             let select_start = Instant::now();
             let mut choices = Vec::with_capacity(points.len());
             let mut failed = None;
             {
-                let _dispatch_span = trace_span("server_dispatch", trace, 0, points.len() as u64);
+                let _dispatch_span = trace_span("server_dispatch", trace, points.len() as u64);
                 for point in &points {
                     match analysis.select(point) {
                         Ok(c) => choices.push(c as u32),
@@ -513,19 +522,18 @@ pub(crate) fn handle_dispatch_frame(
             }
             let reply_us = reply_start.elapsed().as_micros() as u64;
             m.reply_us.record(reply_us);
-            let total_us = queue_us + start.elapsed().as_micros() as u64;
+            let total_us = start.elapsed().as_micros() as u64;
             m.batch_us.record(total_us);
             batch_span.record("total_us", total_us);
             svc.slow.offer(SlowRequest {
                 trace_id: trace.trace_id,
                 batch_points: points.len() as u32,
-                queue_us,
                 select_us,
                 reply_us,
                 total_us,
                 cache_hit,
             });
-            Ok(Disposition::Pooled)
+            Ok(Disposition::Continue)
         }
         WireMsg::StatsRequest { client_time_us: _ } => {
             let recv_time_us = offload_obs::now_us();
@@ -542,40 +550,20 @@ pub(crate) fn handle_dispatch_frame(
                     send_time_us,
                 },
             )?;
-            Ok(Disposition::Pooled)
+            Ok(Disposition::Continue)
         }
         other => {
             svc.metrics.protocol_errors.inc();
-            let msg = format!("unexpected {} on a pooled connection", other.kind());
+            let msg = format!("unexpected {} on a dispatch connection", other.kind());
             let _ = conn.reply(frame.request_id, WireMsg::Error(msg.clone()));
             Err(NetError::protocol(msg))
         }
     }
 }
 
-/// Runs one promoted session to its end on the calling thread, then
-/// releases the connection slot — also when the session panics, so a
-/// hostile session cannot leak its slot under the connection cap.
-pub(crate) fn serve_session(mut conn: Conn, hello: WireFrame, svc: &Service) {
-    struct SessionSlot<'a>(&'a Service);
-    impl Drop for SessionSlot<'_> {
-        fn drop(&mut self) {
-            self.0.metrics.session_threads.add(-1);
-            self.0.release_conn();
-        }
-    }
-    svc.metrics.session_threads.add(1);
-    // Dropped before `conn`: the slot is free by the time the peer sees
-    // the socket close.
-    let _slot = SessionSlot(svc);
-    // A failed session must not take the daemon down; the client heals
-    // by falling back.
-    let _ = run_session(&mut conn, hello, svc);
-}
-
 /// One client session: finish the handshake (the `Hello` frame was
-/// already read by the plane), then alternate between serving the active
-/// client and running our own turns.
+/// already read by [`serve_connection`]), then alternate between serving
+/// the active client and running our own turns.
 fn run_session(conn: &mut Conn, hello: WireFrame, svc: &Service) -> Result<(), NetError> {
     let (analysis, choice, params, max_steps) = match hello.msg {
         WireMsg::Hello {
@@ -690,8 +678,8 @@ fn run_session(conn: &mut Conn, hello: WireFrame, svc: &Service) -> Result<(), N
 
 #[cfg(test)]
 mod tests {
-    //! The off-Linux thread-per-connection plane, bound directly so Linux
-    //! builds run it too.
+    //! The plane end to end on one server: dispatch, a session on a
+    //! connection's own thread, the request deadline, and shutdown.
 
     use super::*;
     use crate::protocol::encode_frame;
@@ -714,12 +702,9 @@ mod tests {
         let config = ServerConfig::builder()
             .request_timeout(Some(timeout))
             .build();
-        let (listener, mut server) =
-            ServerHandle::listen("127.0.0.1:0", analysis.clone(), device.clone(), config)
-                .expect("listen");
-        server
-            .threads
-            .push(spawn_acceptor(listener, Arc::clone(&server.service)));
+        let mut server =
+            OffloadServer::bind("127.0.0.1:0", analysis.clone(), device.clone(), config)
+                .expect("bind");
         let addr = server.addr().to_string();
 
         // Dispatch batches answer exactly like the local dispatcher.
@@ -782,5 +767,18 @@ mod tests {
             TcpStream::connect(&addr).is_err(),
             "listener outlived shutdown"
         );
+    }
+
+    #[test]
+    fn shutdown_wakes_an_unspecified_bind_through_loopback() {
+        for (bound, woken) in [
+            ("0.0.0.0:7070", "127.0.0.1:7070"),
+            ("[::]:7070", "[::1]:7070"),
+            ("10.1.2.3:7070", "10.1.2.3:7070"),
+            ("[::1]:7070", "[::1]:7070"),
+        ] {
+            let bound: SocketAddr = bound.parse().expect("address");
+            assert_eq!(wake_addr(bound), woken.parse().expect("address"));
+        }
     }
 }

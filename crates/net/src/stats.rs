@@ -19,8 +19,6 @@ pub struct SlowRequest {
     pub trace_id: u64,
     /// Points in the batch.
     pub batch_points: u32,
-    /// Worker-pool queue wait before the frame was picked up.
-    pub queue_us: u64,
     /// Plan-cache lookup plus choice selection for every point.
     pub select_us: u64,
     /// Encoding and writing the reply frame.

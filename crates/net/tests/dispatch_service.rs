@@ -49,7 +49,7 @@ fn start_server() -> (Arc<Analysis>, ServerHandle) {
         "127.0.0.1:0",
         analysis.clone(),
         DeviceModel::ipaq_testbed(),
-        ServerConfig::builder().threads(2).build(),
+        ServerConfig::default(),
     )
     .expect("server");
     (analysis, server)

@@ -201,7 +201,6 @@ fn arb_slow(rng: &mut Rng) -> SlowRequest {
     SlowRequest {
         trace_id: rng.next(),
         batch_points: rng.u32(100_000),
-        queue_us: rng.next() % 10_000_000,
         select_us: rng.next() % 10_000_000,
         reply_us: rng.next() % 10_000_000,
         total_us: rng.next() % 100_000_000,
@@ -387,9 +386,9 @@ fn put_name(buf: &mut Vec<u8>, name: &str) {
 #[test]
 fn v10_hello_ack_gets_version_mismatch() {
     // v10 sent the server's counters as (name, value) pairs and a span
-    // summary ahead of the timestamp; read as v11 the first pair's count
-    // would pass for `server_time_us`, so the version byte must turn the
-    // frame away before any body parsing.
+    // summary ahead of the timestamp; read by a later version the first
+    // pair's count would pass for `server_time_us`, so the version byte
+    // must turn the frame away before any body parsing.
     let mut payload = vec![10, 2, 5]; // version, HelloAck tag, request id
     put_uv(&mut payload, 2);
     for (name, value) in [("flow_solves", 3), ("lp_pivots", 40)] {
@@ -405,7 +404,7 @@ fn v10_hello_ack_gets_version_mismatch() {
     put_uv(&mut payload, 9); // server_time_us
     match decode_frame(&payload) {
         Err(NetError::VersionMismatch { ours, theirs }) => {
-            assert_eq!((ours, theirs), (11, 10));
+            assert_eq!((ours, theirs), (12, 10));
         }
         other => panic!("expected VersionMismatch, got {other:?}"),
     }

@@ -1,15 +1,16 @@
 //! Slow- and hostile-client robustness.
 //!
-//! These tests exist because the original thread-pool server could be
-//! pinned by a client that sent a frame slowly: a worker that had peeked
-//! a length prefix would block inside `recv` under the full request
-//! deadline. The buffered nonblocking `Conn` contract (partial frames
-//! park with `Ok(None)` and resume later) must hold:
+//! A server whose connections share worker threads can be pinned by one
+//! client: a worker that waits for a slow frame, or runs a slow
+//! analysis, serves no one else meanwhile. Each connection has its own
+//! thread here, so a slow or hostile client may cost its own thread and
+//! nothing more:
 //!
-//! * a byte-dribbling client's frame is reassembled correctly while a
-//!   single-worker server keeps serving a well-behaved client;
+//! * a byte-dribbling client's frame is reassembled correctly while the
+//!   server keeps serving a well-behaved client;
 //! * a client that stalls mid-frame makes no liveness progress and is
-//!   idle-reaped at the request timeout, without wedging a worker;
+//!   idle-reaped at the request timeout;
+//! * an analysis on one connection does not stall dispatch on another;
 //! * 200 connections that churn without a `Bye` leave no protocol or
 //!   dispatch errors behind;
 //! * a session that panics gives its connection slot back;
@@ -21,7 +22,7 @@
 //!   `MAX_PEER_SLOTS` peer-allocated slots gets an `Error` reply before
 //!   anything is allocated;
 //! * a program nested past the parser's cap is refused with an `Error`
-//!   reply instead of overflowing a worker's stack.
+//!   reply instead of overflowing a connection thread's stack.
 //!
 //! The metrics registry is process-global, so every test serializes on
 //! one mutex and reasons in counter deltas.
@@ -66,7 +67,7 @@ fn serialized() -> MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn start_server(threads: usize, request_timeout: Duration) -> (Arc<Analysis>, ServerHandle) {
+fn start_server(request_timeout: Duration) -> (Arc<Analysis>, ServerHandle) {
     let analysis =
         Arc::new(Analysis::from_source(PROGRAM, AnalysisOptions::default()).expect("analysis"));
     let server = OffloadServer::bind(
@@ -74,7 +75,6 @@ fn start_server(threads: usize, request_timeout: Duration) -> (Arc<Analysis>, Se
         analysis.clone(),
         DeviceModel::ipaq_testbed(),
         ServerConfig::builder()
-            .threads(threads)
             .request_timeout(Some(request_timeout))
             .build(),
     )
@@ -157,13 +157,13 @@ fn partitioned_choice(analysis: &Analysis) -> usize {
 }
 
 /// A client that dribbles its frame one byte at a time must be
-/// reassembled correctly — and with a single worker thread, a
-/// well-behaved client's dispatches must complete *while* the dribbler
-/// is still mid-frame (the dribbler may not pin the lone worker).
+/// reassembled correctly, and a well-behaved client's dispatches must
+/// complete *while* the dribbler is still mid-frame: the dribbler pins
+/// only its own connection's thread.
 #[test]
 fn byte_dribbling_client_does_not_pin_a_worker() {
     let _guard = serialized();
-    let (analysis, mut server) = start_server(1, Duration::from_secs(60));
+    let (analysis, mut server) = start_server(Duration::from_secs(60));
     let fp = fingerprint(&analysis);
     let points = vec![vec![5i64], vec![100_000]];
 
@@ -234,14 +234,14 @@ fn byte_dribbling_client_does_not_pin_a_worker() {
     server.shutdown();
 }
 
-/// A client that stalls mid-frame makes no liveness progress, so the
-/// idle reaper must drop it at the request timeout — and the lone worker
-/// must keep serving another client during the stall.
+/// A client that stalls mid-frame makes no liveness progress, so its
+/// connection must be dropped at the request timeout, and another client
+/// must be served during the stall.
 #[test]
 fn mid_frame_staller_is_reaped_at_request_timeout() {
     let _guard = serialized();
     let idle_reaped = offload_obs::counter("net.server.idle_reaped");
-    let (analysis, mut server) = start_server(1, Duration::from_millis(300));
+    let (analysis, mut server) = start_server(Duration::from_millis(300));
     let fp = fingerprint(&analysis);
     let reaped_before = idle_reaped.get();
 
@@ -253,7 +253,7 @@ fn mid_frame_staller_is_reaped_at_request_timeout() {
         .write_all(&frame[..frame.len() / 2])
         .expect("send half frame");
 
-    // Served during the stall: the staller never blocks the worker.
+    // Served during the stall: the staller blocks only its own thread.
     let mut live = client(&server);
     let choices = live.dispatch(fp, &[vec![42i64]]).expect("dispatch");
     assert_eq!(choices.len(), 1);
@@ -284,20 +284,71 @@ fn mid_frame_staller_is_reaped_at_request_timeout() {
     server.shutdown();
 }
 
-/// A client that pipelines far more frames than one fairness-capped
-/// drain handles must still get every reply: a kick park re-polls
-/// readiness even when `EPOLLOUT` is already armed, and an edge that
-/// fires mid-drain is honored rather than discarded, so buffered frames
-/// are never stranded until the idle reaper collects the connection.
+/// An analysis runs on its own connection's thread, so it cannot stall
+/// dispatch on another connection: while connection A waits for its
+/// `AnalyzeProgram` reply on rawcaudio's source (a second or more of
+/// pipeline in a debug build), connection B's `DispatchBatch` is
+/// answered. A flag set once A's reply arrives checks the order, so the
+/// test holds on any host speed.
+#[test]
+fn analysis_on_one_connection_does_not_stall_dispatch_on_another() {
+    let _guard = serialized();
+    let misses = offload_obs::counter("net.plan_cache.misses");
+    let (analysis, mut server) = start_server(Duration::from_secs(60));
+    let fp = fingerprint(&analysis);
+    let mut b = client(&server);
+    let misses_before = misses.get();
+
+    let analyzed = Arc::new(AtomicBool::new(false));
+    let analyzer = {
+        let analyzed = Arc::clone(&analyzed);
+        let mut a = client(&server);
+        std::thread::spawn(move || {
+            let reply = a.analyze(&offload_benchmarks::rawcaudio().source);
+            analyzed.store(true, Ordering::SeqCst);
+            a.close();
+            reply
+        })
+    };
+    // B dispatches once A's analysis is under way: the plan cache counts
+    // the miss just before it runs the pipeline.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while misses.get() == misses_before {
+        assert!(Instant::now() < deadline, "the analysis never started");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let choices = b.dispatch(fp, &[vec![42]]).expect("dispatch");
+    assert!(
+        !analyzed.load(Ordering::SeqCst),
+        "the dispatch was answered only after the analysis"
+    );
+    assert_eq!(
+        choices,
+        vec![analysis.select(&[42]).expect("select") as u32]
+    );
+    b.close();
+
+    // A's reply is the analysis outcome, not a transport failure.
+    match analyzer.join().expect("analyzer join") {
+        Ok(_) | Err(NetError::Remote(_)) => {}
+        Err(e) => panic!("the analyze request failed in transport: {e}"),
+    }
+    server.shutdown();
+}
+
+/// A client that pipelines hundreds of frames before it reads a reply
+/// must get every reply, in order: frames that one read buffers together
+/// are each answered, none stranded until the request deadline drops the
+/// connection.
 #[test]
 fn deep_pipelining_past_the_fairness_cap_drains_fully() {
     let _guard = serialized();
-    let (analysis, mut server) = start_server(1, Duration::from_secs(60));
+    let (analysis, mut server) = start_server(Duration::from_secs(60));
     let fp = fingerprint(&analysis);
     let mut c = client(&server);
 
-    // Several fairness-cap windows' worth of frames go on the wire
-    // before any reply is read.
+    // Many reads' worth of frames go on the wire before any reply is
+    // read.
     const FRAMES: usize = 300;
     let ids: Vec<u64> = (0..FRAMES)
         .map(|i| c.send_dispatch(fp, &[vec![i as i64]]).expect("send"))
@@ -321,14 +372,13 @@ fn deep_pipelining_past_the_fairness_cap_drains_fully() {
     server.shutdown();
 }
 
-/// Shutting down while clients are mid-dispatch must never hang: the
-/// first worker to exit drains the token table, and a worker caught
-/// mid-drain must release its connection instead of re-draining forever
-/// against the permanently missing token.
+/// Shutting down while clients are mid-dispatch must never hang: shutdown
+/// joins only the accept thread, and each connection's thread ends after
+/// the frame it is answering.
 #[test]
 fn shutdown_under_load_returns_promptly() {
     let _guard = serialized();
-    let (analysis, mut server) = start_server(4, Duration::from_secs(60));
+    let (analysis, mut server) = start_server(Duration::from_secs(60));
     let fp = fingerprint(&analysis);
     let addr = server.addr();
 
@@ -383,7 +433,7 @@ fn connection_churn_without_bye_leaves_no_errors() {
     let dispatch_points = offload_obs::counter("net.server.dispatch_points");
     let protocol_errors = offload_obs::counter("net.server.protocol_errors");
     let dispatch_errors = offload_obs::counter("net.server.dispatch_errors");
-    let (analysis, mut server) = start_server(2, Duration::from_secs(60));
+    let (analysis, mut server) = start_server(Duration::from_secs(60));
     let fp = fingerprint(&analysis);
     let points_before = dispatch_points.get();
     let proto_before = protocol_errors.get();
@@ -430,10 +480,7 @@ fn panicking_session_releases_its_connection_slot() {
         "127.0.0.1:0",
         analysis.clone(),
         DeviceModel::ipaq_testbed(),
-        ServerConfig::builder()
-            .threads(1)
-            .max_connections(1)
-            .build(),
+        ServerConfig::builder().max_connections(1).build(),
     )
     .expect("server");
     let fp = fingerprint(&analysis);
@@ -483,10 +530,7 @@ fn hostile_item_frames_get_error_replies() {
         "127.0.0.1:0",
         analysis.clone(),
         DeviceModel::ipaq_testbed(),
-        ServerConfig::builder()
-            .threads(1)
-            .max_connections(1)
-            .build(),
+        ServerConfig::builder().max_connections(1).build(),
     )
     .expect("server");
     let fp = fingerprint(&analysis);
@@ -547,10 +591,7 @@ fn control_validity_entries_past_the_tables_are_skipped() {
         "127.0.0.1:0",
         analysis.clone(),
         DeviceModel::ipaq_testbed(),
-        ServerConfig::builder()
-            .threads(1)
-            .max_connections(1)
-            .build(),
+        ServerConfig::builder().max_connections(1).build(),
     )
     .expect("server");
     let fp = fingerprint(&analysis);
@@ -611,10 +652,7 @@ fn control_dyn_table_past_the_slot_cap_is_refused() {
         "127.0.0.1:0",
         analysis.clone(),
         DeviceModel::ipaq_testbed(),
-        ServerConfig::builder()
-            .threads(1)
-            .max_connections(1)
-            .build(),
+        ServerConfig::builder().max_connections(1).build(),
     )
     .expect("server");
     let fp = fingerprint(&analysis);
@@ -661,15 +699,16 @@ fn control_dyn_table_past_the_slot_cap_is_refused() {
     server.shutdown();
 }
 
-/// A source nested a thousand parentheses deep would overflow a reactor
-/// worker's stack inside the parser and abort the whole server, and a
+/// A source nested a thousand parentheses deep would overflow a
+/// connection thread's stack inside the parser and abort the whole
+/// server, and a
 /// flat 5000-term chain `n + n + … + n` would overflow it in the passes
 /// that walk the left-deep tree. The parser's nesting cap turns both into
 /// an `Error` reply, and the same connection keeps serving.
 #[test]
 fn deeply_nested_program_is_refused_and_the_connection_survives() {
     let _guard = serialized();
-    let (analysis, mut server) = start_server(1, Duration::from_secs(60));
+    let (analysis, mut server) = start_server(Duration::from_secs(60));
     let mut c = client(&server);
     let parens = format!(
         "void main(int n) {{ output({}n{}); }}",

@@ -285,8 +285,7 @@ struct Phase {
 ///
 /// ```text
 /// client_request [c0 ........................................ c3]
-///   client_send      [c0 .. queue begin]
-///   server_queue            [.. batch begin]
+///   client_send      [c0 ........ s0]
 ///   server_batch                  [s0 ... s1]
 ///   client_receive                          [s1 ........... c3]
 /// ```
@@ -354,24 +353,14 @@ pub fn merged_trace_json(threads: &[ThreadSnapshot], server_clock_offset_us: i64
         for s in spans.iter().filter(|s| s.name.starts_with("server_")) {
             let (b, e) = (clamp(s.begin_us), clamp(s.end_us.max(s.begin_us)));
             if s.name == "server_batch" || s.name == "server_analyze" {
-                // Queue wait precedes the server's handling span: the
-                // server measured it (worker-pool wait) and recorded it
-                // as a field; the remainder back to the cursor is the
-                // client->server wire segment.
-                let queue_us = s.field_u64("queue_us").unwrap_or(0);
-                let q0 = clamp(b.saturating_sub(queue_us)).max(cursor);
-                // Both phases always appear (possibly zero-width on a
-                // loopback where µs timestamps collapse): viewers then
-                // show the full causal chain for every request.
+                // The client->server wire segment precedes the server's
+                // handling span. It always appears (possibly zero-width
+                // on a loopback where µs timestamps collapse): viewers
+                // then show the full causal chain for every request.
                 phases.push(Phase {
                     name: "client_send".to_string(),
                     begin_us: cursor,
-                    end_us: q0,
-                });
-                phases.push(Phase {
-                    name: "server_queue".to_string(),
-                    begin_us: q0,
-                    end_us: b.max(q0),
+                    end_us: b.max(cursor),
                 });
             }
             phases.push(Phase {

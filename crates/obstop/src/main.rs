@@ -17,6 +17,8 @@
 //! `--json` and `--prom` imply `--once`; both print to stdout and exit,
 //! so they compose with shell pipelines and CI checks.
 
+#![forbid(unsafe_code)]
+
 use offload_net::{ClientConfig, DispatchClient, SlowRequest, StatsView};
 use offload_obs::MetricValue;
 use std::collections::BTreeMap;
@@ -184,7 +186,6 @@ fn render_human(addr: &str, view: &StatsView, prev: Option<&StatsView>) -> Strin
     );
     for (label, name) in [
         ("batch   ", "net.server.batch_us"),
-        ("queue   ", "net.server.queue_us"),
         ("select  ", "net.server.select_us"),
         ("reply   ", "net.server.reply_us"),
     ] {
@@ -222,16 +223,15 @@ fn render_human(addr: &str, view: &StatsView, prev: Option<&StatsView>) -> Strin
     if !view.slow.is_empty() {
         let _ = writeln!(
             out,
-            "slowest    {:>18} {:>6} {:>8} {:>8} {:>8} {:>8}  cache",
-            "trace", "points", "queue", "select", "reply", "total"
+            "slowest    {:>18} {:>6} {:>8} {:>8} {:>8}  cache",
+            "trace", "points", "select", "reply", "total"
         );
         for r in view.slow.iter().take(8) {
             let _ = writeln!(
                 out,
-                "           {:#018x} {:>6} {:>8} {:>8} {:>8} {:>8}  {}",
+                "           {:#018x} {:>6} {:>8} {:>8} {:>8}  {}",
                 r.trace_id,
                 r.batch_points,
-                fmt_us(r.queue_us),
                 fmt_us(r.select_us),
                 fmt_us(r.reply_us),
                 fmt_us(r.total_us),
@@ -249,10 +249,10 @@ fn escape(s: &str) -> String {
 fn slow_json(r: &SlowRequest) -> String {
     format!(
         concat!(
-            "{{\"trace_id\":{},\"batch_points\":{},\"queue_us\":{},",
+            "{{\"trace_id\":{},\"batch_points\":{},",
             "\"select_us\":{},\"reply_us\":{},\"total_us\":{},\"cache_hit\":{}}}"
         ),
-        r.trace_id, r.batch_points, r.queue_us, r.select_us, r.reply_us, r.total_us, r.cache_hit,
+        r.trace_id, r.batch_points, r.select_us, r.reply_us, r.total_us, r.cache_hit,
     )
 }
 

@@ -44,10 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "127.0.0.1:0",
         analysis.clone(),
         device.clone(),
-        ServerConfig::builder()
-            .threads(2)
-            .max_connections(64)
-            .build(),
+        ServerConfig::builder().max_connections(64).build(),
     )?;
 
     let engine = OffloadEngine::new(
