@@ -201,6 +201,8 @@ Program      No. Tasks No. Annotations  No. Partition Choices  Analysis Time
 (paper, tasks/annotations/choices/seconds: rawcaudio 10/2/1/164,
  rawdaudio 10/2/1/185, encode 107/4/4/2247, decode 87/4/4/2159,
  fft 26/3/2/748, susan 95/13/3/3482)
+(each Analysis Time is one cold analysis on the host that ran `repro --write`;
+ the timed medians with their spread are in BENCH_compile_baseline.json)
 ")
 }
 

@@ -6,15 +6,20 @@
 //!
 //! Sharding keeps the dispatch hot path contention-free under the
 //! multi-threaded server: a lookup locks one shard for a [`HashMap`] probe
-//! and clones an [`Arc`]. The *analyze* path intentionally holds its
-//! source shard's lock across [`Analysis::from_source`] — concurrent
-//! requests for the same new program then collapse into one analysis
-//! (the losers find the entry on wake) instead of a thundering herd.
+//! and clones an [`Arc`]. On the *analyze* path each source has a
+//! compute-once cell, and its shard's lock is held only to find or insert
+//! that cell. The first miss runs [`Analysis::from_source`] while holding
+//! the cell, so concurrent requests for the same new program collapse
+//! into one analysis (the others find the result when the cell frees)
+//! instead of a thundering herd, while a miss on another source in the
+//! same shard runs at once.
 //!
-//! A panic while a shard is held (inside the analysis, say) poisons that
-//! shard's mutex. The maps only ever change by whole `insert`s after a
-//! successful analysis, so a poisoned shard still holds consistent
-//! entries, and every lock recovers its guard instead of panicking too.
+//! A panic while a lock is held (inside the analysis, say) poisons that
+//! mutex. The maps only ever change by whole `insert`s and `remove`s, and
+//! a cell is filled only after a successful analysis, so a poisoned lock
+//! still guards consistent state, and every lock recovers its guard
+//! instead of panicking too. A cell whose analysis panicked stays empty,
+//! so the next request for that source analyzes it again.
 
 use crate::protocol::fingerprint;
 use offload_core::{Analysis, AnalysisOptions, AnalyzeError};
@@ -41,12 +46,16 @@ pub struct PlanCacheStats {
 /// Lock shards per index of the [`PlanCache`].
 const SHARDS: usize = 8;
 
+/// One source's compute-once cell: empty until an analysis of that
+/// source succeeds. The miss that analyzes holds it throughout.
+type SourceCell = Arc<Mutex<Option<Arc<Analysis>>>>;
+
 /// The sharded plan cache. Cheap to share: clone the [`Arc`] it is
 /// handed out in.
 pub struct PlanCache {
     /// Keyed by the source text itself (sharded by its FNV-1a hash);
     /// guards the analyze path.
-    by_source: Vec<Mutex<HashMap<String, Arc<Analysis>>>>,
+    by_source: Vec<Mutex<HashMap<String, SourceCell>>>,
     /// Keyed by analysis fingerprint; guards the dispatch path.
     by_fp: Vec<Mutex<HashMap<u64, Arc<Analysis>>>>,
     analyze_hits: AtomicU64,
@@ -80,13 +89,14 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-fn shards<K>() -> Vec<Mutex<HashMap<K, Arc<Analysis>>>> {
+fn shards<K, V>() -> Vec<Mutex<HashMap<K, V>>> {
     (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect()
 }
 
-/// Locks a shard, recovering it if a panic poisoned it (see module docs).
-fn lock<K>(shard: &Mutex<HashMap<K, Arc<Analysis>>>) -> MutexGuard<'_, HashMap<K, Arc<Analysis>>> {
-    shard.lock().unwrap_or_else(PoisonError::into_inner)
+/// Locks a shard or a cell, recovering it if a panic poisoned it (see
+/// module docs).
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl Default for PlanCache {
@@ -110,8 +120,20 @@ impl Default for PlanCache {
 }
 
 impl PlanCache {
-    fn source_shard(&self, source: &str) -> &Mutex<HashMap<String, Arc<Analysis>>> {
+    fn source_shard(&self, source: &str) -> &Mutex<HashMap<String, SourceCell>> {
         &self.by_source[(fnv1a(source.as_bytes()) % SHARDS as u64) as usize]
+    }
+
+    /// The cell of `source`, inserted empty if the source is new. The
+    /// shard is locked only for this lookup.
+    fn source_cell(&self, source: &str) -> SourceCell {
+        let mut shard = lock(self.source_shard(source));
+        if let Some(cell) = shard.get(source) {
+            return Arc::clone(cell);
+        }
+        let cell = SourceCell::default();
+        shard.insert(source.to_string(), Arc::clone(&cell));
+        cell
     }
 
     fn fp_shard(&self, key: u64) -> &Mutex<HashMap<u64, Arc<Analysis>>> {
@@ -142,9 +164,10 @@ impl PlanCache {
         source: &str,
         options: AnalysisOptions,
     ) -> Result<(Arc<Analysis>, u64, bool), AnalyzeError> {
-        // Lock held across `from_source` on purpose: see module docs.
-        let mut shard = lock(self.source_shard(source));
-        if let Some(found) = shard.get(source) {
+        let cell = self.source_cell(source);
+        // Cell held across `from_source` on purpose: see module docs.
+        let mut slot = lock(&cell);
+        if let Some(found) = slot.as_ref() {
             self.analyze_hits.fetch_add(1, Ordering::Relaxed);
             self.m_analyze_hits.inc();
             let fp = fingerprint(found);
@@ -152,11 +175,24 @@ impl PlanCache {
         }
         self.analyze_misses.fetch_add(1, Ordering::Relaxed);
         self.m_analyze_misses.inc();
-        let analysis = Arc::new(Analysis::from_source(source, options)?);
-        shard.insert(source.to_string(), Arc::clone(&analysis));
-        // Source shards and fingerprint shards are separate lock pools
-        // and always taken in this order, so no cycle is possible.
+        let analysis = match Analysis::from_source(source, options) {
+            Ok(analysis) => Arc::new(analysis),
+            Err(e) => {
+                // Not cached. Drop the empty cell unless another request
+                // holds it too (that one analyzes next); clones are only
+                // made under the shard lock, so the count cannot grow.
+                let mut shard = lock(self.source_shard(source));
+                if Arc::strong_count(&cell) == 2 {
+                    shard.remove(source);
+                }
+                return Err(e);
+            }
+        };
+        // Registered before the cell frees, so whoever finds the
+        // analysis here can dispatch on its fingerprint at once. Cells
+        // and fingerprint shards are always taken in this order.
         let fp = self.register(Arc::clone(&analysis));
+        *slot = Some(Arc::clone(&analysis));
         Ok((analysis, fp, false))
     }
 
@@ -192,6 +228,7 @@ impl PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
 
     const SRC: &str = "int f(int k) { return k * k; }
         void main(int n) { output(f(n)); }";
@@ -237,6 +274,98 @@ mod tests {
         assert_eq!(fp_b, own);
         assert_ne!(fp_a, fp_b);
         assert_eq!(cache.stats().entries, 2);
+    }
+
+    #[test]
+    fn a_miss_does_not_wait_for_another_sources_analysis_in_its_shard() {
+        let slow = offload_benchmarks::rawcaudio().source;
+        let shard = |s: &str| fnv1a(s.as_bytes()) % SHARDS as u64;
+        // A small program, padded with a comment until it lands in the
+        // slow source's shard.
+        let fast = (0..)
+            .map(|pad| format!("{SRC}\n// {pad}"))
+            .find(|s| shard(s) == shard(&slow))
+            .expect("some padding lands in every shard");
+        let cache = Arc::new(PlanCache::default());
+        let done = Arc::new(AtomicBool::new(false));
+        let slow_thread = {
+            let (cache, done) = (Arc::clone(&cache), Arc::clone(&done));
+            std::thread::spawn(move || {
+                let hit = cache
+                    .analyze(&slow, AnalysisOptions::default())
+                    .map(|r| r.2);
+                done.store(true, Ordering::SeqCst);
+                hit
+            })
+        };
+        while cache.stats().analyze_misses == 0 {
+            std::thread::yield_now();
+        }
+        let (_, _, hit) = cache.analyze(&fast, AnalysisOptions::default()).unwrap();
+        assert!(!hit);
+        // Only the fast program is registered: a miss that had waited
+        // for the slow source's analysis would find it registered too,
+        // even if its thread has not set `done` yet.
+        let waited = done.load(Ordering::SeqCst) || cache.stats().entries != 1;
+        assert!(
+            !waited,
+            "the miss waited for the other source's analysis to finish"
+        );
+        assert!(!slow_thread.join().expect("no panic").unwrap());
+        assert_eq!(cache.stats().analyze_misses, 2);
+    }
+
+    #[test]
+    fn concurrent_misses_on_one_source_run_one_analysis() {
+        let source = offload_benchmarks::rawcaudio().source;
+        let cache = Arc::new(PlanCache::default());
+        let start = Arc::new(std::sync::Barrier::new(4));
+        let threads: Vec<_> = (0..4)
+            .map(|_| {
+                let (cache, start, source) =
+                    (Arc::clone(&cache), Arc::clone(&start), source.clone());
+                std::thread::spawn(move || {
+                    start.wait();
+                    cache.analyze(&source, AnalysisOptions::default()).unwrap()
+                })
+            })
+            .collect();
+        let results: Vec<_> = threads.into_iter().map(|t| t.join().unwrap()).collect();
+        let s = cache.stats();
+        assert_eq!((s.analyze_misses, s.analyze_hits, s.entries), (1, 3, 1));
+        let (first, fp, _) = &results[0];
+        for (analysis, other_fp, _) in &results {
+            assert!(Arc::ptr_eq(analysis, first));
+            assert_eq!(other_fp, fp);
+        }
+        assert_eq!(results.iter().filter(|r| !r.2).count(), 1);
+    }
+
+    #[test]
+    fn failures_are_not_cached() {
+        const BAD: &str = "void main(int n) { output(m); }";
+        let cache = PlanCache::default();
+        assert!(cache.analyze(BAD, AnalysisOptions::default()).is_err());
+        assert!(cache.analyze(BAD, AnalysisOptions::default()).is_err());
+        assert_eq!(cache.stats().analyze_misses, 2);
+        assert!(!lock(cache.source_shard(BAD)).contains_key(BAD));
+    }
+
+    #[test]
+    fn a_panic_inside_an_analysis_leaves_the_source_retryable() {
+        let cache = PlanCache::default();
+        // A thread that panics while it holds SRC's cell, as an analysis
+        // that panics inside the pipeline would.
+        let cell = cache.source_cell(SRC);
+        let poisoner = std::thread::spawn(move || {
+            let _slot = cell.lock();
+            panic!("panic inside an analysis");
+        });
+        assert!(poisoner.join().is_err());
+        let (_, _, hit) = cache.analyze(SRC, AnalysisOptions::default()).unwrap();
+        assert!(!hit);
+        let (_, _, hit) = cache.analyze(SRC, AnalysisOptions::default()).unwrap();
+        assert!(hit);
     }
 
     #[test]

@@ -12,8 +12,10 @@
 //!   growth of repeated Fourier–Motzkin combination;
 //! * [`LinExpr`] / [`Constraint`] — linear expressions and (strict or
 //!   non-strict) inequalities over a dense variable space;
-//! * [`Polyhedron`] — intersection, exact projection (Fourier–Motzkin with
-//!   redundancy pruning), emptiness testing and interior-point sampling;
+//! * [`Polyhedron`] — intersection, exact projection (equality
+//!   substitution, then Fourier–Motzkin on gcd-normalized `BigInt` rows
+//!   with bitset derivation histories and redundancy pruning), emptiness
+//!   testing and interior-point sampling;
 //! * [`Region`] — finite unions of polyhedra with exact set difference,
 //!   used for the shrinking set `X` of not-yet-covered parameter values.
 //!
@@ -43,6 +45,7 @@
 #![forbid(unsafe_code)]
 
 mod bigint;
+mod hash;
 mod linear;
 mod lp;
 mod polyhedron;

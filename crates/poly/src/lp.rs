@@ -26,13 +26,12 @@
 //! `lp_solve` and adds the original solve's pivot count to `lp_pivots`;
 //! the hit itself is reported separately as `lp_cache_hits`.
 
+use crate::hash::{ExactMap, WordHasher};
 use crate::linear::{Constraint, LinExpr};
 use crate::rational::Rational;
 use crate::shadow::{ShadowCounts, ShadowRed};
 use crate::simplex::{primal, Phase, Rule, Scratch, Tableau};
 use std::cell::RefCell;
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
 /// Outcome of an LP solve.
@@ -65,7 +64,7 @@ struct LpTls {
     tableau: Tableau,
     scratch: Scratch,
     fred: ShadowRed,
-    cache: HashMap<u64, Vec<CacheEntry>>,
+    cache: ExactMap<u64, Vec<CacheEntry>>,
     cache_cells: usize,
 }
 
@@ -85,7 +84,7 @@ thread_local! {
 pub fn cache_clear() {
     LP_TLS.with(|tls| {
         let tls = &mut *tls.borrow_mut();
-        tls.cache = HashMap::new();
+        tls.cache = ExactMap::default();
         tls.cache_cells = 0;
     });
 }
@@ -97,7 +96,7 @@ pub fn cache_cells() -> usize {
 }
 
 fn key_hash(objective: &LinExpr, constraints: &[Constraint]) -> u64 {
-    let mut h = DefaultHasher::new();
+    let mut h = WordHasher::default();
     objective.hash(&mut h);
     constraints.hash(&mut h);
     h.finish()

@@ -205,19 +205,21 @@ impl Hash for Rational {
     }
 }
 
+/// Compares the fractions `a/b` and `c/d` (`b, d > 0`) by
+/// cross-multiplication: `a·d ? c·b`.
+pub(crate) fn cmp_fractions(a: &BigInt, b: &BigInt, c: &BigInt, d: &BigInt) -> Ordering {
+    if let (Some(a), Some(b), Some(c), Some(d)) =
+        (a.as_small(), b.as_small(), c.as_small(), d.as_small())
+    {
+        // i64 × i64 always fits i128: compare without touching BigInt.
+        return (a as i128 * d as i128).cmp(&(c as i128 * b as i128));
+    }
+    (a * d).cmp(&(c * b))
+}
+
 impl Ord for Rational {
     fn cmp(&self, other: &Self) -> Ordering {
-        // a/b ? c/d  <=>  a*d ? c*b   (b, d > 0)
-        if let (Some(a), Some(b), Some(c), Some(d)) = (
-            self.num.as_small(),
-            self.den.as_small(),
-            other.num.as_small(),
-            other.den.as_small(),
-        ) {
-            // i64 × i64 always fits i128: compare without touching BigInt.
-            return (a as i128 * d as i128).cmp(&(c as i128 * b as i128));
-        }
-        (&self.num * &other.den).cmp(&(&other.num * &self.den))
+        cmp_fractions(&self.num, &self.den, &other.num, &other.den)
     }
 }
 
