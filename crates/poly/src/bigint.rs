@@ -55,14 +55,24 @@ enum Repr {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct BigInt(Repr);
 
+/// Binary (Stein's) gcd: shifts and subtractions, no division.
 #[inline]
 fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
-    while b != 0 {
-        let r = a % b;
-        a = b;
-        b = r;
+    if a == 0 || b == 0 {
+        return a | b;
     }
-    a
+    let shift = (a | b).trailing_zeros();
+    a >>= a.trailing_zeros();
+    loop {
+        b >>= b.trailing_zeros();
+        if a > b {
+            std::mem::swap(&mut a, &mut b);
+        }
+        b -= a;
+        if b == 0 {
+            return a << shift;
+        }
+    }
 }
 
 impl BigInt {
@@ -420,6 +430,9 @@ impl BigInt {
     pub fn div_rem(&self, other: &BigInt) -> (BigInt, BigInt) {
         assert!(!other.is_zero(), "division by zero");
         if let (Repr::Small(a), Repr::Small(b)) = (&self.0, &other.0) {
+            if let (Some(q), Some(r)) = (a.checked_div(*b), a.checked_rem(*b)) {
+                return (BigInt(Repr::Small(q)), BigInt(Repr::Small(r)));
+            }
             // i128 sidesteps the lone overflow case, i64::MIN / -1 = 2^63.
             let (a, b) = (*a as i128, *b as i128);
             return (
@@ -461,6 +474,18 @@ impl BigInt {
             b = r.abs();
         }
         a
+    }
+
+    /// `self -= a·b`, without materializing the product when every
+    /// operand is inline.
+    #[inline]
+    pub(crate) fn sub_mul(&mut self, a: &BigInt, b: &BigInt) {
+        if let (Repr::Small(s), Repr::Small(x), Repr::Small(y)) = (&self.0, &a.0, &b.0) {
+            // |x·y| ≤ 2^126 and |s| ≤ 2^63: the difference fits i128.
+            *self = BigInt::promoted_i128(*s as i128 - *x as i128 * *y as i128);
+            return;
+        }
+        *self -= &(a * b);
     }
 
     /// Least common multiple (always non-negative).

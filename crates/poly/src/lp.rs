@@ -1,6 +1,12 @@
 //! Exact rational linear programming: a cold two-phase primal simplex
 //! on the shared kernel in `simplex.rs`.
 //!
+//! The kernel pivots integer rows. Each constraint enters as its own row
+//! scaled by the lcm of its coefficients' denominators, so its slack (or,
+//! for a negative right-hand side, its artificial) entry is that lcm, the
+//! row's positive denominator. The optimum comes back as an exact
+//! [`Rational`].
+//!
 //! Used for fast *sound* redundancy elimination on projection outputs:
 //! a constraint is dropped only when the LP proves the rest of the system
 //! implies it. Strict inequalities are relaxed to their closures, which
@@ -26,11 +32,12 @@
 //! `lp_solve` and adds the original solve's pivot count to `lp_pivots`;
 //! the hit itself is reported separately as `lp_cache_hits`.
 
+use crate::bigint::BigInt;
 use crate::hash::{ExactMap, WordHasher};
 use crate::linear::{Constraint, LinExpr};
 use crate::rational::Rational;
 use crate::shadow::{ShadowCounts, ShadowRed};
-use crate::simplex::{primal, Phase, Rule, Scratch, Tableau};
+use crate::simplex::{primal, row_scale, scaled, Phase, Rule, Scratch, Tableau};
 use std::cell::RefCell;
 use std::hash::{Hash, Hasher};
 
@@ -168,12 +175,16 @@ pub fn maximize(objective: &LinExpr, constraints: &[Constraint]) -> LpResult {
     })
 }
 
-/// [`maximize`] by the pure exact simplex: Bland's rule throughout, no
-/// `f64` shadow and no result cache. The reference the shadowed solver is
-/// tested against; its work is not counted.
+/// [`maximize`] by Bland's rule throughout, on the same kernel with no
+/// `f64` shadow and no result cache: the pivot path the shadow is
+/// measured against. It adds its pivots to `lp_pivots` and counts
+/// nothing else, so a test can compare its path with a reference solver.
 pub fn maximize_bland(objective: &LinExpr, constraints: &[Constraint]) -> LpResult {
     let (mut t, mut sx) = (Tableau::default(), Scratch::default());
-    solve(&mut t, &mut sx, None, objective, constraints, &mut 0)
+    let mut pivots = 0;
+    let result = solve(&mut t, &mut sx, None, objective, constraints, &mut pivots);
+    offload_obs::tally(|t| t.lp_pivots += pivots);
+    result
 }
 
 /// The two-phase solve. Every pivot, including those that drive
@@ -190,42 +201,44 @@ fn solve(
     let m = constraints.len();
 
     // Columns: x+ (n), x- (n), slacks (m), then one artificial per row
-    // whose right-hand side had to be negated for phase 1. Rows are
-    //   sum(-a_ij)(x+_j - x-_j) + s_i = c_i.
+    // whose right-hand side had to be negated for phase 1. Row i is
+    //   L_i·(sum(-a_ij)(x+_j - x-_j) + s_i) = L_i·c_i
+    // with L_i the lcm of the row's denominators, so its basic (slack or
+    // artificial) entry is L_i.
     let cols = 2 * n + m;
     let negated = |c: &Constraint| c.expr.constant_term().is_negative();
     let stride = cols + constraints.iter().filter(|c| negated(c)).count();
     t.stride = stride;
     t.tab.clear();
-    t.tab.resize(m * stride, Rational::zero());
+    t.tab.resize(m * stride, BigInt::zero());
     t.b.clear();
     t.basis.clear();
     let mut art = cols;
     for (i, c) in constraints.iter().enumerate() {
         let negate = negated(c);
+        let l = row_scale(&c.expr);
         let row = &mut t.tab[i * stride..(i + 1) * stride];
-        for j in 0..n {
-            let aij = c.expr.coeff(j);
-            if !aij.is_zero() {
-                if negate {
-                    row[j] = aij.clone();
-                    row[n + j] = -aij;
-                } else {
-                    row[j] = -aij;
-                    row[n + j] = aij.clone();
-                }
+        for (j, aij) in c.expr.terms() {
+            let v = scaled(aij, &l);
+            if negate {
+                row[n + j] = -&v;
+                row[j] = v;
+            } else {
+                row[j] = -&v;
+                row[n + j] = v;
             }
         }
+        let k = scaled(c.expr.constant_term(), &l);
         if negate {
-            row[2 * n + i] = -Rational::one();
-            row[art] = Rational::one();
+            row[2 * n + i] = -&l;
+            row[art] = l;
             t.basis.push(art);
-            t.b.push(-c.expr.constant_term());
+            t.b.push(-k);
             art += 1;
         } else {
-            row[2 * n + i] = Rational::one();
+            row[2 * n + i] = l;
             t.basis.push(2 * n + i);
-            t.b.push(c.expr.constant_term().clone());
+            t.b.push(k);
         }
     }
 
@@ -258,7 +271,8 @@ fn solve(
         }
         // Pivot any remaining artificial variables out of the basis (or
         // their rows are redundant); artificial columns are simply never
-        // scanned again afterwards.
+        // scanned again afterwards. The pivot entry may be negative here,
+        // and the pivot negates its row.
         for i in 0..m {
             if t.basis[i] >= cols {
                 if let Some(j) = (0..cols).find(|&j| !t.tab[i * stride + j].is_zero()) {

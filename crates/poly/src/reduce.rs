@@ -26,11 +26,20 @@
 //!    runs the shared primal kernel (`simplex.rs`) from the current
 //!    basis: phase 2 only, with no phase 1 and no tableau rebuilt from
 //!    scratch.
+//!
+//! The kept tableau is the kernel's: integer rows, each a positive
+//! multiple of its true row, with the multiple in its basic column. A
+//! pushed row enters scaled by the lcm of its denominators (its slack
+//! entry), and the basic columns are eliminated from it by the kernel's
+//! row operation. A dual pivot's entry is negative, so the pivot negates
+//! its row first. Witness points are read off as exact `Rational`s,
+//! `b_i / a_i,basic`.
 
+use crate::bigint::BigInt;
 use crate::linear::{Cmp, Constraint};
 use crate::rational::Rational;
 use crate::shadow::ShadowRed;
-use crate::simplex::{primal, Phase, Rule, Scratch, Tableau};
+use crate::simplex::{primal, row_scale, scaled, Phase, Rule, Scratch, Tableau};
 use std::time::Instant;
 
 /// How many witness vertices the incremental LP remembers. Each kept
@@ -128,7 +137,8 @@ impl IntervalBox {
 /// The warm-started incremental LP over the kept constraint set.
 ///
 /// The `i`-th pushed constraint `expr ≥ 0` becomes the tableau row
-/// `Σ(−a_j)(x⁺_j − x⁻_j) + s_i = c_i` with slack column `2n + i`. The
+/// `L·(Σ(−a_j)(x⁺_j − x⁻_j) + s_i) = L·c_i` with slack column `2n + i`
+/// and `L` the lcm of its denominators. The
 /// basis is kept primal-feasible at all times, so implication checks are
 /// phase 2 only. Each check enters by the `f64` shadow's proposal, or by
 /// exact Dantzig when the exact row rejects it; a push restores
@@ -180,7 +190,7 @@ impl IncLp {
     fn grow(&mut self) {
         let old_stride = self.t.stride;
         let new_stride = 2 * old_stride - 2 * self.n;
-        let mut tab = vec![Rational::zero(); self.t.rows() * new_stride];
+        let mut tab = vec![BigInt::zero(); self.t.rows() * new_stride];
         for i in 0..self.t.rows() {
             for j in 0..old_stride {
                 let v = &mut self.t.tab[i * old_stride + j];
@@ -198,11 +208,14 @@ impl IncLp {
     /// zero). Always a feasible point of the kept closure.
     fn basic_point(&self) -> Vec<Rational> {
         let mut p = vec![Rational::zero(); self.n];
-        for (&col, b) in self.t.basis.iter().zip(&self.t.b) {
-            if col < self.n {
-                p[col] += b;
-            } else if col < 2 * self.n {
-                p[col - self.n] -= b;
+        for (i, &col) in self.t.basis.iter().enumerate() {
+            if col < 2 * self.n && !self.t.b[i].is_zero() {
+                let v = self.t.value(i);
+                if col < self.n {
+                    p[col] += &v;
+                } else {
+                    p[col - self.n] -= &v;
+                }
             }
         }
         p
@@ -267,42 +280,26 @@ impl IncLp {
         if self.width() == self.t.stride {
             self.grow();
         }
+        // The row `L·(Σ(−a_j)(x⁺_j − x⁻_j) + s_r) = L·c`, with its slack
+        // basic and `L` the lcm of its denominators.
         let n = self.n;
         let t = &mut self.t;
         let stride = t.stride;
         let r = t.rows();
-        t.tab.resize((r + 1) * stride, Rational::zero());
+        let l = row_scale(&c.expr);
+        t.tab.resize((r + 1) * stride, BigInt::zero());
         {
             let row = &mut t.tab[r * stride..(r + 1) * stride];
-            for j in 0..n {
-                let aj = c.expr.coeff(j);
-                if !aj.is_zero() {
-                    row[j] = -aj;
-                    row[n + j] = aj.clone();
-                }
+            for (j, aj) in c.expr.terms() {
+                let v = scaled(aj, &l);
+                row[j] = -&v;
+                row[n + j] = v;
             }
-            row[2 * n + r] = Rational::one();
+            row[2 * n + r] = l.clone();
         }
-        t.b.push(c.expr.constant_term().clone());
-        // Express the new row in the current basis: subtract
-        // `factor × row_i` for each basic column with a non-zero entry
-        // (row_i has 1 in its basic column and 0 in every other, so one
-        // sweep suffices).
-        for i in 0..r {
-            let factor = t.tab[r * stride + t.basis[i]].clone();
-            if factor.is_zero() {
-                continue;
-            }
-            for k in 0..2 * n + r {
-                let v = t.tab[i * stride + k].clone();
-                if !v.is_zero() {
-                    t.tab[r * stride + k] -= &(&factor * &v);
-                }
-            }
-            let fb = &factor * &t.b[i];
-            t.b[r] -= &fb;
-        }
+        t.b.push(scaled(c.expr.constant_term(), &l));
         t.basis.push(2 * n + r);
+        t.express_last(2 * n + r + 1);
         self.dual_restore(work);
         // Witness points must stay feasible for the *whole* kept set:
         // evict any recorded vertex the new constraint's closure cuts
@@ -328,7 +325,7 @@ impl IncLp {
                 return;
             };
             let row = &t.tab[i * t.stride..i * t.stride + width];
-            let Some(j) = row.iter().position(Rational::is_negative) else {
+            let Some(j) = row.iter().position(BigInt::is_negative) else {
                 // A row asserting (non-negative combination) = negative:
                 // the kept closure is empty.
                 self.infeasible = true;

@@ -25,7 +25,18 @@
 //! sequence and every shadow counter — depends only on the LP system
 //! being solved. Results and work counters repeat exactly on every run,
 //! which is the repo-wide contract (`DESIGN.md` §15).
+//!
+//! The kernel keeps its rows as integers over positive scales, so every
+//! value the shadow reads is a quotient `n / d` of two integers that are
+//! not in lowest terms. [`ratio_f64`] turns it into the same `f64` that
+//! [`Rational::to_f64`] gives for the reduced fraction: when both sides
+//! fit 53 bits they convert exactly and IEEE division rounds the true
+//! quotient correctly, as it does for the reduced pair; past 2^53 it
+//! reduces first and converts exactly as `Rational::to_f64` does. So the
+//! float row, and with it the pivot path, does not depend on the rows'
+//! scales.
 
+use crate::bigint::BigInt;
 use crate::rational::Rational;
 
 /// Proposal threshold: float reduced costs at or below this magnitude are
@@ -77,11 +88,24 @@ pub(crate) struct ShadowRed {
     pub counts: ShadowCounts,
 }
 
+/// The `f64` of `n / d` (`d > 0`), bit for bit what
+/// [`Rational::to_f64`] gives for the fraction in lowest terms.
+pub(crate) fn ratio_f64(n: &BigInt, d: &BigInt) -> f64 {
+    const EXACT: u64 = 1 << 53;
+    if let (Some(a), Some(b)) = (n.as_small(), d.as_small()) {
+        if a.unsigned_abs() <= EXACT && b.unsigned_abs() <= EXACT {
+            return a as f64 / b as f64;
+        }
+    }
+    Rational::from_bigints(n.clone(), d.clone()).to_f64()
+}
+
 impl ShadowRed {
-    /// Rebuilds the float row from the exact one.
-    pub fn sync(&mut self, red: &[Rational]) {
+    /// Rebuilds the float row from the exact one, numerators `red` over
+    /// the denominator `den`.
+    pub fn sync(&mut self, red: &[BigInt], den: &BigInt) {
         self.red.clear();
-        self.red.extend(red.iter().map(Rational::to_f64));
+        self.red.extend(red.iter().map(|r| ratio_f64(r, den)));
     }
 
     /// Dantzig proposal: the column with the largest float reduced cost
@@ -99,14 +123,15 @@ impl ShadowRed {
         best
     }
 
-    /// The entering column for the exact row `red`: the shadow's
+    /// The entering column for the exact row `red / den`: the shadow's
     /// proposal if its exact reduced cost is positive, or `None` if the
     /// shadow claims optimality and `exact` confirms it. Any other
     /// outcome is a failed certification: `exact` picks the column and
     /// the shadow is resynchronized.
     pub fn certify(
         &mut self,
-        red: &[Rational],
+        red: &[BigInt],
+        den: &BigInt,
         exact: impl FnOnce() -> Option<usize>,
     ) -> Option<usize> {
         self.counts.proposals += 1;
@@ -120,18 +145,19 @@ impl ShadowRed {
             self.counts.certified += 1; // optimality claim confirmed
         } else {
             self.counts.fallbacks += 1;
-            self.sync(red);
+            self.sync(red, den);
         }
         col
     }
 
     /// Mirrors the exact kernel's reduced-cost update after a pivot on
-    /// entering column `j`: `red -= rj · prow` over the pivot row's
-    /// nonzero columns, with the entering column pinned to the exact
-    /// zero the rational update produces.
-    pub fn pivot_update(&mut self, rj: f64, nz: &[usize], prow: &[Rational], j: usize) {
+    /// entering column `j`: `red -= rj · prow / aij` over the pivot row's
+    /// nonzero columns `nz` (values `prow`, pivot entry `aij > 0`), with
+    /// the entering column pinned to the exact zero the exact update
+    /// produces.
+    pub fn pivot_update(&mut self, rj: f64, nz: &[usize], prow: &[BigInt], aij: &BigInt, j: usize) {
         for (&k, v) in nz.iter().zip(prow) {
-            self.red[k] -= rj * v.to_f64();
+            self.red[k] -= rj * ratio_f64(v, aij);
         }
         self.red[j] = 0.0;
     }
@@ -141,25 +167,26 @@ impl ShadowRed {
 mod tests {
     use super::*;
 
-    fn rat(n: i64, d: i64) -> Rational {
-        Rational::new(n, d)
+    fn ints(v: &[i64]) -> Vec<BigInt> {
+        v.iter().map(|&x| BigInt::from(x)).collect()
     }
 
     #[test]
     fn propose_picks_largest_positive_smallest_index_on_ties() {
         let mut s = ShadowRed::default();
-        s.sync(&[rat(1, 2), rat(3, 1), rat(3, 1), rat(-5, 1)]);
+        // 1/2, 3, 3, -5 over the denominator 2.
+        s.sync(&ints(&[1, 6, 6, -10]), &BigInt::from(2));
         assert_eq!(s.propose(), Some(1));
-        s.sync(&[rat(1, 2)]);
+        s.sync(&ints(&[1]), &BigInt::from(2));
         assert_eq!(s.propose(), Some(0));
-        s.sync(&[rat(0, 1), rat(-1, 1)]);
+        s.sync(&ints(&[0, -1]), &BigInt::one());
         assert_eq!(s.propose(), None);
     }
 
     #[test]
     fn tol_suppresses_round_off_noise() {
         let mut s = ShadowRed::default();
-        s.sync(&[Rational::zero()]);
+        s.sync(&ints(&[0]), &BigInt::one());
         s.red[0] = 1e-12; // simulated drift around an exact zero
         assert_eq!(s.propose(), None);
     }
@@ -167,10 +194,37 @@ mod tests {
     #[test]
     fn pivot_update_tracks_exact_row() {
         let mut s = ShadowRed::default();
-        s.sync(&[rat(3, 1), rat(2, 1), rat(1, 1)]);
-        // Pivot with rj = 2 on column 1, pivot row (1/2, 1, 0).
-        s.pivot_update(2.0, &[0, 1], &[rat(1, 2), rat(1, 1)], 1);
+        s.sync(&ints(&[3, 2, 1]), &BigInt::one());
+        // Pivot with rj = 2 on column 1, pivot row (1, 2, 0) with
+        // pivot entry 2: the normalized row is (1/2, 1, 0).
+        s.pivot_update(2.0, &[0, 1], &ints(&[1, 2]), &BigInt::from(2), 1);
         assert_eq!(s.red, vec![2.0, 0.0, 1.0]);
+    }
+
+    #[test]
+    fn ratio_f64_matches_the_reduced_fraction() {
+        let big = |s: &str| s.parse::<BigInt>().unwrap();
+        let cases = [
+            (BigInt::from(1), BigInt::from(3)),
+            (BigInt::from(-6), BigInt::from(9)),
+            (BigInt::from(0), BigInt::from(7)),
+            (BigInt::from(1i64 << 53), BigInt::from(3)),
+            // Past 2^53: the unreduced pair rounds on conversion.
+            (BigInt::from(3 * ((1i64 << 53) + 1)), BigInt::from(9)),
+            (
+                BigInt::from(-(1i64 << 60) - 3),
+                BigInt::from((1i64 << 54) + 7),
+            ),
+            (big("36893488147419103233"), big("18446744073709551617")),
+            (
+                big("-170141183460469231731687303715884105727"),
+                BigInt::from(5),
+            ),
+        ];
+        for (n, d) in cases {
+            let want = Rational::from_bigints(n.clone(), d.clone()).to_f64();
+            assert_eq!(ratio_f64(&n, &d).to_bits(), want.to_bits(), "{n}/{d}");
+        }
     }
 
     #[test]

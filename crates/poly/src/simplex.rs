@@ -2,15 +2,32 @@
 //! cold two-phase solver in `lp.rs` and the warm-started incremental LP
 //! in `reduce.rs` both run [`primal`] on a [`Tableau`].
 //!
-//! A tableau is one flat row-major block of exact rationals in the
+//! A tableau is one flat row-major block of integers in the
 //! standard-form convention both solvers share: each free variable splits
 //! into `x⁺ − x⁻` (columns `0..n` and `n..2n`), each constraint row
 //! `expr ≥ 0` gets its own slack column, and the cold solver appends the
-//! artificial columns its phase 1 needs. [`primal`] seeds the reduced-cost
-//! row from the basis, then maintains it across pivots instead of
-//! recomputing it: in exact arithmetic the maintained row equals the
-//! recomputed one, so the pivot rule sees the identical row either way.
-//! Pivots touch only the nonzero columns of the pivot row.
+//! artificial columns its phase 1 needs.
+//!
+//! **Integer rows.** Each stored row is a positive integer multiple of
+//! the true (rational) row, and its entry in its basic column *is* that
+//! multiple: the row's positive denominator, so no scale is stored
+//! beside it. A row enters scaled by the lcm of its coefficients'
+//! denominators ([`row_scale`]). A pivot on `(i, j)` leaves row `i` as it
+//! is (negated first if `a_ij < 0`, so that its new basic entry is
+//! positive) and replaces every other row `r` touching column `j` by
+//! `(a_ij/g)·row_r − (a_rj/g)·row_i` with `g = gcd(a_ij, a_rj)`, then
+//! divides out the row's content. The ratio test compares `b_i·a_lj`
+//! with `b_l·a_ij`, in which the row scales cancel. Cells are
+//! [`BigInt`]s, whose inline `i64` arm carries nearly every value and
+//! promotes exactly, so no width can overflow.
+//!
+//! **Reduced costs.** [`primal`] keeps the reduced-cost row as integer
+//! numerators over one positive denominator, with the objective's
+//! numerator beside them, seeds it from the basis and then updates it by
+//! the same row operation as the tableau. In exact arithmetic the
+//! maintained row equals the recomputed one, and a common positive
+//! denominator leaves signs and order intact, so the pivot rules compare
+//! integers and see what they would see on rationals.
 //!
 //! Pivot *search* runs on the `f64` shadow of the reduced-cost row
 //! (`shadow.rs`) when the caller passes one: the shadow proposes a
@@ -22,22 +39,26 @@
 //! verdicts never depend on the rule; the rule decides only the pivot
 //! path, and with it the pivot and shadow counts.
 
-use crate::rational::Rational;
-use crate::shadow::ShadowRed;
+use crate::bigint::BigInt;
+use crate::linear::LinExpr;
+use crate::rational::{cmp_fractions, Rational};
+use crate::shadow::{ratio_f64, ShadowRed};
+use std::cmp::Ordering;
 
 /// Consecutive degenerate (zero-progress) pivots tolerated before the
 /// loop switches to Bland's rule on the exact row, whose anti-cycling
 /// guarantee restores the termination proof.
 const STALL_LIMIT: usize = 24;
 
-/// A flat simplex tableau: per constraint row, `stride` coefficients, a
-/// right-hand side and a basic column.
+/// A flat simplex tableau of integer rows: per constraint row, `stride`
+/// coefficients, a right-hand side and a basic column. Row `i` is the
+/// true row times its entry in column `basis[i]`, which is positive.
 #[derive(Default)]
 pub(crate) struct Tableau {
     /// `rows × stride` coefficients, row-major.
-    pub tab: Vec<Rational>,
-    /// Right-hand sides, one per row.
-    pub b: Vec<Rational>,
+    pub tab: Vec<BigInt>,
+    /// Right-hand sides, one per row, on the same scale as the row.
+    pub b: Vec<BigInt>,
     /// Basic column per row.
     pub basis: Vec<usize>,
     /// Row length. Columns past a run's `width` are dead or reserved and
@@ -49,12 +70,17 @@ pub(crate) struct Tableau {
 /// not allocate.
 #[derive(Default)]
 pub(crate) struct Scratch {
-    /// Maintained reduced-cost row over the run's active columns.
-    red: Vec<Rational>,
-    /// Nonzero columns of the last normalized pivot row.
+    /// Reduced-cost numerators over the run's active columns.
+    red: Vec<BigInt>,
+    /// The objective value's numerator, negated, so that `(red, neg_z)`
+    /// updates exactly like a tableau row and its right-hand side.
+    neg_z: BigInt,
+    /// Positive common denominator of `red` and `neg_z`.
+    den: BigInt,
+    /// Nonzero columns of the last pivot row.
     nz: Vec<usize>,
-    /// Values of the last normalized pivot row at `nz`.
-    prow: Vec<Rational>,
+    /// Values of the last pivot row at `nz`.
+    prow: Vec<BigInt>,
 }
 
 /// Exact entering-column rule.
@@ -73,26 +99,163 @@ pub(crate) enum Phase {
     Unbounded,
 }
 
+fn is_one(x: &BigInt) -> bool {
+    x.as_small() == Some(1)
+}
+
+/// The lcm of the denominators of `expr`'s coefficients and constant:
+/// the factor that makes its row integer.
+pub(crate) fn row_scale(expr: &LinExpr) -> BigInt {
+    let mut l = BigInt::one();
+    let k = expr.constant_term();
+    for a in expr.terms().map(|(_, a)| a).chain(std::iter::once(k)) {
+        if !a.is_integer() {
+            l = l.lcm(a.denom());
+        }
+    }
+    l
+}
+
+/// `a·l`, an integer when `l` is a multiple of `a`'s denominator.
+pub(crate) fn scaled(a: &Rational, l: &BigInt) -> BigInt {
+    if a.is_integer() {
+        a.numer() * l
+    } else {
+        a.numer() * &(l / a.denom())
+    }
+}
+
+/// `row ← α·row − β·src` and `rhs ← α·rhs − β·src_rhs`, with `src`
+/// given by its nonzero columns, ascending, and their values. With
+/// `α = 1` only the cells at `src` change, and `None` is returned. Any
+/// other `α` rewrites every nonzero cell, so that one pass also takes
+/// the gcd of the new cells and `rhs` and returns it.
+fn combine<'a>(
+    row: &mut [BigInt],
+    rhs: &mut BigInt,
+    alpha: &BigInt,
+    beta: &BigInt,
+    src: impl Iterator<Item = (usize, &'a BigInt)>,
+    src_rhs: &BigInt,
+) -> Option<BigInt> {
+    let scaling = !is_one(alpha);
+    if scaling {
+        *rhs *= alpha;
+    }
+    if !src_rhs.is_zero() {
+        rhs.sub_mul(beta, src_rhs);
+    }
+    if !scaling {
+        for (k, s) in src {
+            row[k].sub_mul(beta, s);
+        }
+        return None;
+    }
+    let mut g = rhs.abs();
+    let mut src = src.peekable();
+    for (k, v) in row.iter_mut().enumerate() {
+        match src.peek() {
+            Some(&(c, s)) if c == k => {
+                *v *= alpha;
+                v.sub_mul(beta, s);
+                src.next();
+            }
+            _ if v.is_zero() => continue,
+            _ => *v *= alpha,
+        }
+        if !is_one(&g) && !v.is_zero() {
+            g = g.gcd(v);
+        }
+    }
+    Some(g)
+}
+
+/// `(a/g, b/g)` with `g = gcd(a, b)`.
+fn coprime(a: &BigInt, b: &BigInt) -> (BigInt, BigInt) {
+    let g = a.gcd(b);
+    if is_one(&g) {
+        (a.clone(), b.clone())
+    } else {
+        (a / &g, b / &g)
+    }
+}
+
+/// The gcd of `first`, `rhs` and the cells of `row`. `first` is a
+/// positive entry of the row or its denominator, taken first because it
+/// is usually one, which ends the pass at once.
+fn content(first: &BigInt, row: &[BigInt], rhs: &BigInt) -> BigInt {
+    if is_one(first) {
+        return BigInt::one();
+    }
+    let mut g = first.gcd(rhs);
+    for v in row.iter().filter(|v| !v.is_zero()) {
+        if is_one(&g) {
+            break;
+        }
+        g = g.gcd(v);
+    }
+    g
+}
+
+/// Divides `row` and `rhs` by `g`, unless `g` is zero or one; returns
+/// whether it did.
+fn divide(row: &mut [BigInt], rhs: &mut BigInt, g: &BigInt) -> bool {
+    if g.is_zero() || is_one(g) {
+        return false;
+    }
+    for v in row.iter_mut().filter(|v| !v.is_zero()) {
+        *v = &*v / g;
+    }
+    *rhs = &*rhs / g;
+    true
+}
+
 impl Tableau {
     /// Number of constraint rows.
     pub fn rows(&self) -> usize {
         self.basis.len()
     }
 
+    /// Row `i`'s scale: its entry in its basic column (positive).
+    fn scale(&self, i: usize) -> &BigInt {
+        &self.tab[i * self.stride + self.basis[i]]
+    }
+
+    /// The value of row `i`'s basic variable.
+    pub fn value(&self, i: usize) -> Rational {
+        Rational::from_bigints(self.b[i].clone(), self.scale(i).clone())
+    }
+
+    /// Divides row `r`'s cells below `width` and its right-hand side by
+    /// their content, which keeps the basic entry positive. `known` is
+    /// the content when [`combine`] already took it.
+    fn normalize(&mut self, r: usize, width: usize, known: Option<BigInt>) {
+        let start = r * self.stride;
+        let row = &mut self.tab[start..start + width];
+        let g = known.unwrap_or_else(|| {
+            // A row whose basic column the run no longer scans (an
+            // artificial after phase 1) has no positive entry to start
+            // from.
+            let zero = BigInt::zero();
+            content(row.get(self.basis[r]).unwrap_or(&zero), row, &self.b[r])
+        });
+        divide(row, &mut self.b[r], &g);
+    }
+
     /// Ratio test for entering column `j`: the row minimizing `b_i / a_ij`
     /// over `a_ij > 0`, the smallest basic column on ties (Bland). Ratios
-    /// are compared by cross-multiplication, forming no quotients. `None`
-    /// means the objective is unbounded along column `j`.
+    /// are compared by cross-multiplication, `b_i·a_lj ? b_l·a_ij`, in
+    /// which the rows' scales cancel. `None` means the objective is
+    /// unbounded along column `j`.
     fn leaving(&self, j: usize) -> Option<usize> {
         let a = |i: usize| &self.tab[i * self.stride + j];
         let mut leave: Option<usize> = None;
         for i in (0..self.rows()).filter(|&i| a(i).is_positive()) {
             leave = match leave {
-                // b_i / a_ij ? b_li / a_lij  <=>  b_i·a_lij ? b_li·a_ij
                 Some(li) => {
-                    let lhs = &self.b[i] * a(li);
-                    let rhs = &self.b[li] * a(i);
-                    let better = lhs < rhs || (lhs == rhs && self.basis[i] < self.basis[li]);
+                    let ord = cmp_fractions(&self.b[i], a(i), &self.b[li], a(li));
+                    let better = ord == Ordering::Less
+                        || (ord == Ordering::Equal && self.basis[i] < self.basis[li]);
                     Some(if better { i } else { li })
                 }
                 None => Some(i),
@@ -101,47 +264,75 @@ impl Tableau {
         leave
     }
 
-    /// Pivots on `(i, j)`: normalizes the pivot row, eliminates column `j`
-    /// from every other row touching only the pivot row's nonzero columns,
-    /// and leaves the normalized pivot row in `sx`. Columns at `width` and
-    /// beyond are skipped.
+    /// Pivots on `(i, j)`: negates row `i` if `a_ij < 0`, records its
+    /// nonzero columns in `sx`, and eliminates column `j` from every other
+    /// row, each ending up content-free. Columns at `width` and beyond
+    /// are skipped.
     pub fn pivot(&mut self, sx: &mut Scratch, width: usize, i: usize, j: usize) {
         let stride = self.stride;
-        let inv = self.tab[i * stride + j].recip();
+        let start = i * stride;
+        if self.tab[start + j].is_negative() {
+            for v in self.tab[start..start + width].iter_mut() {
+                if !v.is_zero() {
+                    *v = -std::mem::take(v);
+                }
+            }
+            self.b[i] = -std::mem::take(&mut self.b[i]);
+        }
         sx.nz.clear();
         sx.prow.clear();
-        for k in 0..width {
-            let v = &mut self.tab[i * stride + k];
+        for (k, v) in self.tab[start..start + width].iter().enumerate() {
             if !v.is_zero() {
-                *v *= &inv;
                 sx.nz.push(k);
                 sx.prow.push(v.clone());
             }
         }
-        self.b[i] *= &inv;
+        let aij = self.tab[start + j].clone();
+        let bi = self.b[i].clone();
+        self.basis[i] = j;
         for r in (0..self.rows()).filter(|&r| r != i) {
-            let factor = self.tab[r * stride + j].clone();
+            let arj = &self.tab[r * stride + j];
+            if arj.is_zero() {
+                continue;
+            }
+            let (alpha, beta) = coprime(&aij, arj);
+            let row = &mut self.tab[r * stride..r * stride + width];
+            let src = sx.nz.iter().copied().zip(&sx.prow);
+            let known = combine(row, &mut self.b[r], &alpha, &beta, src, &bi);
+            self.normalize(r, width, known);
+        }
+    }
+
+    /// Expresses the last row in the basis of the others: eliminates
+    /// every other row's basic column from it (each such row is zero in
+    /// every other basic column, so one sweep suffices).
+    pub fn express_last(&mut self, width: usize) {
+        let stride = self.stride;
+        let r = self.rows() - 1;
+        let (head, tail) = self.tab.split_at_mut(r * stride);
+        let (bhead, btail) = self.b.split_at_mut(r);
+        let (row, rhs) = (&mut tail[..width], &mut btail[0]);
+        for (i, &basic) in self.basis[..r].iter().enumerate() {
+            let factor = &row[basic];
             if factor.is_zero() {
                 continue;
             }
-            for (&k, v) in sx.nz.iter().zip(&sx.prow) {
-                self.tab[r * stride + k] -= &(&factor * v);
-            }
-            if !self.b[i].is_zero() {
-                let t = &factor * &self.b[i];
-                self.b[r] -= &t;
-            }
+            let src = &head[i * stride..i * stride + width];
+            let (alpha, beta) = coprime(&src[basic], factor);
+            let nonzero = src.iter().enumerate().filter(|(_, v)| !v.is_zero());
+            combine(row, rhs, &alpha, &beta, nonzero, &bhead[i]);
         }
-        self.basis[i] = j;
+        self.normalize(r, width, None);
     }
 }
 
 impl Rule {
     /// The entering column by this rule, or `None` when no reduced cost
-    /// is positive (the run is optimal).
-    fn choose(self, red: &[Rational]) -> Option<usize> {
+    /// is positive (the run is optimal). `red` holds numerators over one
+    /// positive denominator, so signs and order are the reduced costs'.
+    fn choose(self, red: &[BigInt]) -> Option<usize> {
         match self {
-            Rule::Bland => red.iter().position(Rational::is_positive),
+            Rule::Bland => red.iter().position(BigInt::is_positive),
             Rule::Dantzig => {
                 let mut best: Option<usize> = None;
                 for (j, r) in red.iter().enumerate() {
@@ -152,6 +343,75 @@ impl Rule {
                 best
             }
         }
+    }
+}
+
+impl Scratch {
+    /// Seeds the reduced-cost row `cost − Σ cost(basic)·row/scale` and
+    /// the objective value at the tableau's basis, touching only the rows
+    /// whose basic column has a nonzero cost.
+    fn price(&mut self, t: &Tableau, width: usize, cost: impl Fn(usize) -> Rational) {
+        let mut den = BigInt::one();
+        for j in 0..width {
+            let c = cost(j);
+            if !c.is_integer() {
+                den = den.lcm(c.denom());
+            }
+        }
+        self.red.clear();
+        self.red.extend((0..width).map(|j| scaled(&cost(j), &den)));
+        self.neg_z = BigInt::zero();
+        self.den = den;
+        for i in 0..t.rows() {
+            let cb = cost(t.basis[i]);
+            if cb.is_zero() {
+                continue;
+            }
+            // red/den − (p/q)·row/s = (α·red − β·row) / (α·den) with
+            // (α, β) = (q·s, p·den) over their gcd.
+            let (alpha, beta) = coprime(&(cb.denom() * t.scale(i)), &(cb.numer() * &self.den));
+            let row = &t.tab[i * t.stride..i * t.stride + width];
+            let nonzero = row.iter().enumerate().filter(|(_, v)| !v.is_zero());
+            let known = combine(
+                &mut self.red,
+                &mut self.neg_z,
+                &alpha,
+                &beta,
+                nonzero,
+                &t.b[i],
+            );
+            self.den *= &alpha;
+            self.normalize(known);
+        }
+    }
+
+    /// Applies the pivot just made on `(i, j)` (pivot row in `nz`/`prow`,
+    /// entry `aij`, right-hand side `bi`) to the reduced-cost row: the
+    /// same row operation as on a tableau row, which zeroes column `j`.
+    fn reprice(&mut self, aij: &BigInt, bi: &BigInt, j: usize) {
+        let (alpha, beta) = coprime(aij, &self.red[j]);
+        let src = self.nz.iter().copied().zip(&self.prow);
+        let known = combine(&mut self.red, &mut self.neg_z, &alpha, &beta, src, bi);
+        self.den *= &alpha;
+        self.normalize(known);
+    }
+
+    /// Divides the reduced-cost row, the objective and their denominator
+    /// by their content (`known`: that of the row and the objective,
+    /// when [`combine`] took it).
+    fn normalize(&mut self, known: Option<BigInt>) {
+        let g = match known {
+            Some(g) => g.gcd(&self.den),
+            None => content(&self.den, &self.red, &self.neg_z),
+        };
+        if divide(&mut self.red, &mut self.neg_z, &g) {
+            self.den = &self.den / &g;
+        }
+    }
+
+    /// The objective value at the current basis.
+    fn objective(&self) -> Rational {
+        Rational::from_bigints(-&self.neg_z, self.den.clone())
     }
 }
 
@@ -172,36 +432,21 @@ pub(crate) fn primal(
     rule: Rule,
     pivots: &mut u64,
 ) -> Phase {
-    // Reduced costs at the starting basis, touching only the rows whose
-    // basic column has a nonzero cost.
-    sx.red.clear();
-    sx.red.extend((0..width).map(&cost));
-    let mut z = Rational::zero();
-    for i in 0..t.rows() {
-        let cb = cost(t.basis[i]);
-        if cb.is_zero() {
-            continue;
-        }
-        let row = &t.tab[i * t.stride..i * t.stride + width];
-        for (r, a) in sx.red.iter_mut().zip(row) {
-            if !a.is_zero() {
-                *r -= &(&cb * a);
-            }
-        }
-        z += &(&cb * &t.b[i]);
-    }
+    sx.price(t, width, cost);
     if let Some(fred) = shadow.as_deref_mut() {
-        fred.sync(&sx.red);
+        fred.sync(&sx.red, &sx.den);
     }
     let mut stall = 0usize;
     loop {
         let entering = match shadow.as_deref_mut() {
-            Some(fred) if stall < STALL_LIMIT => fred.certify(&sx.red, || rule.choose(&sx.red)),
+            Some(fred) if stall < STALL_LIMIT => {
+                fred.certify(&sx.red, &sx.den, || rule.choose(&sx.red))
+            }
             _ if stall < STALL_LIMIT => rule.choose(&sx.red),
             _ => Rule::Bland.choose(&sx.red),
         };
         let Some(j) = entering else {
-            return Phase::Optimal(z);
+            return Phase::Optimal(sx.objective());
         };
         let Some(i) = t.leaving(j) else {
             return Phase::Unbounded;
@@ -211,17 +456,15 @@ pub(crate) fn primal(
         } else {
             stall = 0;
         }
-        // red -= red_j · (normalized pivot row) sets red_j to an exact
-        // zero; z grows by red_j times the entering column's new value.
-        let rj = sx.red[j].clone();
+        // The shadow's multiplier is the entering reduced cost before
+        // the pivot zeroes it.
+        let rj = shadow.is_some().then(|| ratio_f64(&sx.red[j], &sx.den));
         t.pivot(sx, width, i, j);
         *pivots += 1;
-        for (&k, v) in sx.nz.iter().zip(&sx.prow) {
-            sx.red[k] -= &(&rj * v);
+        let aij = &t.tab[i * t.stride + j];
+        if let (Some(fred), Some(rj)) = (shadow.as_deref_mut(), rj) {
+            fred.pivot_update(rj, &sx.nz, &sx.prow, aij, j);
         }
-        if let Some(fred) = shadow.as_deref_mut() {
-            fred.pivot_update(rj.to_f64(), &sx.nz, &sx.prow, j);
-        }
-        z += &(&rj * &t.b[i]);
+        sx.reprice(aij, &t.b[i], j);
     }
 }
