@@ -642,13 +642,11 @@ fn cap_ge(a: &Option<ParamCap>, b: &Option<ParamCap>, param_space: &Polyhedron) 
         if syntactically_nonneg(e) {
             return true;
         }
-        matches!(
-            offload_poly::lp_minimize(e, space.constraints()),
-            offload_poly::LpResult::Optimal(v) if !v.is_negative()
-        ) || matches!(
-            offload_poly::lp_minimize(e, space.constraints()),
-            offload_poly::LpResult::Infeasible
-        )
+        match offload_poly::lp_minimize(e, space.constraints()) {
+            offload_poly::LpResult::Optimal(v) => !v.is_negative(),
+            offload_poly::LpResult::Infeasible => true,
+            offload_poly::LpResult::Unbounded => false,
+        }
     }
     match (a, b) {
         (_, None) => true,
