@@ -234,7 +234,7 @@ impl<'a> NetBuilder<'a> {
             net.add_arc(from, to, cap);
         }
 
-        let param_space = self.param_space(&dims, &dim_of);
+        let param_space = self.param_space(&dims);
         PartitionNetwork {
             net,
             terms,
@@ -454,7 +454,7 @@ impl<'a> NetBuilder<'a> {
     /// Builds the declared parameter region over the linearized
     /// dimensions: bounds on parameters and dummies, plus the derivable
     /// relations between monomials (`m·a ≥ lb(a)·m`, `m·β ≤ m`).
-    fn param_space(&self, dims: &[MonomialId], dim_of: &HashMap<MonomialId, usize>) -> Polyhedron {
+    fn param_space(&self, dims: &[MonomialId]) -> Polyhedron {
         let k = dims.len();
         let dict = &self.symbolic.dict;
         let mut cs: Vec<Constraint> = Vec::new();
@@ -516,7 +516,6 @@ impl<'a> NetBuilder<'a> {
                 }
             }
         }
-        let _ = dim_of;
         Polyhedron::from_constraints(k, cs)
     }
 }

@@ -750,8 +750,6 @@ fn reduce_degeneracy(choices: &mut Vec<Partition>) -> usize {
                 .is_empty();
             if covered {
                 let region = choices[i].region.clone();
-                let (a, b) = (i.min(j), i.max(j));
-                let _ = (a, b);
                 for piece in region.pieces() {
                     choices[j].region.push(piece.clone());
                 }
