@@ -94,6 +94,12 @@ impl BigInt {
         matches!(self.0, Repr::Small(0))
     }
 
+    /// Returns `true` if this integer is one.
+    #[inline]
+    pub(crate) fn is_one(&self) -> bool {
+        matches!(self.0, Repr::Small(1))
+    }
+
     /// Returns `true` if this integer is strictly positive.
     #[inline]
     pub fn is_positive(&self) -> bool {

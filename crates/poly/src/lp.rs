@@ -37,7 +37,7 @@ use crate::hash::{ExactMap, WordHasher};
 use crate::linear::{Constraint, LinExpr};
 use crate::rational::Rational;
 use crate::shadow::{ShadowCounts, ShadowRed};
-use crate::simplex::{primal, row_scale, scaled, Phase, Rule, Scratch, Tableau};
+use crate::simplex::{primal, write_row, Phase, Rule, Scratch, Tableau};
 use std::cell::RefCell;
 use std::hash::{Hash, Hasher};
 
@@ -216,30 +216,18 @@ fn solve(
     let mut art = cols;
     for (i, c) in constraints.iter().enumerate() {
         let negate = negated(c);
-        let l = row_scale(&c.expr);
         let row = &mut t.tab[i * stride..(i + 1) * stride];
-        for (j, aij) in c.expr.terms() {
-            let v = scaled(aij, &l);
-            if negate {
-                row[n + j] = -&v;
-                row[j] = v;
-            } else {
-                row[j] = -&v;
-                row[n + j] = v;
-            }
-        }
-        let k = scaled(c.expr.constant_term(), &l);
+        let (l, k) = write_row(row, n, &c.expr, negate);
         if negate {
             row[2 * n + i] = -&l;
             row[art] = l;
             t.basis.push(art);
-            t.b.push(-k);
             art += 1;
         } else {
             row[2 * n + i] = l;
             t.basis.push(2 * n + i);
-            t.b.push(k);
         }
+        t.b.push(k);
     }
 
     // Phase 1: minimize the sum of artificials (maximize its negation).

@@ -991,10 +991,6 @@ enum Combined {
     Trivial(bool),
 }
 
-fn is_one(x: &BigInt) -> bool {
-    x.as_small() == Some(1)
-}
-
 impl Row {
     /// Input row `i`, with a history of `words` words, from a pruned
     /// compact-space constraint (already in canonical form).
@@ -1042,14 +1038,14 @@ impl Row {
                     (true, false) => &a * y,
                     (false, false) => &(&b * x) + &(&a * y),
                 };
-                if !is_one(&gcd) {
+                if !gcd.is_one() {
                     gcd = gcd.gcd(&w);
                 }
                 w
             })
             .collect();
         // The constant, b·n₁/d₁ + a·n₂/d₂.
-        let (num, den) = if is_one(&lo.den) && is_one(&up.den) {
+        let (num, den) = if lo.den.is_one() && up.den.is_one() {
             (&(&b * &lo.num) + &(&a * &up.num), BigInt::one())
         } else {
             (
@@ -1083,7 +1079,7 @@ impl Row {
         cmp: Cmp,
         hist: Vec<u64>,
     ) -> Row {
-        let den = if is_one(&gcd) {
+        let den = if gcd.is_one() {
             den
         } else {
             for a in coeffs.iter_mut().filter(|a| !a.is_zero()) {
@@ -1093,7 +1089,7 @@ impl Row {
         };
         // gcd(0, den) = den, so a zero constant becomes 0/1.
         let r = num.gcd(&den);
-        let (num, den) = if is_one(&r) {
+        let (num, den) = if r.is_one() {
             (num, den)
         } else {
             (&num / &r, &den / &r)

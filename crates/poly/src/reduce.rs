@@ -39,7 +39,7 @@ use crate::bigint::BigInt;
 use crate::linear::{Cmp, Constraint};
 use crate::rational::Rational;
 use crate::shadow::ShadowRed;
-use crate::simplex::{primal, row_scale, scaled, Phase, Rule, Scratch, Tableau};
+use crate::simplex::{primal, write_row, Phase, Rule, Scratch, Tableau};
 use std::time::Instant;
 
 /// How many witness vertices the incremental LP remembers. Each kept
@@ -286,18 +286,11 @@ impl IncLp {
         let t = &mut self.t;
         let stride = t.stride;
         let r = t.rows();
-        let l = row_scale(&c.expr);
         t.tab.resize((r + 1) * stride, BigInt::zero());
-        {
-            let row = &mut t.tab[r * stride..(r + 1) * stride];
-            for (j, aj) in c.expr.terms() {
-                let v = scaled(aj, &l);
-                row[j] = -&v;
-                row[n + j] = v;
-            }
-            row[2 * n + r] = l.clone();
-        }
-        t.b.push(scaled(c.expr.constant_term(), &l));
+        let row = &mut t.tab[r * stride..(r + 1) * stride];
+        let (l, k) = write_row(row, n, &c.expr, false);
+        row[2 * n + r] = l;
+        t.b.push(k);
         t.basis.push(2 * n + r);
         t.express_last(2 * n + r + 1);
         self.dual_restore(work);

@@ -1,10 +1,10 @@
 //! Float-shadowed pivot search for the exact simplex kernel
 //! (`simplex.rs`).
 //!
-//! The exact kernel pays rational arithmetic for every pivot *and* for
+//! The exact kernel pays exact arithmetic for every pivot *and* for
 //! choosing it. Choosing well matters: Bland's rule is anti-cycling but
-//! visits many more bases than Dantzig's rule, and Dantzig's rule on
-//! exact rationals costs a full row of big-number comparisons per pivot.
+//! visits many more bases than Dantzig's rule, and Dantzig's rule on the
+//! exact row costs a full row of big-number comparisons per pivot.
 //!
 //! The shadow splits the difference, the standard trick from production
 //! LP codes: an `f64` image of the reduced-cost row runs the pivot
@@ -12,7 +12,7 @@
 //! entering column; the kernel then **certifies** the proposal — the
 //! exact reduced cost must be strictly positive, and a proposed
 //! optimality claim must be confirmed by an exact scan — before
-//! replaying the pivot in exact rationals. When certification fails
+//! replaying the pivot in exact arithmetic. When certification fails
 //! (round-off near a tie or a drifted shadow) the caller's exact rule
 //! picks the pivot from the exact row and the shadow is resynchronized.
 //! Every applied pivot is therefore justified by exact arithmetic alone:

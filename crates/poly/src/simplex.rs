@@ -12,7 +12,7 @@
 //! the true (rational) row, and its entry in its basic column *is* that
 //! multiple: the row's positive denominator, so no scale is stored
 //! beside it. A row enters scaled by the lcm of its coefficients'
-//! denominators ([`row_scale`]). A pivot on `(i, j)` leaves row `i` as it
+//! denominators ([`write_row`]). A pivot on `(i, j)` leaves row `i` as it
 //! is (negated first if `a_ij < 0`, so that its new basic entry is
 //! positive) and replaces every other row `r` touching column `j` by
 //! `(a_ij/g)·row_r − (a_rj/g)·row_i` with `g = gcd(a_ij, a_rj)`, then
@@ -99,30 +99,43 @@ pub(crate) enum Phase {
     Unbounded,
 }
 
-fn is_one(x: &BigInt) -> bool {
-    x.as_small() == Some(1)
-}
-
-/// The lcm of the denominators of `expr`'s coefficients and constant:
-/// the factor that makes its row integer.
-pub(crate) fn row_scale(expr: &LinExpr) -> BigInt {
-    let mut l = BigInt::one();
+/// Writes `expr ≥ 0` into `row` as `L·Σ(−a_j)(x⁺_j − x⁻_j)`: columns
+/// `j` and `n + j`, with `L` the lcm of the denominators of `expr`'s
+/// coefficients and constant, so every cell is an integer. Negated
+/// throughout when `negate`. Returns `L` and the right-hand side `L·c`
+/// (negated likewise); the caller places the row's slack.
+pub(crate) fn write_row(
+    row: &mut [BigInt],
+    n: usize,
+    expr: &LinExpr,
+    negate: bool,
+) -> (BigInt, BigInt) {
     let k = expr.constant_term();
+    let mut l = BigInt::one();
     for a in expr.terms().map(|(_, a)| a).chain(std::iter::once(k)) {
         if !a.is_integer() {
             l = l.lcm(a.denom());
         }
     }
-    l
-}
-
-/// `a·l`, an integer when `l` is a multiple of `a`'s denominator.
-pub(crate) fn scaled(a: &Rational, l: &BigInt) -> BigInt {
-    if a.is_integer() {
-        a.numer() * l
-    } else {
-        a.numer() * &(l / a.denom())
+    let scaled = |a: &Rational| {
+        let v = if a.is_integer() {
+            a.numer() * &l
+        } else {
+            a.numer() * &(&l / a.denom())
+        };
+        if negate {
+            -v
+        } else {
+            v
+        }
+    };
+    for (j, a) in expr.terms() {
+        let v = scaled(a);
+        row[j] = -&v;
+        row[n + j] = v;
     }
+    let rhs = scaled(k);
+    (l, rhs)
 }
 
 /// `row ← α·row − β·src` and `rhs ← α·rhs − β·src_rhs`, with `src`
@@ -138,7 +151,7 @@ fn combine<'a>(
     src: impl Iterator<Item = (usize, &'a BigInt)>,
     src_rhs: &BigInt,
 ) -> Option<BigInt> {
-    let scaling = !is_one(alpha);
+    let scaling = !alpha.is_one();
     if scaling {
         *rhs *= alpha;
     }
@@ -163,7 +176,7 @@ fn combine<'a>(
             _ if v.is_zero() => continue,
             _ => *v *= alpha,
         }
-        if !is_one(&g) && !v.is_zero() {
+        if !g.is_one() && !v.is_zero() {
             g = g.gcd(v);
         }
     }
@@ -173,7 +186,7 @@ fn combine<'a>(
 /// `(a/g, b/g)` with `g = gcd(a, b)`.
 fn coprime(a: &BigInt, b: &BigInt) -> (BigInt, BigInt) {
     let g = a.gcd(b);
-    if is_one(&g) {
+    if g.is_one() {
         (a.clone(), b.clone())
     } else {
         (a / &g, b / &g)
@@ -184,12 +197,12 @@ fn coprime(a: &BigInt, b: &BigInt) -> (BigInt, BigInt) {
 /// positive entry of the row or its denominator, taken first because it
 /// is usually one, which ends the pass at once.
 fn content(first: &BigInt, row: &[BigInt], rhs: &BigInt) -> BigInt {
-    if is_one(first) {
+    if first.is_one() {
         return BigInt::one();
     }
     let mut g = first.gcd(rhs);
     for v in row.iter().filter(|v| !v.is_zero()) {
-        if is_one(&g) {
+        if g.is_one() {
             break;
         }
         g = g.gcd(v);
@@ -200,7 +213,7 @@ fn content(first: &BigInt, row: &[BigInt], rhs: &BigInt) -> BigInt {
 /// Divides `row` and `rhs` by `g`, unless `g` is zero or one; returns
 /// whether it did.
 fn divide(row: &mut [BigInt], rhs: &mut BigInt, g: &BigInt) -> bool {
-    if g.is_zero() || is_one(g) {
+    if g.is_zero() || g.is_one() {
         return false;
     }
     for v in row.iter_mut().filter(|v| !v.is_zero()) {
@@ -359,7 +372,10 @@ impl Scratch {
             }
         }
         self.red.clear();
-        self.red.extend((0..width).map(|j| scaled(&cost(j), &den)));
+        self.red.extend((0..width).map(|j| {
+            let c = cost(j);
+            c.numer() * &(&den / c.denom())
+        }));
         self.neg_z = BigInt::zero();
         self.den = den;
         for i in 0..t.rows() {
