@@ -209,8 +209,20 @@ mod tests {
             (BigInt::from(-6), BigInt::from(9)),
             (BigInt::from(0), BigInt::from(7)),
             (BigInt::from(1i64 << 53), BigInt::from(3)),
-            // Past 2^53: the unreduced pair rounds on conversion.
-            (BigInt::from(3 * ((1i64 << 53) + 1)), BigInt::from(9)),
+            // Past 2^53 the unreduced pair rounds on conversion, and
+            // its quotient is not the reduced fraction's: 1/3, -4/9, 2/7.
+            (
+                BigInt::from(9007199254740993i64),
+                BigInt::from(27021597764222979i64),
+            ),
+            (
+                BigInt::from(-36028797018963972i64),
+                BigInt::from(81064793292668937i64),
+            ),
+            (
+                BigInt::from(18014398509481990i64),
+                BigInt::from(63050394783186965i64),
+            ),
             (
                 BigInt::from(-(1i64 << 60) - 3),
                 BigInt::from((1i64 << 54) + 7),
