@@ -639,7 +639,10 @@ fn solve_dominance(
     }
 
     // Refinement rounds: probe each dominance region (its interior sample
-    // plus scaled-out points along the diagonal) for better cuts.
+    // plus scaled-out points along the diagonal) for better cuts. A round
+    // that adopts no cut leaves `cuts` as its regions were built from, so
+    // they are kept for the assembly below.
+    let mut settled: Option<Vec<Polyhedron>> = None;
     for _round in 0..12 {
         stats.iterations += 1;
         let regions = dominance_regions(space, &cuts);
@@ -674,16 +677,17 @@ fn solve_dominance(
             improved |= absorb(snet, mf, q, &mut cuts);
         }
         if !improved {
+            settled = Some(regions);
             break;
         }
     }
 
     // Assemble disjoint regions and partitions. Choice `i`'s final
     // region is its dominance region minus the full regions of all
-    // earlier choices. The solver's capacity copies are not needed for
-    // this LP-heavy tail, where the solve's memory peaks.
+    // earlier choices. The solver is not needed in this LP-heavy tail,
+    // where the solve's memory peaks.
     drop(solver);
-    let regions = dominance_regions(space, &cuts);
+    let regions = settled.unwrap_or_else(|| dominance_regions(space, &cuts));
     let disjoint: Vec<Region> = (0..regions.len())
         .map(|i| {
             let mut region = Region::from(regions[i].clone());

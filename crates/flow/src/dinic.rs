@@ -74,8 +74,6 @@ pub struct FlowNetwork {
 pub struct MaxFlow {
     /// Value of the maximum flow (= the minimum cut).
     pub value: Rational,
-    /// Flow on each arc, in insertion order.
-    pub arc_flow: Vec<Rational>,
     /// `true` for nodes on the source side of the minimum cut (reachable
     /// in the residual graph).
     pub source_side: Vec<bool>,
@@ -171,23 +169,18 @@ impl FlowNetwork {
     }
 }
 
-/// Residual representation: paired forward/backward edges.
-#[derive(Debug, Clone)]
-struct Edge {
-    to: usize,
-    cap: Option<Rational>, // residual; None = infinite
-    paired: usize,
-}
-
 /// A reusable Dinic max-flow solver.
 ///
-/// Owns the graph structure (adjacency lists, paired residual edges) and
-/// all per-solve scratch state (BFS levels, DFS edge iterators, the
-/// reachability stack). [`DinicSolver::solve`] resets residuals from the
-/// declared capacities and runs — so solving the same structure at a new
-/// set of capacities ([`DinicSolver::set_capacity`]) performs **zero**
-/// graph construction and no per-solve vector allocation beyond the
-/// returned [`MaxFlow`].
+/// Arc `a` becomes residual edge `2a` (forward) and its pair `2a + 1`
+/// (reverse), so an edge's pair is `e ^ 1`. BFS and DFS run on a flat
+/// graph: every node's edges in insertion order as one slice of `adj`,
+/// each edge's head, and a flag per edge that says whether residual
+/// capacity is left. They never read a `Rational`; only the bottleneck
+/// and the residual updates along an augmenting path do. The flat graph
+/// is built at the first solve after an arc is added and reused by every
+/// later solve, so solving the same structure at new capacities
+/// ([`DinicSolver::set_capacity`]) costs the residual reset and the
+/// search, and allocates nothing beyond the returned [`MaxFlow`].
 #[derive(Debug, Clone)]
 pub struct DinicSolver {
     nodes: usize,
@@ -195,18 +188,27 @@ pub struct DinicSolver {
     sink: usize,
     /// Declared capacity per arc (the reset source).
     caps: Vec<Capacity>,
-    /// Arc endpoints, in insertion order.
-    ends: Vec<(usize, usize)>,
-    /// node -> incident residual-edge ids.
-    graph: Vec<Vec<usize>>,
-    edges: Vec<Edge>,
-    /// arc index -> forward residual-edge id.
-    fwd_index: Vec<usize>,
+    /// Head of each residual edge.
+    head: Vec<usize>,
+    /// Node `n`'s edges are `adj[first[n]..first[n + 1]]`, in insertion
+    /// order. Stale (shorter than `head`) after an `add_arc` until the
+    /// next solve rebuilds it.
+    first: Vec<usize>,
+    adj: Vec<usize>,
+    /// Residual capacity per edge; `None` is infinite.
+    resid: Vec<Option<Rational>>,
+    /// Whether each edge has residual capacity left (`resid` is `None`
+    /// or positive).
+    open: Vec<bool>,
     // ---- scratch ----
     level: Vec<usize>,
-    iter: Vec<usize>,
+    /// Per node, the position in `adj` of the next edge the blocking-flow
+    /// search tries.
+    next: Vec<usize>,
     seen: Vec<bool>,
     stack: Vec<usize>,
+    /// The augmenting path being built, as edge ids.
+    path: Vec<usize>,
 }
 
 impl DinicSolver {
@@ -222,14 +224,16 @@ impl DinicSolver {
             source,
             sink,
             caps: Vec::new(),
-            ends: Vec::new(),
-            graph: vec![Vec::new(); nodes],
-            edges: Vec::new(),
-            fwd_index: Vec::new(),
+            head: Vec::new(),
+            first: vec![0; nodes + 1],
+            adj: Vec::new(),
+            resid: Vec::new(),
+            open: Vec::new(),
             level: vec![usize::MAX; nodes],
-            iter: vec![0; nodes],
+            next: vec![0; nodes],
             seen: vec![false; nodes],
             stack: Vec::new(),
+            path: Vec::new(),
         }
     }
 
@@ -243,21 +247,8 @@ impl DinicSolver {
         if let Capacity::Finite(c) = &cap {
             assert!(!c.is_negative(), "negative capacity");
         }
-        let fi = self.edges.len();
-        self.edges.push(Edge {
-            to,
-            cap: None,
-            paired: fi + 1,
-        });
-        self.graph[from].push(fi);
-        self.edges.push(Edge {
-            to: from,
-            cap: Some(Rational::zero()),
-            paired: fi,
-        });
-        self.graph[to].push(fi + 1);
-        self.fwd_index.push(fi);
-        self.ends.push((from, to));
+        self.head.push(to);
+        self.head.push(from);
         self.caps.push(cap);
         self.caps.len() - 1
     }
@@ -280,8 +271,35 @@ impl DinicSolver {
         self.caps[arc] = cap;
     }
 
-    /// Unboundedness check: an s-t path using only infinite arcs. Reuses
-    /// the `seen`/`stack` scratch buffers.
+    /// Builds the flat adjacency if arcs were added since the last build:
+    /// a counting sort of the edges by tail, which keeps each node's
+    /// edges in insertion order.
+    fn build_adjacency(&mut self) {
+        let edges = self.head.len();
+        if self.adj.len() == edges {
+            return;
+        }
+        self.first = vec![0; self.nodes + 1];
+        for e in 0..edges {
+            self.first[self.head[e ^ 1] + 1] += 1;
+        }
+        for n in 0..self.nodes {
+            self.first[n + 1] += self.first[n];
+        }
+        self.adj = vec![0; edges];
+        self.next.copy_from_slice(&self.first[..self.nodes]);
+        for e in 0..edges {
+            let tail = self.head[e ^ 1];
+            self.adj[self.next[tail]] = e;
+            self.next[tail] += 1;
+        }
+        self.resid = vec![None; edges];
+        self.open = vec![false; edges];
+    }
+
+    /// Unboundedness check: an s-t path using only infinite arcs, by the
+    /// *declared* capacities, so it is valid before the reset. Reuses the
+    /// `seen`/`stack` scratch buffers.
     fn has_infinite_path(&mut self) -> bool {
         self.seen.iter_mut().for_each(|s| *s = false);
         self.stack.clear();
@@ -291,16 +309,10 @@ impl DinicSolver {
             if n == self.sink {
                 return true;
             }
-            for &ei in &self.graph[n] {
-                // Forward edges are even ids; infinite arcs have no
-                // residual bound once reset, but here we consult the
-                // *declared* capacities so the check is valid pre-reset.
-                if ei % 2 != 0 {
-                    continue;
-                }
-                let arc = ei / 2;
-                if matches!(self.caps[arc], Capacity::Infinite) {
-                    let to = self.edges[ei].to;
+            for &e in &self.adj[self.first[n]..self.first[n + 1]] {
+                // Forward edges are the even ids.
+                if e % 2 == 0 && matches!(self.caps[e / 2], Capacity::Infinite) {
+                    let to = self.head[e];
                     if !self.seen[to] {
                         self.seen[to] = true;
                         self.stack.push(to);
@@ -314,12 +326,11 @@ impl DinicSolver {
     /// Resets residuals from the declared capacities.
     fn reset_residuals(&mut self) {
         for (arc, cap) in self.caps.iter().enumerate() {
-            let fi = self.fwd_index[arc];
-            self.edges[fi].cap = cap.as_finite().cloned();
-            if matches!(cap, Capacity::Infinite) {
-                self.edges[fi].cap = None;
-            }
-            self.edges[fi + 1].cap = Some(Rational::zero());
+            let e = 2 * arc;
+            self.resid[e] = cap.as_finite().cloned();
+            self.open[e] = cap.as_finite().is_none_or(Rational::is_positive);
+            self.resid[e + 1] = Some(Rational::zero());
+            self.open[e + 1] = false;
         }
     }
 
@@ -356,15 +367,11 @@ impl DinicSolver {
         phases: &mut u64,
         augmenting_paths: &mut u64,
     ) -> Result<MaxFlow, UnboundedFlow> {
+        self.build_adjacency();
         if self.has_infinite_path() {
             return Err(UnboundedFlow);
         }
         self.reset_residuals();
-
-        let positive = |cap: &Option<Rational>| match cap {
-            None => true,
-            Some(r) => r.is_positive(),
-        };
 
         let mut total = Rational::zero();
         loop {
@@ -378,11 +385,11 @@ impl DinicSolver {
             while head < self.stack.len() {
                 let n = self.stack[head];
                 head += 1;
-                for &ei in &self.graph[n] {
-                    let e = &self.edges[ei];
-                    if positive(&e.cap) && self.level[e.to] == usize::MAX {
-                        self.level[e.to] = self.level[n] + 1;
-                        self.stack.push(e.to);
+                for &e in &self.adj[self.first[n]..self.first[n + 1]] {
+                    let to = self.head[e];
+                    if self.open[e] && self.level[to] == usize::MAX {
+                        self.level[to] = self.level[n] + 1;
+                        self.stack.push(to);
                     }
                 }
             }
@@ -391,38 +398,38 @@ impl DinicSolver {
             }
             *phases += 1;
             // Blocking flow via iterative DFS with edge iterators.
-            self.iter.iter_mut().for_each(|i| *i = 0);
+            self.next.copy_from_slice(&self.first[..self.nodes]);
             loop {
                 // Find one augmenting path.
-                let mut path: Vec<usize> = Vec::new(); // edge ids
+                self.path.clear();
                 let mut node = self.source;
                 let found = loop {
                     if node == self.sink {
                         break true;
                     }
                     let mut advanced = false;
-                    while self.iter[node] < self.graph[node].len() {
-                        let ei = self.graph[node][self.iter[node]];
-                        let e = &self.edges[ei];
-                        if positive(&e.cap) && self.level[e.to] == self.level[node] + 1 {
-                            path.push(ei);
-                            node = e.to;
+                    while self.next[node] < self.first[node + 1] {
+                        let e = self.adj[self.next[node]];
+                        let to = self.head[e];
+                        if self.open[e] && self.level[to] == self.level[node] + 1 {
+                            self.path.push(e);
+                            node = to;
                             advanced = true;
                             break;
                         }
-                        self.iter[node] += 1;
+                        self.next[node] += 1;
                     }
                     if advanced {
                         continue;
                     }
                     // Dead end: retreat.
-                    match path.pop() {
+                    match self.path.pop() {
                         None => break false,
-                        Some(ei) => {
+                        Some(e) => {
                             // The edge we came through is exhausted at its
                             // tail; advance the tail's iterator.
-                            let tail = self.edges[self.edges[ei].paired].to;
-                            self.iter[tail] += 1;
+                            let tail = self.head[e ^ 1];
+                            self.next[tail] += 1;
                             node = tail;
                         }
                     }
@@ -433,28 +440,29 @@ impl DinicSolver {
                 // Bottleneck. A path of only infinite residuals would mean
                 // the upfront infinite-path check missed one — report the
                 // unboundedness instead of panicking.
-                let mut bottleneck: Option<Rational> = None;
-                for &ei in &path {
-                    if let Some(c) = &self.edges[ei].cap {
-                        bottleneck = Some(match bottleneck {
-                            None => c.clone(),
-                            Some(b) if c < &b => c.clone(),
-                            Some(b) => b,
-                        });
+                let mut bottleneck: Option<&Rational> = None;
+                for &e in &self.path {
+                    if let Some(c) = &self.resid[e] {
+                        if bottleneck.is_none_or(|b| c < b) {
+                            bottleneck = Some(c);
+                        }
                     }
                 }
-                let Some(b) = bottleneck else {
+                let Some(b) = bottleneck.cloned() else {
                     return Err(UnboundedFlow);
                 };
                 debug_assert!(b.is_positive());
-                for &ei in &path {
-                    if let Some(c) = &mut self.edges[ei].cap {
-                        *c = &*c - &b;
+                for &e in &self.path {
+                    if let Some(c) = &mut self.resid[e] {
+                        *c -= &b;
+                        self.open[e] = c.is_positive();
                     }
-                    let pi = self.edges[ei].paired;
-                    if let Some(c) = &mut self.edges[pi].cap {
-                        *c = &*c + &b;
+                    // Reverse residuals start at zero and only grow by
+                    // finite bottlenecks; forward ones stay infinite.
+                    if let Some(c) = &mut self.resid[e ^ 1] {
+                        *c += &b;
                     }
+                    self.open[e ^ 1] = true;
                 }
                 *augmenting_paths += 1;
                 total += &b;
@@ -467,37 +475,32 @@ impl DinicSolver {
         self.stack.clear();
         self.stack.push(self.source);
         while let Some(n) = self.stack.pop() {
-            for &ei in &self.graph[n] {
-                let e = &self.edges[ei];
-                if positive(&e.cap) && !source_side[e.to] {
-                    source_side[e.to] = true;
-                    self.stack.push(e.to);
+            for &e in &self.adj[self.first[n]..self.first[n + 1]] {
+                let to = self.head[e];
+                if self.open[e] && !source_side[to] {
+                    source_side[to] = true;
+                    self.stack.push(to);
                 }
             }
         }
 
-        // Per-arc flow = original cap - residual (for finite); for
-        // infinite arcs the reverse edge's residual is the flow (reverse
-        // residuals start at zero and only grow by finite bottlenecks, so
-        // they are always finite).
-        let arc_flow = self
-            .caps
-            .iter()
-            .zip(&self.fwd_index)
-            .map(|(c, &fi)| match (c.as_finite(), &self.edges[fi].cap) {
-                (Some(orig), Some(resid)) => orig - resid,
-                _ => self.edges[self.edges[fi].paired]
-                    .cap
-                    .clone()
-                    .unwrap_or_else(Rational::zero),
-            })
-            .collect();
-
         Ok(MaxFlow {
             value: total,
-            arc_flow,
             source_side,
         })
+    }
+
+    /// Flow on arc `arc` after the last solve: the declared capacity
+    /// minus the forward residual, or, for an infinite arc, the reverse
+    /// residual (always finite).
+    #[cfg(test)]
+    fn arc_flow(&self, arc: usize) -> Rational {
+        match (self.caps[arc].as_finite(), &self.resid[2 * arc]) {
+            (Some(cap), Some(resid)) => cap - resid,
+            _ => self.resid[2 * arc + 1]
+                .clone()
+                .unwrap_or_else(Rational::zero),
+        }
     }
 }
 
@@ -603,22 +606,19 @@ mod tests {
         ] {
             n.add_arc(f, t, fin(c));
         }
-        let mf = n.max_flow().unwrap();
+        let mut solver = n.solver();
+        solver.solve().unwrap();
+        let flow_where = |keep: &dyn Fn(usize, usize) -> bool| -> Rational {
+            n.arcs()
+                .iter()
+                .enumerate()
+                .filter(|(_, (f, t, _))| keep(*f, *t))
+                .map(|(i, _)| solver.arc_flow(i))
+                .fold(Rational::zero(), |a, b| &a + &b)
+        };
         for node in 1..4 {
-            let inflow: Rational = n
-                .arcs()
-                .iter()
-                .zip(&mf.arc_flow)
-                .filter(|((_, t, _), _)| *t == node)
-                .map(|(_, fl)| fl.clone())
-                .fold(Rational::zero(), |a, b| &a + &b);
-            let outflow: Rational = n
-                .arcs()
-                .iter()
-                .zip(&mf.arc_flow)
-                .filter(|((f, _, _), _)| *f == node)
-                .map(|(_, fl)| fl.clone())
-                .fold(Rational::zero(), |a, b| &a + &b);
+            let inflow = flow_where(&|_, t| t == node);
+            let outflow = flow_where(&|f, _| f == node);
             assert_eq!(inflow, outflow, "conservation at {node}");
         }
     }
@@ -645,10 +645,17 @@ mod tests {
             let mut fresh_net = FlowNetwork::new(3, 0, 2);
             fresh_net.add_arc(0, 1, fin(c));
             fresh_net.add_arc(1, 2, fin(5));
-            let fresh = fresh_net.max_flow().unwrap();
+            let mut fresh_solver = fresh_net.solver();
+            let fresh = fresh_solver.solve().unwrap();
             assert_eq!(reused.value, fresh.value, "c={c}");
             assert_eq!(reused.source_side, fresh.source_side, "c={c}");
-            assert_eq!(reused.arc_flow, fresh.arc_flow, "c={c}");
+            for arc in 0..2 {
+                assert_eq!(
+                    solver.arc_flow(arc),
+                    fresh_solver.arc_flow(arc),
+                    "c={c}, arc {arc}"
+                );
+            }
             assert_eq!(st.flow_solves, 1, "c={c}");
             assert!(
                 st.flow_phases >= 1 && st.flow_augmenting_paths >= 1,

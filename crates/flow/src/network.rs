@@ -14,6 +14,7 @@
 
 use crate::dinic::{Capacity, DinicSolver, MaxFlow, UnboundedFlow};
 use offload_poly::{Constraint, LinExpr, Polyhedron, ProjectionBudgetExceeded, Rational};
+use std::collections::{HashMap, VecDeque};
 
 /// A parametric capacity: an affine function of the parameters, or `+∞`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,19 +31,11 @@ impl ParamCap {
         ParamCap::Affine(LinExpr::constant(k, c))
     }
 
-    /// Evaluates at a parameter point.
+    /// Evaluates at a parameter point; a negative affine value clamps to
+    /// zero.
     pub fn eval(&self, point: &[Rational]) -> Capacity {
         match self {
-            ParamCap::Affine(e) => {
-                let v = e.eval(point);
-                // Clamp tiny negative capacities (outside the declared
-                // parameter region) to zero.
-                if v.is_negative() {
-                    Capacity::Finite(Rational::zero())
-                } else {
-                    Capacity::Finite(v)
-                }
-            }
+            ParamCap::Affine(e) => clamped(e.eval(point)),
             ParamCap::Infinite => Capacity::Infinite,
         }
     }
@@ -53,6 +46,24 @@ impl ParamCap {
             (ParamCap::Affine(a), ParamCap::Affine(b)) => ParamCap::Affine(a.add(b)),
             _ => ParamCap::Infinite,
         }
+    }
+}
+
+/// The capacity an affine value gives an arc: the value, or zero where it
+/// is negative.
+///
+/// Outside the declared parameter space negative values are expected. The
+/// clamp is also reached inside it: at vertices of encode's and decode's
+/// dominance regions two arcs' affine capacities are negative, and there
+/// the concrete min-cut sees zero while the region algebra uses the
+/// unclamped affine cut value. The clamp stays until it is settled
+/// whether such points are realizable parameter values (ROADMAP, "Settle
+/// the clamp first").
+fn clamped(v: Rational) -> Capacity {
+    if v.is_negative() {
+        Capacity::Finite(Rational::zero())
+    } else {
+        Capacity::Finite(v)
     }
 }
 
@@ -75,6 +86,9 @@ pub struct ParamNetwork {
     pub params: usize,
     nodes: usize,
     arcs: Vec<ParamArc>,
+    /// `(from, to)` → index in `arcs`, so parallel arcs merge without a
+    /// scan.
+    arc_index: HashMap<(usize, usize), usize>,
     source: usize,
     sink: usize,
 }
@@ -92,6 +106,7 @@ impl ParamNetwork {
             params,
             nodes,
             arcs: Vec::new(),
+            arc_index: HashMap::new(),
             source,
             sink,
         }
@@ -107,11 +122,16 @@ impl ParamNetwork {
         if from == to {
             return; // self-arcs never affect any cut
         }
-        if let Some(a) = self.arcs.iter_mut().find(|a| a.from == from && a.to == to) {
-            a.cap = a.cap.add(&cap);
-            return;
+        match self.arc_index.entry((from, to)) {
+            std::collections::hash_map::Entry::Occupied(slot) => {
+                let a = &mut self.arcs[*slot.get()];
+                a.cap = a.cap.add(&cap);
+            }
+            std::collections::hash_map::Entry::Vacant(slot) => {
+                slot.insert(self.arcs.len());
+                self.arcs.push(ParamArc { from, to, cap });
+            }
         }
-        self.arcs.push(ParamArc { from, to, cap });
     }
 
     /// Number of nodes.
@@ -151,16 +171,29 @@ impl ParamNetwork {
 
     /// Builds a reusable concrete solver over this network's structure.
     ///
-    /// The returned [`ParamSolver`] constructs the Dinic graph **once**;
-    /// each [`ParamSolver::solve_at`] only re-evaluates the affine
-    /// capacities and resets residuals.
+    /// The returned [`ParamSolver`] constructs the Dinic graph **once**
+    /// and sets every capacity that does not depend on the parameters;
+    /// each [`ParamSolver::solve_at`] only re-evaluates the others and
+    /// resets residuals.
     pub fn solver(&self) -> ParamSolver {
         let mut solver = DinicSolver::new(self.nodes, self.source, self.sink);
-        let caps: Vec<ParamCap> = self.arcs.iter().map(|a| a.cap.clone()).collect();
-        for a in &self.arcs {
-            solver.add_arc(a.from, a.to, Capacity::zero());
+        let mut parametric = Vec::new();
+        for (i, a) in self.arcs.iter().enumerate() {
+            let cap = match &a.cap {
+                ParamCap::Affine(e) if e.is_constant() => clamped(e.constant_term().clone()),
+                ParamCap::Affine(e) => {
+                    parametric.push((i, Sparse::of(e)));
+                    Capacity::zero()
+                }
+                ParamCap::Infinite => Capacity::Infinite,
+            };
+            solver.add_arc(a.from, a.to, cap);
         }
-        ParamSolver { caps, solver }
+        ParamSolver {
+            params: self.params,
+            parametric,
+            solver,
+        }
     }
 
     /// The cut value at a point for a given side assignment.
@@ -443,7 +476,6 @@ impl ParamNetwork {
     /// Returns the simplified network and, for each original node, its
     /// representative in the simplified one.
     pub fn simplify(&self, param_space: &Polyhedron) -> (ParamNetwork, Vec<usize>) {
-        use std::collections::{HashMap, VecDeque};
         let mut span = offload_obs::span!(
             "flow",
             "simplify",
@@ -451,51 +483,45 @@ impl ParamNetwork {
             arcs_in = self.arcs.len(),
         );
         let n = self.nodes;
-        // Adjacency with combined parallel capacities.
-        let mut out: Vec<HashMap<usize, ParamCap>> = vec![HashMap::new(); n];
-        let mut inc: Vec<HashMap<usize, ParamCap>> = vec![HashMap::new(); n];
+        // Adjacency with combined parallel capacities, kept sparse: a
+        // capacity touches one or two of the parameter dimensions. Sorted
+        // by neighbour, because candidate and output order must be
+        // reproducible (the first qualifying absorber wins, and arc order
+        // decides which of several equal min-cuts the solver reports).
+        let mut out: Vec<Adj> = vec![Vec::new(); n];
+        let mut inc: Vec<Adj> = vec![Vec::new(); n];
         for a in &self.arcs {
-            merge_cap(&mut out[a.from], a.to, &a.cap);
-            merge_cap(&mut inc[a.to], a.from, &a.cap);
+            let cap = match &a.cap {
+                ParamCap::Affine(e) => SparseCap::Affine(Sparse::of(e)),
+                ParamCap::Infinite => SparseCap::Infinite,
+            };
+            add_cap(&mut out[a.from], a.to, cap.clone());
+            add_cap(&mut inc[a.to], a.from, cap);
         }
         let mut rep: Vec<usize> = (0..n).collect();
         let mut alive: Vec<bool> = vec![true; n];
         let mut queue: VecDeque<usize> = (0..n).collect();
         let mut queued: Vec<bool> = vec![true; n];
-
-        let sum_excluding = |m: &HashMap<usize, ParamCap>, exclude: usize| -> Option<ParamCap> {
-            let mut acc: Option<ParamCap> = None;
-            for (&k, c) in m {
-                if k == exclude {
-                    continue;
-                }
-                acc = Some(match acc {
-                    None => c.clone(),
-                    Some(a) => a.add(c),
-                });
-            }
-            acc
-        };
+        // The parameter space is fixed for the whole call, so whether a
+        // difference is non-negative on it depends on the difference
+        // alone: ask the LP each distinct one once.
+        let mut answers: HashMap<Sparse, bool> = HashMap::new();
 
         while let Some(nj) = queue.pop_front() {
             queued[nj] = false;
             if !alive[nj] || nj == self.source || nj == self.sink {
                 continue;
             }
-            // Sorted: the first qualifying absorber wins, so candidate
-            // order must not depend on hash iteration.
-            let mut in_neighbors: Vec<usize> = inc[nj].keys().copied().collect();
-            in_neighbors.sort_unstable();
             let mut merged_into: Option<usize> = None;
-            for ni in in_neighbors {
+            for &(ni, ref cap_ij) in &inc[nj] {
                 if ni == nj || !alive[ni] {
                     continue;
                 }
-                let cap_ij = inc[nj].get(&ni).cloned();
-                let cap_ji = out[nj].get(&ni).cloned();
-                let out_sum = sum_excluding(&out[nj], ni);
-                let in_sum = sum_excluding(&inc[nj], ni);
-                if cap_ge(&cap_ij, &out_sum, param_space) && cap_ge(&cap_ji, &in_sum, param_space) {
+                let cap_ji = get(&out[nj], ni);
+                let out_sum = sum_without(&out[nj], ni);
+                let in_sum = sum_without(&inc[nj], ni);
+                let mut ge = |a, b| provably_ge(a, b, param_space, self.params, &mut answers);
+                if ge(Some(cap_ij), out_sum.as_ref()) && ge(cap_ji, in_sum.as_ref()) {
                     merged_into = Some(ni);
                     break;
                 }
@@ -504,27 +530,25 @@ impl ParamNetwork {
             // Merge nj into ni: redirect nj's arcs.
             alive[nj] = false;
             rep[nj] = ni;
-            let out_nj: Vec<(usize, ParamCap)> = out[nj].drain().collect();
-            let inc_nj: Vec<(usize, ParamCap)> = inc[nj].drain().collect();
-            for (k, c) in out_nj {
-                inc[k].remove(&nj);
+            for (k, c) in std::mem::take(&mut out[nj]) {
+                remove(&mut inc[k], nj);
                 if k != ni {
-                    merge_cap(&mut out[ni], k, &c);
-                    merge_cap(&mut inc[k], ni, &c);
+                    add_cap(&mut out[ni], k, c.clone());
+                    add_cap(&mut inc[k], ni, c);
                 }
             }
-            for (k, c) in inc_nj {
-                out[k].remove(&nj);
+            for (k, c) in std::mem::take(&mut inc[nj]) {
+                remove(&mut out[k], nj);
                 if k != ni {
-                    merge_cap(&mut out[k], ni, &c);
-                    merge_cap(&mut inc[ni], k, &c);
+                    add_cap(&mut out[k], ni, c.clone());
+                    add_cap(&mut inc[ni], k, c);
                 }
             }
             // Re-examine the absorber and its neighbourhood (sorted, so
             // the examination order is reproducible).
             let mut requeue: Vec<usize> = vec![ni];
-            requeue.extend(out[ni].keys().copied());
-            requeue.extend(inc[ni].keys().copied());
+            requeue.extend(out[ni].iter().map(|e| e.0));
+            requeue.extend(inc[ni].iter().map(|e| e.0));
             requeue.sort_unstable();
             for r in requeue {
                 if alive[r] && !queued[r] {
@@ -557,15 +581,14 @@ impl ParamNetwork {
             if !alive[f] {
                 continue;
             }
-            // Sorted by target: arc order decides the solver's traversal
-            // order, and with it which of several equal-value min-cuts is
-            // reported — keep it reproducible.
-            let mut targets: Vec<usize> = m.keys().copied().collect();
-            targets.sort_unstable();
-            for t in targets {
+            for &(t, ref cap) in m {
                 let (nf, nt) = (new_id[find(f)], new_id[find(t)]);
                 if nf != nt {
-                    result.add_arc(nf, nt, m[&t].clone());
+                    let cap = match cap {
+                        SparseCap::Affine(e) => ParamCap::Affine(e.to_linexpr(self.params)),
+                        SparseCap::Infinite => ParamCap::Infinite,
+                    };
+                    result.add_arc(nf, nt, cap);
                 }
             }
         }
@@ -586,14 +609,18 @@ impl ParamNetwork {
 /// A reusable concrete min-cut solver for one [`ParamNetwork`].
 ///
 /// Built once per network ([`ParamNetwork::solver`]), then driven at many
-/// parameter points: each [`ParamSolver::solve_at`] evaluates the affine
-/// capacities into the held [`DinicSolver`] and re-solves on the already
-/// constructed graph — no adjacency rebuilding, no per-point vector
-/// allocation beyond the returned [`MaxFlow`]. The region-exploration
-/// engine holds one for the whole solve.
+/// parameter points: each [`ParamSolver::solve_at`] evaluates the
+/// capacities that depend on the parameters, from their non-zero terms,
+/// into the held [`DinicSolver`] and re-solves on the already constructed
+/// graph — no adjacency rebuilding, no per-point vector allocation beyond
+/// the returned [`MaxFlow`]. The region-exploration engine holds one for
+/// the whole solve.
 #[derive(Debug, Clone)]
 pub struct ParamSolver {
-    caps: Vec<ParamCap>,
+    params: usize,
+    /// The arcs whose capacity depends on the parameters, with that
+    /// capacity. Every other arc's capacity was set at construction.
+    parametric: Vec<(usize, Sparse)>,
     solver: DinicSolver,
 }
 
@@ -601,30 +628,148 @@ impl ParamSolver {
     /// Computes a minimum cut at `point`.
     ///
     /// Results are identical to [`ParamNetwork::solve_at`] on the owning
-    /// network (same flow value, same canonical cut, same arc flows).
+    /// network (same flow value, same canonical cut).
     ///
     /// # Errors
     ///
     /// Returns [`UnboundedFlow`] if every cut is infinite.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `point` does not have one value per parameter dimension.
     pub fn solve_at(&mut self, point: &[Rational]) -> Result<MaxFlow, UnboundedFlow> {
-        for (i, c) in self.caps.iter().enumerate() {
-            self.solver.set_capacity(i, c.eval(point));
+        assert_eq!(point.len(), self.params, "point dimension mismatch");
+        for (arc, e) in &self.parametric {
+            self.solver.set_capacity(*arc, clamped(e.eval(point)));
         }
         self.solver.solve()
     }
 }
 
-/// Adds a capacity into an adjacency map entry.
-fn merge_cap(m: &mut std::collections::HashMap<usize, ParamCap>, key: usize, cap: &ParamCap) {
-    match m.get_mut(&key) {
-        Some(existing) => *existing = existing.add(cap),
-        None => {
-            m.insert(key, cap.clone());
+/// An affine form `constant + Σ coeff·x_var` that stores only its
+/// non-zero terms, in ascending variable order, so equal forms are
+/// structurally equal and hash alike. Partitioning networks' capacities
+/// touch one or two of a dozen parameter dimensions; the §5.4
+/// simplification merges and compares them, and [`ParamSolver`]
+/// evaluates them, in this form.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct Sparse {
+    terms: Vec<(usize, Rational)>,
+    constant: Rational,
+}
+
+impl Sparse {
+    fn of(e: &LinExpr) -> Self {
+        Sparse {
+            terms: e.terms().map(|(v, c)| (v, c.clone())).collect(),
+            constant: e.constant_term().clone(),
+        }
+    }
+
+    fn to_linexpr(&self, nvars: usize) -> LinExpr {
+        let mut e = LinExpr::constant(nvars, self.constant.clone());
+        for (v, c) in &self.terms {
+            e.set_coeff(*v, c.clone());
+        }
+        e
+    }
+
+    fn zero() -> Self {
+        Sparse {
+            terms: Vec::new(),
+            constant: Rational::zero(),
+        }
+    }
+
+    /// `self + other`, or `self - other` when `negate`.
+    fn combine(&self, other: &Sparse, negate: bool) -> Sparse {
+        use std::cmp::Ordering;
+        let (a, b) = (&self.terms, &other.terms);
+        let (mut i, mut j) = (0, 0);
+        let mut terms = Vec::with_capacity(a.len() + b.len());
+        while i < a.len() || j < b.len() {
+            let order = match (a.get(i), b.get(j)) {
+                (Some(x), Some(y)) => x.0.cmp(&y.0),
+                (Some(_), None) => Ordering::Less,
+                _ => Ordering::Greater,
+            };
+            let (var, coeff) = match order {
+                Ordering::Less => (a[i].0, a[i].1.clone()),
+                Ordering::Greater if negate => (b[j].0, -&b[j].1),
+                Ordering::Greater => (b[j].0, b[j].1.clone()),
+                Ordering::Equal if negate => (a[i].0, &a[i].1 - &b[j].1),
+                Ordering::Equal => (a[i].0, &a[i].1 + &b[j].1),
+            };
+            i += usize::from(order != Ordering::Greater);
+            j += usize::from(order != Ordering::Less);
+            if !coeff.is_zero() {
+                terms.push((var, coeff));
+            }
+        }
+        let constant = if negate {
+            &self.constant - &other.constant
+        } else {
+            &self.constant + &other.constant
+        };
+        Sparse { terms, constant }
+    }
+
+    fn eval(&self, point: &[Rational]) -> Rational {
+        let mut acc = self.constant.clone();
+        for (v, c) in &self.terms {
+            acc += &(c * &point[*v]);
+        }
+        acc
+    }
+}
+
+/// A capacity inside [`ParamNetwork::simplify`].
+#[derive(Debug, Clone)]
+enum SparseCap {
+    Affine(Sparse),
+    Infinite,
+}
+
+impl SparseCap {
+    fn add(&self, other: &SparseCap) -> SparseCap {
+        match (self, other) {
+            (SparseCap::Affine(a), SparseCap::Affine(b)) => SparseCap::Affine(a.combine(b, false)),
+            _ => SparseCap::Infinite,
         }
     }
 }
 
-/// Is `a >= b` provable over the whole parameter region? (`None` means a
+/// One side of a node's arcs in [`ParamNetwork::simplify`]: the other
+/// endpoint and the combined capacity, sorted by endpoint.
+type Adj = Vec<(usize, SparseCap)>;
+
+fn get(m: &Adj, key: usize) -> Option<&SparseCap> {
+    m.binary_search_by_key(&key, |e| e.0).ok().map(|i| &m[i].1)
+}
+
+fn remove(m: &mut Adj, key: usize) {
+    if let Ok(i) = m.binary_search_by_key(&key, |e| e.0) {
+        m.remove(i);
+    }
+}
+
+/// Adds a capacity into an adjacency entry.
+fn add_cap(m: &mut Adj, key: usize, cap: SparseCap) {
+    match m.binary_search_by_key(&key, |e| e.0) {
+        Ok(i) => m[i].1 = m[i].1.add(&cap),
+        Err(i) => m.insert(i, (key, cap)),
+    }
+}
+
+/// The sum of `m`'s capacities except the one at `skip`; `None` when `m`
+/// has no other arc.
+fn sum_without(m: &Adj, skip: usize) -> Option<SparseCap> {
+    let mut others = m.iter().filter(|e| e.0 != skip).map(|e| &e.1);
+    let first = others.next()?.clone();
+    Some(others.fold(first, |sum, c| sum.add(c)))
+}
+
+/// Is `a ≥ b` provable over the whole parameter region? (`None` means a
 /// zero-capacity absent arc.)
 ///
 /// Tries a fast *syntactic* sufficient condition — `a - b` has only
@@ -632,32 +777,31 @@ fn merge_cap(m: &mut std::collections::HashMap<usize, ParamCap>, key: usize, cap
 /// region lies in the non-negative orthant (always true for partitioning
 /// networks: every linearized dimension is a product of non-negative
 /// quantities) — then falls back to an exact LP over the parameter
-/// region. A `false` answer merely skips an optional merge, so any
-/// conservatism is safe.
-fn cap_ge(a: &Option<ParamCap>, b: &Option<ParamCap>, param_space: &Polyhedron) -> bool {
-    fn syntactically_nonneg(e: &LinExpr) -> bool {
-        !e.constant_term().is_negative() && e.support().all(|v| !e.coeff(v).is_negative())
+/// region, whose answer `answers` keeps per difference. A `false` answer
+/// merely skips an optional merge, so any conservatism is safe.
+fn provably_ge(
+    a: Option<&SparseCap>,
+    b: Option<&SparseCap>,
+    param_space: &Polyhedron,
+    nvars: usize,
+    answers: &mut HashMap<Sparse, bool>,
+) -> bool {
+    let diff = match (a, b) {
+        (_, None) | (Some(SparseCap::Infinite), _) => return true,
+        (_, Some(SparseCap::Infinite)) => return false,
+        (None, Some(SparseCap::Affine(eb))) => Sparse::zero().combine(eb, true),
+        (Some(SparseCap::Affine(ea)), Some(SparseCap::Affine(eb))) => ea.combine(eb, true),
+    };
+    if !diff.constant.is_negative() && diff.terms.iter().all(|(_, c)| c.is_positive()) {
+        return true;
     }
-    fn nonneg_on(e: &LinExpr, space: &Polyhedron) -> bool {
-        if syntactically_nonneg(e) {
-            return true;
-        }
-        match offload_poly::lp_minimize(e, space.constraints()) {
+    *answers.entry(diff).or_insert_with_key(|diff| {
+        match offload_poly::lp_minimize(&diff.to_linexpr(nvars), param_space.constraints()) {
             offload_poly::LpResult::Optimal(v) => !v.is_negative(),
             offload_poly::LpResult::Infeasible => true,
             offload_poly::LpResult::Unbounded => false,
         }
-    }
-    match (a, b) {
-        (_, None) => true,
-        (Some(ParamCap::Infinite), _) => true,
-        (None, Some(ParamCap::Affine(e))) => nonneg_on(&e.scale(&Rational::from(-1)), param_space),
-        (None, Some(ParamCap::Infinite)) => false,
-        (Some(ParamCap::Affine(_)), Some(ParamCap::Infinite)) => false,
-        (Some(ParamCap::Affine(ea)), Some(ParamCap::Affine(eb))) => {
-            nonneg_on(&ea.sub(eb), param_space)
-        }
-    }
+    })
 }
 
 #[cfg(test)]

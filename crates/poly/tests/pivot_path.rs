@@ -22,10 +22,51 @@
 //! that runs into the stall limit, artificials left basic by phase 1, an
 //! incremental LP that has to grow its tableau, and seeded random
 //! systems.
+//!
+//! Each case runs on a helper thread under a deadline: nothing bounds the
+//! pivot count of one `primal` run, so a kernel that cycles (a reversed
+//! Bland tie-break does) would otherwise hang the test instead of failing
+//! it.
 
 use offload_poly::{
     lp_cache_clear, lp_maximize, Constraint, LinExpr, LpResult, Polyhedron, Rational,
 };
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::time::Duration;
+
+/// How long one case may run. Every case finishes in milliseconds, even
+/// in a debug build on a loaded host.
+const DEADLINE: Duration = Duration::from_secs(60);
+
+/// Runs `case` on a helper thread, with a cleared LP cache and its own
+/// work counters, and returns its result and counters. Fails the test if
+/// the case panics or runs past [`DEADLINE`]; a case that overran is left
+/// running, and ends with the test process.
+fn within_deadline<T: Send + 'static>(
+    name: &str,
+    case: impl FnOnce() -> T + Send + 'static,
+) -> (T, offload_obs::PipelineStats) {
+    let (tx, rx) = mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        lp_cache_clear();
+        // The receiver is gone only if the deadline already failed the
+        // test.
+        let _ = tx.send(offload_obs::tallied(case));
+    });
+    match rx.recv_timeout(DEADLINE) {
+        Ok(done) => {
+            worker.join().expect("the case's thread sent its result");
+            done
+        }
+        Err(RecvTimeoutError::Timeout) => {
+            panic!("case {name} ran past {DEADLINE:?}: the simplex kernel may be cycling")
+        }
+        Err(RecvTimeoutError::Disconnected) => match worker.join() {
+            Err(panic) => std::panic::resume_unwind(panic),
+            Ok(()) => unreachable!("the case's thread returned without sending"),
+        },
+    }
+}
 
 /// Deterministic xorshift64* generator.
 struct Rng(u64);
@@ -339,8 +380,7 @@ const LP_GOLDENS: &[(&str, [u64; 4])] = &[
 fn cold_solves_keep_their_pivot_path() {
     let mut got = Vec::new();
     for (name, obj, cs) in lp_cases() {
-        lp_cache_clear();
-        let (r, t) = offload_obs::tallied(|| lp_maximize(&obj, &cs));
+        let (r, t) = within_deadline(&name, move || lp_maximize(&obj, &cs));
         let counts = [
             t.lp_pivots,
             t.shadow_proposals,
@@ -502,8 +542,7 @@ const REDUCE_GOLDENS: &[(usize, u64, [u64; 7])] = &[
 fn redundancy_filter_keeps_its_pivot_path() {
     let mut got = Vec::new();
     for (name, p) in reduce_cases() {
-        lp_cache_clear();
-        let (out, t) = offload_obs::tallied(|| p.reduce_redundancy());
+        let (out, t) = within_deadline(&name, move || p.reduce_redundancy());
         let text: Vec<String> = out.constraints().iter().map(|c| c.to_string()).collect();
         let counts = [
             t.lp_pivots,
