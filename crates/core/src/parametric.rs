@@ -259,16 +259,6 @@ fn log(level: Level, msg: impl FnOnce() -> String) {
     }
 }
 
-/// Frees the calling thread's LP result cache when dropped, so a solve
-/// leaves none behind on any exit, a panic included.
-struct LpCacheGuard;
-
-impl Drop for LpCacheGuard {
-    fn drop(&mut self) {
-        offload_poly::lp_cache_clear();
-    }
-}
-
 /// Runs Algorithm 2 on a partitioning network.
 ///
 /// # Errors
@@ -300,11 +290,6 @@ pub fn solve_with_probes(
     options: &SolveOptions,
     probes: &[Vec<Rational>],
 ) -> Result<ParametricPartition, SolveError> {
-    // Start from a cold LP result cache so per-run cache-hit counts and
-    // timings are reproducible regardless of what ran earlier on this
-    // thread, and free it however the solve ends.
-    offload_poly::lp_cache_clear();
-    let _free_cache = LpCacheGuard;
     let mut stats = SolveStats {
         nodes_before: pnet.net.node_count(),
         ..Default::default()
@@ -318,7 +303,8 @@ pub fn solve_with_probes(
 
     // This solve's own record: the engine counts rounds and timings into
     // `stats.pipeline` directly, and the flow and poly layers tally into
-    // this thread's record, so concurrent solves never mix counts.
+    // this thread's record, so concurrent solves never mix counts. The
+    // §5.2 degeneracy reduction runs inside it, so its LPs are counted.
     let (result, counted) = offload_obs::tallied(|| {
         let t_simplify = Instant::now();
         let simplify_span = offload_obs::span!(
@@ -353,14 +339,15 @@ pub fn solve_with_probes(
             explore_regions(pnet, tcfg, n_items, options, &snet, &mapping, &mut stats)
         };
         stats.pipeline.solve_micros = t_solve.elapsed().as_micros() as u64;
-        result
+        let mut choices = result?;
+        if options.region_strategy == RegionStrategy::Exact && options.reduce_degeneracy {
+            stats.merged_choices = reduce_degeneracy(&mut choices);
+        }
+        Ok(choices)
     });
     stats.pipeline += counted;
 
-    let mut choices = result?;
-    if options.region_strategy == RegionStrategy::Exact && options.reduce_degeneracy {
-        stats.merged_choices = reduce_degeneracy(&mut choices);
-    }
+    let choices = result?;
     log(Level::Info, || {
         format!(
             "solved: {} choices ({} merged) in {} us\n{}",
@@ -753,10 +740,8 @@ fn reduce_degeneracy(choices: &mut Vec<Partition>) -> usize {
                 .subtract(&choices[j].full_region)
                 .is_empty();
             if covered {
-                let region = choices[i].region.clone();
-                for piece in region.pieces() {
-                    choices[j].region.push(piece.clone());
-                }
+                let region = std::mem::replace(&mut choices[i].region, Region::empty(0));
+                choices[j].region.absorb(region);
                 choices.remove(i);
                 merged += 1;
                 absorbed = true;

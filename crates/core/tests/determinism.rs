@@ -148,24 +148,6 @@ fn dominance_strategy_is_thread_count_independent_on_fft() {
 }
 
 #[test]
-fn a_solve_leaves_no_lp_cache_on_its_thread() {
-    // The solve runs on this test's thread and clears the thread's LP
-    // result cache on entry; it must also free it on the way out.
-    let fft = offload_benchmarks::fft()
-        .analyze()
-        .expect("analysis succeeds");
-    assert!(
-        fft.pipeline_stats().lp_cache_hits > 0,
-        "the solve never used its LP cache"
-    );
-    assert_eq!(
-        offload_poly::lp_cache_cells(),
-        0,
-        "the solve left its LP cache on the thread"
-    );
-}
-
-#[test]
 fn pipeline_stats_are_populated_on_the_exact_path() {
     let a = analyze_with(PROGRAMS[0], SolveOptions::default());
     let p: PipelineStats = a.pipeline_stats();
@@ -209,5 +191,56 @@ fn concurrent_analyses_report_their_own_counters() {
     });
     for ((b, a), t) in benches.iter().zip(&alone).zip(&together) {
         assert_eq!(a, t, "{}: concurrent analysis saw foreign counts", b.name);
+    }
+}
+
+/// The symbolic pass's parameter dictionary as text: its monomials in id
+/// order, then its dummies' origins. Loop probing numbers its temporary
+/// atoms (`Dummy(1_000_000 + k)`) in hash order, so they print as
+/// `probe`.
+fn symbolic_dict_text(bench: &offload_benchmarks::Benchmark) -> (usize, String) {
+    use offload_symbolic::{Atom, MonomialId};
+    let checked = offload_lang::frontend(&bench.source).expect("front end accepts");
+    let module = offload_ir::lower(&checked);
+    let pta = offload_pta::PointsTo::analyze(&module);
+    let dict = offload_symbolic::Symbolic::analyze(&module, pta.indirect_targets()).dict;
+    let mut text = String::new();
+    for m in 0..dict.monomial_count() {
+        for atom in dict.atoms(MonomialId(m as u32)) {
+            match atom {
+                Atom::Param(i) => text += &format!("p{i} "),
+                Atom::Dummy(d) if *d >= 1_000_000 => text += "probe ",
+                Atom::Dummy(d) => text += &format!("d{d} "),
+            }
+        }
+        text.push('\n');
+    }
+    for origin in dict.dummies() {
+        text += &format!("{origin:?}\n");
+    }
+    (dict.monomial_count(), text)
+}
+
+/// 64-bit FNV-1a.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+#[test]
+fn symbolic_interning_order_is_pinned() {
+    // Recorded before the symbolic fixpoint stopped re-transferring
+    // unchanged blocks: monomial and dummy ids are positions in the
+    // parameter space, so any change to the order in which the pass
+    // interns them fails here.
+    let pinned = [
+        (offload_benchmarks::susan(), 611, 0x24ed_1474_08c3_5d37),
+        (offload_benchmarks::fft(), 310, 0xf1c1_db3d_6190_344d),
+    ];
+    for (bench, monomials, digest) in pinned {
+        let (count, text) = symbolic_dict_text(&bench);
+        assert_eq!(count, monomials, "{}: monomial count", bench.name);
+        assert_eq!(fnv1a(&text), digest, "{}: dictionary digest", bench.name);
     }
 }

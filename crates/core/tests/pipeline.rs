@@ -171,6 +171,32 @@ fn degeneracy_reduction_reduces_or_keeps() {
     assert!(with.partition.choices.len() <= without.partition.choices.len());
 }
 
+/// The §5.2 degeneracy reduction runs inside the solve's counted work:
+/// every LP the solve issues on its thread is in its own record.
+#[test]
+fn solve_counters_include_the_degeneracy_reduction() {
+    for bench in [
+        offload_benchmarks::rawcaudio(),
+        offload_benchmarks::rawdaudio(),
+    ] {
+        let a = bench.analyze().expect("analysis succeeds");
+        let opts = SolveOptions {
+            region_strategy: bench.region_strategy(),
+            ..SolveOptions::default()
+        };
+        let (p, outer) = offload_obs::tallied(|| {
+            offload_core::solve(&a.network, &a.tcfg, a.items.items.len(), &opts)
+                .expect("solve succeeds")
+        });
+        assert!(outer.lp_solves > 0, "{}: no LP issued", bench.name);
+        assert_eq!(
+            outer.lp_solves, p.stats.pipeline.lp_solves,
+            "{}: LPs the solve's record missed",
+            bench.name
+        );
+    }
+}
+
 #[test]
 fn simplification_does_not_change_decisions() {
     let src = "int work(int k) {

@@ -113,8 +113,7 @@ counters! {
     /// Simplex LP solves (`lp_maximize` entries, including the internal
     /// ones behind emptiness tests and redundancy reduction).
     lp_solves = Work,
-    /// Simplex pivots. A cached LP solve adds its stored pivot count, so
-    /// this does not depend on whether the cache fires.
+    /// Simplex pivots.
     lp_pivots = Work,
     /// Variables eliminated by polyhedral projection (equality
     /// substitution or Fourier–Motzkin).
@@ -122,12 +121,11 @@ counters! {
     /// Constraints generated by Fourier–Motzkin combination (before
     /// pruning).
     fm_constraints = Work,
-    /// LP solves answered from the poly layer's thread-local result cache
-    /// without re-running the simplex. The solve clears the cache on
-    /// entry, so the count repeats exactly.
+    /// Always 0: the poly layer has no LP result cache. Kept while
+    /// perfbench still reads it (ROADMAP item 3).
     lp_cache_hits = Work,
     /// `BigInt` results that outgrew the inline `i64` representation and
-    /// allocated heap limbs (cached LP solves skip the arithmetic).
+    /// allocated heap limbs.
     small_int_promotions = Work,
     /// Cuts accepted by the region-exploration engine.
     regions_explored = Work,
@@ -272,9 +270,8 @@ impl fmt::Display for PipelineStats {
         )?;
         writeln!(
             f,
-            "poly: {} LP solves ({} cached), {} pivots, {} vars eliminated, {} FM constraints, {} bigint promotions",
+            "poly: {} LP solves, {} pivots, {} vars eliminated, {} FM constraints, {} bigint promotions",
             self.lp_solves,
-            self.lp_cache_hits,
             self.lp_pivots,
             self.fm_vars_eliminated,
             self.fm_constraints,

@@ -1,7 +1,7 @@
 //! The one hasher for exact keys in this crate.
 //!
-//! Every map here is keyed by exact values that an analysis built: LP
-//! systems, canonical row directions, sign-canonical rows. A lookup
+//! Every map here is keyed by exact values that an analysis built:
+//! canonical row directions and sign-canonical rows. A lookup
 //! confirms each match by full-key equality, and no output depends on
 //! iteration order, so the hash only has to spread keys, not resist an
 //! adversary. The keys come from the analysis's own rows, so a crafted

@@ -22,24 +22,19 @@
 //! proposal, Bland's rule picks the pivot. The shadow shortens the pivot
 //! path; it never changes an answer.
 //!
-//! On top of the solver sits a thread-local *exact* result cache:
-//! the region-subtraction and redundancy-reduction loops in `polyhedron.rs`
-//! re-issue many identical `(objective, constraints)` systems, which are
-//! answered from the cache without re-solving. Keys are compared by full
-//! structural equality (never by hash alone), so a cache hit returns
-//! exactly what a fresh solve would. So that the work counters do not
-//! depend on whether the cache fires, a hit still counts as an
-//! `lp_solve` and adds the original solve's pivot count to `lp_pivots`;
-//! the hit itself is reported separately as `lp_cache_hits`.
+//! There is no result cache: every call solves. The callers ask each
+//! question once where they can see a repeat (the flow layer's
+//! simplification keeps its answers per capacity difference, region
+//! subtraction skips splits that are empty by inspection), and what
+//! repeats were left cost less to solve again than a cache cost to hash
+//! and compare whole systems.
 
 use crate::bigint::BigInt;
-use crate::hash::{ExactMap, WordHasher};
 use crate::linear::{Constraint, LinExpr};
 use crate::rational::Rational;
-use crate::shadow::{ShadowCounts, ShadowRed};
+use crate::shadow::ShadowRed;
 use crate::simplex::{primal, write_row, Phase, Rule, Scratch, Tableau};
 use std::cell::RefCell;
-use std::hash::{Hash, Hasher};
 
 /// Outcome of an LP solve.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,61 +47,15 @@ pub enum LpResult {
     Optimal(Rational),
 }
 
-/// Upper bound on cached constraint cells (`(nvars + 1) × (rows + 1)`
-/// summed over entries) per thread. When an insert would exceed it the
-/// whole cache is dropped and rebuilt — an epoch scheme that bounds memory
-/// without per-entry bookkeeping.
-const CACHE_CELL_CAP: usize = 1_000_000;
-
-struct CacheEntry {
-    objective: LinExpr,
-    constraints: Vec<Constraint>,
-    result: LpResult,
-    pivots: u64,
-    shadow: ShadowCounts,
-}
-
 #[derive(Default)]
 struct LpTls {
     tableau: Tableau,
     scratch: Scratch,
     fred: ShadowRed,
-    cache: ExactMap<u64, Vec<CacheEntry>>,
-    cache_cells: usize,
 }
 
 thread_local! {
     static LP_TLS: RefCell<LpTls> = RefCell::new(LpTls::default());
-}
-
-/// Drops this thread's LP result cache and frees its table (scratch
-/// buffers are kept).
-///
-/// The parametric engine calls this at the start of every solve so runs
-/// are reproducible: cached results never change *what* is computed (keys
-/// are compared exactly), but clearing makes the per-run `lp_cache_hits`
-/// counter and timing independent of whatever ran earlier on the thread.
-/// It calls it again when the solve ends, so a thread that ran a solve
-/// does not keep its cache alive until the next one.
-pub fn cache_clear() {
-    LP_TLS.with(|tls| {
-        let tls = &mut *tls.borrow_mut();
-        tls.cache = ExactMap::default();
-        tls.cache_cells = 0;
-    });
-}
-
-/// Constraint cells (`(nvars + 1) × (rows + 1)` per entry) this thread's
-/// LP result cache holds.
-pub fn cache_cells() -> usize {
-    LP_TLS.with(|tls| tls.borrow().cache_cells)
-}
-
-fn key_hash(objective: &LinExpr, constraints: &[Constraint]) -> u64 {
-    let mut h = WordHasher::default();
-    objective.hash(&mut h);
-    constraints.hash(&mut h);
-    h.finish()
 }
 
 /// Maximizes `objective` subject to the *closures* of `constraints`
@@ -128,23 +77,6 @@ pub fn maximize(objective: &LinExpr, constraints: &[Constraint]) -> LpResult {
 
     LP_TLS.with(|tls| {
         let tls = &mut *tls.borrow_mut();
-        let h = key_hash(objective, constraints);
-        if let Some(bucket) = tls.cache.get(&h) {
-            for e in bucket {
-                if e.objective == *objective && e.constraints == constraints {
-                    // A fresh solve of the same system would perform the
-                    // same pivots and shadow proposals, so account for
-                    // them: lp_solves/lp_pivots and the shadow counters
-                    // stay independent of whether the cache fires.
-                    offload_obs::tally(|t| {
-                        t.lp_pivots += e.pivots;
-                        t.lp_cache_hits += 1;
-                    });
-                    e.shadow.flush();
-                    return e.result.clone();
-                }
-            }
-        }
         let mut pivots = 0u64;
         let result = solve(
             &mut tls.tableau,
@@ -154,31 +86,16 @@ pub fn maximize(objective: &LinExpr, constraints: &[Constraint]) -> LpResult {
             constraints,
             &mut pivots,
         );
-        let sc = std::mem::take(&mut tls.fred.counts);
         offload_obs::tally(|t| t.lp_pivots += pivots);
-        sc.flush();
-
-        let cells = (objective.nvars() + 1) * (constraints.len() + 1);
-        if tls.cache_cells + cells > CACHE_CELL_CAP {
-            tls.cache.clear();
-            tls.cache_cells = 0;
-        }
-        tls.cache_cells += cells;
-        tls.cache.entry(h).or_default().push(CacheEntry {
-            objective: objective.clone(),
-            constraints: constraints.to_vec(),
-            result: result.clone(),
-            pivots,
-            shadow: sc,
-        });
+        std::mem::take(&mut tls.fred.counts).flush();
         result
     })
 }
 
 /// [`maximize`] by Bland's rule throughout, on the same kernel with no
-/// `f64` shadow and no result cache: the pivot path the shadow is
-/// measured against. It adds its pivots to `lp_pivots` and counts
-/// nothing else, so a test can compare its path with a reference solver.
+/// `f64` shadow: the pivot path the shadow is measured against. It adds
+/// its pivots to `lp_pivots` and counts nothing else, so a test can
+/// compare its path with a reference solver.
 pub fn maximize_bland(objective: &LinExpr, constraints: &[Constraint]) -> LpResult {
     let (mut t, mut sx) = (Tableau::default(), Scratch::default());
     let mut pivots = 0;
@@ -418,31 +335,7 @@ mod tests {
     }
 
     #[test]
-    fn cache_hit_returns_identical_result_and_counts() {
-        cache_clear();
-        let cs = vec![
-            ge(2, &[(0, 1)], 0),
-            ge(2, &[(1, 1)], 0),
-            ge(2, &[(0, -2), (1, -3)], 7),
-            ge(2, &[(0, -3), (1, -2)], 7),
-        ];
-        let obj = LinExpr::zero(2).plus_term(0, r(1)).plus_term(1, r(1));
-        let (first, fresh) = offload_obs::tallied(|| maximize(&obj, &cs));
-        let (second, hit) = offload_obs::tallied(|| maximize(&obj, &cs));
-        assert_eq!(first, second);
-        assert_eq!(hit.lp_cache_hits, fresh.lp_cache_hits + 1);
-        // Stored-pivot accounting: a hit reports the same solve/pivot and
-        // shadow work as the original solve did.
-        assert_eq!(hit.lp_solves, fresh.lp_solves);
-        assert_eq!(hit.lp_pivots, fresh.lp_pivots);
-        assert_eq!(hit.shadow_proposals, fresh.shadow_proposals);
-        assert_eq!(hit.shadow_certified, fresh.shadow_certified);
-        assert_eq!(hit.shadow_fallbacks, fresh.shadow_fallbacks);
-    }
-
-    #[test]
     fn cache_distinguishes_differing_systems() {
-        cache_clear();
         let cs_a = vec![ge(1, &[(0, 1)], 0), ge(1, &[(0, -1)], 5)];
         let cs_b = vec![ge(1, &[(0, 1)], 0), ge(1, &[(0, -1)], 6)];
         let obj = LinExpr::var(1, 0);
@@ -453,21 +346,9 @@ mod tests {
 
     #[test]
     fn lp_work_is_counted() {
-        cache_clear();
         let cs = vec![ge(1, &[(0, 1)], 0), ge(1, &[(0, -1)], 5)];
         let (_, delta) = offload_obs::tallied(|| maximize(&LinExpr::var(1, 0), &cs));
         assert!(delta.lp_solves >= 1);
         assert!(delta.lp_pivots >= 1);
-    }
-
-    #[test]
-    fn cache_clear_resets_hits() {
-        cache_clear();
-        let cs = vec![ge(1, &[(0, 1)], 0), ge(1, &[(0, -1)], 5)];
-        let obj = LinExpr::var(1, 0);
-        let _ = maximize(&obj, &cs);
-        cache_clear();
-        let (_, delta) = offload_obs::tallied(|| maximize(&obj, &cs));
-        assert_eq!(delta.lp_cache_hits, 0);
     }
 }

@@ -61,12 +61,13 @@ impl Region {
         self.nvars
     }
 
-    /// The convex pieces of the union (not guaranteed minimal).
+    /// The convex pieces of the union (not guaranteed minimal), each
+    /// non-empty.
     pub fn pieces(&self) -> &[Polyhedron] {
         &self.pieces
     }
 
-    /// Adds one more convex piece to the union.
+    /// Adds one more convex piece to the union, unless it is empty.
     ///
     /// # Panics
     ///
@@ -78,9 +79,21 @@ impl Region {
         }
     }
 
-    /// Returns `true` if no piece contains any point.
+    /// Moves every piece of `other` into this union. Each was proven
+    /// non-empty when `other` stored it, so none is tested again.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the dimensions differ.
+    pub fn absorb(&mut self, other: Region) {
+        assert_eq!(other.nvars, self.nvars, "region dimension mismatch");
+        self.pieces.extend(other.pieces);
+    }
+
+    /// Returns `true` if the union contains no point. Every stored piece
+    /// was proven non-empty when it was stored, so this solves no LP.
     pub fn is_empty(&self) -> bool {
-        self.pieces.iter().all(Polyhedron::is_empty)
+        self.pieces.is_empty()
     }
 
     /// Returns `true` if any piece contains the point.
@@ -98,20 +111,21 @@ impl Region {
     /// Each convex piece `P` is split against `other`'s constraints with the
     /// classic disjoint decomposition: for constraints `c1..cn` of `other`,
     /// the pieces of `P \ other` are `P ∩ ¬c1`, `P ∩ c1 ∩ ¬c2`, …, which are
-    /// pairwise disjoint by construction.
+    /// pairwise disjoint by construction. A split `P ∩ … ∩ ¬ci` where `P`
+    /// already has `ci` as a row is empty by inspection and costs no LP.
     pub fn subtract(&self, other: &Polyhedron) -> Region {
         assert_eq!(other.nvars(), self.nvars, "region dimension mismatch");
         let mut out = Region::empty(self.nvars);
         for piece in &self.pieces {
             let mut prefix: Vec<Constraint> = Vec::new();
             for c in other.constraints() {
-                let mut split = piece.clone();
-                for p in &prefix {
-                    split.add(p.clone());
-                }
-                split.add(c.negated());
-                if !split.is_empty() {
-                    out.pieces.push(split);
+                if !piece.constraints().contains(c) {
+                    let mut split = piece.clone();
+                    for p in &prefix {
+                        split.add(p.clone());
+                    }
+                    split.add(c.negated());
+                    out.push(split);
                 }
                 prefix.push(c.clone());
             }
@@ -133,10 +147,7 @@ impl Region {
         assert_eq!(other.nvars(), self.nvars, "region dimension mismatch");
         let mut out = Region::empty(self.nvars);
         for piece in &self.pieces {
-            let p = piece.intersect(other);
-            if !p.is_empty() {
-                out.pieces.push(p);
-            }
+            out.push(piece.intersect(other));
         }
         out
     }
@@ -149,12 +160,7 @@ impl Region {
 
     /// Formats with variable names supplied by `names`.
     pub fn display_with(&self, names: &dyn Fn(usize) -> String) -> String {
-        let live: Vec<String> = self
-            .pieces
-            .iter()
-            .filter(|p| !p.is_empty())
-            .map(|p| p.display_with(names))
-            .collect();
+        let live: Vec<String> = self.pieces.iter().map(|p| p.display_with(names)).collect();
         if live.is_empty() {
             "false".to_string()
         } else if live.len() == 1 {

@@ -47,9 +47,7 @@ use crate::rational::Rational;
 const TOL: f64 = 1e-9;
 
 /// Tally of shadow activity, flushed to the calling thread's counter
-/// record (and, in `lp.rs`, into the result cache so a cache hit replays
-/// the original solve's shadow work and the counters do not depend on
-/// whether the cache fires).
+/// record when its solve ends.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct ShadowCounts {
     /// Entering-column (or optimality) proposals the shadow made.

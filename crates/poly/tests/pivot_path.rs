@@ -8,9 +8,8 @@
 //! every answer but moves one pivot shows up here.
 //!
 //! Two families of fixed systems:
-//! - cold solves through `lp_maximize`, with the result cache cleared
-//!   first, pinning the result, `lp_pivots` and the three shadow
-//!   counters;
+//! - cold solves through `lp_maximize`, pinning the result,
+//!   `lp_pivots` and the three shadow counters;
 //! - `Polyhedron::reduce_redundancy`, which runs the warm-started
 //!   incremental LP (`reduce.rs`) and then cold solves, pinning the
 //!   output rows (count and digest) and the same counters plus
@@ -28,9 +27,7 @@
 //! Bland tie-break does) would otherwise hang the test instead of failing
 //! it.
 
-use offload_poly::{
-    lp_cache_clear, lp_maximize, Constraint, LinExpr, LpResult, Polyhedron, Rational,
-};
+use offload_poly::{lp_maximize, Constraint, LinExpr, LpResult, Polyhedron, Rational};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::Duration;
 
@@ -38,17 +35,16 @@ use std::time::Duration;
 /// in a debug build on a loaded host.
 const DEADLINE: Duration = Duration::from_secs(60);
 
-/// Runs `case` on a helper thread, with a cleared LP cache and its own
-/// work counters, and returns its result and counters. Fails the test if
-/// the case panics or runs past [`DEADLINE`]; a case that overran is left
-/// running, and ends with the test process.
+/// Runs `case` on a helper thread, with its own work counters, and
+/// returns its result and counters. Fails the test if the case panics
+/// or runs past [`DEADLINE`]; a case that overran is left running, and
+/// ends with the test process.
 fn within_deadline<T: Send + 'static>(
     name: &str,
     case: impl FnOnce() -> T + Send + 'static,
 ) -> (T, offload_obs::PipelineStats) {
     let (tx, rx) = mpsc::channel();
     let worker = std::thread::spawn(move || {
-        lp_cache_clear();
         // The receiver is gone only if the deadline already failed the
         // test.
         let _ = tx.send(offload_obs::tallied(case));

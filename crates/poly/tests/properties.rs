@@ -203,6 +203,103 @@ fn region_subtraction_pointwise() {
     }
 }
 
+/// Region subtraction as it was before it skipped splits: every split
+/// `piece ∩ prefix ∩ ¬c` goes to the emptiness LP. Returns the kept
+/// pieces and the LP solves spent on splits whose piece already has `c`
+/// as a row, the splits `Region::subtract` now skips.
+fn reference_subtract(region: &Region, other: &Polyhedron) -> (Vec<Polyhedron>, u64) {
+    let mut kept = Vec::new();
+    let mut skippable = 0;
+    for piece in region.pieces() {
+        let mut prefix: Vec<Constraint> = Vec::new();
+        for c in other.constraints() {
+            let mut split = piece.clone();
+            for p in &prefix {
+                split.add(p.clone());
+            }
+            split.add(c.negated());
+            let (empty, work) = offload_obs::tallied(|| split.is_empty());
+            if piece.constraints().contains(c) {
+                assert!(empty, "a split against the piece's own row is empty");
+                skippable += work.lp_solves;
+            }
+            if !empty {
+                kept.push(split);
+            }
+            prefix.push(c.clone());
+        }
+    }
+    (kept, skippable)
+}
+
+/// Subtracting a polyhedron that shares rows with the pieces keeps the
+/// pieces of the full decomposition, with the same rows in the same
+/// order, and solves exactly the skipped splits' LPs fewer.
+#[test]
+fn region_subtraction_skips_splits_against_a_pieces_own_rows() {
+    let mut rng = Rng::new(0x5A8);
+    let (mut skipped, mut kept) = (0, 0);
+    for case in 0..64 {
+        let a = Polyhedron::from_constraints(3, halfspaces(&mut rng, 1, 4));
+        let mut region = Region::from(a.clone());
+        if rng.bool() {
+            let cut = Polyhedron::from_constraints(3, halfspaces(&mut rng, 1, 2));
+            region = region.subtract(&cut);
+        }
+        // The subtrahend: some of `a`'s rows among fresh ones, shuffled.
+        let mut rows: Vec<Constraint> = a
+            .constraints()
+            .iter()
+            .filter(|_| rng.bool())
+            .cloned()
+            .collect();
+        rows.extend(halfspaces(&mut rng, 0, 2));
+        for i in (1..rows.len()).rev() {
+            rows.swap(i, rng.i64_in(0, i as i64) as usize);
+        }
+        let b = Polyhedron::from_constraints(3, rows);
+
+        let ((want, skippable), reference) =
+            offload_obs::tallied(|| reference_subtract(&region, &b));
+        let (got, counted) = offload_obs::tallied(|| region.subtract(&b));
+        assert_eq!(got.pieces(), &want[..], "case {case}: pieces");
+        assert_eq!(
+            counted.lp_solves,
+            reference.lp_solves - skippable,
+            "case {case}: LP solves"
+        );
+        skipped += skippable;
+        kept += want.len();
+    }
+    assert!(skipped > 32 && kept > 32, "{skipped} skipped, {kept} kept");
+}
+
+/// A region is empty exactly when every one of its pieces is LP-empty:
+/// the pieces it stores never are.
+#[test]
+fn region_is_empty_iff_every_piece_is_lp_empty() {
+    let mut rng = Rng::new(0x5A9);
+    let (mut empty, mut nonempty) = (0, 0);
+    for case in 0..64 {
+        let mut region = Region::empty(3);
+        for _ in 0..rng.i64_in(0, 3) {
+            region.push(Polyhedron::from_constraints(3, halfspaces(&mut rng, 1, 5)));
+        }
+        let other = Polyhedron::from_constraints(3, halfspaces(&mut rng, 1, 3));
+        for r in [region.subtract(&other), region.intersect(&other), region] {
+            let lp_empty = r.pieces().iter().all(Polyhedron::is_empty);
+            assert_eq!(r.is_empty(), lp_empty, "case {case}");
+            assert!(r.pieces().iter().all(|p| !p.is_empty()), "case {case}");
+            if lp_empty {
+                empty += 1;
+            } else {
+                nonempty += 1;
+            }
+        }
+    }
+    assert!(empty > 16 && nonempty > 16, "{empty} empty, {nonempty} not");
+}
+
 /// Pieces produced by subtraction are pairwise disjoint.
 #[test]
 fn region_pieces_disjoint() {

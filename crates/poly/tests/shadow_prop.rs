@@ -24,8 +24,7 @@
 //! same deterministic case set.
 
 use offload_poly::{
-    lp_cache_clear, lp_maximize, lp_maximize_bland, lp_minimize, Constraint, LinExpr, LpResult,
-    Rational,
+    lp_maximize, lp_maximize_bland, lp_minimize, Constraint, LinExpr, LpResult, Rational,
 };
 
 /// The pure-exact reference minimum: the Bland maximum of `−obj`, negated.
@@ -413,11 +412,7 @@ fn shadow_survives_coefficients_beyond_f64_precision() {
 fn shadow_counters_are_run_to_run_identical_and_balanced() {
     let mut rng = Rng::new(0xC0FF_EE00);
     let (obj, cs) = arb_lp(&mut rng, 3, 5);
-    // Two fresh solves: the second must not be answered from the cache.
-    let run = || {
-        lp_cache_clear();
-        offload_obs::tallied(|| lp_maximize(&obj, &cs))
-    };
+    let run = || offload_obs::tallied(|| lp_maximize(&obj, &cs));
     let (r1, d1) = run();
     let (r2, d2) = run();
     assert_eq!(r1, r2);
@@ -430,20 +425,4 @@ fn shadow_counters_are_run_to_run_identical_and_balanced() {
     assert_eq!(d1.shadow_proposals, d2.shadow_proposals);
     assert_eq!(d1.shadow_certified, d2.shadow_certified);
     assert_eq!(d1.shadow_fallbacks, d2.shadow_fallbacks);
-}
-
-#[test]
-fn cached_solves_replay_shadow_counters() {
-    let mut rng = Rng::new(0xCAC4_ED00);
-    let (obj, cs) = arb_lp(&mut rng, 3, 4);
-    lp_cache_clear();
-    let (fresh, fresh_delta) = offload_obs::tallied(|| lp_maximize(&obj, &cs));
-    let (hit, hit_delta) = offload_obs::tallied(|| lp_maximize(&obj, &cs));
-    assert_eq!(fresh, hit);
-    assert_eq!(hit_delta.lp_cache_hits, 1);
-    // The hit replays the stored shadow counts, so totals stay
-    // scheduling-independent even when caches are warm.
-    assert_eq!(fresh_delta.shadow_proposals, hit_delta.shadow_proposals);
-    assert_eq!(fresh_delta.shadow_certified, hit_delta.shadow_certified);
-    assert_eq!(fresh_delta.shadow_fallbacks, hit_delta.shadow_fallbacks);
 }

@@ -466,8 +466,13 @@ impl<'m> Analyzer<'m> {
     }
 
     /// Computes entry environments by fixpoint iteration. When `members`
-    /// is given, only those blocks participate and edges back to `entry`
-    /// are ignored (used for loop-body probing).
+    /// is given (it holds `entry`), only those blocks participate and
+    /// edges back to `entry` are ignored (used for loop-body probing).
+    ///
+    /// Each round visits the blocks in order and transfers only those
+    /// whose entry environment changed since their last transfer: a
+    /// block whose entry is unchanged would send the same environments
+    /// to its successors, and merging them again changes nothing.
     fn compute_envs(
         &mut self,
         fid: FuncId,
@@ -475,21 +480,17 @@ impl<'m> Analyzer<'m> {
         entry: BlockId,
         entry_env: Env,
     ) -> HashMap<BlockId, Env> {
-        let f = self.module.function(fid).clone();
+        let f = self.module.function(fid);
         let mut envs: HashMap<BlockId, Env> = HashMap::new();
         envs.insert(entry, entry_env);
-        loop {
-            let mut changed = false;
+        let mut dirty = vec![false; f.blocks.len()];
+        dirty[entry.index()] = true;
+        while dirty.contains(&true) {
             for (bid, block) in f.iter_blocks() {
-                if let Some(m) = members {
-                    if !m.contains(&bid) {
-                        continue;
-                    }
-                }
-                let Some(env_in) = envs.get(&bid).cloned() else {
+                if !std::mem::take(&mut dirty[bid.index()]) {
                     continue;
-                };
-                let mut env = env_in;
+                }
+                let mut env = envs[&bid].clone();
                 for inst in &block.insts {
                     self.transfer(&mut env, inst);
                 }
@@ -499,6 +500,7 @@ impl<'m> Analyzer<'m> {
                             continue;
                         }
                     }
+                    let mut changed = false;
                     match envs.get_mut(&succ) {
                         None => {
                             envs.insert(succ, env.clone());
@@ -528,12 +530,11 @@ impl<'m> Analyzer<'m> {
                             }
                         }
                     }
+                    dirty[succ.index()] |= changed;
                 }
             }
-            if !changed {
-                return envs;
-            }
         }
+        envs
     }
 
     // ---- per-function analysis ----

@@ -21,7 +21,7 @@ echo "== build (release) =="
 cargo build --release --workspace --offline
 
 echo "== test =="
-cargo test -q --workspace --offline
+cargo test -q --workspace --offline --no-fail-fast
 
 echo "== clippy =="
 if cargo clippy --version >/dev/null 2>&1; then
