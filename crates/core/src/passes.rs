@@ -681,7 +681,7 @@ impl Pass for NetBuildPass {
     }
 }
 
-/// Algorithm 2: the parametric solve ([`parametric::solve_with_probes`]),
+/// Algorithm 2: the parametric solve (`parametric::solve_with_probes`),
 /// seeded with the standard probe-point grid.
 pub struct SolvePass;
 

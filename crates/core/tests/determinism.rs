@@ -122,10 +122,9 @@ fn incremental_prune_counters_fire_and_are_thread_count_independent() {
 #[test]
 fn dominance_strategy_is_thread_count_independent_on_fft() {
     // fft takes the dominance strategy. Two analyses in one process must
-    // agree on the partition and on every work counter, and the f64
-    // shadow must actually propose the pivots: a shadow that never
-    // engages would leave the same counts on both runs and pass the
-    // comparison anyway.
+    // agree on the partition and on every work counter, and the simplex
+    // must actually pivot: a kernel that never pivots would leave the
+    // same counts on both runs and pass the comparison anyway.
     let fft = offload_benchmarks::all()
         .into_iter()
         .find(|b| b.name == "fft")
@@ -137,7 +136,7 @@ fn dominance_strategy_is_thread_count_independent_on_fft() {
         })
         .collect();
     let (choices, stats) = &runs[0];
-    assert!(stats.shadow_certified > 0, "the shadow certified nothing");
+    assert!(stats.lp_pivots > 0, "the simplex made no pivot");
     let (again, again_stats) = &runs[1];
     assert_eq!(choices, again, "repeated analysis: partition diverged");
     assert_eq!(
@@ -195,9 +194,10 @@ fn concurrent_analyses_report_their_own_counters() {
 }
 
 /// The symbolic pass's parameter dictionary as text: its monomials in id
-/// order, then its dummies' origins. Loop probing numbers its temporary
-/// atoms (`Dummy(1_000_000 + k)`) in hash order, so they print as
-/// `probe`.
+/// order, then its dummies' origins. Loop probing's temporary atoms
+/// (`Dummy(1_000_000 + k)`) print as `probe`, because the digests below
+/// were recorded when their numbering followed hash order;
+/// `parameter_dictionary_repeats_within_a_process` checks them raw.
 fn symbolic_dict_text(bench: &offload_benchmarks::Benchmark) -> (usize, String) {
     use offload_symbolic::{Atom, MonomialId};
     let checked = offload_lang::frontend(&bench.source).expect("front end accepts");
@@ -242,5 +242,35 @@ fn symbolic_interning_order_is_pinned() {
         let (count, text) = symbolic_dict_text(&bench);
         assert_eq!(count, monomials, "{}: monomial count", bench.name);
         assert_eq!(fnv1a(&text), digest, "{}: dictionary digest", bench.name);
+    }
+}
+
+#[test]
+fn parameter_dictionary_repeats_within_a_process() {
+    // Each analysis in one process sees differently seeded hash maps.
+    // Monomial ids are dimensions of the parameter space, so the whole
+    // dictionary, loop-probe atoms included, must come out the same
+    // every time.
+    let benches = [
+        offload_benchmarks::encode(),
+        offload_benchmarks::decode(),
+        offload_benchmarks::fft(),
+        offload_benchmarks::susan(),
+    ];
+    for bench in benches {
+        let dict = || {
+            let a = bench.analyze().expect("analysis succeeds");
+            format!("{:#?}", a.symbolic.dict)
+        };
+        let first = dict();
+        for run in 1..4 {
+            let again = dict();
+            let diverged = first.lines().zip(again.lines()).position(|(a, b)| a != b);
+            assert!(
+                first == again,
+                "{}: analysis {run}'s dictionary differs from the first's (line {diverged:?})",
+                bench.name
+            );
+        }
     }
 }

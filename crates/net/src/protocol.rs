@@ -60,9 +60,9 @@ use offload_tcfg::SegmentId;
 /// skips names it does not know, so adding a counter no longer changes
 /// the protocol;
 /// `sequential_strategy` is gone and `prefilter_hits` is split into its
-/// four pre-filter stage counts. `certify_micros` and `threads_used`
-/// were later dropped without a bump: a v10 decoder skips a name it does
-/// not know;
+/// four pre-filter stage counts. `certify_micros`, `threads_used`,
+/// `shadow_proposals` and `shadow_certified` were later dropped without
+/// a bump: a v10 decoder skips a name it does not know;
 /// v11: [`WireMsg::HelloAck`] carries only `server_time_us`. The server's
 /// analysis counters reach clients through the metrics registry alone
 /// (`pipeline.<name>` in a [`WireMsg::StatsReport`]), so no counter

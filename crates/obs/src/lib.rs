@@ -10,12 +10,13 @@
 //! Three pieces:
 //!
 //! * **Spans** ([`span!`]) — hierarchical, thread-aware begin/end event
-//!   pairs recorded into a lock-sharded in-memory [`recorder`]: each
-//!   thread appends to its own buffer under its own lock, so workers
-//!   never contend with each other. Timestamps are monotonic microseconds
-//!   since the process-wide recording epoch. When recording is disabled
-//!   (the default) a span costs one relaxed atomic load — the hot solver
-//!   loops stay within their < 3 % overhead budget.
+//!   pairs recorded into a lock-sharded in-memory recorder ([`snapshot`]
+//!   reads it): each thread appends to its own buffer under its own
+//!   lock, so workers never contend with each other. Timestamps are
+//!   monotonic microseconds since the process-wide recording epoch.
+//!   When recording is disabled (the default) a span costs one relaxed
+//!   atomic load — the hot solver loops stay within their < 3 % overhead
+//!   budget.
 //! * **Metrics** ([`counter`], [`gauge`], [`histogram`]) — a process-wide
 //!   registry of named counters, gauges, and log-scale latency histograms
 //!   with p50/p90/p99 summaries. The per-solve [`PipelineStats`] record

@@ -159,14 +159,8 @@ counters! {
     /// Wall-clock microseconds inside polyhedron emptiness LPs (the
     /// region-subtraction hot path).
     region_lp_micros = Micros,
-    /// Entering-column (or optimality) proposals made by the f64 shadow
-    /// simplex. A cached LP solve replays its stored shadow counts.
-    shadow_proposals = Work,
-    /// Shadow proposals the exact engine certified.
-    shadow_certified = Work,
-    /// Shadow proposals that failed exact certification, forcing an
-    /// exact-rule fallback and a shadow resync.
-    /// `shadow_proposals = shadow_certified + shadow_fallbacks`.
+    /// Always 0: the simplex kernel has no float shadow to fall back
+    /// from. Kept while perfbench still reads it (ROADMAP item 3).
     shadow_fallbacks = Work,
     /// Wall-clock microseconds of the §5.4 simplification.
     simplify_micros = Micros,
@@ -283,11 +277,6 @@ impl fmt::Display for PipelineStats {
             self.prefilter_hits(),
             self.lp_warm_starts,
             self.dual_pivots
-        )?;
-        writeln!(
-            f,
-            "shadow: {} proposals ({} certified, {} fallbacks)",
-            self.shadow_proposals, self.shadow_certified, self.shadow_fallbacks
         )?;
         writeln!(
             f,

@@ -52,15 +52,11 @@ mod polyhedron;
 mod rational;
 mod reduce;
 mod region;
-mod shadow;
 mod simplex;
 
 pub use bigint::{BigInt, ParseBigIntError};
 pub use linear::{Cmp, Constraint, LinExpr};
-pub use lp::{
-    closure_feasible, maximize as lp_maximize, maximize_bland as lp_maximize_bland,
-    minimize as lp_minimize, LpResult,
-};
+pub use lp::{maximize as lp_maximize, minimize as lp_minimize, LpResult};
 pub use polyhedron::{Polyhedron, ProjectionBudgetExceeded};
 pub use rational::{ParseRationalError, Rational};
 pub use region::Region;

@@ -17,10 +17,10 @@
 //!
 //! The tableau and the kernel's scratch live in thread-local storage
 //! (mirroring the `DinicSolver` re-solve pattern in the flow crate), so
-//! repeated solves reuse one allocation. Pivot search runs on the `f64`
-//! shadow of the reduced-cost row; when the exact row rejects a
-//! proposal, Bland's rule picks the pivot. The shadow shortens the pivot
-//! path; it never changes an answer.
+//! repeated solves reuse one allocation. Both phases pick their pivots
+//! by the kernel's one rule, Dantzig's on the exact integer row with
+//! Bland's after a stall; the rule shapes the pivot path, never an
+//! answer.
 //!
 //! There is no result cache: every call solves. The callers ask each
 //! question once where they can see a repeat (the flow layer's
@@ -32,8 +32,7 @@
 use crate::bigint::BigInt;
 use crate::linear::{Constraint, LinExpr};
 use crate::rational::Rational;
-use crate::shadow::ShadowRed;
-use crate::simplex::{primal, write_row, Phase, Rule, Scratch, Tableau};
+use crate::simplex::{primal, write_row, Phase, Scratch, Tableau};
 use std::cell::RefCell;
 
 /// Outcome of an LP solve.
@@ -51,7 +50,6 @@ pub enum LpResult {
 struct LpTls {
     tableau: Tableau,
     scratch: Scratch,
-    fred: ShadowRed,
 }
 
 thread_local! {
@@ -81,27 +79,13 @@ pub fn maximize(objective: &LinExpr, constraints: &[Constraint]) -> LpResult {
         let result = solve(
             &mut tls.tableau,
             &mut tls.scratch,
-            Some(&mut tls.fred),
             objective,
             constraints,
             &mut pivots,
         );
         offload_obs::tally(|t| t.lp_pivots += pivots);
-        std::mem::take(&mut tls.fred.counts).flush();
         result
     })
-}
-
-/// [`maximize`] by Bland's rule throughout, on the same kernel with no
-/// `f64` shadow: the pivot path the shadow is measured against. It adds
-/// its pivots to `lp_pivots` and counts nothing else, so a test can
-/// compare its path with a reference solver.
-pub fn maximize_bland(objective: &LinExpr, constraints: &[Constraint]) -> LpResult {
-    let (mut t, mut sx) = (Tableau::default(), Scratch::default());
-    let mut pivots = 0;
-    let result = solve(&mut t, &mut sx, None, objective, constraints, &mut pivots);
-    offload_obs::tally(|t| t.lp_pivots += pivots);
-    result
 }
 
 /// The two-phase solve. Every pivot, including those that drive
@@ -109,7 +93,6 @@ pub fn maximize_bland(objective: &LinExpr, constraints: &[Constraint]) -> LpResu
 fn solve(
     t: &mut Tableau,
     sx: &mut Scratch,
-    mut shadow: Option<&mut ShadowRed>,
     objective: &LinExpr,
     constraints: &[Constraint],
     pivots: &mut u64,
@@ -156,15 +139,7 @@ fn solve(
                 Rational::zero()
             }
         };
-        match primal(
-            t,
-            stride,
-            cost,
-            sx,
-            shadow.as_deref_mut(),
-            Rule::Bland,
-            pivots,
-        ) {
+        match primal(t, stride, cost, sx, pivots) {
             // The phase-1 objective (-Σ artificials) is bounded above by
             // zero, so this arm is unreachable in a correct tableau; if it
             // ever fires, `Unbounded` is the sound conservative answer for
@@ -200,7 +175,7 @@ fn solve(
             Rational::zero()
         }
     };
-    match primal(t, cols, cost, sx, shadow, Rule::Bland, pivots) {
+    match primal(t, cols, cost, sx, pivots) {
         Phase::Unbounded => LpResult::Unbounded,
         Phase::Optimal(v) => LpResult::Optimal(&v + objective.constant_term()),
     }
@@ -231,8 +206,8 @@ pub(crate) fn implied_by(set: &[Constraint], c: &Constraint) -> bool {
     }
 }
 
-/// A helper for feasibility of the closure.
-pub fn closure_feasible(constraints: &[Constraint]) -> bool {
+/// Whether the closure of `constraints` has a point.
+pub(crate) fn closure_feasible(constraints: &[Constraint]) -> bool {
     let n = constraints.first().map(|c| c.expr.nvars()).unwrap_or(0);
     !matches!(
         maximize(&LinExpr::zero(n), constraints),
@@ -324,7 +299,7 @@ mod tests {
 
     #[test]
     fn degenerate_cycling_guard() {
-        // A classically degenerate problem; Bland's rule must terminate.
+        // A classically degenerate problem; the solve must terminate.
         let cs = vec![
             ge(2, &[(0, 1)], 0),
             ge(2, &[(1, 1)], 0),

@@ -431,22 +431,6 @@ impl Polyhedron {
         })
     }
 
-    /// Embeds into a larger space (new trailing coordinates unconstrained).
-    pub fn extend_vars(&self, new_nvars: usize) -> Polyhedron {
-        assert!(new_nvars >= self.nvars);
-        Polyhedron {
-            nvars: new_nvars,
-            constraints: self
-                .constraints
-                .iter()
-                .map(|c| Constraint {
-                    expr: c.expr.extend_vars(new_nvars),
-                    cmp: c.cmp,
-                })
-                .collect(),
-        }
-    }
-
     /// Exact emptiness test.
     ///
     /// Strict inequalities are handled with the ε-method: maximize a slack
@@ -580,18 +564,6 @@ impl Polyhedron {
             "sampled point must satisfy all constraints"
         );
         Some(point)
-    }
-
-    /// Returns `true` if `other` contains every point of `self`
-    /// (i.e. `self ⊆ other`), computed exactly via emptiness of
-    /// `self ∩ ¬c` for each constraint `c` of `other`.
-    pub fn subset_of(&self, other: &Polyhedron) -> bool {
-        assert_eq!(self.nvars, other.nvars);
-        other.constraints.iter().all(|c| {
-            let mut escaped = self.clone();
-            escaped.add(c.negated());
-            escaped.is_empty()
-        })
     }
 
     /// Formats with variable names supplied by `names`.
@@ -1395,14 +1367,6 @@ mod tests {
         assert_eq!(q.nvars(), 1);
         assert!(q.contains(&[r(-2)]));
         assert!(!q.contains(&[r(-3)]));
-    }
-
-    #[test]
-    fn subset_relation() {
-        let big = Polyhedron::from_constraints(1, vec![ge(1, &[(0, 1)], 0)]); // x >= 0
-        let small = Polyhedron::from_constraints(1, vec![ge(1, &[(0, 1)], -5)]); // x >= 5
-        assert!(small.subset_of(&big));
-        assert!(!big.subset_of(&small));
     }
 
     #[test]

@@ -24,8 +24,8 @@
 //!    dual-simplex pivots (Bland's rule, provably terminating) restore
 //!    primal feasibility from the previous basis. An implication check
 //!    runs the shared primal kernel (`simplex.rs`) from the current
-//!    basis: phase 2 only, with no phase 1 and no tableau rebuilt from
-//!    scratch.
+//!    basis: phase 2 only, by the kernel's exact Dantzig rule, with no
+//!    phase 1 and no tableau rebuilt from scratch.
 //!
 //! The kept tableau is the kernel's: integer rows, each a positive
 //! multiple of its true row, with the multiple in its basic column. A
@@ -38,8 +38,7 @@
 use crate::bigint::BigInt;
 use crate::linear::{Cmp, Constraint};
 use crate::rational::Rational;
-use crate::shadow::ShadowRed;
-use crate::simplex::{primal, write_row, Phase, Rule, Scratch, Tableau};
+use crate::simplex::{primal, write_row, Phase, Scratch, Tableau};
 use std::time::Instant;
 
 /// How many witness vertices the incremental LP remembers. Each kept
@@ -140,9 +139,7 @@ impl IntervalBox {
 /// `L·(Σ(−a_j)(x⁺_j − x⁻_j) + s_i) = L·c_i` with slack column `2n + i`
 /// and `L` the lcm of its denominators. The
 /// basis is kept primal-feasible at all times, so implication checks are
-/// phase 2 only. Each check enters by the `f64` shadow's proposal, or by
-/// exact Dantzig when the exact row rejects it; a push restores
-/// feasibility by the dual simplex.
+/// phase 2 only; a push restores feasibility by the dual simplex.
 struct IncLp {
     n: usize,
     /// Row stride is `2n` plus the reserved slack columns, doubled on
@@ -155,15 +152,6 @@ struct IncLp {
     /// Recently visited vertices of the kept region (original variable
     /// space), used to disprove implication without running the LP.
     points: Vec<Vec<Rational>>,
-}
-
-/// Per-check scratch, reused across checks so steady-state checking does
-/// not allocate.
-#[derive(Default)]
-struct Work {
-    sx: Scratch,
-    /// `f64` shadow of the reduced-cost row (pivot-search front-end).
-    fred: ShadowRed,
 }
 
 impl IncLp {
@@ -249,23 +237,16 @@ impl IncLp {
     /// minimizing basis is simply kept). From the minimizer the new row
     /// enters with a negative right-hand side, so the dual simplex
     /// restores feasibility along the textbook warm-start cycle.
-    fn check_and_push(&mut self, c: &Constraint, work: &mut Work) -> bool {
+    fn check_and_push(&mut self, c: &Constraint, sx: &mut Scratch) -> bool {
         if self.infeasible {
             return true;
         }
         if self.witness_rejects(c) {
             offload_obs::tally(|t| t.prefilter_witness += 1);
-        } else if implies(
-            self.n,
-            self.width(),
-            &mut self.t,
-            c,
-            &mut work.sx,
-            &mut work.fred,
-        ) {
+        } else if implies(self.n, self.width(), &mut self.t, c, sx) {
             return true;
         }
-        self.push(c, work);
+        self.push(c, sx);
         false
     }
 
@@ -273,7 +254,7 @@ impl IncLp {
     /// slack basic, eliminates the currently basic columns from it, and
     /// dual-simplex-pivots until the basis is primal-feasible again (or
     /// the system is proven infeasible).
-    fn push(&mut self, c: &Constraint, work: &mut Work) {
+    fn push(&mut self, c: &Constraint, sx: &mut Scratch) {
         if self.infeasible {
             return;
         }
@@ -293,7 +274,7 @@ impl IncLp {
         t.b.push(k);
         t.basis.push(2 * n + r);
         t.express_last(2 * n + r + 1);
-        self.dual_restore(work);
+        self.dual_restore(sx);
         // Witness points must stay feasible for the *whole* kept set:
         // evict any recorded vertex the new constraint's closure cuts
         // off, then record the restored vertex (feasible by
@@ -307,7 +288,7 @@ impl IncLp {
     /// smallest-index column with a negative pivot-row entry. A zero
     /// objective row stays zero under pivoting, so dual feasibility is
     /// trivial and Bland's anti-cycling argument gives termination.
-    fn dual_restore(&mut self, work: &mut Work) {
+    fn dual_restore(&mut self, sx: &mut Scratch) {
         let width = self.width();
         let t = &mut self.t;
         loop {
@@ -325,7 +306,7 @@ impl IncLp {
                 return;
             };
             offload_obs::tally(|t| t.dual_pivots += 1);
-            t.pivot(&mut work.sx, width, i, j);
+            t.pivot(sx, width, i, j);
         }
     }
 }
@@ -333,14 +314,7 @@ impl IncLp {
 /// Whether the rows of `t` imply `c`: primal phase 2 maximizes
 /// `−(c.expr − c₀)` from the tableau's feasible basis, so the exact
 /// minimum of `c.expr` over their closure is `c₀` minus that maximum.
-fn implies(
-    n: usize,
-    width: usize,
-    t: &mut Tableau,
-    c: &Constraint,
-    sx: &mut Scratch,
-    fred: &mut ShadowRed,
-) -> bool {
+fn implies(n: usize, width: usize, t: &mut Tableau, c: &Constraint, sx: &mut Scratch) -> bool {
     offload_obs::tally(|t| t.lp_warm_starts += 1);
     let cost = |col: usize| -> Rational {
         if col < n {
@@ -352,17 +326,8 @@ fn implies(
         }
     };
     let mut pivots = 0;
-    let phase = primal(
-        t,
-        width,
-        cost,
-        sx,
-        Some(&mut *fred),
-        Rule::Dantzig,
-        &mut pivots,
-    );
+    let phase = primal(t, width, cost, sx, &mut pivots);
     offload_obs::tally(|t| t.lp_pivots += pivots);
-    std::mem::take(&mut fred.counts).flush();
     match phase {
         Phase::Unbounded => false,
         Phase::Optimal(z) => {
@@ -399,7 +364,7 @@ pub(crate) fn filter_implied(ordered: &[Constraint]) -> Vec<usize> {
     let mut lp = IncLp::new(nvars, ordered.len());
     let mut bounds = IntervalBox::new(nvars);
     let mut kept: Vec<usize> = Vec::new();
-    let mut work = Work::default();
+    let mut sx = Scratch::default();
     for (i, c) in ordered.iter().enumerate() {
         if lp.infeasible {
             break; // everything after an infeasible kept set is implied
@@ -408,7 +373,7 @@ pub(crate) fn filter_implied(ordered: &[Constraint]) -> Vec<usize> {
             offload_obs::tally(|t| t.prefilter_interval += 1);
             continue;
         }
-        if lp.check_and_push(c, &mut work) {
+        if lp.check_and_push(c, &mut sx) {
             continue;
         }
         bounds.absorb(c);

@@ -48,14 +48,6 @@ impl Region {
         }
     }
 
-    /// The full space in `nvars` dimensions.
-    pub fn universe(nvars: usize) -> Self {
-        Region {
-            nvars,
-            pieces: vec![Polyhedron::universe(nvars)],
-        }
-    }
-
     /// Number of dimensions.
     pub fn nvars(&self) -> usize {
         self.nvars
@@ -133,15 +125,6 @@ impl Region {
         out
     }
 
-    /// The set difference `self \ other` for a union subtrahend.
-    pub fn subtract_region(&self, other: &Region) -> Region {
-        let mut cur = self.clone();
-        for piece in &other.pieces {
-            cur = cur.subtract(piece);
-        }
-        cur
-    }
-
     /// Intersects every piece with a polyhedron.
     pub fn intersect(&self, other: &Polyhedron) -> Region {
         assert_eq!(other.nvars(), self.nvars, "region dimension mismatch");
@@ -150,12 +133,6 @@ impl Region {
             out.push(piece.intersect(other));
         }
         out
-    }
-
-    /// Returns `true` if every point of `self` lies in `other`
-    /// (`self ⊆ other`).
-    pub fn subset_of(&self, other: &Region) -> bool {
-        self.subtract_region(other).is_empty()
     }
 
     /// Formats with variable names supplied by `names`.
@@ -245,14 +222,6 @@ mod tests {
         let rest = start.subtract(&left);
         let p = rest.sample().unwrap();
         assert!(p[0] > r(7) && p[0] <= r(10));
-    }
-
-    #[test]
-    fn subset_relation() {
-        let small = Region::from(Polyhedron::from_constraints(1, vec![x_ge(2), x_le(3)]));
-        let big = Region::from(Polyhedron::from_constraints(1, vec![x_ge(0), x_le(10)]));
-        assert!(small.subset_of(&big));
-        assert!(!big.subset_of(&small));
     }
 
     #[test]

@@ -29,20 +29,17 @@
 //! denominator leaves signs and order intact, so the pivot rules compare
 //! integers and see what they would see on rationals.
 //!
-//! Pivot *search* runs on the `f64` shadow of the reduced-cost row
-//! (`shadow.rs`) when the caller passes one: the shadow proposes a
-//! Dantzig column and the exact row certifies it. A failed certification
-//! falls back to the caller's exact [`Rule`], and after [`STALL_LIMIT`]
-//! consecutive degenerate pivots Bland's rule takes over, so its
-//! anti-cycling argument bounds the run. Every applied pivot has an
-//! exactly positive reduced cost, so optima and the Infeasible/Unbounded
-//! verdicts never depend on the rule; the rule decides only the pivot
-//! path, and with it the pivot and shadow counts.
+//! **Pivot rule.** The entering column is Dantzig's: the largest
+//! reduced cost, the smallest index on ties, read straight off the
+//! integer row. After [`STALL_LIMIT`] consecutive degenerate pivots
+//! Bland's rule takes over, so its anti-cycling argument bounds the run.
+//! Every applied pivot has an exactly positive reduced cost, so optima
+//! and the Infeasible/Unbounded verdicts never depend on the rule; the
+//! rule decides only the pivot path, and with it the pivot count.
 
 use crate::bigint::BigInt;
 use crate::linear::LinExpr;
 use crate::rational::{cmp_fractions, Rational};
-use crate::shadow::{ratio_f64, ShadowRed};
 use std::cmp::Ordering;
 
 /// Consecutive degenerate (zero-progress) pivots tolerated before the
@@ -81,15 +78,6 @@ pub(crate) struct Scratch {
     nz: Vec<usize>,
     /// Values of the last pivot row at `nz`.
     prow: Vec<BigInt>,
-}
-
-/// Exact entering-column rule.
-#[derive(Clone, Copy)]
-pub(crate) enum Rule {
-    /// First column with a positive reduced cost (anti-cycling).
-    Bland,
-    /// Largest positive reduced cost, smallest index on ties.
-    Dantzig,
 }
 
 /// Outcome of a primal run.
@@ -339,24 +327,22 @@ impl Tableau {
     }
 }
 
-impl Rule {
-    /// The entering column by this rule, or `None` when no reduced cost
-    /// is positive (the run is optimal). `red` holds numerators over one
-    /// positive denominator, so signs and order are the reduced costs'.
-    fn choose(self, red: &[BigInt]) -> Option<usize> {
-        match self {
-            Rule::Bland => red.iter().position(BigInt::is_positive),
-            Rule::Dantzig => {
-                let mut best: Option<usize> = None;
-                for (j, r) in red.iter().enumerate() {
-                    if r.is_positive() && best.is_none_or(|b| *r > red[b]) {
-                        best = Some(j);
-                    }
-                }
-                best
-            }
+/// The entering column, or `None` when no reduced cost is positive (the
+/// run is optimal): Dantzig's rule (largest reduced cost, smallest index
+/// on ties), or Bland's (first positive) once the run has `stalled`.
+/// `red` holds numerators over one positive denominator, so signs and
+/// order are the reduced costs'.
+fn entering(red: &[BigInt], stalled: bool) -> Option<usize> {
+    if stalled {
+        return red.iter().position(BigInt::is_positive);
+    }
+    let mut best: Option<usize> = None;
+    for (j, r) in red.iter().enumerate() {
+        if r.is_positive() && best.is_none_or(|b| *r > red[b]) {
+            best = Some(j);
         }
     }
+    best
 }
 
 impl Scratch {
@@ -433,35 +419,20 @@ impl Scratch {
 
 /// Primal simplex: maximizes `Σ cost(j)·x_j` over the first `width`
 /// columns of a primal-feasible tableau, pivoting it in place from its
-/// basis, and adds every pivot it makes to `pivots`.
-///
-/// With a `shadow`, the shadow proposes each entering column and `rule`
-/// decides only when certification fails; without one, `rule` decides
-/// every column. Either way Bland's rule decides once [`STALL_LIMIT`]
-/// degenerate pivots have run in a row.
+/// basis, and adds every pivot it makes to `pivots`. Dantzig's rule
+/// picks each entering column until [`STALL_LIMIT`] degenerate pivots
+/// have run in a row, and Bland's rule from then on.
 pub(crate) fn primal(
     t: &mut Tableau,
     width: usize,
     cost: impl Fn(usize) -> Rational,
     sx: &mut Scratch,
-    mut shadow: Option<&mut ShadowRed>,
-    rule: Rule,
     pivots: &mut u64,
 ) -> Phase {
     sx.price(t, width, cost);
-    if let Some(fred) = shadow.as_deref_mut() {
-        fred.sync(&sx.red, &sx.den);
-    }
     let mut stall = 0usize;
     loop {
-        let entering = match shadow.as_deref_mut() {
-            Some(fred) if stall < STALL_LIMIT => {
-                fred.certify(&sx.red, &sx.den, || rule.choose(&sx.red))
-            }
-            _ if stall < STALL_LIMIT => rule.choose(&sx.red),
-            _ => Rule::Bland.choose(&sx.red),
-        };
-        let Some(j) = entering else {
+        let Some(j) = entering(&sx.red, stall >= STALL_LIMIT) else {
             return Phase::Optimal(sx.objective());
         };
         let Some(i) = t.leaving(j) else {
@@ -472,15 +443,8 @@ pub(crate) fn primal(
         } else {
             stall = 0;
         }
-        // The shadow's multiplier is the entering reduced cost before
-        // the pivot zeroes it.
-        let rj = shadow.is_some().then(|| ratio_f64(&sx.red[j], &sx.den));
         t.pivot(sx, width, i, j);
         *pivots += 1;
-        let aij = &t.tab[i * t.stride + j];
-        if let (Some(fred), Some(rj)) = (shadow.as_deref_mut(), rj) {
-            fred.pivot_update(rj, &sx.nz, &sx.prow, aij, j);
-        }
-        sx.reprice(aij, &t.b[i], j);
+        sx.reprice(&t.tab[i * t.stride + j], &t.b[i], j);
     }
 }

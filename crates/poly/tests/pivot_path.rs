@@ -2,21 +2,20 @@
 //!
 //! Every LP in the crate runs on one kernel (`simplex.rs`). Its answers
 //! are exact whatever the pivot rule, but the pivot path (which
-//! entering column, which leaving row, when the `f64` shadow's proposal
-//! is certified) decides the work counters, and those are part of the
-//! determinism contract: a change to the kernel's arithmetic that keeps
-//! every answer but moves one pivot shows up here.
+//! entering column, which leaving row) decides the work counters, and
+//! those are part of the determinism contract: a change to the kernel's
+//! arithmetic that keeps every answer but moves one pivot shows up here.
 //!
 //! Two families of fixed systems:
-//! - cold solves through `lp_maximize`, pinning the result,
-//!   `lp_pivots` and the three shadow counters;
+//! - cold solves through `lp_maximize`, pinning the result and
+//!   `lp_pivots`;
 //! - `Polyhedron::reduce_redundancy`, which runs the warm-started
 //!   incremental LP (`reduce.rs`) and then cold solves, pinning the
-//!   output rows (count and digest) and the same counters plus
-//!   `dual_pivots`, `lp_warm_starts` and `prefilter_witness`.
+//!   output rows (count and digest), `lp_pivots`, `dual_pivots`,
+//!   `lp_warm_starts` and `prefilter_witness`.
 //!
-//! The list covers coefficients past `i64`, values past 2^53 that reach
-//! the shadow (where `f64` stops being exact), strict rows, fractional
+//! The list covers coefficients past `i64`, values between 2^53 and
+//! 2^63 (inline integers an `f64` would round), strict rows, fractional
 //! coefficients, infeasible and unbounded systems, a degenerate system
 //! that runs into the stall limit, artificials left basic by phase 1, an
 //! incremental LP that has to grow its tableau, and seeded random
@@ -335,41 +334,37 @@ fn lp_cases() -> Vec<(String, LinExpr, Vec<Constraint>)> {
     cases
 }
 
-/// Cold solves: result, then `[lp_pivots, shadow_proposals,
-/// shadow_certified, shadow_fallbacks]`.
-const LP_GOLDENS: &[(&str, [u64; 4])] = &[
-    ("8", [2, 3, 3, 0]),                   // box
-    ("3619/678", [2, 3, 3, 0]),            // fractional vertex
-    ("49/3", [4, 6, 6, 0]),                // strict rows
-    ("infeasible", [2, 3, 3, 0]),          // infeasible
-    ("unbounded", [2, 4, 4, 0]),           // unbounded
-    ("8", [7, 7, 7, 0]),                   // artificials driven out
-    ("9223372036854775808", [2, 3, 3, 0]), // coefficients past i64
-    ("infeasible", [3, 4, 2, 2]),          // wide fractions past i64
-    (
-        "730166745731460252355691357929476/18014398509481987",
-        [4, 5, 5, 0],
-    ), // values past 2^53
-    ("0", [10, 11, 11, 0]),                // degenerate 0
-    ("0", [26, 24, 24, 0]),                // degenerate 1
-    ("0", [11, 12, 12, 0]),                // degenerate 2
-    ("0", [34, 24, 24, 0]),                // degenerate 3
-    ("145/2", [6, 7, 7, 0]),               // seeded 0
-    ("infeasible", [4, 5, 5, 0]),          // seeded 1
-    ("infeasible", [5, 6, 6, 0]),          // seeded 2
-    ("infeasible", [5, 6, 6, 0]),          // seeded 3
-    ("-113/3", [16, 18, 18, 0]),           // seeded 4
-    ("infeasible", [5, 6, 6, 0]),          // seeded 5
-    ("271/18", [9, 11, 11, 0]),            // seeded 6
-    ("1323/44", [10, 12, 12, 0]),          // seeded 7
-    ("2683/35", [12, 14, 14, 0]),          // seeded 8
-    ("1225/18", [6, 8, 8, 0]),             // seeded 9
-    ("infeasible", [1, 2, 2, 0]),          // seeded 10
-    ("721/8", [8, 10, 10, 0]),             // seeded 11
-    ("unbounded", [2, 4, 4, 0]),           // seeded 12
-    ("4481/114", [3, 4, 4, 0]),            // seeded 13
-    ("infeasible", [6, 7, 7, 0]),          // seeded 14
-    ("infeasible", [1, 2, 2, 0]),          // seeded 15
+/// Cold solves: result and `lp_pivots`.
+const LP_GOLDENS: &[(&str, u64)] = &[
+    ("8", 2),                                                   // box
+    ("3619/678", 2),                                            // fractional vertex
+    ("49/3", 4),                                                // strict rows
+    ("infeasible", 2),                                          // infeasible
+    ("unbounded", 2),                                           // unbounded
+    ("8", 7),                                                   // artificials driven out
+    ("9223372036854775808", 2),                                 // coefficients past i64
+    ("infeasible", 3),                                          // wide fractions past i64
+    ("730166745731460252355691357929476/18014398509481987", 4), // values past 2^53
+    ("0", 10),                                                  // degenerate 0
+    ("0", 26),                                                  // degenerate 1
+    ("0", 11),                                                  // degenerate 2
+    ("0", 34),                                                  // degenerate 3
+    ("145/2", 6),                                               // seeded 0
+    ("infeasible", 4),                                          // seeded 1
+    ("infeasible", 5),                                          // seeded 2
+    ("infeasible", 5),                                          // seeded 3
+    ("-113/3", 16),                                             // seeded 4
+    ("infeasible", 5),                                          // seeded 5
+    ("271/18", 9),                                              // seeded 6
+    ("1323/44", 10),                                            // seeded 7
+    ("2683/35", 12),                                            // seeded 8
+    ("1225/18", 6),                                             // seeded 9
+    ("infeasible", 1),                                          // seeded 10
+    ("721/8", 8),                                               // seeded 11
+    ("unbounded", 2),                                           // seeded 12
+    ("4481/114", 3),                                            // seeded 13
+    ("infeasible", 6),                                          // seeded 14
+    ("infeasible", 1),                                          // seeded 15
 ];
 
 #[test]
@@ -377,23 +372,17 @@ fn cold_solves_keep_their_pivot_path() {
     let mut got = Vec::new();
     for (name, obj, cs) in lp_cases() {
         let (r, t) = within_deadline(&name, move || lp_maximize(&obj, &cs));
-        let counts = [
-            t.lp_pivots,
-            t.shadow_proposals,
-            t.shadow_certified,
-            t.shadow_fallbacks,
-        ];
-        got.push((name, show(&r), counts));
+        got.push((name, show(&r), t.lp_pivots));
     }
     let rendered: Vec<String> = got
         .iter()
-        .map(|(name, r, c)| format!("    (\"{r}\", {c:?}), // {name}"))
+        .map(|(name, r, c)| format!("    (\"{r}\", {c}), // {name}"))
         .collect();
-    let pinned: Vec<(String, [u64; 4])> = LP_GOLDENS
+    let pinned: Vec<(String, u64)> = LP_GOLDENS
         .iter()
         .map(|(r, c)| (r.to_string(), *c))
         .collect();
-    let actual: Vec<(String, [u64; 4])> = got.iter().map(|(_, r, c)| (r.clone(), *c)).collect();
+    let actual: Vec<(String, u64)> = got.iter().map(|(_, r, c)| (r.clone(), *c)).collect();
     assert_eq!(
         actual,
         pinned,
@@ -514,24 +503,23 @@ fn reduce_cases() -> Vec<(String, Polyhedron)> {
 }
 
 /// `reduce_redundancy`: output rows and digest, then `[lp_pivots,
-/// shadow_proposals, shadow_certified, shadow_fallbacks, dual_pivots,
-/// lp_warm_starts, prefilter_witness]`.
-const REDUCE_GOLDENS: &[(usize, u64, [u64; 7])] = &[
-    (41, 0x3110e9970faebc8b, [465, 548, 548, 0, 56, 41, 0]), // parabola 40
-    (71, 0xc4493a179b795be6, [1335, 1478, 1478, 0, 101, 71, 0]), // parabola 70
-    (1, 0x247f8e256d4a7e91, [12, 23, 23, 0, 2, 3, 2]),       // infeasible
-    (6, 0x34833e8b3eacf3bb, [18, 32, 31, 1, 5, 7, 0]),       // values past 2^53
-    (13, 0xf77f3d4a6fddbc8a, [657, 716, 716, 0, 0, 63, 0]),  // degenerate
-    (13, 0xdffed0dd176baa8d, [118, 148, 148, 0, 24, 14, 4]), // seeded 0
-    (9, 0xbe1cd069ac6cc5db, [34, 57, 57, 0, 13, 12, 0]),     // seeded 1
-    (10, 0xab22372302677bf9, [90, 132, 132, 0, 8, 17, 2]),   // seeded 2
-    (4, 0xc6549bae7d2e9f3b, [15, 33, 33, 0, 3, 5, 1]),       // seeded 3
-    (14, 0x0fc013229bbf18e3, [160, 214, 214, 0, 13, 21, 3]), // seeded 4
-    (8, 0xdea263d302a17d3f, [47, 72, 72, 0, 6, 15, 1]),      // seeded 5
-    (12, 0x62fd6621dd063eda, [90, 120, 120, 0, 20, 15, 4]),  // seeded 6
-    (1, 0x247f8e256d4a7e91, [11, 22, 17, 5, 2, 3, 2]),       // seeded 7
-    (7, 0x640e4cd2a4690ee6, [37, 58, 58, 0, 15, 10, 2]),     // seeded 8
-    (6, 0xe7690d23495b69aa, [29, 45, 45, 0, 5, 8, 0]),       // seeded 9
+/// dual_pivots, lp_warm_starts, prefilter_witness]`.
+const REDUCE_GOLDENS: &[(usize, u64, [u64; 4])] = &[
+    (41, 0x3110e9970faebc8b, [465, 56, 41, 0]), // parabola 40
+    (71, 0xc4493a179b795be6, [1335, 101, 71, 0]), // parabola 70
+    (1, 0x247f8e256d4a7e91, [12, 2, 3, 2]),     // infeasible
+    (6, 0x34833e8b3eacf3bb, [18, 5, 7, 0]),     // values past 2^53
+    (13, 0xf77f3d4a6fddbc8a, [658, 0, 63, 0]),  // degenerate
+    (13, 0xdffed0dd176baa8d, [118, 24, 14, 4]), // seeded 0
+    (9, 0xbe1cd069ac6cc5db, [34, 13, 12, 0]),   // seeded 1
+    (10, 0xab22372302677bf9, [90, 8, 17, 2]),   // seeded 2
+    (4, 0xc6549bae7d2e9f3b, [15, 3, 5, 1]),     // seeded 3
+    (14, 0x0fc013229bbf18e3, [160, 13, 21, 3]), // seeded 4
+    (8, 0xdea263d302a17d3f, [47, 6, 15, 1]),    // seeded 5
+    (12, 0x62fd6621dd063eda, [90, 20, 15, 4]),  // seeded 6
+    (1, 0x247f8e256d4a7e91, [11, 2, 3, 2]),     // seeded 7
+    (7, 0x640e4cd2a4690ee6, [37, 15, 10, 2]),   // seeded 8
+    (6, 0xe7690d23495b69aa, [29, 5, 8, 0]),     // seeded 9
 ];
 
 #[test]
@@ -542,9 +530,6 @@ fn redundancy_filter_keeps_its_pivot_path() {
         let text: Vec<String> = out.constraints().iter().map(|c| c.to_string()).collect();
         let counts = [
             t.lp_pivots,
-            t.shadow_proposals,
-            t.shadow_certified,
-            t.shadow_fallbacks,
             t.dual_pivots,
             t.lp_warm_starts,
             t.prefilter_witness,
@@ -560,7 +545,7 @@ fn redundancy_filter_keeps_its_pivot_path() {
         .iter()
         .map(|(name, n, d, c)| format!("    ({n}, {d:#018x}, {c:?}), // {name}"))
         .collect();
-    let actual: Vec<(usize, u64, [u64; 7])> = got.iter().map(|(_, n, d, c)| (*n, *d, *c)).collect();
+    let actual: Vec<(usize, u64, [u64; 4])> = got.iter().map(|(_, n, d, c)| (*n, *d, *c)).collect();
     assert_eq!(
         actual,
         REDUCE_GOLDENS.to_vec(),

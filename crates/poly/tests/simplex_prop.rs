@@ -1,45 +1,40 @@
-//! Differential property tests for the float-shadowed simplex.
+//! Differential property tests for the exact simplex kernel.
 //!
-//! The shadow lets an f64 mirror of the reduced-cost row propose Dantzig
-//! entering columns that the exact kernel then certifies pivot by pivot;
-//! a bug in the proposal, certification, or fallback path would silently
-//! change which basis the simplex walks — and with it optima, pivot
-//! counts, or termination. These tests pit the shadow-guided solver
-//! (`lp_maximize` / `lp_minimize`) against the same kernel under Bland's
-//! rule alone (`lp_maximize_bland`) on the same random LPs and require
-//! identical [`LpResult`]s, and they pin the shadow's own counters as
-//! deterministic (run-to-run equal and
-//! `proposals = certified + fallbacks`).
+//! Every LP in the crate runs on one kernel (`simplex.rs`) with one
+//! pivot rule: Dantzig's on the integer reduced-cost row, Bland's after
+//! a run of degenerate pivots. A bug in the kernel's row arithmetic or in
+//! the rule would change which basis the simplex walks, and with it
+//! optima, pivot counts or termination.
 //!
-//! Both solvers share the kernel's integer-row arithmetic, so neither
-//! can check it. [`reference`] can: a small dense two-phase simplex on
+//! [`reference`] checks both: a small dense two-phase simplex on
 //! `Rational` cells with the kernel's conventions (split free variables,
 //! one slack per row, an artificial per negative right-hand side,
-//! Bland's rule in both phases, artificials driven out between them)
-//! but none of its code. On the seeded LPs, `lp_maximize_bland` must
-//! return its results in its pivot counts, and `lp_maximize` its results.
+//! artificials driven out between the phases) and the kernel's rule, but
+//! none of its code. It recomputes the reduced costs from the basis at
+//! every step. On every seeded family `lp_maximize` and `lp_minimize`
+//! must return its result in its pivot count.
 //!
 //! Randomized with a local xorshift generator instead of `proptest` (the
 //! offline build environment cannot fetch crates), so every run draws the
 //! same deterministic case set.
 
-use offload_poly::{
-    lp_maximize, lp_maximize_bland, lp_minimize, Constraint, LinExpr, LpResult, Rational,
-};
+use offload_poly::{lp_maximize, lp_minimize, Constraint, LinExpr, LpResult, Rational};
 
-/// The pure-exact reference minimum: the Bland maximum of `−obj`, negated.
-fn minimize_bland(obj: &LinExpr, cs: &[Constraint]) -> LpResult {
-    match lp_maximize_bland(&obj.scale(&Rational::from(-1)), cs) {
-        LpResult::Optimal(v) => LpResult::Optimal(-v),
-        other => other,
-    }
+/// Consecutive degenerate pivots after which the kernel switches from
+/// Dantzig's rule to Bland's (`simplex.rs`).
+const STALL_LIMIT: usize = 24;
+
+/// A reference solve: its result, its pivot count (phase 1, driving
+/// artificials out, phase 2) and whether a phase reached the stall
+/// switch.
+struct Solved {
+    result: LpResult,
+    pivots: u64,
+    stalled: bool,
 }
 
-/// The reference solve: Bland's rule on a dense `Rational` tableau,
-/// reduced costs recomputed from the basis at every step. Returns the
-/// result and the pivot count (phase 1, driving artificials out, phase
-/// 2), which the kernel's Bland path must match.
-fn reference(obj: &LinExpr, cs: &[Constraint]) -> (LpResult, u64) {
+/// The reference maximum of `obj` over the closures of `cs`.
+fn reference(obj: &LinExpr, cs: &[Constraint]) -> Solved {
     let (n, m) = (obj.nvars(), cs.len());
     let cols = 2 * n + m;
     let arts = cs
@@ -74,7 +69,12 @@ fn reference(obj: &LinExpr, cs: &[Constraint]) -> (LpResult, u64) {
             basis[i] = 2 * n + i;
         }
     }
-    let mut pivots = 0;
+    // A phase that ends unbounded leaves the result as it starts.
+    let mut out = Solved {
+        result: LpResult::Unbounded,
+        pivots: 0,
+        stalled: false,
+    };
     if arts > 0 {
         let phase1 = |j: usize| {
             if j >= cols {
@@ -83,9 +83,12 @@ fn reference(obj: &LinExpr, cs: &[Constraint]) -> (LpResult, u64) {
                 Rational::zero()
             }
         };
-        match run(&mut tab, &mut b, &mut basis, width, &phase1, &mut pivots) {
-            None => return (LpResult::Unbounded, pivots),
-            Some(v) if v.is_negative() => return (LpResult::Infeasible, pivots),
+        match run(&mut tab, &mut b, &mut basis, width, &phase1, &mut out) {
+            None => return out,
+            Some(v) if v.is_negative() => {
+                out.result = LpResult::Infeasible;
+                return out;
+            }
             Some(_) => {}
         }
         for i in 0..m {
@@ -93,7 +96,7 @@ fn reference(obj: &LinExpr, cs: &[Constraint]) -> (LpResult, u64) {
                 if let Some(j) = (0..cols).find(|&j| !tab[i][j].is_zero()) {
                     pivot(&mut tab, &mut b, i, j);
                     basis[i] = j;
-                    pivots += 1;
+                    out.pivots += 1;
                 }
             }
         }
@@ -107,11 +110,10 @@ fn reference(obj: &LinExpr, cs: &[Constraint]) -> (LpResult, u64) {
             Rational::zero()
         }
     };
-    let result = match run(&mut tab, &mut b, &mut basis, cols, &phase2, &mut pivots) {
-        None => LpResult::Unbounded,
-        Some(v) => LpResult::Optimal(&v + obj.constant_term()),
-    };
-    (result, pivots)
+    if let Some(v) = run(&mut tab, &mut b, &mut basis, cols, &phase2, &mut out) {
+        out.result = LpResult::Optimal(&v + obj.constant_term());
+    }
+    out
 }
 
 /// Normalizes row `i` on column `j` and eliminates `j` from the others.
@@ -134,25 +136,44 @@ fn pivot(tab: &mut [Vec<Rational>], b: &mut [Rational], i: usize, j: usize) {
     }
 }
 
-/// Maximizes `cost` over the first `w` columns by Bland's rule from the
-/// tableau's basis: the optimum, or `None` if unbounded.
+/// Maximizes `cost` over the first `w` columns from the tableau's
+/// basis by the kernel's rule, adding its pivots to `out`: the optimum,
+/// or `None` if unbounded. The stall count starts at zero on each call,
+/// as it does on each run of the kernel.
 fn run(
     tab: &mut [Vec<Rational>],
     b: &mut [Rational],
     basis: &mut [usize],
     w: usize,
     cost: &dyn Fn(usize) -> Rational,
-    pivots: &mut u64,
+    out: &mut Solved,
 ) -> Option<Rational> {
+    let mut stall = 0;
     loop {
-        let red = |j: usize| {
-            let mut r = cost(j);
-            for (i, &bi) in basis.iter().enumerate() {
-                r = &r - &(&cost(bi) * &tab[i][j]);
+        let red: Vec<Rational> = (0..w)
+            .map(|j| {
+                let mut r = cost(j);
+                for (i, &bi) in basis.iter().enumerate() {
+                    r = &r - &(&cost(bi) * &tab[i][j]);
+                }
+                r
+            })
+            .collect();
+        let entering = if stall >= STALL_LIMIT {
+            // Bland: the first positive reduced cost.
+            out.stalled = true;
+            (0..w).find(|&j| red[j].is_positive())
+        } else {
+            // Dantzig: the largest, the smallest index on ties.
+            let mut best: Option<usize> = None;
+            for j in (0..w).filter(|&j| red[j].is_positive()) {
+                if best.is_none_or(|k| red[j] > red[k]) {
+                    best = Some(j);
+                }
             }
-            r
+            best
         };
-        let Some(j) = (0..w).find(|&j| red(j).is_positive()) else {
+        let Some(j) = entering else {
             let mut z = Rational::zero();
             for (i, &bi) in basis.iter().enumerate() {
                 z = &z + &(&cost(bi) * &b[i]);
@@ -173,27 +194,34 @@ fn run(
             }
         }
         let i = leave?;
+        if b[i].is_zero() {
+            stall += 1;
+        } else {
+            stall = 0;
+        }
         pivot(tab, b, i, j);
         basis[i] = j;
-        *pivots += 1;
+        out.pivots += 1;
     }
 }
 
-/// `lp_maximize_bland` against [`reference`]: the same result in the
-/// same number of pivots; `lp_maximize` the same result.
-fn assert_matches_reference(obj: &LinExpr, cs: &[Constraint], what: &str) {
-    let (want, want_pivots) = reference(obj, cs);
-    let (bland, tally) = offload_obs::tallied(|| lp_maximize_bland(obj, cs));
-    assert_same(&bland, &want, &format!("{what}: Bland vs reference"));
-    assert_eq!(
-        tally.lp_pivots, want_pivots,
-        "{what}: Bland pivot count vs reference"
-    );
-    assert_same(
-        &lp_maximize(obj, cs),
-        &want,
-        &format!("{what}: shadowed vs reference"),
-    );
+/// `lp_maximize` and `lp_minimize` against [`reference`]: the same
+/// result in the same number of pivots. Returns whether a reference run
+/// reached the stall switch.
+fn assert_matches_reference(obj: &LinExpr, cs: &[Constraint], what: &str) -> bool {
+    let want = reference(obj, cs);
+    let (got, tally) = offload_obs::tallied(|| lp_maximize(obj, cs));
+    assert_eq!(got, want.result, "{what}: maximum vs reference");
+    assert_eq!(tally.lp_pivots, want.pivots, "{what}: maximize pivots");
+    // The minimum is the negated maximum of the negated objective.
+    let mut below = reference(&obj.scale(&Rational::from(-1)), cs);
+    if let LpResult::Optimal(v) = below.result {
+        below.result = LpResult::Optimal(-v);
+    }
+    let (got, tally) = offload_obs::tallied(|| lp_minimize(obj, cs));
+    assert_eq!(got, below.result, "{what}: minimum vs reference");
+    assert_eq!(tally.lp_pivots, below.pivots, "{what}: minimize pivots");
+    want.stalled || below.stalled
 }
 
 /// Deterministic xorshift64* generator for the property loops.
@@ -224,7 +252,7 @@ impl Rng {
 
 /// A random LP: bounded box plus extra random half-spaces (some strict),
 /// and a random objective. Small coefficients with overlapping support,
-/// so many cases are degenerate enough to exercise the stall ladder.
+/// so many cases are degenerate.
 fn arb_lp(rng: &mut Rng, nvars: usize, rows: usize) -> (LinExpr, Vec<Constraint>) {
     let mut cs: Vec<Constraint> = Vec::new();
     for v in 0..nvars {
@@ -257,45 +285,21 @@ fn arb_lp(rng: &mut Rng, nvars: usize, rows: usize) -> (LinExpr, Vec<Constraint>
     (obj, cs)
 }
 
-fn assert_same(shadowed: &LpResult, pure: &LpResult, what: &str) {
-    match (shadowed, pure) {
-        (LpResult::Optimal(a), LpResult::Optimal(b)) => {
-            assert_eq!(a, b, "{what}: optima diverged")
-        }
-        (LpResult::Infeasible, LpResult::Infeasible)
-        | (LpResult::Unbounded, LpResult::Unbounded) => {}
-        (a, b) => panic!("{what}: shadow={a:?} pure={b:?}"),
-    }
-}
-
 #[test]
-fn shadow_matches_pure_exact_on_random_lps() {
+fn matches_the_reference_on_random_lps() {
     let mut rng = Rng::new(0x5AD0_11E5);
     for case in 0..120 {
         let nvars = 1 + rng.usize(4);
         let rows = rng.usize(7);
         let (obj, cs) = arb_lp(&mut rng, nvars, rows);
         assert_matches_reference(&obj, &cs, &format!("case {case}"));
-        let max = lp_maximize(&obj, &cs);
-        assert_same(
-            &max,
-            &lp_maximize_bland(&obj, &cs),
-            &format!("case {case} max"),
-        );
-        let min = lp_minimize(&obj, &cs);
-        assert_same(
-            &min,
-            &minimize_bland(&obj, &cs),
-            &format!("case {case} min"),
-        );
     }
 }
 
 #[test]
-fn shadow_matches_pure_exact_on_degenerate_lps() {
+fn matches_the_reference_on_degenerate_lps() {
     // Highly degenerate vertices (many tight constraints through the
-    // origin) force ties in the ratio test and zero-progress pivots —
-    // the regime where the stall ladder hands control back to Bland.
+    // origin) force ties in the ratio test and zero-progress pivots.
     let mut rng = Rng::new(0xDE6E_0001);
     for case in 0..60 {
         let nvars = 2 + rng.usize(3);
@@ -322,14 +326,48 @@ fn shadow_matches_pure_exact_on_degenerate_lps() {
             obj.set_coeff(v, Rational::from(rng.i64_in(0, 3)));
         }
         assert_matches_reference(&obj, &cs, &format!("degenerate case {case}"));
-        let on = lp_maximize(&obj, &cs);
-        let off = lp_maximize_bland(&obj, &cs);
-        assert_same(&on, &off, &format!("degenerate case {case}"));
     }
 }
 
 #[test]
-fn bland_matches_the_reference_through_phase_one() {
+fn matches_the_reference_past_the_stall_limit() {
+    // Ten variables, forty rows through the origin with coefficients in
+    // [-2, 1] and a cap: long runs of zero-progress pivots, some longer
+    // than the stall limit, where Bland's rule takes over. The same
+    // systems as `pivot_path.rs`'s degenerate cold solves.
+    let mut rng = Rng::new(0xDE6E_57A1);
+    let mut stalled = 0;
+    for case in 0..4 {
+        let n = 10;
+        let mut cs = Vec::new();
+        for v in 0..n {
+            cs.push(Constraint::ge0(LinExpr::var(n, v)));
+        }
+        for _ in 0..40 {
+            let mut e = LinExpr::zero(n);
+            for v in 0..n {
+                e.set_coeff(v, Rational::from(rng.i64_in(-2, 1)));
+            }
+            cs.push(Constraint::ge0(e));
+        }
+        let mut cap = LinExpr::constant(n, Rational::from(10));
+        for v in 0..n {
+            cap.set_coeff(v, Rational::from(-1));
+        }
+        cs.push(Constraint::ge0(cap));
+        let mut obj = LinExpr::zero(n);
+        for v in 0..n {
+            obj.set_coeff(v, Rational::from(rng.i64_in(0, 3)));
+        }
+        if assert_matches_reference(&obj, &cs, &format!("stall case {case}")) {
+            stalled += 1;
+        }
+    }
+    assert!(stalled > 0, "no case reached the stall switch");
+}
+
+#[test]
+fn matches_the_reference_through_phase_one() {
     // Negative right-hand sides and fractional coefficients: phase 1
     // runs, rows enter scaled by their denominators, and some systems
     // are infeasible.
@@ -353,7 +391,7 @@ fn bland_matches_the_reference_through_phase_one() {
 }
 
 #[test]
-fn shadow_agrees_on_unbounded_and_infeasible_lps() {
+fn matches_the_reference_on_unbounded_and_infeasible_lps() {
     // Unbounded: maximize x with only x >= 0.
     let nv = 2;
     let obj = LinExpr::var(nv, 0);
@@ -362,10 +400,7 @@ fn shadow_agrees_on_unbounded_and_infeasible_lps() {
         Constraint::ge0(LinExpr::var(nv, 1)),
     ];
     assert_matches_reference(&obj, &open, "unbounded");
-    let on = lp_maximize(&obj, &open);
-    let off = lp_maximize_bland(&obj, &open);
-    assert_same(&on, &off, "unbounded");
-    assert!(matches!(on, LpResult::Unbounded));
+    assert_eq!(lp_maximize(&obj, &open), LpResult::Unbounded);
 
     // Infeasible: x >= 1 and -x >= 0.
     let contradiction = vec![
@@ -373,17 +408,13 @@ fn shadow_agrees_on_unbounded_and_infeasible_lps() {
         Constraint::ge0(LinExpr::zero(nv).sub(&LinExpr::var(nv, 0))),
     ];
     assert_matches_reference(&obj, &contradiction, "infeasible");
-    let on = lp_maximize(&obj, &contradiction);
-    let off = lp_maximize_bland(&obj, &contradiction);
-    assert_same(&on, &off, "infeasible");
-    assert!(matches!(on, LpResult::Infeasible));
+    assert_eq!(lp_maximize(&obj, &contradiction), LpResult::Infeasible);
 }
 
 #[test]
-fn shadow_survives_coefficients_beyond_f64_precision() {
-    // Coefficients near ±2^63 collapse to the same f64, so the shadow's
-    // proposals are low-information at best and wrong at worst — exact
-    // certification has to carry the solve regardless.
+fn matches_the_reference_on_coefficients_near_2_pow_63() {
+    // Coefficients at ±2^63 and 2^63 - 1: past `i64`, so the kernel's
+    // cells promote to heap limbs.
     let huge: Rational = "9223372036854775808".parse().unwrap(); // 2^63
     let huge_m1: Rational = "9223372036854775807".parse().unwrap(); // 2^63 - 1
     let neg_huge: Rational = "-9223372036854775808".parse().unwrap();
@@ -401,28 +432,6 @@ fn shadow_survives_coefficients_beyond_f64_precision() {
     obj.set_coeff(0, huge.clone());
     obj.set_coeff(1, neg_huge.clone());
     assert_matches_reference(&obj, &cs, "2^63 coefficients");
-    let on = lp_maximize(&obj, &cs);
-    let off = lp_maximize_bland(&obj, &cs);
-    assert_same(&on, &off, "2^63 coefficients");
     // x = 1, y = 0 is the maximum: objective value 2^63.
-    assert_eq!(on, LpResult::Optimal(huge));
-}
-
-#[test]
-fn shadow_counters_are_run_to_run_identical_and_balanced() {
-    let mut rng = Rng::new(0xC0FF_EE00);
-    let (obj, cs) = arb_lp(&mut rng, 3, 5);
-    let run = || offload_obs::tallied(|| lp_maximize(&obj, &cs));
-    let (r1, d1) = run();
-    let (r2, d2) = run();
-    assert_eq!(r1, r2);
-    assert!(d1.shadow_proposals > 0, "the shadow actually ran");
-    assert_eq!(
-        d1.shadow_proposals,
-        d1.shadow_certified + d1.shadow_fallbacks,
-        "every proposal is either certified or falls back"
-    );
-    assert_eq!(d1.shadow_proposals, d2.shadow_proposals);
-    assert_eq!(d1.shadow_certified, d2.shadow_certified);
-    assert_eq!(d1.shadow_fallbacks, d2.shadow_fallbacks);
+    assert_eq!(lp_maximize(&obj, &cs), LpResult::Optimal(huge));
 }

@@ -127,17 +127,20 @@ impl Symbolic {
     /// dummy parameter throughout every stored count and size — applying
     /// a §3.4 user annotation before partitioning, so the dummy never
     /// becomes a polyhedral dimension.
+    ///
+    /// Substitution interns the monomials it makes, so the counts are
+    /// visited in key order: monomial ids must not follow hash order.
     pub fn substitute_dummy(&mut self, dummy: u32, value: &SymExpr) {
         let atom = Atom::Dummy(dummy);
         let dict = &mut self.dict;
         for f in &mut self.funcs {
-            for e in f.block_counts.values_mut() {
+            for e in values_in_key_order(&mut f.block_counts) {
                 *e = e.substitute_atom(dict, atom, value);
             }
-            for e in f.edge_counts.values_mut() {
+            for e in values_in_key_order(&mut f.edge_counts) {
                 *e = e.substitute_atom(dict, atom, value);
             }
-            for e in f.trip_counts.values_mut() {
+            for e in values_in_key_order(&mut f.trip_counts) {
                 *e = e.substitute_atom(dict, atom, value);
             }
             f.invocations = f.invocations.substitute_atom(dict, atom, value);
@@ -159,6 +162,13 @@ impl Symbolic {
             .map(|(i, d)| (i as u32, d))
             .collect()
     }
+}
+
+/// The values of `map`, in ascending key order.
+fn values_in_key_order<K: Ord, V>(map: &mut HashMap<K, V>) -> Vec<&mut V> {
+    let mut entries: Vec<(&K, &mut V)> = map.iter_mut().collect();
+    entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+    entries.into_iter().map(|(_, v)| v).collect()
 }
 
 type Env = BTreeMap<LocalId, SymVal>;
@@ -751,7 +761,9 @@ impl<'m> Analyzer<'m> {
         };
 
         // Probe env: loop-defined registers become fresh probe atoms.
-        let defined_in_loop: HashSet<LocalId> = l
+        // In register order, so that probe atoms are numbered the same
+        // way on every run.
+        let defined_in_loop: BTreeSet<LocalId> = l
             .body
             .iter()
             .flat_map(|b| f.block(*b).insts.iter().filter_map(Inst::def))

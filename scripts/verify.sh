@@ -4,8 +4,10 @@
 #   scripts/verify.sh
 #
 # Runs fully offline: the format check and clippy with warnings denied
-# (each when its component is installed), release build, and the whole
-# test suite. CI's verify job runs this script as its only gate.
+# (each when its component is installed), release build, the whole
+# test suite, and the API docs with warnings denied (so a doc link to a
+# deleted item fails). CI's verify job runs this script as its only
+# gate.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -29,5 +31,8 @@ if cargo clippy --version >/dev/null 2>&1; then
 else
     echo "clippy not installed; skipping (build + tests above are the gate)"
 fi
+
+echo "== rustdoc =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "== verify OK =="
