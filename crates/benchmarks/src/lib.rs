@@ -83,7 +83,7 @@ impl Benchmark {
     }
 
     /// Like [`Benchmark::analyze`], but with caller-supplied solver
-    /// options (simplification, cut cache). The benchmark's
+    /// options (simplification, degeneracy reduction). The benchmark's
     /// preferred region strategy still takes precedence.
     ///
     /// # Errors

@@ -1,27 +1,26 @@
-//! Compiled point-location dispatch: a hyperplane decision DAG over a
-//! point program in fixed-width integers.
+//! Compiled point-location dispatch: a first-match scan over sign tests
+//! of interned hyperplanes, with the point lowered to fixed-width
+//! integers.
 //!
-//! The linear-scan dispatcher answers "which optimality region contains
-//! this parameter point?" by testing every constraint of every region
-//! piece — O(regions × constraints) exact-rational evaluations per
-//! query. For a server answering millions of dispatch queries that shape
-//! is wrong: most constraints are shared between pieces (Algorithm 2
-//! carves the parameter space with the *same* cut-difference
-//! hyperplanes, region subtraction reuses the subtrahend's constraints
-//! negated), so one sign test usually decides many pieces at once.
-//!
-//! [`compile`] builds, once per analysis, a binary-space-partitioning
-//! DAG over the distinct hyperplanes of the solution:
+//! The dispatcher answers "which optimality region contains this
+//! parameter point?" as the paper's Figure 2 does: it tests each choice's
+//! guard in order and runs the first choice whose guard holds.
+//! [`Dispatcher::select_linear`] does so with exact-rational constraint
+//! evaluations. [`compile`] turns the same guards, once per analysis,
+//! into sign tests over the distinct hyperplanes of the solution:
 //!
 //! * every region constraint is normalized ([`Constraint::normalize`]:
 //!   integer coefficients, collective gcd 1) and sign-oriented (first
 //!   non-zero coefficient positive), so `x - 5 >= 0` and `5 - x > 0`
 //!   become the *same* plane queried for different signs;
-//! * each internal node tests the sign of one plane and branches
-//!   three ways (negative / zero / positive — the strict-vs-non-strict
-//!   distinction of [`Cmp`] needs the zero branch kept apart);
-//! * each leaf is a decided choice, the out-of-region fallback, or (if
-//!   the node budget is hit) a short residual scan.
+//! * each region piece becomes the conjunction of its `(plane, allowed
+//!   signs)` tests (negative / zero / positive: the strict-vs-non-strict
+//!   distinction of [`Cmp`] needs zero kept apart), and the pieces are
+//!   kept in first-match order, choice by choice;
+//! * a query scans the pieces with a per-query sign memo: most planes
+//!   are shared between pieces (Algorithm 2 carves the parameter space
+//!   with the *same* cut-difference hyperplanes), so each plane is
+//!   evaluated at most once however many pieces test it.
 //!
 //! It also lowers the point itself — the linearized dimensions the
 //! planes are over — into a straight-line *point program* over checked
@@ -31,12 +30,10 @@
 //! slots; an unannotated `AutoCond` dummy as the 0/1 sign test of its
 //! `lhs − rhs` scaled to integers), each dimension the product of its
 //! slots, and each plane its nonzero integer coefficients. A query runs
-//! the program once and walks the DAG with a per-query sign memo, so
-//! each plane is evaluated at most once, by splits and scan leaves
-//! alike.
+//! the program once and scans the pieces on its plane signs.
 //!
 //! Everything else takes the one exact path: the point in `Rational`s
-//! ([`Dispatcher::dim_point_of`]), the DAG walked with exact plane signs,
+//! ([`Dispatcher::dim_point_of`]), the same scan on exact plane signs,
 //! and the cheapest-cut fallback. A query goes there on any overflow, a
 //! `Func` result that is not an integer that fits, or a point outside
 //! every region; and every query goes there when some dimension cannot
@@ -73,38 +70,12 @@ fn sign_bit(s: i32) -> u8 {
     }
 }
 
-/// Upper bound on DAG nodes; beyond it remaining subproblems become
-/// residual-scan leaves (still exact, just not O(depth)). The solutions
-/// the solver produces have a handful of choices over a handful of
-/// planes, so this is a blowup guard, not a working limit.
-const NODE_BUDGET: usize = 4096;
-
 /// One region piece compiled to plane sign tests: the conjunction of
 /// `(plane, allowed-signs mask)` pairs.
 #[derive(Debug, Clone)]
 struct Piece {
     choice: u32,
     tests: Vec<(u32, u8)>,
-}
-
-#[derive(Debug, Clone)]
-enum Leaf {
-    /// Every candidate test is decided; this choice matches.
-    Choice(u32),
-    /// No candidate piece can match: take the cheapest-cut fallback.
-    Fallback,
-    /// Node budget exhausted: test the residual pieces linearly.
-    Scan(Vec<Piece>),
-}
-
-#[derive(Debug, Clone)]
-enum Node {
-    Split {
-        plane: u32,
-        /// Children indexed by sign: `[negative, zero, positive]`.
-        children: [u32; 3],
-    },
-    Leaf(Leaf),
 }
 
 /// A product of slot values (a monomial: its atoms' slots, a repeated
@@ -357,13 +328,14 @@ fn lower(base: &Dispatcher, dims: &[MonomialId], planes: &[LinExpr]) -> Option<P
 pub struct CompiledStats {
     /// Distinct canonical hyperplanes in the solution.
     pub planes: usize,
-    /// Total DAG nodes (splits + leaves).
+    /// Always 0: a query scans the pieces and no decision tree is
+    /// built. Kept while perfbench still reads it (ROADMAP item 3).
     pub nodes: usize,
-    /// Maximum root-to-leaf depth (sign tests on the worst query path).
+    /// Always 0, like [`Self::nodes`].
     pub max_depth: usize,
     /// Region pieces compiled (over all choices).
     pub pieces: usize,
-    /// Residual-scan leaves (0 unless the node budget was hit).
+    /// Always 0, like [`Self::nodes`].
     pub scan_leaves: usize,
     /// Slots of the fixed-width point program (0 when some dimension
     /// could not be lowered and every query takes the exact path).
@@ -372,11 +344,11 @@ pub struct CompiledStats {
 
 /// A self-contained compiled dispatcher: everything needed to answer
 /// `select(params)` — dictionary, annotations, dimension list, point
-/// program, decision DAG and per-choice fallback cut expressions — owned
-/// by value.
+/// program, region pieces as plane sign tests and per-choice fallback
+/// cut expressions — owned by value.
 ///
-/// Build one with [`Dispatcher::compile`]; queries are answered in
-/// O(depth) sign comparisons and return bit-identical choices to
+/// Build one with [`Dispatcher::compile`]; queries evaluate each plane at
+/// most once and return bit-identical choices to
 /// [`Dispatcher::select_linear`].
 #[derive(Debug, Clone)]
 pub struct CompiledDispatcher {
@@ -386,7 +358,9 @@ pub struct CompiledDispatcher {
     planes: Vec<LinExpr>,
     /// The fixed-width path, when every dimension could be lowered.
     program: Option<PointProgram>,
-    nodes: Vec<Node>,
+    /// The region pieces in first-match order: choice order, then piece
+    /// order.
+    pieces: Vec<Piece>,
     /// Per choice: the affine capacities of its cut's forward arcs
     /// (`None` when the cut severs an infinite arc and can never be the
     /// fallback). Each arc clamps to zero individually, mirroring
@@ -406,14 +380,9 @@ impl CompiledDispatcher {
         self.stats
     }
 
-    /// Number of partitioning choices compiled in.
-    pub fn choice_count(&self) -> usize {
-        self.fallback_cuts.len()
-    }
-
     /// Selects the partitioning choice for concrete parameter values:
-    /// the same answer as [`Dispatcher::select_linear`], in O(depth)
-    /// sign tests.
+    /// the same answer as [`Dispatcher::select_linear`], with each plane
+    /// evaluated at most once.
     ///
     /// # Errors
     ///
@@ -453,7 +422,7 @@ impl CompiledDispatcher {
         Ok(selected)
     }
 
-    /// The exact path: the point in `Rational`s, the DAG walked with
+    /// The exact path: the point in `Rational`s, the pieces scanned on
     /// exact plane signs, and outside every region the cheapest known
     /// cut, earliest index on ties — identical to the linear scan's
     /// fallback. Returns the choice and whether a region matched.
@@ -487,43 +456,25 @@ impl CompiledDispatcher {
         Ok((best.map(|(i, _)| i).unwrap_or(0), false))
     }
 
-    /// Walks the DAG, asking `sign` for each plane's sign bit at most
-    /// once: `Some(Some(choice))` for the first region piece that holds,
-    /// `Some(None)` outside every region, `None` as soon as `sign` gives
-    /// up.
+    /// Scans the pieces in first-match order, asking `sign` for each
+    /// plane's sign bit at most once: `Some(Some(choice))` for the first
+    /// piece whose every test holds, `Some(None)` outside every region,
+    /// `None` as soon as `sign` gives up.
     fn locate(&self, mut sign: impl FnMut(usize) -> Option<u8>) -> Option<Option<usize>> {
         let mut memo = vec![0u8; self.planes.len()];
-        let mut test = |plane: u32| {
-            let known = &mut memo[plane as usize];
-            if *known == 0 {
-                *known = sign(plane as usize)?;
-            }
-            Some(*known)
-        };
-        let mut node = 0usize;
-        let leaf = loop {
-            match &self.nodes[node] {
-                Node::Split { plane, children } => {
-                    node = children[test(*plane)?.trailing_zeros() as usize] as usize;
+        'pieces: for p in &self.pieces {
+            for &(plane, mask) in &p.tests {
+                let known = &mut memo[plane as usize];
+                if *known == 0 {
+                    *known = sign(plane as usize)?;
                 }
-                Node::Leaf(leaf) => break leaf,
-            }
-        };
-        Some(match leaf {
-            Leaf::Choice(c) => Some(*c as usize),
-            Leaf::Fallback => None,
-            Leaf::Scan(pieces) => {
-                'pieces: for p in pieces {
-                    for &(plane, mask) in &p.tests {
-                        if test(plane)? & mask == 0 {
-                            continue 'pieces;
-                        }
-                    }
-                    return Some(Some(p.choice as usize));
+                if *known & mask == 0 {
+                    continue 'pieces;
                 }
-                None
             }
-        })
+            return Some(Some(p.choice as usize));
+        }
+        Some(None)
     }
 }
 
@@ -564,97 +515,6 @@ fn intern_constraint(
         next
     });
     Ok((id, mask))
-}
-
-/// Recursive DAG builder state.
-struct Builder {
-    nodes: Vec<Node>,
-    max_depth: usize,
-    scan_leaves: usize,
-}
-
-impl Builder {
-    fn leaf(&mut self, leaf: Leaf) -> u32 {
-        if matches!(leaf, Leaf::Scan(_)) {
-            self.scan_leaves += 1;
-        }
-        self.nodes.push(Node::Leaf(leaf));
-        (self.nodes.len() - 1) as u32
-    }
-
-    /// Builds the subtree for the still-live candidate pieces (in
-    /// first-match order) under the signs recorded in `decided`
-    /// (0 = undecided, else the actual sign bit).
-    fn build(&mut self, pieces: &[Piece], decided: &mut [u8], depth: usize) -> u32 {
-        self.max_depth = self.max_depth.max(depth);
-        // Reduce each piece against the decided signs.
-        let mut live: Vec<Piece> = Vec::with_capacity(pieces.len());
-        'pieces: for p in pieces {
-            let mut rest = Vec::with_capacity(p.tests.len());
-            for &(plane, mask) in &p.tests {
-                let d = decided[plane as usize];
-                if d == 0 {
-                    rest.push((plane, mask));
-                } else if d & mask == 0 {
-                    continue 'pieces; // contradicted: drop the piece
-                }
-            }
-            if rest.is_empty() {
-                // Fully satisfied. If it is the first live piece, the
-                // match is decided (first-match-wins); later pieces
-                // cannot be reached, so stop collecting.
-                if live.is_empty() {
-                    return self.leaf(Leaf::Choice(p.choice));
-                }
-                live.push(Piece {
-                    choice: p.choice,
-                    tests: rest,
-                });
-                break;
-            }
-            live.push(Piece {
-                choice: p.choice,
-                tests: rest,
-            });
-        }
-        let Some(first) = live.first() else {
-            return self.leaf(Leaf::Fallback);
-        };
-        if self.nodes.len() >= NODE_BUDGET {
-            return self.leaf(Leaf::Scan(live));
-        }
-        // Split on the first live piece's undecided plane that the most
-        // pieces reference (lowest plane id on ties): deciding it always
-        // shrinks the first piece, so recursion terminates, and sharing
-        // maximizes how many other pieces each test advances.
-        let plane = first
-            .tests
-            .iter()
-            .map(|&(plane, _)| {
-                let uses = live
-                    .iter()
-                    .filter(|p| p.tests.iter().any(|&(q, _)| q == plane))
-                    .count();
-                (std::cmp::Reverse(uses), plane)
-            })
-            .min()
-            .map(|(_, plane)| plane)
-            .expect("first live piece has undecided tests");
-
-        let node = self.nodes.len() as u32;
-        self.nodes.push(Node::Split {
-            plane,
-            children: [0; 3],
-        });
-        let mut children = [0u32; 3];
-        for (slot, sign) in [NEG, ZERO, POS].into_iter().enumerate() {
-            decided[plane as usize] = sign;
-            children[slot] = self.build(&live, decided, depth + 1);
-        }
-        decided[plane as usize] = 0;
-        self.nodes[node as usize] = Node::Split { plane, children };
-        node
-    }
 }
 
 /// Compiles a partitioning solution against its network into a
@@ -701,15 +561,6 @@ pub(crate) fn compile(
         }
     }
 
-    let piece_count = pieces.len();
-    let mut builder = Builder {
-        nodes: Vec::new(),
-        max_depth: 0,
-        scan_leaves: 0,
-    };
-    let mut decided = vec![0u8; planes.len()];
-    builder.build(&pieces, &mut decided, 0);
-
     // Per-choice fallback data: the affine capacities of the cut's
     // forward arcs (infinite arcs disqualify the whole choice), so the
     // fallback sums exactly what `cut_value_at` would.
@@ -733,18 +584,16 @@ pub(crate) fn compile(
     let program = lower(&base, &pnet.dims, &planes);
     let stats = CompiledStats {
         planes: planes.len(),
-        nodes: builder.nodes.len(),
-        max_depth: builder.max_depth,
-        pieces: piece_count,
-        scan_leaves: builder.scan_leaves,
+        pieces: pieces.len(),
         slots: program.as_ref().map_or(0, |p| p.slots.len()),
+        ..CompiledStats::default()
     };
     CompiledDispatcher {
         base,
         dims: pnet.dims.clone(),
         planes,
         program,
-        nodes: builder.nodes,
+        pieces,
         fallback_cuts,
         stats,
     }

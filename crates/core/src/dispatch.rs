@@ -41,11 +41,6 @@ impl Annotations {
     pub fn set(&mut self, dummy: u32, expr: SymExpr) {
         self.exprs.insert(dummy, AnnotationRule::Expr(expr));
     }
-
-    /// Annotates one dummy with an arbitrary function of the parameters.
-    pub fn set_fn(&mut self, dummy: u32, f: fn(&[Rational]) -> Rational) {
-        self.exprs.insert(dummy, AnnotationRule::Func(f));
-    }
 }
 
 /// Error selecting a partition at run time.
@@ -230,9 +225,10 @@ impl Dispatcher {
     }
 
     /// Compiles the partitioning solution into a self-contained
-    /// [`CompiledDispatcher`](crate::CompiledDispatcher): a hyperplane
-    /// decision DAG that answers `select()` in O(depth) sign tests
-    /// instead of scanning every region piece. The compiled form owns a
+    /// [`CompiledDispatcher`](crate::CompiledDispatcher): the region
+    /// pieces as sign tests on shared hyperplanes, scanned in first-match
+    /// order with each plane evaluated at most once per query, over a
+    /// point lowered to fixed-width integers. The compiled form owns a
     /// clone of this dispatcher (dictionary + annotations), the dimension
     /// list, and the per-choice cut expressions, so a query needs nothing
     /// but the parameter values.

@@ -350,7 +350,7 @@ pub struct Analysis {
     pub partition: ParametricPartition,
     /// The run-time selector.
     pub dispatcher: Dispatcher,
-    /// The selector compiled to a hyperplane decision DAG (what
+    /// The selector compiled to plane sign tests (what
     /// [`Analysis::select`] actually queries).
     pub compiled: CompiledDispatcher,
     /// One structured report per pipeline pass, in execution order
@@ -405,7 +405,8 @@ impl Analysis {
     }
 
     /// Selects the partitioning choice for concrete parameter values,
-    /// via the compiled decision DAG (O(depth) sign tests per query).
+    /// via the compiled dispatcher (each plane's sign tested at most
+    /// once per query).
     ///
     /// # Errors
     ///
@@ -429,14 +430,6 @@ impl Analysis {
     /// The report of one pass, by name (e.g. `"points-to"`).
     pub fn pass_report(&self, name: &str) -> Option<&PassReport> {
         self.reports.iter().find(|r| r.pass == name)
-    }
-
-    /// Warnings across every pass, prefixed with the pass name.
-    pub fn pass_warnings(&self) -> Vec<String> {
-        self.reports
-            .iter()
-            .flat_map(|r| r.warnings.iter().map(move |w| format!("{}: {w}", r.pass)))
-            .collect()
     }
 
     /// Selects the partitioning choice for concrete parameter values and

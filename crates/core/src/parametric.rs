@@ -11,20 +11,16 @@
 //! choice's full optimality region.
 //!
 //! The engine drains `X` as a **worklist of disjoint convex pieces**, one
-//! round at a time on the calling thread: every current piece of `X` is
-//! sampled, min-cut solved and Lemma-1 projected in piece order, then a
-//! merge in the same order accepts each discovered cut unless an
-//! earlier-accepted region of the same round already covers its sample
-//! point. A memo cache keyed by cut signature (the source-side bit
-//! vector) reuses projected regions when the same cut is rediscovered
-//! ([`SolveOptions::cut_cache`]).
+//! round at a time on the calling thread: each piece of `X` as the round
+//! found it is sampled in piece order, skipped when a region accepted
+//! earlier in the round already covers the sample point, and otherwise
+//! min-cut solved, Lemma-1 projected and accepted.
 
 use crate::netbuild::{PartitionNetwork, Term};
-use offload_flow::{Capacity, MaxFlow, ParamNetwork, ParamSolver, UnboundedFlow};
+use offload_flow::{Capacity, MaxFlow, ParamNetwork, UnboundedFlow};
 use offload_obs::Level;
-use offload_poly::{Polyhedron, ProjectionBudgetExceeded, Rational, Region};
+use offload_poly::{Constraint, Polyhedron, Rational, Region};
 use offload_tcfg::{TaskId, Tcfg};
-use std::collections::HashMap;
 use std::fmt;
 use std::time::Instant;
 
@@ -233,10 +229,6 @@ pub struct SolveOptions {
     /// Ignored: a solve runs on its calling thread. Kept so existing
     /// struct literals still compile.
     pub threads: usize,
-    /// Reuse projected optimality regions when the same cut signature is
-    /// rediscovered (default `true`; sound — the projection is a pure
-    /// function of the signature).
-    pub cut_cache: bool,
 }
 
 impl Default for SolveOptions {
@@ -246,7 +238,6 @@ impl Default for SolveOptions {
             reduce_degeneracy: true,
             region_strategy: RegionStrategy::Exact,
             threads: 0,
-            cut_cache: true,
         }
     }
 }
@@ -336,7 +327,7 @@ pub fn solve_with_probes(
         let result = if options.region_strategy == RegionStrategy::Dominance {
             solve_dominance(pnet, tcfg, n_items, &snet, &mapping, probes, &mut stats)
         } else {
-            explore_regions(pnet, tcfg, n_items, options, &snet, &mapping, &mut stats)
+            explore_regions(pnet, tcfg, n_items, &snet, &mapping, &mut stats)
         };
         stats.pipeline.solve_micros = t_solve.elapsed().as_micros() as u64;
         let mut choices = result?;
@@ -365,106 +356,84 @@ pub fn solve_with_probes(
     Ok(ParametricPartition { choices, stats })
 }
 
-/// The result of exploring one worklist piece: its deterministic sample
-/// point, the cut found there (on the simplified network), and the cut's
-/// full Lemma-1 optimality region.
-struct PieceResult {
-    point: Vec<Rational>,
-    side: Vec<bool>,
-    full_region: Polyhedron,
-}
-
-/// The memo cache mapping a cut signature (source-side bit vector on the
-/// simplified network) to its projected optimality region, so each
-/// unique signature is projected once (one miss). A projection that
-/// blows its row budget is memoized as the typed failure.
-type CutCache = HashMap<Vec<bool>, Result<Polyhedron, ProjectionBudgetExceeded>>;
-
 /// The exact region-exploration engine: a round-by-round worklist over
 /// the disjoint pieces of the uncovered region `X`.
 ///
-/// Each round takes a snapshot of `X`'s pieces in order and explores all
-/// of them (sample → concrete min-cut → optimality region); a merge then
-/// walks the results **in piece order**, accepting a cut unless a region
-/// accepted earlier in the same round already covers its sample point,
-/// and shrinking `X` per accepted cut.
+/// Each round walks a snapshot of `X`'s pieces **in piece order**. A
+/// piece whose sample point a region accepted earlier in the same round
+/// already covers is skipped: the shrunken `X` re-queues whatever is left
+/// of it next round. Any other piece has its concrete min-cut solved at
+/// the sample point and projected to its Lemma-1 optimality region, and
+/// that cut is accepted, shrinking `X`. An accepted cut is optimal only
+/// inside its region, which leaves `X` (Theorem 2), so no cut is ever
+/// found twice.
 fn explore_regions(
     pnet: &PartitionNetwork,
     tcfg: &Tcfg,
     n_items: usize,
-    options: &SolveOptions,
     snet: &ParamNetwork,
     mapping: &[usize],
     stats: &mut SolveStats,
 ) -> Result<Vec<Partition>, SolveError> {
-    let mut cache: Option<CutCache> = options.cut_cache.then(HashMap::new);
     let mut solver = snet.solver();
 
     let mut x = Region::from(pnet.param_space.clone());
     let mut choices: Vec<Partition> = Vec::new();
 
-    loop {
-        let pieces = x.pieces();
-        if pieces.is_empty() {
-            break;
-        }
+    while !x.is_empty() {
         stats.pipeline.rounds += 1;
-        let n_pieces = pieces.len();
+        let round = x.clone();
         let t_round = Instant::now();
         let mut round_span = offload_obs::span!(
             "parametric",
             "round",
             round = stats.pipeline.rounds,
-            pieces = n_pieces,
+            pieces = round.pieces().len(),
         );
-        let results: Vec<_> = pieces
-            .iter()
-            .map(|piece| explore_piece(snet, &pnet.param_space, piece, &mut solver, cache.as_mut()))
-            .collect();
-
-        let mut accepted: Vec<PieceResult> = Vec::new();
-        for result in results {
-            let r = match result {
-                None => continue, // piece was empty (cannot happen: X holds non-empty pieces)
-                Some(Err(PieceError::Unbounded(e))) => return Err(SolveError::Unbounded(e)),
-                Some(Err(PieceError::Budget(e))) => {
-                    return Err(SolveError::ProjectionBudget {
-                        generated: e.generated,
-                    })
-                }
-                Some(Ok(r)) => r,
+        let mut accepted: Vec<Polyhedron> = Vec::new();
+        for piece in round.pieces() {
+            let _span = offload_obs::span!("parametric", "piece");
+            // Stored pieces are non-empty, so every piece has a sample.
+            let Some(point) = piece.sample() else {
+                continue;
             };
-            if accepted.iter().any(|a| a.full_region.contains(&r.point)) {
-                // An earlier-accepted cut of this round already covers
-                // this sample; the shrunken X re-queues whatever remains
-                // of the piece next round.
+            if accepted.iter().any(|full| full.contains(&point)) {
                 continue;
             }
+            let mf = solver.solve_at(&point).map_err(SolveError::Unbounded)?;
+            // Every projection gets a fresh budget, so whether a cut's
+            // region is affordable depends only on the cut.
+            let mut budget = PROJECTION_BUDGET;
+            let full_region = snet
+                .try_optimality_region(&mf.source_side, &pnet.param_space, &mut budget)
+                .map_err(|e| SolveError::ProjectionBudget {
+                    generated: e.generated,
+                })?;
             stats.iterations += 1;
             if stats.iterations > MAX_ITERATIONS {
                 return Err(SolveError::IterationLimit {
                     found: choices.len(),
                 });
             }
-            if !r.full_region.contains(&r.point) {
+            if !full_region.contains(&point) {
                 // Should be impossible (Theorem 2); fail fast rather than
                 // loop forever.
                 return Err(SolveError::IterationLimit {
                     found: choices.len(),
                 });
             }
-            let assigned = x.intersect(&r.full_region);
-            x = x.subtract(&r.full_region);
-            let cut = expand_cut(mapping, &r.side, pnet.net.node_count());
+            let assigned = x.intersect(&full_region);
+            x = x.subtract(&full_region);
+            let cut = pnet.net.expand_cut(mapping, &mf.source_side);
             choices.push(extract_partition(
                 pnet,
                 tcfg,
                 n_items,
                 cut,
                 assigned,
-                r.full_region.clone(),
+                full_region.clone(),
             ));
-            accepted.push(r);
+            accepted.push(full_region);
         }
         stats.pipeline.regions_explored += accepted.len() as u64;
         round_span.record("accepted", accepted.len());
@@ -473,7 +442,7 @@ fn explore_regions(
             format!(
                 "round {}: {} pieces -> {} accepted cuts ({} total) in {:?}, {} pieces left",
                 stats.pipeline.rounds,
-                n_pieces,
+                round.pieces().len(),
                 accepted.len(),
                 choices.len(),
                 t_round.elapsed(),
@@ -482,70 +451,6 @@ fn explore_regions(
         });
     }
     Ok(choices)
-}
-
-/// Explores one worklist piece: sample its deterministic interior point,
-/// solve the concrete min-cut there, and obtain the cut's optimality
-/// region (from the signature cache when enabled). Returns `None` for an
-/// empty piece.
-fn explore_piece(
-    snet: &ParamNetwork,
-    param_space: &Polyhedron,
-    piece: &Polyhedron,
-    solver: &mut ParamSolver,
-    cache: Option<&mut CutCache>,
-) -> Option<Result<PieceResult, PieceError>> {
-    let mut span = offload_obs::span!("parametric", "piece");
-    let point = piece.sample()?;
-    let mf = match solver.solve_at(&point) {
-        Ok(mf) => mf,
-        Err(e) => return Some(Err(PieceError::Unbounded(e))),
-    };
-    // Every projection call gets a fresh budget: whether a signature's
-    // region is affordable depends only on the signature, never on what
-    // other pieces spent.
-    let project = || {
-        let mut budget = PROJECTION_BUDGET;
-        snet.try_optimality_region(&mf.source_side, param_space, &mut budget)
-    };
-    let region = match cache {
-        Some(cache) => {
-            let hit = cache.contains_key(&mf.source_side);
-            offload_obs::tally(|t| {
-                if hit {
-                    t.cache_hits += 1;
-                } else {
-                    t.cache_misses += 1;
-                }
-            });
-            span.record("cache_hit", hit);
-            cache
-                .entry(mf.source_side.clone())
-                .or_insert_with(project)
-                .clone()
-        }
-        None => project(),
-    };
-    let full_region = match region {
-        Ok(r) => r,
-        Err(e) => return Some(Err(PieceError::Budget(e))),
-    };
-    Some(Ok(PieceResult {
-        point,
-        side: mf.source_side,
-        full_region,
-    }))
-}
-
-/// Why one piece's exploration failed (folded into a [`SolveError`] by
-/// the round loop).
-enum PieceError {
-    Unbounded(UnboundedFlow),
-    Budget(ProjectionBudgetExceeded),
-}
-
-fn expand_cut(mapping: &[usize], simplified_side: &[bool], nodes: usize) -> Vec<bool> {
-    (0..nodes).map(|n| simplified_side[mapping[n]]).collect()
 }
 
 /// The symbolic value of a cut: the sum of forward-arc capacities
@@ -669,37 +574,30 @@ fn solve_dominance(
         }
     }
 
-    // Assemble disjoint regions and partitions. Choice `i`'s final
-    // region is its dominance region minus the full regions of all
-    // earlier choices. The solver is not needed in this LP-heavy tail,
-    // where the solve's memory peaks.
+    // Assemble the partitions. Choice `i` gets the points where cut `i`
+    // is the first cheapest: its dominance region `full_i` with every
+    // earlier cut strictly dearer. For `h ∈ full_i` and `j < i`, `h ∈
+    // full_j` iff the two cuts cost the same at `h`, so this is `full_i`
+    // minus every earlier `full_j`, as one polyhedron. A cut that is
+    // never the first cheapest gets no choice. (Degeneracy reduction is
+    // unnecessary here — dominance regions are already one-per-cut.) The
+    // solver is not needed in this LP-heavy tail, where the solve's
+    // memory peaks.
     drop(solver);
     let regions = settled.unwrap_or_else(|| dominance_regions(space, &cuts));
-    let disjoint: Vec<Region> = (0..regions.len())
-        .map(|i| {
-            let mut region = Region::from(regions[i].clone());
-            for earlier in &regions[..i] {
-                region = region.subtract(earlier);
-            }
-            region
-        })
-        .collect();
     let mut out = Vec::new();
-    for (((side, _), region_poly), region) in cuts.iter().zip(regions).zip(disjoint) {
-        let cut = expand_cut(mapping, side, pnet.net.node_count());
-        out.push(extract_partition(
-            pnet,
-            tcfg,
-            n_items,
-            cut,
-            region,
-            region_poly,
-        ));
+    for (i, ((side, ei), full)) in cuts.iter().zip(regions).enumerate() {
+        let mut first = full.clone();
+        for (_, ej) in &cuts[..i] {
+            first.add(Constraint::gt0(ej.sub(ei)));
+        }
+        let region = Region::from(first);
+        if region.is_empty() {
+            continue;
+        }
+        let cut = pnet.net.expand_cut(mapping, side);
+        out.push(extract_partition(pnet, tcfg, n_items, cut, region, full));
     }
-    // Drop choices whose region vanished after disjointification.
-    // (Degeneracy reduction is unnecessary here — dominance regions are
-    // already one-per-cut.)
-    out.retain(|p| !p.region.is_empty());
     stats.pipeline.regions_explored += out.len() as u64;
     return Ok(out);
 
@@ -716,7 +614,7 @@ fn solve_dominance(
                         continue;
                     }
                     // val_i <= val_j  <=>  ej - ei >= 0.
-                    r.add(offload_poly::Constraint::ge0(ej.sub(ei)));
+                    r.add(Constraint::ge0(ej.sub(ei)));
                 }
                 r.reduce_redundancy()
             })

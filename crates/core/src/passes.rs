@@ -75,7 +75,7 @@ pub mod keys {
     pub const PARTITION: &str = "partition";
     /// The linear-scan [`crate::Dispatcher`].
     pub const DISPATCHER: &str = "dispatcher";
-    /// The [`crate::CompiledDispatcher`] decision DAG.
+    /// The [`crate::CompiledDispatcher`].
     pub const COMPILED: &str = "compiled";
 }
 
@@ -732,8 +732,8 @@ impl Pass for SolvePass {
     }
 }
 
-/// Figure 2: builds the run-time selector and compiles it to the
-/// hyperplane decision DAG ([`Dispatcher::compile`]).
+/// Figure 2: builds the run-time selector and compiles it to plane sign
+/// tests ([`Dispatcher::compile`]).
 pub struct CompilePass;
 
 impl Pass for CompilePass {
@@ -763,10 +763,7 @@ impl Pass for CompilePass {
         let compiled = dispatcher.compile(network, partition);
         let stats = compiled.stats();
         report.count("planes", stats.planes as u64);
-        report.count("dag_nodes", stats.nodes as u64);
-        report.count("max_depth", stats.max_depth as u64);
         report.count("pieces", stats.pieces as u64);
-        report.count("scan_leaves", stats.scan_leaves as u64);
         report.count("slots", stats.slots as u64);
         cx.put(keys::DISPATCHER, dispatcher);
         cx.put(keys::COMPILED, compiled);

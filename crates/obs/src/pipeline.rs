@@ -2,8 +2,8 @@
 //!
 //! [`PipelineStats`] is the one record a parametric solve counts into:
 //! Dinic effort in `offload-flow`, LP / projection effort in
-//! `offload-poly`, and engine-level counters (rounds, cache behaviour,
-//! timings) in `offload-core`. `offload-core` re-exports it unchanged.
+//! `offload-poly`, and engine-level counters (regions, rounds, timings)
+//! in `offload-core`. `offload-core` re-exports it unchanged.
 //!
 //! Each counter is declared once, in the `counters!` list below, with
 //! its kind: a deterministic work counter or a wall-clock timing. The struct, the [`PipelineStats::COUNTERS`] table,
@@ -57,9 +57,7 @@ macro_rules! counters {
     ($($(#[doc = $doc:literal])* $field:ident = $kind:ident,)*) => {
         /// Work counters across every layer of one parametric solve.
         ///
-        /// Every field is a `u64`. Counter values may legitimately differ
-        /// between runs with different solver options (the cut cache, for
-        /// one); the partitioning output never does.
+        /// Every field is a `u64`.
         #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
         pub struct PipelineStats {
             $($(#[doc = $doc])* pub $field: u64,)*
@@ -131,10 +129,6 @@ counters! {
     regions_explored = Work,
     /// Worklist rounds of the exact engine.
     rounds = Work,
-    /// Cut-signature cache hits.
-    cache_hits = Work,
-    /// Cut-signature cache misses (projections actually performed).
-    cache_misses = Work,
     /// Exact syntactic duplicates dropped by the canonical-form dedup
     /// pre-filter.
     prefilter_dedup = Work,
@@ -182,17 +176,6 @@ impl PipelineStats {
             + self.prefilter_dominance
             + self.prefilter_interval
             + self.prefilter_witness
-    }
-
-    /// Cache hit rate in `[0, 1]` (zero when the cache was never
-    /// consulted).
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
     }
 
     /// This record with every counter that is not
@@ -280,12 +263,8 @@ impl fmt::Display for PipelineStats {
         )?;
         writeln!(
             f,
-            "core: {} regions in {} rounds, cache {}/{} ({:.0}% hit)",
-            self.regions_explored,
-            self.rounds,
-            self.cache_hits,
-            self.cache_hits + self.cache_misses,
-            self.cache_hit_rate() * 100.0
+            "core: {} regions in {} rounds",
+            self.regions_explored, self.rounds
         )?;
         write!(
             f,

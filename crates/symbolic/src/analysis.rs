@@ -47,14 +47,6 @@ impl SymVal {
             SymVal::Unknown
         }
     }
-
-    /// The polynomial, if this is an [`SymVal::Expr`].
-    pub fn as_expr(&self) -> Option<&SymExpr> {
-        match self {
-            SymVal::Expr(e) => Some(e),
-            _ => None,
-        }
-    }
 }
 
 /// Per-function symbolic results.

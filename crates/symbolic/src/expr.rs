@@ -131,11 +131,6 @@ impl ParamDict {
         self.param_names.len()
     }
 
-    /// Name of parameter `i`.
-    pub fn param_name(&self, i: u32) -> &str {
-        &self.param_names[i as usize]
-    }
-
     /// All dummy origins (indexed by dummy id).
     pub fn dummies(&self) -> &[DummyOrigin] {
         &self.dummies

@@ -5,9 +5,10 @@
 #
 # Runs fully offline: the format check and clippy with warnings denied
 # (each when its component is installed), release build, the whole
-# test suite, and the API docs with warnings denied (so a doc link to a
-# deleted item fails). CI's verify job runs this script as its only
-# gate.
+# test suite, the benchmark's build and unit tests (so deleting a field
+# that perfbench reads fails here), and the API docs with warnings
+# denied (so a doc link to a deleted item fails). CI's verify job runs
+# this script as its only gate.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -24,6 +25,13 @@ cargo build --release --workspace --offline
 
 echo "== test =="
 cargo test -q --workspace --offline --no-fail-fast
+
+echo "== perfbench (build + test) =="
+# perfbench is a package of its own, built where perfbench/run.py builds
+# it. Warnings are not denied: it still calls the deprecated
+# `ServerConfigBuilder::threads`.
+CARGO_TARGET_DIR=.bench_build cargo build --release --offline --manifest-path perfbench/Cargo.toml
+CARGO_TARGET_DIR=.bench_build cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "== clippy =="
 if cargo clippy --version >/dev/null 2>&1; then
