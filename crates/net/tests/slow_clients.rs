@@ -19,7 +19,7 @@
 //! * a `Control` frame's validity entries that name no tracked item are
 //!   skipped instead of indexing the server's tables;
 //! * a `Control` frame whose `dyn_table` would take the session past
-//!   `MAX_PEER_SLOTS` peer-allocated slots gets an `Error` reply before
+//!   `MAX_DYN_SLOTS` dynamic slots gets an `Error` reply before
 //!   anything is allocated;
 //! * a program nested past the parser's cap is refused with an `Error`
 //!   reply instead of overflowing a connection thread's stack.
@@ -35,7 +35,7 @@ use offload_net::{
 };
 use offload_pta::AbsLocId;
 use offload_runtime::{
-    ControlMsg, DeviceModel, Host, ItemPayload, ObjKey, PendingAction, Value, MAX_PEER_SLOTS,
+    ControlMsg, DeviceModel, Host, ItemPayload, ObjKey, PendingAction, Value, MAX_DYN_SLOTS,
 };
 use offload_tcfg::SegmentId;
 use std::io::{Read, Write};
@@ -638,7 +638,7 @@ fn control_validity_entries_past_the_tables_are_skipped() {
 /// A `Control` frame's `dyn_table` sizes the zeroed storage a session
 /// materializes for peer-allocated objects, with peer-supplied slot
 /// counts, so one frame could ask for 2³² slots per entry. The session
-/// refuses any table that would take it past `MAX_PEER_SLOTS` in total,
+/// refuses any table that would take it past `MAX_DYN_SLOTS` in total,
 /// before allocating: one entry one slot past the cap, and two entries
 /// that pass it only together, each get an `Error` reply and end their
 /// session, and a fresh client is served afterwards under a cap of one
@@ -662,10 +662,10 @@ fn control_dyn_table_past_the_slot_cap_is_refused() {
         let slots = u32::try_from(slots).expect("slot count fits the wire");
         (ObjKey::Dyn(id), AllocSiteId(0), slots)
     };
-    let one_past = vec![entry(0, MAX_PEER_SLOTS + 1)];
+    let one_past = vec![entry(0, MAX_DYN_SLOTS + 1)];
     let two_halves = vec![
-        entry(0, MAX_PEER_SLOTS / 2 + 1),
-        entry(1, MAX_PEER_SLOTS / 2 + 1),
+        entry(0, MAX_DYN_SLOTS / 2 + 1),
+        entry(1, MAX_DYN_SLOTS / 2 + 1),
     ];
     for dyn_table in [one_past, two_halves] {
         let entries = dyn_table.len();

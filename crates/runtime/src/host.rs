@@ -273,8 +273,9 @@ struct DynObj {
 
 /// One host's memory image.
 struct HostState {
-    /// Register files, by function.
-    regs: Vec<Vec<Value>>,
+    /// Every function's registers in one file: local `l` of function `f`
+    /// is slot `reg_base[f] + l` (see [`Machine::reg_base`]).
+    regs: Vec<Value>,
     /// Globals (by global id), then memory locals (see
     /// [`Machine::static_index`]).
     statics: Vec<Vec<Value>>,
@@ -300,16 +301,15 @@ struct Tally {
     registrations: u64,
 }
 
-/// Segment lookup entry: `(range_start, range_end, segment)` for one
-/// `(function, block)` pair.
-type SegEntry = (usize, usize, SegmentId);
-
-/// Most slots one machine materializes, over its whole run, for objects
-/// the peer allocated: a `Control` frame's `dyn_table` sizes them with
-/// peer-supplied counts. `1 << 24` slots are 384 MiB of [`Value`]s; none
-/// of the Table 3 programs allocates dynamically, and the generated test
+/// Most dynamic slots one machine holds over its whole run: the
+/// program's own `alloc`s, and the objects a `Control` frame's
+/// `dyn_table` or an item payload materializes for the peer's. Both
+/// `alloc` counts and `dyn_table` sizes can come from outside (a
+/// parameter, a hostile peer), so each is refused before it allocates
+/// past the cap. `1 << 24` slots are 384 MiB of [`Value`]s; none of the
+/// Table 3 programs allocates dynamically, and the generated test
 /// programs allocate `a + 1` ints at a time.
-pub const MAX_PEER_SLOTS: u64 = 1 << 24;
+pub const MAX_DYN_SLOTS: u64 = 1 << 24;
 
 /// The interpreter for one host.
 ///
@@ -324,9 +324,9 @@ pub struct Machine<'a> {
     /// Validity per points-to location; `None` until the run touches it.
     valid: Vec<Option<[bool; 2]>>,
     dyn_count: u64,
-    /// Slots materialized for peer-allocated objects so far (at most
-    /// [`MAX_PEER_SLOTS`]).
-    peer_slots: u64,
+    /// Slots of every dynamic object this host holds (at most
+    /// [`MAX_DYN_SLOTS`]).
+    dyn_slots: u64,
     steps: u64,
     ledger: Ledger,
     stack: Vec<Frame>,
@@ -339,15 +339,18 @@ pub struct Machine<'a> {
     // Derived indexes.
     /// Whether each points-to location is a tracked item.
     tracked: Vec<bool>,
-    /// Tracked item of each register, by function and local.
-    reg_items: Vec<Vec<Option<AbsLocId>>>,
+    /// First slot of each function's registers in the register file.
+    reg_base: Vec<usize>,
+    /// Tracked item of each register, by register-file slot.
+    reg_items: Vec<Option<AbsLocId>>,
     /// Static object of each memory local, by function and local.
     local_objs: Vec<Vec<Option<usize>>>,
     /// Tracked item of each static object.
     static_items: Vec<Option<AbsLocId>>,
     /// Tracked item of each allocation site.
     site_items: Vec<Option<AbsLocId>>,
-    seg_index: HashMap<(FuncId, BlockId), Vec<SegEntry>>,
+    /// Segment at the start of each block, by function and block.
+    entry_seg: Vec<Vec<SegmentId>>,
     edge_index: HashMap<(TaskId, TaskId, EdgeKind), usize>,
     max_steps: u64,
 }
@@ -374,14 +377,17 @@ impl<'a> Machine<'a> {
     /// with `main`'s parameters broadcast into the register file (both
     /// hosts initialize identically at startup, §2.1).
     pub fn new(r: &'a Runner<'a>, host: Host, params: &[i64], input: &'a [i64]) -> Machine<'a> {
-        let mut seg_index: HashMap<(FuncId, BlockId), Vec<SegEntry>> = HashMap::new();
-        for (si, seg) in r.tcfg.segments().iter().enumerate() {
-            seg_index.entry((seg.func, seg.block)).or_default().push((
-                seg.range.0,
-                seg.range.1,
-                SegmentId(si as u32),
-            ));
-        }
+        let entry_seg = (r.module.functions.iter().enumerate())
+            .map(|(fi, f)| {
+                (0..f.blocks.len())
+                    .map(|bi| {
+                        r.tcfg
+                            .block_entry_segment(FuncId(fi as u32), BlockId(bi as u32))
+                            .expect("every block starts a segment")
+                    })
+                    .collect()
+            })
+            .collect();
         let mut edge_index = HashMap::new();
         for (ei, e) in r.tcfg.edges().iter().enumerate() {
             edge_index.insert((e.from, e.to, e.kind), ei);
@@ -399,17 +405,16 @@ impl<'a> Machine<'a> {
             statics.push(vec![Value::Int(0); g.slots as usize]);
             static_items.push(item_of(AbsLoc::Global(GlobalId(gi as u32))));
         }
-        let mut regs = Vec::with_capacity(module.functions.len());
-        let mut reg_items = Vec::with_capacity(module.functions.len());
+        let mut reg_base = Vec::with_capacity(module.functions.len());
+        let mut reg_items = Vec::new();
         let mut local_objs = Vec::with_capacity(module.functions.len());
         for (fi, f) in module.functions.iter().enumerate() {
             let func = FuncId(fi as u32);
-            regs.push(vec![Value::Uninit; f.locals.len()]);
-            let mut items = Vec::with_capacity(f.locals.len());
+            reg_base.push(reg_items.len());
             let mut objs = Vec::with_capacity(f.locals.len());
             for (li, l) in f.locals.iter().enumerate() {
                 let local = LocalId(li as u32);
-                items.push(item_of(AbsLoc::Reg { func, local }));
+                reg_items.push(item_of(AbsLoc::Reg { func, local }));
                 objs.push(match l.kind {
                     LocalKind::Memory { slots } => {
                         statics.push(vec![Value::Int(0); slots as usize]);
@@ -419,15 +424,15 @@ impl<'a> Machine<'a> {
                     LocalKind::Register => None,
                 });
             }
-            reg_items.push(items);
             local_objs.push(objs);
         }
         let site_items = (0..module.alloc_sites)
             .map(|s| item_of(AbsLoc::Site(AllocSiteId(s))))
             .collect();
-        let main = module.function(module.main);
-        for (pi, &p) in main.params.iter().enumerate() {
-            regs[module.main.index()][p.index()] = Value::Int(params.get(pi).copied().unwrap_or(0));
+        let mut regs = vec![Value::Uninit; reg_items.len()];
+        let main_base = reg_base[module.main.index()];
+        for (pi, &p) in module.function(module.main).params.iter().enumerate() {
+            regs[main_base + p.index()] = Value::Int(params.get(pi).copied().unwrap_or(0));
         }
         Machine {
             r,
@@ -440,7 +445,7 @@ impl<'a> Machine<'a> {
             tally: Tally::default(),
             valid: vec![None; tracked.len()],
             dyn_count: 0,
-            peer_slots: 0,
+            dyn_slots: 0,
             steps: 0,
             ledger: Ledger::default(),
             stack: Vec::new(),
@@ -449,11 +454,12 @@ impl<'a> Machine<'a> {
             input_pos: 0,
             outputs: Vec::new(),
             tracked,
+            reg_base,
             reg_items,
             local_objs,
             static_items,
             site_items,
-            seg_index,
+            entry_seg,
             edge_index,
             max_steps: if r.max_steps == 0 {
                 500_000_000
@@ -497,7 +503,7 @@ impl<'a> Machine<'a> {
             PendingAction::Start => {
                 let main = self.r.module.main;
                 let entry = self.r.module.function(main).entry;
-                let entry_seg = self.segment_at(main, entry, 0);
+                let entry_seg = self.entry_seg[main.index()][entry.index()];
                 self.stack.push(Frame {
                     func: main,
                     block: entry,
@@ -530,13 +536,15 @@ impl<'a> Machine<'a> {
                     ret_dst: None,
                 });
                 self.active[func.index()] = true;
+                let base = self.reg_base[func.index()];
                 for (p, v) in writes {
-                    self.write_reg(p, v);
+                    self.write_reg(base, p, v);
                 }
             }
             PendingAction::WriteRet { dst, value } => {
                 if let (Some(d), Some(v)) = (dst, value) {
-                    self.write_reg(d, v);
+                    let caller = self.stack.last().expect("caller frame").func;
+                    self.write_reg(self.reg_base[caller.index()], d, v);
                 }
             }
         }
@@ -553,10 +561,7 @@ impl<'a> Machine<'a> {
                 }
                 return Ok(Outcome::Done);
             }
-            self.steps += 1;
-            if self.steps > self.max_steps {
-                return Err(RuntimeError::StepLimit(self.max_steps));
-            }
+            self.tick()?;
             if let Some(msg) = self.step(peer)? {
                 return Ok(Outcome::Yield(msg));
             }
@@ -566,7 +571,7 @@ impl<'a> Machine<'a> {
     // ---- control-transfer plumbing ----
 
     /// Installs a control transfer, after checking that its `dyn_table`
-    /// keeps this machine within [`MAX_PEER_SLOTS`].
+    /// keeps this machine within [`MAX_DYN_SLOTS`].
     fn install(&mut self, msg: &ControlMsg) -> Result<(), RuntimeError> {
         let unseen = msg
             .dyn_table
@@ -575,12 +580,7 @@ impl<'a> Machine<'a> {
                 ObjKey::Dyn(id) if !self.state.dyns.contains_key(&id) => Some(u64::from(slots)),
                 _ => None,
             });
-        let wanted = unseen.fold(self.peer_slots, u64::saturating_add);
-        if wanted > MAX_PEER_SLOTS {
-            return Err(RuntimeError::BadAccess(format!(
-                "dyn_table would materialize {wanted} peer slots, past the cap of {MAX_PEER_SLOTS}"
-            )));
-        }
+        self.check_slots("peer", unseen.fold(0, u64::saturating_add))?;
         self.stack = msg.stack.clone();
         self.active.fill(false);
         for f in &self.stack {
@@ -597,12 +597,12 @@ impl<'a> Machine<'a> {
             // Deferred registration: materialize zeroed storage for
             // objects allocated on the other host.
             if let ObjKey::Dyn(id) = key {
-                let peer_slots = &mut self.peer_slots;
+                let dyn_slots = &mut self.dyn_slots;
                 self.state
                     .dyns
                     .entry(id)
                     .or_insert_with(|| {
-                        *peer_slots += u64::from(slots);
+                        *dyn_slots += u64::from(slots);
                         DynObj {
                             reg: None,
                             data: vec![Value::Int(0); slots as usize],
@@ -615,6 +615,20 @@ impl<'a> Machine<'a> {
         self.steps = msg.steps;
         self.ledger = msg.ledger.clone();
         self.tally = Tally::default();
+        Ok(())
+    }
+
+    /// Refuses `more` dynamic slots (`what`: "peer" or "allocated") if
+    /// they would take this host past [`MAX_DYN_SLOTS`]; checked before
+    /// anything is allocated.
+    fn check_slots(&self, what: &str, more: u64) -> Result<(), RuntimeError> {
+        let wanted = self.dyn_slots.saturating_add(more);
+        if wanted > MAX_DYN_SLOTS {
+            return Err(RuntimeError::BadAccess(format!(
+                "{more} {what} slots would take this host to {wanted} dynamic slots, past the \
+                 cap of {MAX_DYN_SLOTS}"
+            )));
+        }
         Ok(())
     }
 
@@ -786,7 +800,7 @@ impl<'a> Machine<'a> {
             AbsLoc::Reg { func, local } => ItemPayload::Reg {
                 func,
                 local,
-                value: self.state.regs[func.index()][local.index()],
+                value: self.state.regs[self.reg_base[func.index()] + local.index()],
             },
             AbsLoc::Global(g) => whole(ObjKey::Global(g.0)),
             AbsLoc::Local { func, local } => whole(ObjKey::Local(func, local)),
@@ -810,7 +824,7 @@ impl<'a> Machine<'a> {
     fn install_item(&mut self, payload: ItemPayload) {
         match payload {
             ItemPayload::Reg { func, local, value } => {
-                self.state.regs[func.index()][local.index()] = value;
+                self.state.regs[self.reg_base[func.index()] + local.index()] = value;
             }
             ItemPayload::Objects(objs) => {
                 for obj in objs {
@@ -822,6 +836,9 @@ impl<'a> Machine<'a> {
                         if let Some(site) = obj.site {
                             o.reg = Some((site, obj.data.len() as u32));
                         }
+                        // The payload replaces the object, at its own size.
+                        self.dyn_slots = (self.dyn_slots + obj.data.len() as u64)
+                            .saturating_sub(o.data.len() as u64);
                         o.data = obj.data;
                     } else if let Some(i) = self.static_index(obj.key) {
                         self.state.statics[i] = obj.data;
@@ -874,30 +891,29 @@ impl<'a> Machine<'a> {
 
     // ---- register and memory access ----
 
-    fn cur_func(&self) -> FuncId {
-        self.stack.last().expect("active frame").func
-    }
-
-    fn read_reg(&mut self, reg: LocalId, peer: &mut dyn ExecHost) -> Result<Value, RuntimeError> {
-        let func = self.cur_func().index();
-        if let Some(item) = self.reg_items[func][reg.index()] {
-            self.ensure_valid(item, peer)?;
-        }
-        Ok(self.state.regs[func][reg.index()])
-    }
-
-    fn write_reg(&mut self, reg: LocalId, v: Value) {
-        let func = self.cur_func().index();
-        self.state.regs[func][reg.index()] = v;
-        if let Some(item) = self.reg_items[func][reg.index()] {
+    fn write_reg(&mut self, base: usize, reg: LocalId, v: Value) {
+        let slot = base + reg.index();
+        self.state.regs[slot] = v;
+        if let Some(item) = self.reg_items[slot] {
             self.note_write(item);
         }
     }
 
-    fn operand(&mut self, op: Operand, peer: &mut dyn ExecHost) -> Result<Value, RuntimeError> {
+    fn operand(
+        &mut self,
+        base: usize,
+        op: Operand,
+        peer: &mut dyn ExecHost,
+    ) -> Result<Value, RuntimeError> {
         match op {
             Operand::Const(c) => Ok(Value::Int(c)),
-            Operand::Local(l) => self.read_reg(l, peer),
+            Operand::Local(l) => {
+                let slot = base + l.index();
+                if let Some(item) = self.reg_items[slot] {
+                    self.ensure_valid(item, peer)?;
+                }
+                Ok(self.state.regs[slot])
+            }
         }
     }
 
@@ -974,21 +990,8 @@ impl<'a> Machine<'a> {
         }
     }
 
-    fn segment_at(&self, func: FuncId, block: BlockId, inst: usize) -> SegmentId {
-        let ranges = &self.seg_index[&(func, block)];
-        for (i, &(start, end, sid)) in ranges.iter().enumerate() {
-            let last = i + 1 == ranges.len();
-            // Instruction positions [start, end) belong to the segment;
-            // the block-final segment also owns the terminator position
-            // (inst >= end only happens for inst == block length).
-            if inst >= start && (inst < end || last) {
-                return sid;
-            }
-        }
-        unreachable!("position {func}:{block}:{inst} outside all segments")
-    }
-
-    /// Handles a control transfer between segments: planned eager
+    /// Handles a control transfer from one task into another (every
+    /// call and return, and the jumps that leave a chain): planned eager
     /// transfers, and the host-switch scheduling message. Returns the
     /// destination host when control must leave this machine.
     fn cross(
@@ -1000,9 +1003,6 @@ impl<'a> Machine<'a> {
     ) -> Result<Option<Host>, RuntimeError> {
         let from_task = self.r.tcfg.task_of(from_seg);
         let to_task = self.r.tcfg.task_of(to_seg);
-        if from_task == to_task {
-            return Ok(None);
-        }
         let from_host = self.host_of(from_task);
         let to_host = self.host_of(to_task);
         // Planned eager transfers ride along regardless of host switch
@@ -1045,65 +1045,101 @@ impl<'a> Machine<'a> {
 
     // ---- the interpreter loop ----
 
+    /// Counts one step against the budget, before the step runs.
+    fn tick(&mut self) -> Result<(), RuntimeError> {
+        self.steps += 1;
+        if self.steps > self.max_steps {
+            return Err(RuntimeError::StepLimit(self.max_steps));
+        }
+        Ok(())
+    }
+
+    /// Interprets one *chain*: from the top frame's position through
+    /// every instruction, and through every jump whose target block
+    /// starts in the same task, until control leaves the chain at a call,
+    /// a return or a jump into another task. Every instruction and every
+    /// terminator is one step: [`Machine::run_turn`] counts the chain's
+    /// first, and each later one is counted here before it runs.
+    ///
+    /// The position lives in locals and reaches the frame only where the
+    /// chain ends: `exec_call` and `jump` write it, and a return pops the
+    /// frame. An error leaves the frame stale, which is harmless: every
+    /// error ends the run, and the TCP client falls back to a fresh
+    /// all-local run.
     fn step(&mut self, peer: &mut dyn ExecHost) -> Result<Option<ControlMsg>, RuntimeError> {
-        let frame = self.stack.last().expect("active frame");
-        let (func, block, inst_idx, seg) = (frame.func, frame.block, frame.inst, frame.segment);
+        let Frame {
+            func,
+            mut block,
+            inst: mut pos,
+            mut segment,
+            ..
+        } = *self.stack.last().expect("active frame");
         // Instructions are borrowed from the module, which outlives `self`.
         let module: &'a Module = self.r.module;
-        let b = &module.function(func).blocks[block.index()];
+        let blocks = &module.function(func).blocks;
+        let base = self.reg_base[func.index()];
+        loop {
+            let b = &blocks[block.index()];
+            while let Some(inst) = b.insts.get(pos) {
+                self.ledger.stats.instructions += 1;
+                self.tally.units += u64::from(self.r.device.cost.inst_weight(inst));
+                if let Inst::Call { .. } = inst {
+                    return self.exec_call(inst, func, block, pos, segment, peer);
+                }
+                self.exec_inst(inst, func, base, peer)?;
+                pos += 1;
+                self.tick()?;
+            }
 
-        if let Some(inst) = b.insts.get(inst_idx) {
-            self.ledger.stats.instructions += 1;
-            self.tally.units += u64::from(self.r.device.cost.inst_weight(inst));
-            if let Inst::Call { .. } = inst {
-                return self.exec_call(inst, func, block, inst_idx, seg, peer);
+            // The terminator.
+            let target = match b.term {
+                Terminator::Goto(t) => t,
+                Terminator::Branch {
+                    cond,
+                    then,
+                    otherwise,
+                } => {
+                    if self.operand(base, cond, peer)?.truthy() {
+                        then
+                    } else {
+                        otherwise
+                    }
+                }
+                Terminator::Return(v) => {
+                    let value = match v {
+                        Some(op) => Some(self.operand(base, op, peer)?),
+                        None => None,
+                    };
+                    return self.exec_return(segment, value, peer);
+                }
+            };
+            let to_seg = self.entry_seg[func.index()][target.index()];
+            let tcfg = self.r.tcfg;
+            if tcfg.task_of(to_seg) != tcfg.task_of(segment) {
+                return self.jump(block, segment, target, to_seg, peer);
             }
-            self.exec_simple(inst, peer)?;
-            let frame = self.stack.last_mut().expect("active frame");
-            frame.inst += 1;
-            return Ok(None);
-        }
-
-        // Terminator.
-        match b.term {
-            Terminator::Goto(t) => self.jump(func, seg, block, t, peer),
-            Terminator::Branch {
-                cond,
-                then,
-                otherwise,
-            } => {
-                let v = self.operand(cond, peer)?;
-                let target = if v.truthy() { then } else { otherwise };
-                self.jump(func, seg, block, target, peer)
-            }
-            Terminator::Return(v) => {
-                let value = match v {
-                    Some(op) => Some(self.operand(op, peer)?),
-                    None => None,
-                };
-                self.exec_return(seg, value, peer)
-            }
+            block = target;
+            pos = 0;
+            segment = to_seg;
+            self.tick()?;
         }
     }
 
+    /// A jump into another task: planned transfers, then the host switch
+    /// if that task runs on the other host.
     fn jump(
         &mut self,
-        func: FuncId,
-        from_seg: SegmentId,
         from_block: BlockId,
+        from_seg: SegmentId,
         to: BlockId,
+        to_seg: SegmentId,
         peer: &mut dyn ExecHost,
     ) -> Result<Option<ControlMsg>, RuntimeError> {
-        let to_seg = self.segment_at(func, to, 0);
-        let switch = self.cross(
-            from_seg,
-            to_seg,
-            EdgeKind::Jump {
-                from: from_block,
-                to,
-            },
-            peer,
-        )?;
+        let kind = EdgeKind::Jump {
+            from: from_block,
+            to,
+        };
+        let switch = self.cross(from_seg, to_seg, kind, peer)?;
         let frame = self.stack.last_mut().expect("active frame");
         frame.block = to;
         frame.inst = 0;
@@ -1116,16 +1152,17 @@ impl<'a> Machine<'a> {
         inst: &'a Inst,
         func: FuncId,
         block: BlockId,
-        inst_idx: usize,
+        pos: usize,
         seg: SegmentId,
         peer: &mut dyn ExecHost,
     ) -> Result<Option<ControlMsg>, RuntimeError> {
         let Inst::Call { dst, callee, args } = inst else {
             unreachable!()
         };
+        let base = self.reg_base[func.index()];
         let target = match *callee {
             Callee::Direct(t) => t,
-            Callee::Indirect(op) => match self.operand(op, peer)? {
+            Callee::Indirect(op) => match self.operand(base, op, peer)? {
                 Value::Func(t) => t,
                 other => {
                     return Err(RuntimeError::BadIndirectCall(format!(
@@ -1150,21 +1187,22 @@ impl<'a> Machine<'a> {
         // Evaluate arguments on the caller's host.
         let mut arg_vals = Vec::with_capacity(args.len());
         for &a in args {
-            arg_vals.push(self.operand(a, peer)?);
+            arg_vals.push(self.operand(base, a, peer)?);
         }
 
-        // Advance the caller past the call before switching.
-        let cont_seg = self.segment_at(func, block, inst_idx + 1);
-        {
-            let frame = self.stack.last_mut().expect("caller frame");
-            frame.inst = inst_idx + 1;
-            frame.ret_dst = *dst;
-            frame.segment = cont_seg;
-        }
+        // Advance the caller past the call before switching. A call ends
+        // its segment, so the continuation is the block's next segment.
+        *self.stack.last_mut().expect("caller frame") = Frame {
+            func,
+            block,
+            inst: pos + 1,
+            segment: SegmentId(seg.0 + 1),
+            ret_dst: *dst,
+        };
 
         // Control moves to the callee's entry segment.
         let callee_entry = callee_def.entry;
-        let entry_seg = self.segment_at(target, callee_entry, 0);
+        let entry_seg = self.entry_seg[target.index()][callee_entry.index()];
         let writes: Vec<(LocalId, Value)> =
             callee_def.params.iter().copied().zip(arg_vals).collect();
         let switch = self.cross(seg, entry_seg, EdgeKind::Call { site: seg }, peer)?;
@@ -1189,8 +1227,9 @@ impl<'a> Machine<'a> {
             ret_dst: None,
         });
         self.active[target.index()] = true;
+        let callee_base = self.reg_base[target.index()];
         for (p, v) in writes {
-            self.write_reg(p, v);
+            self.write_reg(callee_base, p, v);
         }
         Ok(None)
     }
@@ -1203,39 +1242,46 @@ impl<'a> Machine<'a> {
     ) -> Result<Option<ControlMsg>, RuntimeError> {
         let done = self.stack.pop().expect("returning frame");
         self.active[done.func.index()] = false;
-        let Some(caller) = self.stack.last() else {
+        let Some(&caller) = self.stack.last() else {
             return Ok(None); // main returned
         };
-        let cont_seg = caller.segment;
-        let ret_dst = caller.ret_dst;
         // The call segment is the one preceding the continuation.
-        let call_seg = SegmentId(cont_seg.0 - 1);
-        let switch = self.cross(seg, cont_seg, EdgeKind::Return { site: call_seg }, peer)?;
+        let call_seg = SegmentId(caller.segment.0 - 1);
+        let kind = EdgeKind::Return { site: call_seg };
+        let switch = self.cross(seg, caller.segment, kind, peer)?;
         if let Some(h) = switch {
             // The return value is carried by the message and written on
             // the continuation's host.
             return Ok(Some(self.package(
                 h,
                 PendingAction::WriteRet {
-                    dst: ret_dst,
+                    dst: caller.ret_dst,
                     value,
                 },
             )));
         }
-        if let (Some(d), Some(v)) = (ret_dst, value) {
-            self.write_reg(d, v);
+        if let (Some(d), Some(v)) = (caller.ret_dst, value) {
+            self.write_reg(self.reg_base[caller.func.index()], d, v);
         }
         Ok(None)
     }
 
-    fn exec_simple(&mut self, inst: &Inst, peer: &mut dyn ExecHost) -> Result<(), RuntimeError> {
+    /// Runs one non-call instruction of `func`, whose registers start at
+    /// `base`.
+    fn exec_inst(
+        &mut self,
+        inst: &Inst,
+        func: FuncId,
+        base: usize,
+        peer: &mut dyn ExecHost,
+    ) -> Result<(), RuntimeError> {
         match *inst {
             Inst::Copy { dst, src } => {
-                let v = self.operand(src, peer)?;
-                self.write_reg(dst, v);
+                let v = self.operand(base, src, peer)?;
+                self.write_reg(base, dst, v);
             }
             Inst::Un { dst, op, src } => {
-                let v = self.operand(src, peer)?;
+                let v = self.operand(base, src, peer)?;
                 let out = match op {
                     offload_lang::UnOp::Neg => Value::Int(
                         v.as_int()
@@ -1244,56 +1290,64 @@ impl<'a> Machine<'a> {
                     ),
                     offload_lang::UnOp::Not => Value::Int(!v.truthy() as i64),
                 };
-                self.write_reg(dst, out);
+                self.write_reg(base, dst, out);
             }
             Inst::Bin { dst, op, lhs, rhs } => {
-                let a = self.operand(lhs, peer)?;
-                let b = self.operand(rhs, peer)?;
+                let a = self.operand(base, lhs, peer)?;
+                let b = self.operand(base, rhs, peer)?;
                 let out = eval_bin(op, a, b)?;
-                self.write_reg(dst, out);
+                self.write_reg(base, dst, out);
             }
             Inst::AddrGlobal { dst, global } => {
-                self.write_reg(dst, Value::Addr(ObjKey::Global(global.0), 0));
+                self.write_reg(base, dst, Value::Addr(ObjKey::Global(global.0), 0));
             }
             Inst::AddrLocal { dst, local } => {
-                let func = self.cur_func();
-                self.write_reg(dst, Value::Addr(ObjKey::Local(func, local), 0));
+                self.write_reg(base, dst, Value::Addr(ObjKey::Local(func, local), 0));
             }
             Inst::AddrIndex {
                 dst,
-                base,
+                base: addr,
                 index,
                 stride,
             } => {
-                let b = self.operand(base, peer)?;
-                let i = self.operand(index, peer)?;
+                let b = self.operand(base, addr, peer)?;
+                let i = self.operand(base, index, peer)?;
                 let Value::Addr(key, off) = b else {
                     return Err(RuntimeError::BadAccess(format!("indexing {b}")));
                 };
                 let i = i
                     .as_int()
                     .ok_or_else(|| RuntimeError::BadAccess("pointer used as index".into()))?;
-                let new_off = off as i64 + i * stride as i64;
-                if new_off < 0 || new_off > u32::MAX as i64 {
-                    return Err(RuntimeError::BadAccess(format!("offset {new_off}")));
-                }
-                self.write_reg(dst, Value::Addr(key, new_off as u32));
+                let new_off = (i.checked_mul(i64::from(stride)))
+                    .and_then(|d| d.checked_add(i64::from(off)))
+                    .and_then(|o| u32::try_from(o).ok())
+                    .ok_or_else(|| {
+                        RuntimeError::BadAccess(format!("offset {off} + {i} × {stride}"))
+                    })?;
+                self.write_reg(base, dst, Value::Addr(key, new_off));
             }
-            Inst::AddrField { dst, base, offset } => {
-                let b = self.operand(base, peer)?;
+            Inst::AddrField {
+                dst,
+                base: addr,
+                offset,
+            } => {
+                let b = self.operand(base, addr, peer)?;
                 let Value::Addr(key, off) = b else {
                     return Err(RuntimeError::BadAccess(format!("field of {b}")));
                 };
-                self.write_reg(dst, Value::Addr(key, off + offset));
+                let off = off.checked_add(offset).ok_or_else(|| {
+                    RuntimeError::BadAccess(format!("offset {off} + {offset} past u32"))
+                })?;
+                self.write_reg(base, dst, Value::Addr(key, off));
             }
             Inst::Load { dst, addr } => {
-                let a = self.operand(addr, peer)?;
+                let a = self.operand(base, addr, peer)?;
                 let v = self.load(a, peer)?;
-                self.write_reg(dst, v);
+                self.write_reg(base, dst, v);
             }
             Inst::Store { addr, src } => {
-                let a = self.operand(addr, peer)?;
-                let v = self.operand(src, peer)?;
+                let a = self.operand(base, addr, peer)?;
+                let v = self.operand(base, src, peer)?;
                 self.store(a, v, peer)?;
             }
             Inst::Alloc {
@@ -1303,10 +1357,12 @@ impl<'a> Machine<'a> {
                 site,
             } => {
                 let c = self
-                    .operand(count, peer)?
+                    .operand(base, count, peer)?
                     .as_int()
                     .ok_or_else(|| RuntimeError::BadAccess("pointer alloc count".into()))?;
-                let slots = (elem_slots as i64).saturating_mul(c.max(0)) as usize;
+                let slots = u64::from(elem_slots).saturating_mul(c.max(0) as u64);
+                self.check_slots("allocated", slots)?;
+                self.dyn_slots += slots;
                 let id = self.dyn_count;
                 self.dyn_count += 1;
                 self.ledger.stats.registrations += 1;
@@ -1318,18 +1374,18 @@ impl<'a> Machine<'a> {
                     id,
                     DynObj {
                         reg: Some((site, slots as u32)),
-                        data: vec![Value::Int(0); slots],
+                        data: vec![Value::Int(0); slots as usize],
                     },
                 );
                 self.tally.registrations += 1;
-                self.write_reg(dst, Value::Addr(ObjKey::Dyn(id), 0));
+                self.write_reg(base, dst, Value::Addr(ObjKey::Dyn(id), 0));
                 // The fresh object is valid where it was allocated.
                 if let Some(item) = self.site_items[site.index()] {
                     self.note_write(item);
                 }
             }
             Inst::LoadFunc { dst, func } => {
-                self.write_reg(dst, Value::Func(func));
+                self.write_reg(base, dst, Value::Func(func));
             }
             Inst::Input { dst } => {
                 if self.host != Host::Client {
@@ -1340,19 +1396,19 @@ impl<'a> Machine<'a> {
                     .get(self.input_pos)
                     .ok_or(RuntimeError::InputExhausted)?;
                 self.input_pos += 1;
-                self.write_reg(dst, Value::Int(v));
+                self.write_reg(base, dst, Value::Int(v));
             }
             Inst::Output { src } => {
                 if self.host != Host::Client {
                     return Err(RuntimeError::ServerIo);
                 }
                 let v = self
-                    .operand(src, peer)?
+                    .operand(base, src, peer)?
                     .as_int()
                     .ok_or_else(|| RuntimeError::BadAccess("output of pointer".into()))?;
                 self.outputs.push(v);
             }
-            Inst::Call { .. } => unreachable!("calls handled by exec_call"),
+            Inst::Call { .. } => unreachable!("calls end the chain in `step`"),
         }
         Ok(())
     }

@@ -47,7 +47,7 @@ pub use device::DeviceModel;
 pub use exec::{Host, Plan, RunResult, RunStats, Runner, RuntimeError};
 pub use host::{
     ControlMsg, ExecHost, Frame, HostError, ItemPayload, Ledger, Machine, ObjEntry, Outcome,
-    PendingAction, MAX_PEER_SLOTS,
+    PendingAction, MAX_DYN_SLOTS,
 };
 pub use value::{ObjKey, Value};
 

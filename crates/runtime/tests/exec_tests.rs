@@ -7,7 +7,7 @@ use offload_ir::{FuncId, LocalId};
 use offload_pta::AbsLocId;
 use offload_runtime::{
     ControlMsg, DeviceModel, ExecHost, Host, HostError, ItemPayload, Machine, Plan, Runner,
-    RuntimeError, Simulator, Value,
+    RuntimeError, Simulator, Value, MAX_DYN_SLOTS,
 };
 
 fn analysis(src: &str) -> Analysis {
@@ -335,5 +335,57 @@ fn a_fetched_payload_foreign_to_its_item_is_a_link_error() {
         Err(RuntimeError::HostLink(msg)) => assert!(msg.contains("does not match"), "{msg}"),
         Err(e) => panic!("expected a link failure, got {e}"),
         Ok(_) => panic!("a foreign payload was installed"),
+    }
+}
+
+#[test]
+fn address_offsets_past_u32_are_refused() {
+    // Slot offsets are `u32`, and neither address instruction may wrap
+    // one around to another element: at `n = u32::MAX / 3`, `a[n]` lands
+    // exactly on slot `u32::MAX` and the field offset of `z` goes past
+    // it; at the larger `n`, `n × 3` itself wraps `i64` round to slot 2.
+    let a = analysis(
+        "struct T { int x; int y; int z; };
+         struct T a[2];
+         void main(int n) {
+             int i;
+             for (i = 0; i < 2; i++) { a[i].x = i + 10; a[i].y = i + 11; a[i].z = i + 12; }
+             output(a[n].z);
+         }",
+    );
+    let sim = Simulator::new(&a, DeviceModel::ipaq_testbed());
+    assert_eq!(sim.run_local(&[1], &[]).expect("in bounds").outputs, [13]);
+    for n in [i64::from(u32::MAX / 3), (i64::MAX / 3) * 2 + 2] {
+        match sim.run_local(&[n], &[]) {
+            Err(offload_runtime::SimError::Runtime(RuntimeError::BadAccess(_))) => {}
+            other => panic!("n = {n}: expected BadAccess, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn own_allocations_count_against_the_slot_cap() {
+    // A program's own `alloc`s draw on the same budget of dynamic slots
+    // as the objects a peer's `dyn_table` materializes, and a total past
+    // it is refused before anything is allocated.
+    let a = analysis(
+        "void main(int n, int m) {
+             int *p; int *q;
+             p = alloc(int, n);
+             q = alloc(int, m);
+             p[0] = 4; q[0] = 5;
+             output(p[0] + q[0]);
+         }",
+    );
+    let sim = Simulator::new(&a, DeviceModel::ipaq_testbed());
+    assert_eq!(sim.run_local(&[3, 2], &[]).expect("small").outputs, [9]);
+    let cap = MAX_DYN_SLOTS as i64;
+    for params in [[cap + 1, 1], [cap / 2 + 1, cap / 2 + 1]] {
+        match sim.run_local(&params, &[]) {
+            Err(offload_runtime::SimError::Runtime(RuntimeError::BadAccess(msg))) => {
+                assert!(msg.contains("cap"), "{msg}");
+            }
+            other => panic!("{params:?}: expected BadAccess, got {other:?}"),
+        }
     }
 }

@@ -5,10 +5,11 @@
 #
 # Runs fully offline: the format check and clippy with warnings denied
 # (each when its component is installed), release build, the whole
-# test suite, the benchmark's build and unit tests (so deleting a field
-# that perfbench reads fails here), and the API docs with warnings
-# denied (so a doc link to a deleted item fails). CI's verify job runs
-# this script as its only gate.
+# test suite, the interpreter's tests again in release (where integer
+# overflow wraps instead of panicking), the benchmark's build and unit
+# tests (so deleting a field that perfbench reads fails here), and the
+# API docs with warnings denied (so a doc link to a deleted item fails).
+# CI's verify job runs this script as its only gate.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -25,6 +26,15 @@ cargo build --release --workspace --offline
 
 echo "== test =="
 cargo test -q --workspace --offline --no-fail-fast
+
+echo "== interpreter tests (release) =="
+# The tests above run unoptimized, where integer overflow panics; users,
+# perfbench and the fuzz job run release builds, where it wraps. So the
+# interpreter's own tests, the exact ledger and control state, the
+# equivalence tests and the Table 3 loopback runs also run in release.
+cargo test -q --release --offline -p offload-runtime
+cargo test -q --release --offline -p offload-bench --test exact_ledger --test distributed_equivalence
+cargo test -q --release --offline -p offload-net --test table3_loopback
 
 echo "== perfbench (build + test) =="
 # perfbench is a package of its own, built where perfbench/run.py builds

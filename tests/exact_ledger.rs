@@ -16,25 +16,35 @@
 //! * one partitioned run driven by hand through two `Machine`s, pinning
 //!   the ledger every `ControlMsg` carries, so a charge that reaches the
 //!   account late (after a control transfer) fails even when the final
-//!   totals agree.
+//!   totals agree;
+//! * every field of every `ControlMsg` (action and payload, stack frames,
+//!   validity, registration table, step count, ledger) in that run and in
+//!   each Table 3 program's partitioned choices, so a frame written back
+//!   stale fails even when the outputs agree;
+//! * the step budget at its boundary, all-local and partitioned.
 //!
-//! The values were recorded from an interpreter that added each
-//! instruction's cost to the ledger as its own rational.
+//! The ledger values were recorded from an interpreter that added each
+//! instruction's cost to the ledger as its own rational; the control
+//! messages and step counts from an interpreter that ran one step per
+//! call.
 
 use offload_core::{Analysis, AnalysisOptions, Partition};
 use offload_poly::{Polyhedron, Rational, Region};
 use offload_runtime::{
-    ControlMsg, DeviceModel, Host, Ledger, Machine, Outcome, PendingAction, Plan, RunResult,
-    RunStats, Runner, Simulator,
+    ControlMsg, DeviceModel, Frame, Host, Ledger, Machine, Outcome, PendingAction, Plan, RunResult,
+    RunStats, Runner, RuntimeError, Simulator,
 };
 
-/// A 64-bit FNV-1a digest of an output stream.
-fn digest(outputs: &[i64]) -> u64 {
-    outputs.iter().fold(0xcbf2_9ce4_8422_2325, |h, v| {
-        v.to_le_bytes()
-            .iter()
-            .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+/// A 64-bit FNV-1a digest.
+fn fnv(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
     })
+}
+
+/// The digest of an output stream.
+fn digest(outputs: &[i64]) -> u64 {
+    fnv(outputs.iter().flat_map(|v| v.to_le_bytes()))
 }
 
 /// Every `RunStats` field, rationals as exact strings. Destructured so a
@@ -318,6 +328,8 @@ const HAND_DRIVEN_GOLDEN: &[&str] = &[
     "result out=3:5f6ad7793c02e9af total=84052/21 client=130/3 server=2514/7 comm=3600 energy=397634/21 msgs=6 slots=0 eager=0 lazy=0 insts=575 regs=0",
 ];
 
+/// The hand-driven run: the ledger each `ControlMsg` carries, and every
+/// field of each message.
 #[test]
 fn every_control_message_carries_the_exact_ledger() {
     let a = Analysis::from_source(HAND_DRIVEN, AnalysisOptions::default()).expect("analysis");
@@ -338,11 +350,102 @@ fn every_control_message_carries_the_exact_ledger() {
         plan: Plan::Partitioned(&a.partition.choices[choice]),
         max_steps: 0,
     };
-    let params = [25i64];
-    let mut client = Machine::new(&runner, Host::Client, &params, &[]);
-    let mut server = Machine::new(&runner, Host::Server, &params, &[]);
+    let (msgs, result) = drive_by_hand(&runner, &[25], &[]);
+    let mut lines: Vec<String> = msgs
+        .iter()
+        .map(|m| {
+            let action = match &m.action {
+                PendingAction::Start => "start",
+                PendingAction::Resume => "resume",
+                PendingAction::PushFrame { .. } => "push-frame",
+                PendingAction::WriteRet { .. } => "write-ret",
+                PendingAction::Finish => "finish",
+            };
+            format!("to {:?} {action}: {}", m.to, ledger_line(&m.ledger))
+        })
+        .collect();
+    lines.push(run_line("result", &result));
+    assert!(lines.len() >= 7, "six control transfers and the result");
+    check("hand-driven run", &lines, HAND_DRIVEN_GOLDEN);
+    let states: Vec<String> = msgs.iter().map(msg_line).collect();
+    check("hand-driven state", &states, HAND_DRIVEN_STATE_GOLDEN);
+}
+
+/// Every field of a control message, the ledger included. Destructured,
+/// like [`stats_line`], so a new field cannot go unpinned.
+fn msg_line(msg: &ControlMsg) -> String {
+    let ControlMsg {
+        to,
+        action,
+        stack,
+        valid,
+        dyn_table,
+        dyn_count,
+        steps,
+        ledger,
+    } = msg;
+    let action = match action {
+        PendingAction::Start => "start".to_string(),
+        PendingAction::Resume => "resume".to_string(),
+        PendingAction::PushFrame {
+            func,
+            block,
+            segment,
+            writes,
+        } => {
+            let writes: Vec<String> = writes.iter().map(|(l, v)| format!("{l}={v}")).collect();
+            format!("push-frame {func}:{block}:{segment} [{}]", writes.join(" "))
+        }
+        PendingAction::WriteRet { dst, value } => {
+            let dst = dst.map_or("-".to_string(), |d| d.to_string());
+            let value = value.map_or("-".to_string(), |v| v.to_string());
+            format!("write-ret {dst}={value}")
+        }
+        PendingAction::Finish => "finish".to_string(),
+    };
+    let stack: Vec<String> = stack
+        .iter()
+        .map(|f| {
+            let Frame {
+                func,
+                block,
+                inst,
+                segment,
+                ret_dst,
+            } = f;
+            let ret = ret_dst.map_or("-".to_string(), |d| d.to_string());
+            format!("{func}:{block}:{inst}:{segment}>{ret}")
+        })
+        .collect();
+    let valid: Vec<String> = valid
+        .iter()
+        .map(|(item, [c, s])| format!("{}:{}{}", item.index(), u8::from(*c), u8::from(*s)))
+        .collect();
+    let dyn_table: Vec<String> = dyn_table
+        .iter()
+        .map(|(key, site, slots)| format!("{key}@{}x{slots}", site.index()))
+        .collect();
+    format!(
+        "to {to:?} {action} stack=[{}] valid=[{}] dyns=[{}] dyn_count={dyn_count} steps={steps} | {}",
+        stack.join(" "),
+        valid.join(" "),
+        dyn_table.join(" "),
+        ledger_line(ledger)
+    )
+}
+
+/// Drives the two machines of `runner` by hand, collecting every control
+/// message that crosses between them, and checks the result against the
+/// in-process run.
+fn drive_by_hand(
+    runner: &Runner<'_>,
+    params: &[i64],
+    input: &[i64],
+) -> (Vec<ControlMsg>, RunResult) {
+    let mut client = Machine::new(runner, Host::Client, params, input);
+    let mut server = Machine::new(runner, Host::Server, params, &[]);
     let mut msg = ControlMsg::start();
-    let mut lines = Vec::new();
+    let mut msgs = Vec::new();
     loop {
         let outcome = match msg.to {
             Host::Client => client.run_turn(msg, &mut server),
@@ -351,28 +454,140 @@ fn every_control_message_carries_the_exact_ledger() {
         .expect("turn");
         match outcome {
             Outcome::Yield(next) => {
-                let action = match &next.action {
-                    PendingAction::Start => "start",
-                    PendingAction::Resume => "resume",
-                    PendingAction::PushFrame { .. } => "push-frame",
-                    PendingAction::WriteRet { .. } => "write-ret",
-                    PendingAction::Finish => "finish",
-                };
-                lines.push(format!(
-                    "to {:?} {action}: {}",
-                    next.to,
-                    ledger_line(&next.ledger)
-                ));
+                msgs.push(next.clone());
                 msg = next;
             }
             Outcome::Done => break,
         }
     }
     let result = client.into_result();
-    lines.push(run_line("result", &result));
-    assert!(lines.len() >= 7, "six control transfers and the result");
-    let reference = runner.run(&params, &[]).expect("runner");
+    let reference = runner.run(params, input).expect("runner");
     assert_eq!(result.outputs, reference.outputs);
     assert_eq!(result.stats, reference.stats);
-    check("hand-driven run", &lines, HAND_DRIVEN_GOLDEN);
+    (msgs, result)
+}
+
+const HAND_DRIVEN_STATE_GOLDEN: &[&str] = &[
+    "to Server push-frame fn0:bb0:seg0 [%0=25] stack=[fn1:bb2:2:seg8>%4] valid=[9:10] dyns=[] dyn_count=0 steps=6 | clock=1825/3 client=25/3 server=0 comm=600 | total=0 client=0 server=0 comm=0 energy=0 msgs=1 slots=0 eager=0 lazy=0 insts=4 regs=0",
+    "to Client write-ret %4=4900 stack=[fn1:bb2:2:seg8>%4] valid=[9:10] dyns=[] dyn_count=0 steps=262 | clock=27793/21 client=25/3 server=806/7 comm=1200 | total=0 client=0 server=0 comm=0 energy=0 msgs=2 slots=0 eager=0 lazy=0 insts=182 regs=0",
+    "to Server push-frame fn0:bb0:seg0 [%0=26] stack=[fn1:bb2:2:seg8>%4] valid=[9:10] dyns=[] dyn_count=0 steps=271 | clock=40673/21 client=65/3 server=806/7 comm=1800 | total=0 client=0 server=0 comm=0 energy=0 msgs=3 slots=0 eager=0 lazy=0 insts=188 regs=0",
+    "to Client write-ret %4=5525 stack=[fn1:bb2:2:seg8>%4] valid=[9:10] dyns=[] dyn_count=0 steps=537 | clock=55787/21 client=65/3 server=1644/7 comm=2400 | total=0 client=0 server=0 comm=0 energy=0 msgs=4 slots=0 eager=0 lazy=0 insts=373 regs=0",
+    "to Server push-frame fn0:bb0:seg0 [%0=27] stack=[fn1:bb2:2:seg8>%4] valid=[9:10] dyns=[] dyn_count=0 steps=546 | clock=22889/7 client=35 server=1644/7 comm=3000 | total=0 client=0 server=0 comm=0 energy=0 msgs=5 slots=0 eager=0 lazy=0 insts=379 regs=0",
+    "to Client write-ret %4=6201 stack=[fn1:bb2:2:seg8>%4] valid=[9:10] dyns=[] dyn_count=0 steps=822 | clock=27959/7 client=35 server=2514/7 comm=3600 | total=0 client=0 server=0 comm=0 energy=0 msgs=6 slots=0 eager=0 lazy=0 insts=571 regs=0",
+];
+
+const TABLE3_STATE_GOLDEN: &[&str] = &[
+    "rawcaudio choice 0: 34 messages a8decf8bc9779031",
+    "rawcaudio choice 1: 2 messages ddc505c0533bd439",
+    "rawdaudio choice 0: 34 messages 99a9b15ec3ed36b2",
+    "rawdaudio choice 1: 2 messages c249dc3cdeb9a766",
+    "encode choice 0: 34 messages 0b464f584e1b0e73",
+    "encode choice 1: 2 messages aec5af699caa308b",
+    "encode choice 2: 6 messages eb7f22e233f0aaf7",
+    "decode choice 0: 34 messages 892d6002e322167f",
+    "decode choice 1: 2 messages aec5af699caa308b",
+    "decode choice 2: 6 messages f954651862ab2163",
+    "fft choice 0: 138 messages 616296caeec190dd",
+    "fft choice 1: 194 messages 11e0b3f358f26265",
+    "fft choice 2: 2 messages 69ab2026d495124f",
+    "fft choice 3: 2 messages 06eea0ba4d402d13",
+    "fft choice 4: 194 messages 624703ef87a996cc",
+    "susan choice 0: 2 messages 34850428f1505032",
+    "susan choice 2: 0 messages cbf29ce484222325",
+];
+
+/// The interpreter state every control message carries, in each Table 3
+/// program's partitioned choices: a peer resumes from the stack frames
+/// (block, instruction and segment) and the shared bookkeeping, so a
+/// stale frame would send it to the wrong instruction even where the
+/// outputs still agree. Each run is pinned by its message count and a
+/// digest of every rendered message; the hand-driven run above pins its
+/// messages line by line.
+#[test]
+fn table3_control_messages_pin_the_interpreter_state() {
+    let device = DeviceModel::ipaq_testbed();
+    let mut lines = Vec::new();
+    for b in offload_benchmarks::all() {
+        let params = TABLE3_POINTS
+            .iter()
+            .find(|(n, _)| *n == b.name)
+            .expect("a point per program")
+            .1;
+        let a = b.analyze().expect("analysis");
+        let input = (b.make_input)(params);
+        let tracked: Vec<_> = a.items.items.iter().map(|i| i.loc).collect();
+        for (c, partition) in a.partition.choices.iter().enumerate() {
+            if partition.is_all_local() {
+                continue;
+            }
+            let runner = Runner {
+                module: &a.module,
+                tcfg: &a.tcfg,
+                pta: &a.pta,
+                tracked_order: &tracked,
+                device: &device,
+                plan: Plan::Partitioned(partition),
+                max_steps: 0,
+            };
+            let (msgs, _) = drive_by_hand(&runner, params, &input);
+            let rendered: Vec<String> = msgs.iter().map(msg_line).collect();
+            lines.push(format!(
+                "{} choice {c}: {} messages {:016x}",
+                b.name,
+                msgs.len(),
+                fnv(rendered.iter().flat_map(|l| l.bytes().chain([b'\n'])))
+            ));
+        }
+    }
+    check("Table 3 state", &lines, TABLE3_STATE_GOLDEN);
+}
+
+/// The fewest steps rawcaudio needs at its Table 3 point, all-local and
+/// under choice 0 (34 messages, so the count spans many turns).
+const RAWCAUDIO_STEPS: &[(&str, u64)] = &[("local", 2985), ("choice 0", 2985)];
+
+/// The step budget is checked before every instruction and terminator,
+/// on both hosts: the smallest budget that completes still completes,
+/// and one less fails with `StepLimit`.
+#[test]
+fn the_step_budget_holds_at_its_boundary() {
+    let b = offload_benchmarks::all()
+        .into_iter()
+        .find(|b| b.name == "rawcaudio")
+        .expect("rawcaudio");
+    let params = [16i64];
+    let a = b.analyze().expect("analysis");
+    let input = (b.make_input)(&params);
+    let tracked: Vec<_> = a.items.items.iter().map(|i| i.loc).collect();
+    let device = DeviceModel::ipaq_testbed();
+    let local = Simulator::new(&a, device.clone())
+        .run_local(&params, &input)
+        .expect("local run");
+    for &(tag, steps) in RAWCAUDIO_STEPS {
+        let plan = match tag {
+            "local" => Plan::AllLocal,
+            _ => Plan::Partitioned(&a.partition.choices[0]),
+        };
+        let run = |max_steps: u64| {
+            Runner {
+                module: &a.module,
+                tcfg: &a.tcfg,
+                pta: &a.pta,
+                tracked_order: &tracked,
+                device: &device,
+                plan,
+                max_steps,
+            }
+            .run(&params, &input)
+        };
+        let done = run(steps).unwrap_or_else(|e| panic!("{tag}: {steps} steps: {e}"));
+        assert_eq!(done.outputs, local.outputs, "{tag}");
+        match run(steps - 1) {
+            Err(RuntimeError::StepLimit(n)) => assert_eq!(n, steps - 1, "{tag}"),
+            other => panic!(
+                "{tag}: {} steps: expected StepLimit, got {other:?}",
+                steps - 1
+            ),
+        }
+    }
 }
